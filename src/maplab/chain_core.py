@@ -7,7 +7,7 @@ centered kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.csgraph as csgraph
@@ -41,6 +41,8 @@ def solve_stationary(P: np.ndarray) -> np.ndarray:
     P = np.asarray(P, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise NotStochastic("transition matrix must be square")
+    if not np.isfinite(P).all():
+        raise NotStochastic("transition matrix must be finite")
     if (P < 0).any():
         raise NotStochastic("negative transition probability")
     bad = np.abs(P.sum(axis=1) - 1.0) > ROW_SUM_TOL

@@ -9,6 +9,7 @@ Exit codes: 0 pass-verdict, 1 fail-verdict, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -19,7 +20,7 @@ from . import fixtures as fixture_registry
 from .chain_core import StochasticKernel, spectral_gap_report
 from .errors import MaplabError
 from .fourier import derivatives_at_zero, lambda_branch, nonlattice_scan
-from .io import (FormatError, load_spec, write_csv, write_report,
+from .io import (FormatError, _jsonable, load_spec, write_csv, write_report,
                  write_samples)
 from .limit_checks import (berry_esseen_check, clt_check, ct_limit_check,
                            edgeworth_check, llt_check, rho_mixing_check)
@@ -80,15 +81,10 @@ def _emit(args, report: dict, csv_spec=None) -> None:
     if getattr(args, "out", None):
         write_report(args.out, report)
     else:
-        print(json.dumps(_clean(report), sort_keys=True, indent=2))
+        print(json.dumps(_jsonable(report), sort_keys=True, indent=2))
     if csv_spec is not None and getattr(args, "csv", None):
         header, rows = csv_spec
         write_csv(args.csv, header, rows)
-
-
-def _clean(obj):
-    from .io import _jsonable
-    return _jsonable(obj)
 
 
 def _records_rows(records, fields):
@@ -103,18 +99,23 @@ def cmd_fixtures(args):
             print(name)
         return 0
     if args.action == "oracles":
-        print(json.dumps(_clean(fixture_registry.ORACLES), sort_keys=True,
+        print(json.dumps(_jsonable(fixture_registry.ORACLES), sort_keys=True,
                          indent=2))
         return 0
     raise UsageError(f"unknown fixtures action {args.action!r}")
 
 
-def cmd_analyze(args):
-    model = _load_model(args)
+def _branch(model, args):
+    """lambda_branch on the symmetric --zeta-max grid, with 0 added if absent."""
     grid = np.linspace(-args.zeta_max, args.zeta_max, args.grid_points)
     if 0.0 not in grid:
         grid = np.sort(np.append(grid, 0.0))
-    summary = lambda_branch(model, grid)
+    return lambda_branch(model, grid)
+
+
+def cmd_analyze(args):
+    model = _load_model(args)
+    summary = _branch(model, args)
     grad, hess, third = derivatives_at_zero(model)
     report = {
         "subcommand": "analyze",
@@ -137,10 +138,7 @@ def cmd_analyze(args):
 
 def cmd_scan_lambda(args):
     model = _load_model(args)
-    grid = np.linspace(-args.zeta_max, args.zeta_max, args.grid_points)
-    if 0.0 not in grid:
-        grid = np.sort(np.append(grid, 0.0))
-    summary = lambda_branch(model, grid)
+    summary = _branch(model, args)
     sep = np.abs(summary.lam) - summary.kappa_hat
     rows = [(float(z), float(l.real), float(l.imag), float(abs(l)),
              summary.kappa_hat, float(s))
@@ -394,13 +392,16 @@ def _problem_from_file(path):
 
 # -- argument parsing ------------------------------------------------------
 
-def _add_model_args(p, spec_only=False):
+def _subcommand(sub, name, func, help=None):
+    p = sub.add_parser(name, help=help)
     p.add_argument("--fixture", help="built-in fixture name")
     p.add_argument("--spec", help="kernel / MAP / continuous-time spec file")
     p.add_argument("--out", help="report output path")
     p.add_argument("--csv", help="per-record CSV output path")
     p.add_argument("--threads", type=int, default=None,
                    help="worker cap (results are thread-count independent)")
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -414,89 +415,64 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["list", "oracles"])
     p.set_defaults(func=cmd_fixtures, threads=None)
 
-    p = sub.add_parser("analyze", help="dominant-eigenvalue branch summary")
-    _add_model_args(p)
-    p.add_argument("--zeta-max", type=float, default=0.5)
-    p.add_argument("--grid-points", type=int, default=41)
-    p.set_defaults(func=cmd_analyze)
+    for name, func, help in [
+            ("analyze", cmd_analyze, "dominant-eigenvalue branch summary"),
+            ("scan-lambda", cmd_scan_lambda, "CSV table of the branch")]:
+        p = _subcommand(sub, name, func, help)
+        p.add_argument("--zeta-max", type=float, default=0.5)
+        p.add_argument("--grid-points", type=int, default=41)
 
-    p = sub.add_parser("scan-lambda", help="CSV table of the branch")
-    _add_model_args(p)
-    p.add_argument("--zeta-max", type=float, default=0.5)
-    p.add_argument("--grid-points", type=int, default=41)
-    p.set_defaults(func=cmd_scan_lambda)
-
-    p = sub.add_parser("simulate", help="dump terminal samples")
-    _add_model_args(p)
+    p = _subcommand(sub, "simulate", cmd_simulate, "dump terminal samples")
     p.add_argument("--n", type=int, help="discrete horizon")
     p.add_argument("--t", type=float, help="continuous horizon")
     p.add_argument("--paths", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--init", help="initial distribution as a JSON vector")
-    p.set_defaults(func=cmd_simulate)
 
     for name, func in [("verify-clt", cmd_verify_clt),
-                       ("verify-be", cmd_verify_be)]:
-        p = sub.add_parser(name)
-        _add_model_args(p)
-        p.add_argument("--n-list", required=True)
+                       ("verify-be", cmd_verify_be),
+                       ("verify-edgeworth", cmd_verify_edgeworth),
+                       ("verify-llt", cmd_verify_llt),
+                       ("verify-ct", cmd_verify_ct)]:
+        p = _subcommand(sub, name, func)
+        p.add_argument("--t-list" if name == "verify-ct" else "--n-list",
+                       required=True)
         p.add_argument("--paths", type=int, required=True)
         p.add_argument("--seed", type=int, required=True)
-        p.set_defaults(func=func)
+        if name == "verify-edgeworth":
+            p.add_argument("--init",
+                           help="initial distribution as a JSON vector")
+        if name in ("verify-edgeworth", "verify-llt"):
+            p.add_argument("--allow-lattice", action="store_true")
 
-    p = sub.add_parser("verify-edgeworth")
-    _add_model_args(p)
-    p.add_argument("--n-list", required=True)
-    p.add_argument("--paths", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--init", help="initial distribution as a JSON vector")
-    p.add_argument("--allow-lattice", action="store_true")
-    p.set_defaults(func=cmd_verify_edgeworth)
-
-    p = sub.add_parser("verify-llt")
-    _add_model_args(p)
-    p.add_argument("--n-list", required=True)
-    p.add_argument("--paths", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--allow-lattice", action="store_true")
-    p.set_defaults(func=cmd_verify_llt)
-
-    p = sub.add_parser("verify-ct")
-    _add_model_args(p)
-    p.add_argument("--t-list", required=True)
-    p.add_argument("--paths", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.set_defaults(func=cmd_verify_ct)
-
-    p = sub.add_parser("mixing-bound")
-    _add_model_args(p)
+    p = _subcommand(sub, "mixing-bound", cmd_mixing_bound)
     p.add_argument("--lags", default="1,2,3,4,5,6,7,8,9,10")
     p.add_argument("--paths", type=int, default=100000)
     p.add_argument("--seed", type=int, required=True)
-    p.set_defaults(func=cmd_mixing_bound)
 
-    p = sub.add_parser("nonlattice-scan")
-    _add_model_args(p)
+    p = _subcommand(sub, "nonlattice-scan", cmd_nonlattice)
     p.add_argument("--k-min", type=float, default=0.1)
     p.add_argument("--k-max", type=float, default=10.0)
     p.add_argument("--k-points", type=int, default=200)
-    p.set_defaults(func=cmd_nonlattice)
 
-    p = sub.add_parser("mestimate")
-    _add_model_args(p)
+    p = _subcommand(sub, "mestimate", cmd_mestimate)
     p.add_argument("--problem", help="problem description file")
     p.add_argument("--n-list", required=True)
     p.add_argument("--reps", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.set_defaults(func=cmd_mestimate)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args keeps no state between calls, so one parser serves them all
+    return build_parser()
+
+
 def dispatch(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     _threads(args)

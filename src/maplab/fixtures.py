@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .chain_core import StochasticKernel
-from .increments import deterministic, gaussian, mixture
+from .increments import deterministic, gaussian
 from .map_model import CtMapSpec, MapSpec
 
 TWO_STATE_P = np.array([[0.7, 0.3], [0.2, 0.8]])

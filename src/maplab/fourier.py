@@ -16,7 +16,7 @@ import scipy.linalg
 
 from .chain_core import l2_operator_norm
 from .errors import BranchCollision, SingularResolvent
-from .map_model import CtMapSpec, MapSpec
+from .map_model import CtMapSpec, branch_derivatives
 
 SEPARATION_MIN = 1e-6
 
@@ -31,15 +31,25 @@ class FourierOperator:
 
 
 def _fourier_matrix(spec, zeta) -> np.ndarray:
-    """S_1(zeta) for a discrete spec, exp(A(zeta)) for a continuous one."""
+    """Stack of S_1(zeta) over K points (K scalars or a (K, d) array).
+
+    Discrete specs evaluate all atoms of spec.edge_table in one expression,
+    each as p exp(i zeta.m - zeta.C.zeta / 2); cf-kind laws call their own
+    cf. Continuous specs give exp(A(zeta)). Shape (K, S, S).
+    """
     if isinstance(spec, CtMapSpec):
-        z = float(np.atleast_1d(zeta)[0])
+        z = np.asarray(zeta, dtype=float).reshape(-1)
         return scipy.linalg.expm(spec.fourier_generator(z))
-    zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
-    S = spec.n_states
-    M = np.zeros((S, S), dtype=complex)
-    for (i, j), law in spec.increments.items():
-        M[i, j] = spec.P[i, j] * law.cf(zeta)
+    Z = np.asarray(zeta, dtype=float).reshape(-1, spec.d)
+    S, tab = spec.n_states, spec.edge_table
+    M = np.zeros((len(Z), S, S), dtype=complex)
+    if len(tab["rows"]):
+        quad = np.einsum("ka,nab,kb->kn", Z, tab["cov"], Z)
+        atoms = tab["prob"] * np.exp(1j * (Z @ tab["mean"].T) - 0.5 * quad)
+        M[:, tab["rows"], tab["cols"]] = tab["weight"] * np.add.reduceat(
+            atoms, tab["start"], axis=1)
+    for i, j, law in tab["cf"]:
+        M[:, i, j] = [spec.P[i, j] * law.cf(z) for z in Z]
     return M
 
 
@@ -52,32 +62,26 @@ def build_fourier(spec, zeta, t=1) -> FourierOperator:
         return FourierOperator(zeta=zeta, t=float(t), M=M)
     if int(t) != t or t < 0:
         raise ValueError("discrete time must be a nonnegative integer")
-    M1 = _fourier_matrix(spec, zeta)
-    M = np.linalg.matrix_power(M1, int(t))
+    M = np.linalg.matrix_power(_fourier_matrix(spec, zeta)[0], int(t))
     return FourierOperator(zeta=zeta, t=int(t), M=M)
-
-
-def _spec_pi(spec) -> np.ndarray:
-    return spec.pi if isinstance(spec, CtMapSpec) else spec.kernel.pi
 
 
 def check_semigroup(spec, zeta, s, t) -> float:
     """||S_{t+s}(zeta) - S_t(zeta) S_s(zeta)||_2; contract <= 1e-9."""
-    pi = _spec_pi(spec)
     A = build_fourier(spec, zeta, s).M
     B = build_fourier(spec, zeta, t).M
     C = build_fourier(spec, zeta, s + t).M
-    return l2_operator_norm(C - B @ A, pi)
+    return l2_operator_norm(C - B @ A, spec.pi)
 
 
-def _dominant_decomposition(M: np.ndarray, prev_vec=None, prev_lam=None):
-    """Eigendecomposition with branch selection by eigenvector overlap.
+def _dominant_decomposition(w, V, Vinv, prev_vec=None, prev_lam=None):
+    """Branch selection by eigenvector overlap in one eigendecomposition.
 
-    Returns (lam, right_vec, projection, kappa) where kappa is the largest
-    modulus among the remaining eigenvalues. With prev_vec=None the largest
-    modulus eigenvalue is selected (valid at zeta = 0).
+    w, V, Vinv are the eigenvalues, right eigenvectors and V^-1 of one
+    matrix. Returns (lam, right_vec, projection, kappa) where kappa is the
+    largest modulus among the remaining eigenvalues. With prev_vec=None the
+    largest modulus eigenvalue is selected (valid at zeta = 0).
     """
-    w, V = np.linalg.eig(M)
     if prev_vec is None:
         idx = int(np.argmax(np.abs(w)))
     else:
@@ -88,44 +92,24 @@ def _dominant_decomposition(M: np.ndarray, prev_vec=None, prev_lam=None):
         if len(ties) > 1 and prev_lam is not None:
             # overlap tie: prefer the eigenvalue closest to the previous one
             idx = int(ties[np.argmin(np.abs(w[ties] - prev_lam))])
-    lam = w[idx]
-    u = V[:, idx] / np.linalg.norm(V[:, idx])
-    # left eigenvector from the transpose problem
-    wl, Vl = np.linalg.eig(M.T)
-    jl = int(np.argmin(np.abs(wl - lam)))
-    v = Vl[:, jl]
-    denom = v @ u
-    if abs(denom) < 1e-14:
+    lam, r, v = w[idx], V[:, idx], Vinv[idx]
+    # v, row idx of V^-1, is the left vector with v r = 1, so |r| |v| is
+    # 1 / cos of the angle between the left and right vectors
+    if np.linalg.norm(r) * np.linalg.norm(v) > 1e14:
         raise BranchCollision("defective dominant eigenvalue")
-    proj = np.outer(u, v) / denom
     kappa = max((abs(x) for k, x in enumerate(w) if k != idx), default=0.0)
-    return lam, u, proj, float(kappa)
+    return lam, r / np.linalg.norm(r), np.outer(r, v), float(kappa)
 
 
 @dataclass(frozen=True)
 class SpectralSummary:
-    """Dominant-eigenvalue branch over a zeta grid plus derivatives at 0."""
+    """Dominant-eigenvalue branch over a zeta grid."""
 
     grid: np.ndarray
     lam: np.ndarray
     projections: np.ndarray        # (n_grid, S, S) rank-one complex matrices
     kappa_hat: float
     separation: float
-    grad_lambda: np.ndarray = None
-    hess_lambda: np.ndarray = None
-    third_deriv: complex = None
-
-    @property
-    def sigma2(self) -> float:
-        return float(np.real(-self.hess_lambda[0, 0]))
-
-    @property
-    def Sigma(self) -> np.ndarray:
-        return -np.real(self.hess_lambda)
-
-    @property
-    def mu3_fourier(self) -> float:
-        return float(np.real(1j * self.third_deriv))
 
 
 def _ordered_path(grid: np.ndarray):
@@ -160,18 +144,20 @@ def lambda_branch(spec, grid) -> SpectralSummary:
         raise ValueError("lambda_branch expects a scalar zeta grid")
     order, prev = _ordered_path(grid)
     S = spec.n_states
+    w, V = np.linalg.eig(_fourier_matrix(spec, grid))
+    try:
+        Vinv = np.linalg.inv(V)
+    except np.linalg.LinAlgError:
+        raise BranchCollision("defective Fourier matrix on the grid")
     lam = np.empty(len(grid), dtype=complex)
     projections = np.empty((len(grid), S, S), dtype=complex)
     vecs = {}
     kappa_hat = 0.0
     separation = np.inf
     for k in order:
-        M = _fourier_matrix(spec, grid[k])
         p = prev[k]
-        if p is not None:
-            lam_k, u, proj, kappa = _dominant_decomposition(M, vecs[p], lam[p])
-        else:
-            lam_k, u, proj, kappa = _dominant_decomposition(M)
+        lam_k, u, proj, kappa = _dominant_decomposition(
+            w[k], V[k], Vinv[k], vecs.get(p), None if p is None else lam[p])
         sep = abs(lam_k) - kappa
         if sep < SEPARATION_MIN:
             raise BranchCollision(
@@ -185,39 +171,19 @@ def lambda_branch(spec, grid) -> SpectralSummary:
                            kappa_hat=kappa_hat, separation=float(separation))
 
 
-def _branch_values(spec, points) -> np.ndarray:
-    """lambda at the given scalar points by continuation from 0."""
-    pts = np.concatenate([[0.0], np.asarray(points, dtype=float)])
-    summary = lambda_branch(spec, pts)
-    return summary.lam[1:]
-
-
 def derivatives_at_zero(spec, order: int = 3):
-    """(grad, hess, third) of the branch at 0 by Richardson central differences.
+    """(grad, hess, third): first three derivatives of the branch at 0.
 
-    Scalar specs get all three; multivariate specs get grad and hess with
-    third = None. Steps h in {1e-2, 5e-3} with one Richardson level.
+    The branch is lambda(zeta), the dominant eigenvalue of S_1(zeta) (time 1
+    in continuous time), not its logarithm. The values are exact: with l_k
+    the derivatives in t = i zeta from map_model.branch_derivatives (Kato's
+    series through the group inverse), grad = i l1, hess = -l2 and
+    third = -i l3. Scalar specs only (MomentUndefined otherwise); third =
+    None when order < 3.
     """
-    d = 1 if isinstance(spec, CtMapSpec) else spec.d
-    if d == 1:
-        def derivs(h):
-            pts = np.array([-2, -1, 1, 2], dtype=float) * h
-            lm2, lm1, lp1, lp2 = _branch_values(spec, pts)
-            l0 = 1.0
-            g = (lp1 - lm1) / (2 * h)
-            hess = (lp1 - 2 * l0 + lm1) / h ** 2
-            third = (lp2 - 2 * lp1 + 2 * lm1 - lm2) / (2 * h ** 3)
-            return np.array([g, hess, third])
-
-        d1 = derivs(1e-2)
-        d2 = derivs(5e-3)
-        g, hess, third = (4.0 * d2 - d1) / 3.0
-        grad = np.array([g])
-        hess_m = np.array([[hess]])
-        if order < 3:
-            third = None
-        return grad, hess_m, third
-    raise NotImplementedError("derivatives_at_zero supports scalar specs")
+    l1, l2, l3 = branch_derivatives(spec)
+    third = -1j * l3 if order >= 3 else None
+    return np.array([1j * l1]), np.array([[complex(-l2)]]), third
 
 
 @dataclass(frozen=True)
@@ -239,7 +205,7 @@ class ExpansionEvaluation:
 
 def evaluate_expansion(spec, zeta, n: int, f=None) -> ExpansionEvaluation:
     """Evaluate E[e^{i zeta Y_n} f(X_n)] against its spectral decomposition."""
-    pi = _spec_pi(spec)
+    pi = spec.pi
     S = len(pi)
     if f is None:
         f = np.ones(S)
@@ -250,7 +216,7 @@ def evaluate_expansion(spec, zeta, n: int, f=None) -> ExpansionEvaluation:
     k = 1 if zeta != 0 else 0
     lam = summary.lam[k]
     proj = summary.projections[k]
-    M = _fourier_matrix(spec, zeta)
+    M = _fourier_matrix(spec, zeta)[0]
     lhs = complex(pi @ (np.linalg.matrix_power(M, n) @ f))
     rhs_main = complex(lam ** n * (pi @ (proj @ f)))
     N = M - lam * proj
@@ -270,12 +236,11 @@ def nonlattice_scan(spec, K) -> tuple:
     K = np.asarray(K, dtype=float)
     if (K == 0).any():
         raise ValueError("scan grid must exclude 0")
-    rho_hat, worst = -1.0, None
-    for z in K:
-        rho = float(np.max(np.abs(np.linalg.eigvals(_fourier_matrix(spec, z)))))
-        if rho > rho_hat:
-            rho_hat, worst = rho, float(z)
-    return rho_hat, worst
+    if not len(K):
+        return -1.0, None
+    rho = np.max(np.abs(np.linalg.eigvals(_fourier_matrix(spec, K))), axis=1)
+    worst = int(np.argmax(rho))
+    return float(rho[worst]), float(K[worst])
 
 
 def is_nonlattice_spectral(spec, K) -> bool:
@@ -293,7 +258,7 @@ def contour_crosscheck(spec, zeta, n: int, nodes: int = 256,
     two matrix residuals against the eigendecomposition realization.
     """
     zeta = float(np.atleast_1d(zeta)[0])
-    M = _fourier_matrix(spec, zeta)
+    M = _fourier_matrix(spec, zeta)[0]
     grid = np.array([0.0, zeta]) if zeta != 0 else np.array([0.0])
     summary = lambda_branch(spec, grid)
     k = len(grid) - 1

@@ -9,8 +9,7 @@ extrapolated numerical differentiation of its characteristic function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import comb
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -7,16 +7,17 @@ seeds yet statistically sound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
 
 from .chain_core import spectral_gap_report
-from .errors import DegenerateVariance, LatticeSpec, ZeroVariance
+from .errors import DegenerateVariance, LatticeSpec
 from .fourier import nonlattice_scan
-from .map_model import (CtMapSpec, MapSpec, ct_sample_skeleton, detect_lattice,
-                        exact_mean, third_cumulant_rate, variance_series)
+from .map_model import (CtMapSpec, MapSpec, branch_derivatives,
+                        ct_sample_skeleton, detect_lattice,
+                        third_cumulant_rate, variance_series)
 from .montecarlo import increment_panel, simulate_ct, simulate_discrete
 
 DKW_DELTA = 1e-3
@@ -28,8 +29,7 @@ def ecdf_se(n_samples: int, delta: float = DKW_DELTA) -> float:
     return float(np.sqrt(np.log(2.0 / delta) / (2.0 * n_samples)))
 
 
-def _phi(a):
-    return ndtr(a)
+_phi = ndtr
 
 
 def _eta(a):
@@ -47,16 +47,10 @@ def kolmogorov_distance(sample: np.ndarray, cdf=_phi) -> float:
     F = cdf(y)
     upper = np.max(np.arange(1, N + 1) / N - F)
     lower = np.max(F - np.arange(0, N) / N)
-    grid_dev = 0.0
     Fg = cdf(A_GRID)
     idx = np.searchsorted(y, A_GRID, side="right")
     grid_dev = float(np.max(np.abs(idx / N - Fg)))
     return float(max(upper, lower, grid_dev))
-
-
-def _sup_deviation(sample, corrected_cdf):
-    """Same sup computation against an arbitrary (possibly non-monotone) curve."""
-    return kolmogorov_distance(sample, corrected_cdf)
 
 
 @dataclass(frozen=True)
@@ -75,21 +69,16 @@ class GaussianComparison:
 
 def _sigma_for(spec) -> float:
     if isinstance(spec, CtMapSpec):
-        skeleton = ct_sample_skeleton(spec)
-        sig2 = variance_series(_centered_skeleton(spec, skeleton))
+        # exact variance rate eta_2 = l2 - l1^2 of a centered CT spec
+        l1, l2, _ = branch_derivatives(spec)
+        if abs(l1) > 1e-8:
+            raise ValueError("continuous-time spec must be centered")
+        sig2 = l2 - l1 * l1
     else:
         sig2 = variance_series(spec)
     if sig2 <= 1e-12:
         raise DegenerateVariance("sigma^2 <= 1e-12; limit law is a Dirac mass")
     return float(np.sqrt(sig2))
-
-
-def _centered_skeleton(ct, skeleton):
-    # skeleton of a centered CT spec is centered already; guard numerically
-    m = exact_mean(skeleton)
-    if np.max(np.abs(m)) > 1e-8:
-        raise ValueError("continuous-time spec must be centered")
-    return skeleton
 
 
 def clt_check(spec: MapSpec, n_list, paths: int, seed: int):
@@ -178,7 +167,9 @@ def edgeworth_check(spec: MapSpec, n_list, paths: int, seed: int, mu=None,
         if mu3 == 0.0 and b_mu == 0.0:
             resid = kol
         else:
-            resid = _sup_deviation(
+            # the same sup distance against the (possibly non-monotone)
+            # corrected curve
+            resid = kolmogorov_distance(
                 z, lambda a: edgeworth_cdf(a, sigma, mu3, n, b_mu))
         records.append(GaussianComparison(
             n=n, n_samples=paths, sigma_used=sigma, kolmogorov=kol,
@@ -292,15 +283,11 @@ def rho_mixing_check(spec: MapSpec, lags, paths: int, seed: int):
 def ct_limit_check(ct: CtMapSpec, t_list, paths: int, seed: int):
     """CLT/Berry-Esseen records for Y_t/sqrt(t) at real horizons.
 
-    sigma comes from the time-1 skeleton; the fractional-part correction
+    sigma^2 is the exact variance rate; the fractional-part correction
     (Y_t - Y_floor(t))/sqrt(t) is verified negligible via its sample second
     moment against the sup_{v<=1} E[Y_v^2] bound.
     """
-    skeleton = ct_sample_skeleton(ct)
-    sig2 = variance_series(_centered_skeleton(ct, skeleton))
-    if sig2 <= 1e-12:
-        raise DegenerateVariance("sigma^2 <= 1e-12 after centering")
-    sigma = float(np.sqrt(sig2))
+    sigma = _sigma_for(ct)
     sup_Yv2 = float(np.max(np.abs(ct.reward)) ** 2)   # |Y_v| <= max|xi| for v <= 1
     records = []
     fractional_ok = True

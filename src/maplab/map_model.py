@@ -1,21 +1,25 @@
 """Discrete- and continuous-time Markov additive process specifications.
 
 A MapSpec couples a driving kernel with one increment law per supported edge.
-Exact moments of the additive component come from a per-state transfer
-recursion; the asymptotic variance from the geometric correlation series.
+Exact moments of the additive component come from a power of the
+block-triangular moment transfer matrix; the asymptotic variance from the
+geometric correlation series; the derivatives of the dominant eigenvalue at 0
+from Kato's perturbation series, whose reduced resolvent is the group inverse
+of I - P (discrete time) or -G (continuous time).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import comb, gcd
+from dataclasses import dataclass
+from functools import cached_property
+from math import comb
 
 import numpy as np
 import scipy.linalg
 
 from .chain_core import StochasticKernel, l2_operator_norm, solve_stationary
-from .errors import GapAbsent, MomentUndefined
-from .increments import IncrementLaw, deterministic, from_cf
+from .errors import GapAbsent, MomentUndefined, NotStochastic
+from .increments import IncrementLaw, from_cf
 
 CENTER_TOL = 1e-12
 
@@ -74,6 +78,46 @@ class MapSpec:
     def law(self, i: int, j: int) -> IncrementLaw:
         return self.increments[(i, j)]
 
+    @cached_property
+    def moment_matrices(self) -> np.ndarray:
+        """D_k = P o E[Z^k] for k = 0..4, shape (5, S, S); scalar specs only."""
+        D = np.zeros((5,) + self.P.shape)
+        D[0] = self.P
+        for (i, j), law in self.increments.items():
+            D[1:, i, j] = [self.P[i, j] * law.moment(k) for k in range(1, 5)]
+        D.setflags(write=False)     # cached: every caller shares this array
+        return D
+
+    @cached_property
+    def edge_table(self) -> dict:
+        """Edges compiled once into flat arrays for the stacked Fourier matrix.
+
+        Every edge without a cf-kind law becomes a run of Gaussian atoms
+        (prob, mean, cov): a Gaussian law is one atom, a deterministic value
+        one atom with cov = 0, a mixture one zero-cov atom per point mass.
+        start[e] is the first atom of edge e; cf-kind laws keep their
+        callables under "cf".
+        """
+        zero = np.zeros((self.d, self.d))
+        runs = {}
+        for e, law in self.increments.items():
+            if law.kind == "gaussian":
+                runs[e] = [(1.0, law.mean_vec, law.cov)]
+            elif law.kind == "deterministic":
+                runs[e] = [(1.0, law.value, zero)]
+            elif law.kind == "mixture":
+                runs[e] = [(p, v, zero) for p, v in law.atoms]
+        atoms = [a for run in runs.values() for a in run]
+        rows, cols = np.array(list(runs), dtype=int).reshape(-1, 2).T
+        return {"rows": rows, "cols": cols, "weight": self.P[rows, cols],
+                "start": np.cumsum([0] + [len(r) for r in runs.values()])[:-1],
+                "prob": np.array([a[0] for a in atoms]),
+                "mean": np.array([a[1] for a in atoms]).reshape(-1, self.d),
+                "cov": np.array([a[2] for a in atoms]).reshape(-1, self.d,
+                                                               self.d),
+                "cf": [(i, j, law) for (i, j), law in self.increments.items()
+                       if law.kind == "cf"]}
+
 
 @dataclass(frozen=True)
 class CtMapSpec:
@@ -90,6 +134,8 @@ class CtMapSpec:
 
     def __post_init__(self):
         G = np.array(self.generator, dtype=float)
+        if G.ndim != 2 or G.shape[0] != G.shape[1] or not np.isfinite(G).all():
+            raise NotStochastic("generator must be a finite square matrix")
         if np.max(np.abs(G.sum(axis=1))) > 1e-10:
             raise ValueError("generator rows must sum to 0")
         off = G - np.diag(np.diag(G))
@@ -97,43 +143,46 @@ class CtMapSpec:
             raise ValueError("off-diagonal rates must be nonnegative")
         G.setflags(write=False)
         object.__setattr__(self, "generator", G)
-        xi = np.array(self.reward, dtype=float)
-        pi = self.pi
-        if self.centered:
-            xi = xi - pi @ xi
-        xi.setflags(write=False)
-        object.__setattr__(self, "reward", xi)
+        # the uniformized kernel I + G/q shares pi and the communicating
+        # classes with G, so solve_stationary also rejects a reducible G
+        U = off / (1.0 + off.sum(axis=1).max())
+        U[np.diag_indices_from(U)] = 1.0 - U.sum(axis=1)
+        pi = solve_stationary(U)
+        pi.setflags(write=False)
+        object.__setattr__(self, "_pi", pi)
+        jump_flux = 0.0
         if self.jump_increments is not None:
             J = np.array(self.jump_increments, dtype=float)
             J.setflags(write=False)
             object.__setattr__(self, "jump_increments", J)
+            jump_flux = (off * J).sum(axis=1)
+        xi = np.array(self.reward, dtype=float)
+        if self.centered:
+            # the mean rate pi(xi + (G_off o J) 1) counts the jumps too
+            xi = xi - pi @ (xi + jump_flux)
+        xi.setflags(write=False)
+        object.__setattr__(self, "reward", xi)
 
     @property
     def pi(self) -> np.ndarray:
-        G = np.asarray(self.generator, dtype=float)
-        n = G.shape[0]
-        A = np.vstack([G.T[:-1], np.ones(n)])
-        b = np.zeros(n)
-        b[-1] = 1.0
-        return np.linalg.solve(A, b)
-
-    @property
-    def uniformization_rate(self) -> float:
-        return float(np.max(-np.diag(self.generator)))
+        return self._pi
 
     @property
     def n_states(self) -> int:
         return self.generator.shape[0]
 
-    def fourier_generator(self, zeta: float) -> np.ndarray:
-        """Matrix A(zeta) with exp(t A(zeta)) the time-t Fourier operator."""
+    def fourier_generator(self, zeta) -> np.ndarray:
+        """A(zeta), with exp(t A(zeta)) the time-t Fourier operator.
+
+        A scalar zeta gives one (S, S) matrix, an array of K points a
+        (K, S, S) stack.
+        """
+        z = np.asarray(zeta, dtype=float)[..., None, None]
         G = self.generator
-        A = np.array(G, dtype=complex)
         if self.jump_increments is not None:
             off = ~np.eye(self.n_states, dtype=bool)
-            A[off] = A[off] * np.exp(1j * zeta * self.jump_increments[off])
-        A[np.diag_indices_from(A)] += 1j * zeta * self.reward
-        return A
+            G = G * np.exp(1j * z * np.where(off, self.jump_increments, 0.0))
+        return G + 1j * z * np.diag(self.reward)
 
 
 def _stationary_step_mean(kernel, increments, d) -> np.ndarray:
@@ -149,36 +198,25 @@ def exact_mean(spec: MapSpec) -> np.ndarray:
 
 
 def exact_moments(spec: MapSpec, n: int, k: int) -> float:
-    """Exact E[Y_n^k] for a scalar spec, k <= 4, via moment transfer.
+    """Exact E[Y_n^k] under pi for a scalar spec, k <= 4.
 
-    Maintains m_j(x) = E[Y_t^j 1{X_t = x}] for j = 0..k and updates with a
-    one-step binomial convolution against edge increment moments.
+    The row vectors m_j(x) = E[Y_t^j 1{X_t = x}], j = 0..k, move one step by
+    the binomial convolution m_j <- sum_r C(j, r) m_r D_{j-r}, D_k = P o E[Z^k].
+    That is one block-upper-triangular transfer matrix with (r, j) block
+    C(j, r) D_{j-r}, so n steps are one matrix power (O(log n) products).
     """
     if spec.d != 1:
         raise MomentUndefined("exact_moments requires d = 1")
-    if not 1 <= k <= 4:
-        raise ValueError("moment order must be in 1..4")
-    S = spec.n_states
-    P = spec.P
-    # edge_mom[r][i, j] = P(i,j) * E[Z_{ij}^r]
-    edge_mom = [np.array(P)]
-    for r in range(1, k + 1):
-        E = np.zeros((S, S))
-        for (i, j), law in spec.increments.items():
-            E[i, j] = P[i, j] * law.moment(r)
-        edge_mom.append(E)
-
-    m = np.zeros((k + 1, S))
-    m[0] = spec.pi
-    for _ in range(n):
-        new = np.empty_like(m)
-        for j in range(k + 1):
-            acc = np.zeros(S)
-            for r in range(j + 1):
-                acc += comb(j, r) * (m[r] @ edge_mom[j - r])
-            new[j] = acc
-        m = new
-    return float(m[k].sum())
+    if not 1 <= k <= 4 or n < 0:
+        raise ValueError("need a moment order in 1..4 and a horizon n >= 0")
+    S, D = spec.n_states, spec.moment_matrices
+    T = np.zeros(((k + 1) * S, (k + 1) * S))
+    for j in range(k + 1):
+        for r in range(j + 1):
+            T[r * S:(r + 1) * S, j * S:(j + 1) * S] = comb(j, r) * D[j - r]
+    # row 0 of the block vector starts at pi; E[Y_n^k] sums block k
+    Tn = np.linalg.matrix_power(T, int(n))
+    return float(spec.pi @ Tn[:S, k * S:].sum(axis=1))
 
 
 def _contraction_horizon(spec: MapSpec, t_max: int = 64):
@@ -241,11 +279,50 @@ def variance_series(spec: MapSpec, tol: float = 1e-12):
     return float(Sigma[0, 0]) if d == 1 else Sigma
 
 
-def third_cumulant_rate(spec: MapSpec, n0: int = 2048) -> float:
-    """mu_3 = lim E[Y_n^3]/n via exact-moment slope at two large n."""
-    m_a = exact_moments(spec, n0, 3)
-    m_b = exact_moments(spec, 2 * n0, 3)
-    return (m_b - m_a) / n0
+def branch_derivatives(spec) -> tuple:
+    """(l1, l2, l3): derivatives in t = i zeta at 0 of the time-1 branch lambda.
+
+    Kato's series for the simple eigenvalue of M0 + t A1 + t^2/2 A2 +
+    t^3/6 A3 (left vector pi, right vector 1), whose reduced resolvent is
+    the group inverse Q. Discrete time: M0 = P, A_k = P o E[Z^k],
+    Q = (I - P + Pi)^-1 - Pi. Continuous time: M0 = G, A1 = diag(xi) +
+    G_off o J, A_k = G_off o J^k, Q = (Pi - G)^-1 - Pi; the series gives the
+    generator eigenvalue eta, and lambda = exp(eta). Scalar specs only.
+    """
+    pi = spec.pi
+    S = len(pi)
+    Pi = np.tile(pi, (S, 1))
+    if isinstance(spec, CtMapSpec):
+        G = spec.generator
+        off = G - np.diag(np.diag(G))
+        J = 0.0 if spec.jump_increments is None else spec.jump_increments
+        A1, A2, A3 = np.diag(spec.reward) + off * J, off * J ** 2, off * J ** 3
+        Q = np.linalg.inv(Pi - G) - Pi
+    else:
+        if spec.d != 1:
+            raise MomentUndefined("branch derivatives require d = 1")
+        _, A1, A2, A3, _ = spec.moment_matrices
+        Q = np.linalg.inv(np.eye(S) - spec.P + Pi) - Pi
+    one = np.ones(S)
+    a1 = A1 @ one
+    l1, r1 = pi @ a1, Q @ a1
+    b2 = 2.0 * A1 @ r1 + A2 @ one
+    l2 = pi @ b2
+    r2 = Q @ (b2 - 2.0 * l1 * r1)
+    l3 = pi @ (3.0 * A1 @ r2 + 3.0 * A2 @ r1 + A3 @ one)
+    if isinstance(spec, CtMapSpec):
+        l1, l2, l3 = l1, l2 + l1 ** 2, l3 + 3.0 * l1 * l2 + l1 ** 3
+    return float(l1), float(l2), float(l3)
+
+
+def third_cumulant_rate(spec) -> float:
+    """mu_3 = lim E[(Y_n - n m)^3]/n, the third derivative of log lambda(t) at 0.
+
+    Exact from the perturbation series of branch_derivatives; for a centered
+    spec it equals lim E[Y_n^3]/n.
+    """
+    l1, l2, l3 = branch_derivatives(spec)
+    return l3 - 3.0 * l1 * l2 + 2.0 * l1 ** 3
 
 
 @dataclass(frozen=True)
@@ -354,20 +431,11 @@ def ct_sample_skeleton(ct: CtMapSpec) -> MapSpec:
     P /= P.sum(axis=1, keepdims=True)
     kernel = StochasticKernel(states=tuple(range(ct.n_states)), P=P)
 
-    def make_cf(i, j):
-        pij = P[i, j]
+    def edge_cf(i, j):
+        return lambda zeta: scipy.linalg.expm(ct.fourier_generator(
+            float(np.atleast_1d(zeta)[0])))[i, j] / P[i, j]
 
-        def cf(zeta, _i=i, _j=j, _p=pij):
-            z = float(np.atleast_1d(zeta)[0])
-            M = scipy.linalg.expm(ct.fourier_generator(z))
-            return M[_i, _j] / _p
-
-        return cf
-
-    increments = {}
-    for i in range(ct.n_states):
-        for j in range(ct.n_states):
-            if P[i, j] > 0:
-                increments[(i, j)] = from_cf(make_cf(i, j), d=1)
+    increments = {(i, j): from_cf(edge_cf(i, j), d=1)
+                  for i, j in zip(*np.nonzero(P > 0))}
     return MapSpec(kernel=kernel, increments=increments, d=1,
                    centered=False, ct_origin=ct)

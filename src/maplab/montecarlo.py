@@ -83,7 +83,7 @@ def _rng_for(spec_id: str, seed: int) -> np.random.Generator:
 
 
 def _initial_states(spec, mu, n_paths, rng):
-    pi = spec.pi if isinstance(spec, CtMapSpec) else spec.kernel.pi
+    pi = spec.pi
     if mu is None:
         probs = pi
     else:

@@ -32,6 +32,8 @@ from maplab.map_model import (CtMapSpec, MapSpec, exact_mean, exact_moments,
 from maplab.mestim import _f_map_spec, estimator_be_check
 from maplab.montecarlo import simulate_discrete
 
+from conftest import step_moments
+
 PATHS = 100_000
 
 DISCRETE_FIXTURES = ("two_state", "iid_rademacher", "skewed_mixture",
@@ -134,18 +136,23 @@ def test_criterion_03_spectral_expansion_identity():
 
 
 def test_criterion_04_eigenvalue_derivative_identities():
+    # the third derivative is checked against the exact-moment slope
+    # (E[Y_2n^3] - E[Y_n^3]) / n from the step-by-step moment oracle; at
+    # n = 512 the geometric error of the slope is far below the tolerance
+    n = 512
     worst_g = worst_h = worst_3 = 0.0
     for name in DISCRETE_FIXTURES:
         spec = fixtures.get_fixture(name)
         grad, hess, third = derivatives_at_zero(spec)
+        slope = (step_moments(spec, 2 * n, 3) - step_moments(spec, n, 3)) / n
         worst_g = max(worst_g, abs(grad[0] - 1j * exact_mean(spec)[0]))
         worst_h = max(worst_h,
                       abs(np.real(-hess[0, 0]) - variance_series(spec)))
-        worst_3 = max(worst_3,
-                      abs(np.real(1j * third) - third_cumulant_rate(spec)))
+        worst_3 = max(worst_3, abs(np.real(1j * third) - slope),
+                      abs(third_cumulant_rate(spec) - slope))
     grad_ct, _, _ = derivatives_at_zero(fixtures.ct_two_state(centered=False))
     worst_g = max(worst_g, abs(grad_ct[0] - 1j / 3.0))
-    ok = worst_g <= 1e-6 and worst_h <= 1e-5 and worst_3 <= 1e-5
+    ok = worst_g <= 1e-9 and worst_h <= 1e-9 and worst_3 <= 1e-9
     _verdict(4, "eigenvalue derivatives vs exact moments", ok,
              f"grad={worst_g:.2e}, hess={worst_h:.2e}, third={worst_3:.2e}")
 

@@ -30,6 +30,12 @@ class TestSolveStationary:
         with pytest.raises(NotStochastic):
             solve_stationary(np.array([[1.1, -0.1], [0.2, 0.8]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_entry(self, bad):
+        # NaN compares False everywhere and once gave pi = (1, 0)
+        with pytest.raises(NotStochastic):
+            solve_stationary(np.array([[0.5, bad], [0.5, 0.5]]))
+
     def test_absorbing_state_reachable(self):
         # one closed class {1}; transient state 0 gets pi = 0
         P = np.array([[0.5, 0.5], [0.0, 1.0]])

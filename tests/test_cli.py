@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -37,6 +39,86 @@ class TestDispatch:
     def test_seed_required(self):
         assert run(["verify-clt", "--fixture", "two_state",
                     "--n-list", "16", "--paths", "100"]) == 2
+
+
+class TestInputBoundary:
+    """Bad model files exit 2 with a JSON error, never with a traceback."""
+
+    def _analyze(self, tmp_path, doc, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        code = run(["analyze", "--spec", str(spec),
+                    "--out", str(tmp_path / "r.json")])
+        return code, json.loads(capsys.readouterr().err.strip())["error"]
+
+    def test_nan_in_kernel(self, tmp_path, capsys):
+        doc = {"kernel": {"states": [0, 1],
+                          "P": [[0.5, float("nan")], [0.5, 0.5]]},
+               "increments": [{"from": i, "to": j, "kind": "deterministic",
+                               "value": [float(j)]}
+                              for i in range(2) for j in range(2)]}
+        assert self._analyze(tmp_path, doc, capsys) == (2, "NotStochastic")
+
+    def test_reducible_generator(self, tmp_path, capsys):
+        doc = {"generator": [[-1.0, 1.0, 0.0], [1.0, -1.0, 0.0],
+                             [0.0, 0.0, 0.0]],
+               "reward": [0.0, 1.0, 2.0], "centered": True}
+        assert self._analyze(tmp_path, doc, capsys) == (2, "NonIrreducible")
+
+    def test_nonfinite_generator(self, tmp_path, capsys):
+        doc = {"generator": [[-1.0, 1.0], [float("inf"), -2.0]],
+               "reward": [0.0, 1.0]}
+        assert self._analyze(tmp_path, doc, capsys) == (2, "NotStochastic")
+
+    def test_centered_ct_with_jumps_has_zero_mean_rate(self, tmp_path):
+        spec = tmp_path / "ct.json"
+        spec.write_text(json.dumps({
+            "generator": [[-1.0, 1.0], [2.0, -2.0]], "reward": [0.0, 1.0],
+            "jump_increments": [[0.0, 1.0], [-0.5, 0.0]], "centered": True}))
+        out = tmp_path / "r.json"
+        assert run(["analyze", "--spec", str(spec), "--out", str(out)]) == 0
+        assert abs(json.loads(out.read_text())["mean_rate"][0]) <= 1e-12
+
+
+class TestParserReuse:
+    def test_dispatch_sequence_matches_fresh_processes(self, tmp_path):
+        # one process dispatching many subcommands must behave exactly like
+        # one fresh process per command: same exit codes, same report bytes
+        jobs = [
+            ["analyze", "--fixture", "two_state"],
+            ["nonlattice-scan", "--fixture", "lattice_pm1", "--k-min",
+             str(np.pi), "--k-max", str(2 * np.pi), "--k-points", "2"],
+            ["analyze", "--fixture", "nope"],
+            ["scan-lambda", "--fixture", "skewed_mixture",
+             "--grid-points", "11"],
+            ["verify-clt", "--fixture", "two_state", "--n-list", "16",
+             "--paths", "100"],
+            ["mixing-bound", "--fixture", "two_state", "--lags", "1,2",
+             "--paths", "500", "--seed", "3"],
+            ["analyze", "--fixture", "ct_two_state", "--zeta-max", "0.25"],
+        ]
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            dispatch.__code__.co_filename)))
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        fresh, reused = [], []
+        for k, argv in enumerate(jobs):
+            out = tmp_path / f"fresh{k}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "maplab.cli", *argv, "--out", str(out)],
+                env=env, capture_output=True)
+            fresh.append((proc.returncode,
+                          out.read_bytes() if out.exists() else None))
+        for _ in range(2):
+            for k, argv in enumerate(jobs):
+                out = tmp_path / f"reused{k}"
+                code = run(argv + ["--out", str(out)])
+                reused.append((code, out.read_bytes() if out.exists() else None))
+                if out.exists():
+                    out.unlink()
+        assert reused == fresh + fresh
+        assert [code for code, _ in fresh] == [0, 1, 2, 0, 2, 0, 0]
 
 
 class TestReports:

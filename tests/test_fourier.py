@@ -7,15 +7,16 @@ from maplab.chain_core import StochasticKernel, l2_operator_norm
 from maplab.errors import BranchCollision, SingularResolvent
 from maplab.fixtures import (ct_two_state, gaussian_iid, iid_rademacher,
                              lattice_pm1, skewed_mixture, two_state)
-from maplab.fourier import (build_fourier, check_semigroup,
+from maplab.fourier import (_fourier_matrix, build_fourier, check_semigroup,
                             contour_crosscheck, derivatives_at_zero,
                             evaluate_expansion, is_nonlattice_spectral,
                             lambda_branch, nonlattice_scan)
 from maplab.increments import deterministic
-from maplab.map_model import (MapSpec, exact_mean, third_cumulant_rate,
-                              variance_series)
+from maplab.map_model import (CtMapSpec, MapSpec, exact_mean,
+                              third_cumulant_rate, variance_series)
 
-from conftest import random_kernel
+from conftest import (edge_loop_fourier, random_kernel, random_mixed_spec,
+                      step_moments)
 
 ALL_DISCRETE = [two_state, iid_rademacher, skewed_mixture, gaussian_iid]
 
@@ -64,6 +65,45 @@ class TestFourierOperator:
         # second-order Taylor of the cf at small zeta; the z^4 E[Y_n^4]/24
         # term bounds the truncation error at ~3e-5 here
         assert cf.real == pytest.approx(1.0 - 0.5 * z * z * m2, abs=5e-5)
+
+
+class TestStackedFourier:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(1, 8))
+    def test_matches_edge_loop(self, seed, K):
+        spec = random_mixed_spec(seed)
+        Z = np.random.default_rng(seed + 1).uniform(-10, 10, size=(K, spec.d))
+        stack = _fourier_matrix(spec, Z)
+        assert stack.shape == (K, spec.n_states, spec.n_states)
+        for M, z in zip(stack, Z):
+            np.testing.assert_allclose(M, edge_loop_fourier(spec, z),
+                                       rtol=0, atol=1e-13)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.floats(-5, 5), min_size=1, max_size=6))
+    def test_ct_matches_pointwise_expm(self, zetas):
+        # A(zeta) = G with G_ij exp(i zeta J_ij) off the diagonal, plus
+        # i zeta diag(xi), built here entry by entry
+        import scipy.linalg
+        G = np.array([[-1.0, 1.0], [2.0, -2.0]])
+        J = np.array([[0.0, 1.0], [-0.5, 0.0]])
+        xi = np.array([0.0, 1.0])
+        ct = CtMapSpec(generator=G, reward=xi, jump_increments=J)
+        stack = _fourier_matrix(ct, zetas)
+        for M, z in zip(stack, zetas):
+            A = np.array(G, dtype=complex)
+            A[0, 1] *= np.exp(1j * z * J[0, 1])
+            A[1, 0] *= np.exp(1j * z * J[1, 0])
+            A[[0, 1], [0, 1]] += 1j * z * xi
+            np.testing.assert_allclose(M, scipy.linalg.expm(A),
+                                       rtol=0, atol=1e-13)
+
+    def test_cf_laws_use_their_callable(self):
+        from maplab.map_model import ct_sample_skeleton
+        skeleton = ct_sample_skeleton(ct_two_state())
+        z = 0.7
+        np.testing.assert_allclose(_fourier_matrix(skeleton, z)[0],
+                                   edge_loop_fourier(skeleton, z), atol=1e-15)
 
 
 class TestSemigroup:
@@ -138,26 +178,29 @@ class TestDerivatives:
     def test_gradient_is_mean(self, make):
         spec = make()
         grad, _, _ = derivatives_at_zero(spec)
-        assert abs(np.imag(grad[0]) - exact_mean(spec)[0]) < 1e-6
-        assert abs(np.real(grad[0])) < 1e-6
+        assert abs(np.imag(grad[0]) - exact_mean(spec)[0]) < 1e-9
+        assert abs(np.real(grad[0])) < 1e-9
 
     @pytest.mark.parametrize("make", ALL_DISCRETE)
     def test_hessian_is_variance(self, make):
         spec = make()
         _, hess, _ = derivatives_at_zero(spec)
-        assert abs(-np.real(hess[0, 0]) - variance_series(spec)) < 1e-5
+        assert abs(-np.real(hess[0, 0]) - variance_series(spec)) < 1e-9
 
     @pytest.mark.parametrize("make", ALL_DISCRETE)
     def test_third_derivative_is_third_cumulant(self, make):
+        # exact-moment slope (E[Y_2n^3] - E[Y_n^3]) / n from the step oracle
         spec = make()
+        n = 256
+        slope = (step_moments(spec, 2 * n, 3) - step_moments(spec, n, 3)) / n
         _, _, third = derivatives_at_zero(spec)
-        mu3 = third_cumulant_rate(spec)
-        assert abs(np.real(1j * third) - mu3) < 1e-5
+        assert abs(np.real(1j * third) - slope) < 1e-9
+        assert abs(third_cumulant_rate(spec) - slope) < 1e-9
 
     def test_ct_gradient_is_reward_rate(self):
         ct = ct_two_state(centered=False)
         grad, _, _ = derivatives_at_zero(ct)
-        assert abs(np.imag(grad[0]) - 1.0 / 3.0) < 1e-6
+        assert abs(np.imag(grad[0]) - 1.0 / 3.0) < 1e-9
 
     def test_taylor_slope(self, two_state):
         # |lambda(z) - 1 + sigma^2 z^2 / 2| = O(|z|^3)

@@ -5,16 +5,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maplab.chain_core import StochasticKernel
-from maplab.errors import MomentUndefined
+from maplab.errors import MomentUndefined, NonIrreducible, NotStochastic
 from maplab.fixtures import (CT_TWO_STATE_G, birth_death_5, ct_two_state,
                              gaussian_iid, iid_rademacher, lattice_pm1,
                              skewed_mixture, two_state)
 from maplab.increments import deterministic, gaussian, mixture
-from maplab.map_model import (MapSpec, ct_sample_skeleton, detect_lattice,
-                              exact_mean, exact_moments, third_cumulant_rate,
+from maplab.map_model import (CtMapSpec, MapSpec, branch_derivatives,
+                              ct_sample_skeleton, detect_lattice, exact_mean,
+                              exact_moments, third_cumulant_rate,
                               variance_series)
 
-from conftest import random_kernel
+from conftest import random_kernel, random_mixed_spec, step_moments
 
 
 def _make_spec(P, values, centered=False):
@@ -74,6 +75,21 @@ class TestExactMoments:
         v2 = exact_moments(spec, 4096, 2) / 4096
         assert abs(v2 - 0.72) < abs(v1 - 0.72)
         assert v2 == pytest.approx(0.72, abs=1e-3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(0, 64), st.integers(1, 4))
+    def test_matches_step_recursion(self, seed, n, k):
+        # matrix power against the explicit n-step recursion; rounding is
+        # relative to the scale (1 + n * max rms increment)^k of the terms
+        spec = random_mixed_spec(seed, d=1)
+        rms = max(np.sqrt(law.moment(2)) for law in spec.increments.values())
+        assert abs(exact_moments(spec, n, k) - step_moments(spec, n, k)) \
+            <= 1e-12 * (1.0 + n * rms) ** k
+
+    def test_negative_horizon_rejected(self):
+        # a matrix power with n < 0 would silently invert the transfer matrix
+        with pytest.raises(ValueError):
+            exact_moments(two_state(), -1, 2)
 
     def test_requires_scalar(self):
         kernel = StochasticKernel(states=(0,), P=np.array([[1.0]]))
@@ -232,3 +248,36 @@ class TestContinuousTime:
         # E[Y_1] = pi(xi) = 1/3 for the uncentered fixture
         skeleton = ct_sample_skeleton(ct_two_state(centered=False))
         assert exact_mean(skeleton)[0] == pytest.approx(1.0 / 3.0, abs=1e-8)
+
+    def test_pi_solved_once(self):
+        ct = ct_two_state()
+        assert ct.pi is ct.pi
+
+    def test_reducible_generator_rejected(self):
+        G = np.array([[-1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(NonIrreducible):
+            CtMapSpec(generator=G, reward=np.zeros(3))
+
+    def test_nonfinite_generator_rejected(self):
+        G = np.array([[-1.0, 1.0], [np.nan, -2.0]])
+        with pytest.raises(NotStochastic):
+            CtMapSpec(generator=G, reward=np.zeros(2))
+
+    def test_centering_counts_jump_increments(self):
+        # mean rate pi(xi + (G_off o J) 1): 1/3 from the reward, 1/3 from
+        # the jumps; both must be removed
+        J = np.array([[0.0, 1.0], [-0.5, 0.0]])
+        ct = CtMapSpec(generator=CT_TWO_STATE_G, reward=np.array([0.0, 1.0]),
+                       jump_increments=J, centered=True)
+        off = CT_TWO_STATE_G - np.diag(np.diag(CT_TWO_STATE_G))
+        assert abs(ct.pi @ (ct.reward + (off * J).sum(axis=1))) <= 1e-12
+        assert abs(branch_derivatives(ct)[0]) <= 1e-12
+        np.testing.assert_allclose(ct.reward, [-2 / 3, 1 / 3], atol=1e-12)
+
+    def test_variance_rate_matches_skeleton_route(self):
+        # exact series against the time-1 skeleton's geometric series, whose
+        # edge moments are finite differences of expm characteristic functions
+        ct = ct_two_state()
+        l1, l2, _ = branch_derivatives(ct)
+        skeleton = variance_series(ct_sample_skeleton(ct))
+        assert l2 - l1 * l1 == pytest.approx(skeleton, rel=1e-6)
