@@ -33,48 +33,49 @@ class UsageError(Exception):
     pass
 
 
-def _threads(args) -> int:
-    # worker cap only; all results are thread-count independent by contract
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("MAPLAB_THREADS")
-    return max(1, int(env)) if env else 1
-
-
-def _load_model(args):
+def _load_model(args, accepts=(MapSpec, CtMapSpec)):
+    """The --fixture or --spec model, if it is an instance of accepts."""
     if getattr(args, "fixture", None):
         try:
-            return fixture_registry.get_fixture(args.fixture)
+            model = fixture_registry.get_fixture(args.fixture)
         except KeyError as exc:
             raise UsageError(str(exc))
-    if getattr(args, "spec", None):
+    elif getattr(args, "spec", None):
         if not os.path.exists(args.spec):
             raise UsageError(f"spec file not found: {args.spec}")
-        return load_spec(args.spec)
-    raise UsageError("one of --fixture or --spec is required")
+        model = load_spec(args.spec)
+    else:
+        raise UsageError("one of --fixture or --spec is required")
+    if not isinstance(model, accepts):
+        raise UsageError(f"{args.subcommand} accepts " + " or ".join(
+            t.__name__ for t in accepts) + f", got {type(model).__name__}")
+    return model
 
 
 def _model_hash(model) -> str:
-    if isinstance(model, (MapSpec, CtMapSpec)):
-        return spec_content_hash(model)
     if isinstance(model, StochasticKernel):
         import hashlib
         return hashlib.sha256(model.P.round(15).tobytes()).hexdigest()
-    return ""
+    return spec_content_hash(model)
 
 
-def _int_list(text: str):
+def _positive_list(text: str, kind):
+    """Comma-separated finite positive values of type kind (int or float)."""
     try:
-        return [int(x) for x in text.split(",") if x]
+        values = [kind(x) for x in text.split(",") if x]
     except ValueError:
-        raise UsageError(f"expected comma-separated integers, got {text!r}")
+        values = []
+    if not values or not all(0 < v < float("inf") for v in values):
+        raise UsageError(f"expected comma-separated positive "
+                         f"{kind.__name__}s, got {text!r}")
+    return values
 
 
-def _float_list(text: str):
-    try:
-        return [float(x) for x in text.split(",") if x]
-    except ValueError:
-        raise UsageError(f"expected comma-separated numbers, got {text!r}")
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, "
+                                         f"got {text!r}")
+    return int(text)
 
 
 def _emit(args, report: dict, csv_spec=None) -> None:
@@ -95,14 +96,11 @@ def _records_rows(records, fields):
 
 def cmd_fixtures(args):
     if args.action == "list":
-        for name in fixture_registry.fixture_names():
-            print(name)
-        return 0
-    if args.action == "oracles":
+        print("\n".join(fixture_registry.fixture_names()))
+    else:
         print(json.dumps(_jsonable(fixture_registry.ORACLES), sort_keys=True,
                          indent=2))
-        return 0
-    raise UsageError(f"unknown fixtures action {args.action!r}")
+    return 0
 
 
 def _branch(model, args):
@@ -201,7 +199,7 @@ _GAUSS_FIELDS = ["n", "n_samples", "sigma_used", "kolmogorov", "be_constant",
 
 def cmd_verify_clt(args):
     model = _load_model(args)
-    n_list = _int_list(args.n_list)
+    n_list = _positive_list(args.n_list, int)
     if isinstance(model, CtMapSpec):
         records, _ = ct_limit_check(model, [float(n) for n in n_list],
                                     args.paths, args.seed)
@@ -217,8 +215,8 @@ def cmd_verify_clt(args):
 
 def cmd_verify_be(args):
     model = _load_model(args)
-    B_hat, records, flat = berry_esseen_check(model, _int_list(args.n_list),
-                                              args.paths, args.seed)
+    B_hat, records, flat = berry_esseen_check(
+        model, _positive_list(args.n_list, int), args.paths, args.seed)
     report = _gaussian_report("verify-be", args, records, flat,
                               {"B_hat": B_hat,
                                "spec_hash": _model_hash(model)})
@@ -229,8 +227,8 @@ def cmd_verify_be(args):
 def cmd_verify_edgeworth(args):
     model = _load_model(args)
     mu = np.asarray(json.loads(args.init), dtype=float) if args.init else None
-    records = edgeworth_check(model, _int_list(args.n_list), args.paths,
-                              args.seed, mu=mu,
+    records = edgeworth_check(model, _positive_list(args.n_list, int),
+                              args.paths, args.seed, mu=mu,
                               allow_lattice=args.allow_lattice)
     improves = all(r.edgeworth_residual <= r.kolmogorov + 1e-15
                    for r in records)
@@ -243,8 +241,8 @@ def cmd_verify_edgeworth(args):
 
 def cmd_verify_llt(args):
     model = _load_model(args)
-    records = llt_check(model, _int_list(args.n_list), args.paths, args.seed,
-                        allow_lattice=args.allow_lattice)
+    records = llt_check(model, _positive_list(args.n_list, int), args.paths,
+                        args.seed, allow_lattice=args.allow_lattice)
     verdict = all(abs(r.ratio - 1.0) <= 4.0 * r.mc_se for r in records)
     fields = ["n", "center", "width", "estimate", "target", "ratio", "mc_se"]
     report = {
@@ -261,10 +259,8 @@ def cmd_verify_llt(args):
 
 
 def cmd_verify_ct(args):
-    model = _load_model(args)
-    if not isinstance(model, CtMapSpec):
-        raise UsageError("verify-ct requires a continuous-time spec")
-    t_list = _float_list(args.t_list)
+    model = _load_model(args, (CtMapSpec,))
+    t_list = _positive_list(args.t_list, float)
     records, fractional_ok = ct_limit_check(model, t_list, args.paths,
                                             args.seed)
     last = records[-1]
@@ -284,8 +280,8 @@ def cmd_verify_ct(args):
 
 
 def cmd_mixing_bound(args):
-    model = _load_model(args)
-    lags = _int_list(args.lags)
+    model = _load_model(args, (StochasticKernel, MapSpec, CtMapSpec))
+    lags = _positive_list(args.lags, int)
     if isinstance(model, StochasticKernel):
         table = spectral_gap_report(model, max(lags))
         rows = [(int(t), table.bound(int(t))) for t in lags]
@@ -322,6 +318,8 @@ def cmd_nonlattice(args):
     model = _load_model(args)
     K = np.linspace(args.k_min, args.k_max, args.k_points)
     K = K[K != 0]
+    if not len(K):
+        raise UsageError("the k grid has no nonzero point")
     rho_hat, worst = nonlattice_scan(model, K)
     verdict = rho_hat < 1.0 - 1e-8
     report = {
@@ -348,7 +346,7 @@ def cmd_mestimate(args):
         problem, problem_desc = _problem_from_file(args.problem)
     else:
         raise UsageError("one of --fixture or --problem is required")
-    n_list = _int_list(args.n_list)
+    n_list = _positive_list(args.n_list, int)
     records, verdict = estimator_be_check(problem, n_list, args.reps,
                                           args.seed)
     gamma = max(r.gamma_hat for r in records if r.n == max(n_list))
@@ -398,8 +396,6 @@ def _subcommand(sub, name, func, help=None):
     p.add_argument("--spec", help="kernel / MAP / continuous-time spec file")
     p.add_argument("--out", help="report output path")
     p.add_argument("--csv", help="per-record CSV output path")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker cap (results are thread-count independent)")
     p.set_defaults(func=func)
     return p
 
@@ -413,19 +409,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fixtures", help="list built-in fixtures")
     p.add_argument("action", choices=["list", "oracles"])
-    p.set_defaults(func=cmd_fixtures, threads=None)
+    p.set_defaults(func=cmd_fixtures)
 
     for name, func, help in [
             ("analyze", cmd_analyze, "dominant-eigenvalue branch summary"),
             ("scan-lambda", cmd_scan_lambda, "CSV table of the branch")]:
         p = _subcommand(sub, name, func, help)
         p.add_argument("--zeta-max", type=float, default=0.5)
-        p.add_argument("--grid-points", type=int, default=41)
+        p.add_argument("--grid-points", type=_positive_int, default=41)
 
     p = _subcommand(sub, "simulate", cmd_simulate, "dump terminal samples")
     p.add_argument("--n", type=int, help="discrete horizon")
     p.add_argument("--t", type=float, help="continuous horizon")
-    p.add_argument("--paths", type=int, required=True)
+    p.add_argument("--paths", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--init", help="initial distribution as a JSON vector")
 
@@ -437,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = _subcommand(sub, name, func)
         p.add_argument("--t-list" if name == "verify-ct" else "--n-list",
                        required=True)
-        p.add_argument("--paths", type=int, required=True)
+        p.add_argument("--paths", type=_positive_int, required=True)
         p.add_argument("--seed", type=int, required=True)
         if name == "verify-edgeworth":
             p.add_argument("--init",
@@ -447,18 +443,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _subcommand(sub, "mixing-bound", cmd_mixing_bound)
     p.add_argument("--lags", default="1,2,3,4,5,6,7,8,9,10")
-    p.add_argument("--paths", type=int, default=100000)
+    p.add_argument("--paths", type=_positive_int, default=100000)
     p.add_argument("--seed", type=int, required=True)
 
     p = _subcommand(sub, "nonlattice-scan", cmd_nonlattice)
     p.add_argument("--k-min", type=float, default=0.1)
     p.add_argument("--k-max", type=float, default=10.0)
-    p.add_argument("--k-points", type=int, default=200)
+    p.add_argument("--k-points", type=_positive_int, default=200)
 
     p = _subcommand(sub, "mestimate", cmd_mestimate)
     p.add_argument("--problem", help="problem description file")
     p.add_argument("--n-list", required=True)
-    p.add_argument("--reps", type=int, required=True)
+    p.add_argument("--reps", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, required=True)
 
     return parser
@@ -475,21 +471,16 @@ def dispatch(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    _threads(args)
     try:
         return args.func(args)
     except UsageError as exc:
-        print(json.dumps({"error": "usage", "message": str(exc)}),
-              file=sys.stderr)
-        return 2
+        error, message = "usage", str(exc)
     except (FormatError, FileNotFoundError, json.JSONDecodeError) as exc:
-        print(json.dumps({"error": "config", "message": str(exc)}),
-              file=sys.stderr)
-        return 2
+        error, message = "config", str(exc)
     except MaplabError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return 2
+        error, message = type(exc).__name__, str(exc)
+    print(json.dumps({"error": error, "message": message}), file=sys.stderr)
+    return 2
 
 
 def main() -> None:

@@ -49,18 +49,25 @@ def kernel_to_dict(kernel: StochasticKernel) -> dict:
             "pi": kernel.pi.tolist()}
 
 
+def _field(doc: dict, key: str, shape, where="increment"):
+    """Numeric field of doc as an array of the given shape, else FormatError."""
+    value = _require(doc, key, where)
+    try:
+        return np.asarray(value, dtype=float).reshape(shape)
+    except (TypeError, ValueError):
+        raise FormatError(f"field {key!r} in {where} must be numbers of "
+                          f"shape {shape}, got {value!r}") from None
+
+
 def _law_from_dict(doc: dict, d: int):
     kind = _require(doc, "kind", "increment")
     if kind == "deterministic":
-        return deterministic(np.asarray(_require(doc, "value", "increment"),
-                                        dtype=float).reshape(d))
+        return deterministic(_field(doc, "value", d))
     if kind == "gaussian":
-        return gaussian(np.asarray(_require(doc, "mean", "increment"),
-                                   dtype=float).reshape(d),
-                        np.asarray(_require(doc, "cov", "increment"),
-                                   dtype=float).reshape(d, d))
+        return gaussian(_field(doc, "mean", d), _field(doc, "cov", (d, d)))
     if kind == "mixture":
-        atoms = [(float(a["p"]), np.asarray(a["value"], dtype=float).reshape(d))
+        atoms = [(float(_field(a, "p", (), "mixture atom")),
+                  _field(a, "value", d, "mixture atom"))
                  for a in _require(doc, "atoms", "increment")]
         return mixture(atoms)
     raise FormatError(f"unknown increment kind {kind!r}")

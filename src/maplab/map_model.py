@@ -95,18 +95,18 @@ class MapSpec:
         Every edge without a cf-kind law becomes a run of Gaussian atoms
         (prob, mean, cov): a Gaussian law is one atom, a deterministic value
         one atom with cov = 0, a mixture one zero-cov atom per point mass.
-        start[e] is the first atom of edge e; cf-kind laws keep their
-        callables under "cf".
+        start[e] is the first atom of edge e and gauss[a] marks the atoms of
+        Gaussian laws; cf-kind laws keep their callables under "cf".
         """
         zero = np.zeros((self.d, self.d))
         runs = {}
         for e, law in self.increments.items():
             if law.kind == "gaussian":
-                runs[e] = [(1.0, law.mean_vec, law.cov)]
+                runs[e] = [(1.0, law.mean_vec, law.cov, True)]
             elif law.kind == "deterministic":
-                runs[e] = [(1.0, law.value, zero)]
+                runs[e] = [(1.0, law.value, zero, False)]
             elif law.kind == "mixture":
-                runs[e] = [(p, v, zero) for p, v in law.atoms]
+                runs[e] = [(p, v, zero, False) for p, v in law.atoms]
         atoms = [a for run in runs.values() for a in run]
         rows, cols = np.array(list(runs), dtype=int).reshape(-1, 2).T
         return {"rows": rows, "cols": cols, "weight": self.P[rows, cols],
@@ -115,6 +115,7 @@ class MapSpec:
                 "mean": np.array([a[1] for a in atoms]).reshape(-1, self.d),
                 "cov": np.array([a[2] for a in atoms]).reshape(-1, self.d,
                                                                self.d),
+                "gauss": np.array([a[3] for a in atoms], dtype=bool),
                 "cf": [(i, j, law) for (i, j), law in self.increments.items()
                        if law.kind == "cf"]}
 

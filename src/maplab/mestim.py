@@ -2,12 +2,12 @@
 
 The contrast is an additive functional of consecutive state pairs, so the
 whole estimating equation reduces to per-edge transition counts; Newton steps
-are vectorized across replications through those counts.
+are vectorized across replications through those counts. The counts come from
+montecarlo's discrete-time stepping kernel, tallied per flat edge index.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +18,7 @@ from .errors import (ConditionViolated, DegenerateVariance, NoInteriorRoot)
 from .increments import deterministic
 from .limit_checks import ecdf_se, kolmogorov_distance
 from .map_model import MapSpec, exact_moments, variance_series
+from .montecarlo import _chain_steps, _initial_states, _philox
 
 FOC_TOL = 1e-10
 
@@ -204,29 +205,19 @@ def build_problem(family: ContrastFamily, kernels: dict,
 
 # -- path simulation via edge counts --------------------------------------
 
-def _rng_for(kernel, seed):
-    payload = kernel.P.tobytes() + seed.to_bytes(8, "little", signed=True)
-    key = int.from_bytes(hashlib.sha256(payload).digest()[:16], "little")
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def simulate_edge_counts(kernel: StochasticKernel, n: int, reps: int,
                          seed: int, mu=None) -> np.ndarray:
-    """Transition-pair counts over n steps for reps paths, shape (reps, S, S)."""
-    rng = _rng_for(kernel, seed)
+    """Transition-pair counts over n steps for reps paths, shape (reps, S, S).
+
+    The stream is keyed by the kernel's bytes and the seed.
+    """
+    rng = _philox(kernel.P.tobytes() + seed.to_bytes(8, "little", signed=True))
     S = kernel.n_states
-    cumP = np.cumsum(kernel.P, axis=1)
-    cumP[:, -1] = 1.0
-    start = kernel.pi if mu is None else np.asarray(mu, dtype=float)
-    X = np.searchsorted(np.cumsum(start), rng.random(reps),
-                        side="right").clip(0, S - 1)
     counts = np.zeros((reps, S * S), dtype=np.int64)
     rows = np.arange(reps)
-    for _ in range(n):
-        u = rng.random(reps)
-        Xn = (u[:, None] >= cumP[X]).sum(axis=1)
+    X = _initial_states(kernel, mu, reps, rng)
+    for X, Xn, _ in _chain_steps(kernel.P, X, n, rng):
         np.add.at(counts, (rows, X * S + Xn), 1)
-        X = Xn
     return counts.reshape(reps, S, S)
 
 

@@ -1,10 +1,12 @@
 """Seeded, reproducible trajectory simulation for discrete and continuous time.
 
-All draws come from a counter-based Philox stream keyed by (seed, spec hash)
-and consumed in a fixed step-major order, so batches are a pure function of
-(spec, horizon, n_paths, seed) regardless of how callers parallelize around
-this module. Gaussian increments go through the inverse CDF so each step
-consumes a fixed number of uniforms per path.
+Every call draws from one counter-based Philox stream keyed by a sha256
+payload (spec hash and seed; mestim's edge counts use kernel bytes and seed)
+in a fixed step-major order, so batches are a pure function of (spec,
+horizon, n_paths, seed). Discrete time has one stepping kernel, shared with
+mestim.simulate_edge_counts; increments come from MapSpec.edge_table by flat
+edge index, Gaussian ones through the inverse CDF, so each step consumes a
+fixed number of uniforms per path.
 """
 
 from __future__ import annotations
@@ -21,7 +23,12 @@ from .map_model import CtMapSpec, MapSpec
 
 
 def spec_content_hash(spec) -> str:
-    """Stable content hash of a spec (kernel, laws, rewards)."""
+    """Stable content hash of a spec (kernel, laws, rewards).
+
+    A skeleton spec hashes as the continuous-time spec it was extracted from.
+    """
+    if getattr(spec, "ct_origin", None) is not None:
+        return spec_content_hash(spec.ct_origin)
     h = hashlib.sha256()
     if isinstance(spec, CtMapSpec):
         payload = {
@@ -43,7 +50,7 @@ def spec_content_hash(spec) -> str:
                 desc = ["mix", [[round(p, 15), v.round(15).tolist()]
                                 for p, v in law.atoms]]
             else:
-                desc = ["cf", repr(spec.ct_origin and "skeleton")]
+                desc = ["cf", "None"]     # fixed: hashes must stay stable
             laws[f"{i},{j}"] = desc
         payload = {
             "kind": "discrete",
@@ -76,9 +83,9 @@ class TrajectoryBatch:
                 arr.setflags(write=False)
 
 
-def _rng_for(spec_id: str, seed: int) -> np.random.Generator:
-    key = int.from_bytes(hashlib.sha256(
-        f"{spec_id}:{seed}".encode()).digest()[:16], "little")
+def _philox(payload: bytes) -> np.random.Generator:
+    """The package's one RNG: Philox keyed by the first 16 bytes of sha256."""
+    key = int.from_bytes(hashlib.sha256(payload).digest()[:16], "little")
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -97,38 +104,47 @@ def _initial_states(spec, mu, n_paths, rng):
     return np.searchsorted(cum, u, side="right").clip(0, len(pi) - 1)
 
 
-def _edge_tables(spec: MapSpec):
-    """Dense per-edge lookup tables for vectorized increment sampling."""
+def _chain_steps(P, X, n, rng, d=0):
+    """The one discrete-time stepping loop: n steps of the chain from X.
+
+    Each step draws one move uniform per path, then d increment uniforms per
+    path, and yields (X, X_next, u_inc). The next state is the inverse CDF of
+    its row, with the last cumulative column pinned to 1.
+    """
+    cumP = np.cumsum(P, axis=1)
+    cumP[:, -1] = 1.0
+    for _ in range(n):
+        u_move = rng.random(len(X))
+        u_inc = rng.random((len(X), d))
+        Xn = (u_move[:, None] >= cumP[X]).sum(axis=1)
+        yield X, Xn, u_inc
+        X = Xn
+
+
+def _atom_lookup(spec: MapSpec):
+    """(first, cum, mean, chol, gauss) for spec.edge_table's atom runs.
+
+    first and cum are indexed by flat edge X*S + X': the run's first atom (a
+    trailing zero atom for edges without a law) and its cumulative
+    probabilities, the last pinned to 1. The rest are per atom.
+    """
+    tab = spec.edge_table
+    if tab["cf"]:
+        raise ValueError("cf increment laws are not directly sampleable")
     S, d = spec.n_states, spec.d
-    kinds = np.zeros((S, S), dtype=np.int8)         # 0 det, 1 gauss, 2 mixture
-    det_val = np.zeros((S, S, d))
-    g_mean = np.zeros((S, S, d))
-    g_chol = np.zeros((S, S, d, d))
-    max_atoms = 1
-    for law in spec.increments.values():
-        if law.kind == "mixture":
-            max_atoms = max(max_atoms, len(law.atoms))
-    mix_cum = np.ones((S, S, max_atoms))
-    mix_val = np.zeros((S, S, max_atoms, d))
-    for (i, j), law in spec.increments.items():
-        if law.kind == "deterministic":
-            det_val[i, j] = law.value
-        elif law.kind == "gaussian":
-            kinds[i, j] = 1
-            g_mean[i, j] = law.mean_vec
-            cov = law.cov + 1e-300 * np.eye(d)
-            g_chol[i, j] = np.linalg.cholesky(cov + 1e-18 * np.trace(cov) * np.eye(d))
-        elif law.kind == "mixture":
-            kinds[i, j] = 2
-            probs = np.array([p for p, _ in law.atoms])
-            cum = np.cumsum(probs)
-            mix_cum[i, j, :len(cum)] = cum
-            mix_cum[i, j, len(cum):] = 1.0
-            for a, (_, v) in enumerate(law.atoms):
-                mix_val[i, j, a] = v
-        else:
-            raise ValueError("cf increment laws are not directly sampleable")
-    return kinds, det_val, g_mean, g_chol, mix_cum, mix_val
+    n_atoms = len(tab["prob"])
+    length = np.diff(np.append(tab["start"], n_atoms))
+    edges = tab["rows"] * S + tab["cols"]
+    first = np.full(S * S, n_atoms)
+    first[edges] = tab["start"]
+    cum = np.ones((S * S, length.max()))
+    for k in np.flatnonzero(length > 1):
+        a, m = tab["start"][k], length[k]
+        cum[edges[k], :m - 1] = np.cumsum(tab["prob"][a:a + m - 1])
+    cov = tab["cov"] + 1e-300 * np.eye(d)
+    cov += 1e-18 * np.trace(cov, axis1=1, axis2=2)[:, None, None] * np.eye(d)
+    return (first, cum, np.vstack([tab["mean"], np.zeros((1, d))]),
+            np.linalg.cholesky(cov), np.append(tab["gauss"], False))
 
 
 def simulate_discrete(spec: MapSpec, n: int, n_paths: int, seed: int,
@@ -136,48 +152,35 @@ def simulate_discrete(spec: MapSpec, n: int, n_paths: int, seed: int,
                       keep_states: bool = False) -> TrajectoryBatch:
     """Simulate n steps of the MAP for n_paths paths.
 
-    X_0 ~ pi (or mu); per step the chain moves by inverse-CDF sampling of its
-    row and the additive component draws from the edge law. Skeleton specs
-    (cf laws) are delegated to exact continuous-time simulation.
+    X_0 ~ pi (or mu) and the chain moves through _chain_steps. The edge
+    X*S + X' picks an atom run of spec.edge_table, increment uniform 0 picks
+    the atom within a multi-atom run, and Gaussian atoms add
+    chol @ ndtri(u_inc). Skeleton specs (cf laws) are delegated to exact
+    continuous-time simulation.
     """
     if spec.ct_origin is not None:
-        batch = simulate_ct(spec.ct_origin, float(n), n_paths, seed,
-                            record_steps=keep_panel)
-        return batch
+        return simulate_ct(spec.ct_origin, float(n), n_paths, seed,
+                           record_steps=keep_panel)
     spec_id = spec_content_hash(spec)
-    rng = _rng_for(spec_id, seed)
+    rng = _philox(f"{spec_id}:{seed}".encode())
     S, d = spec.n_states, spec.d
-    kinds, det_val, g_mean, g_chol, mix_cum, mix_val = _edge_tables(spec)
-    cumP = np.cumsum(spec.P, axis=1)
-    cumP[:, -1] = 1.0
-
+    first, cum, mean, chol, gauss = _atom_lookup(spec)
+    has_gauss = gauss.any()
     X = _initial_states(spec, mu, n_paths, rng)
     Y = np.zeros((n_paths, d))
     panel = np.zeros((n_paths, n)) if keep_panel else None
-    any_gauss = (kinds == 1).any()
-    any_mix = (kinds == 2).any()
-    for k in range(n):
-        u_move = rng.random(n_paths)
-        u_inc = rng.random((n_paths, d))
-        Xn = (u_move[:, None] >= cumP[X]).sum(axis=1)
-        inc = det_val[X, Xn].copy()
-        if any_gauss:
-            gm = kinds[X, Xn] == 1
-            if gm.any():
-                z = ndtri(u_inc[gm])
-                inc[gm] = g_mean[X[gm], Xn[gm]] + np.einsum(
-                    "pab,pb->pa", g_chol[X[gm], Xn[gm]], z)
-        if any_mix:
-            mm = kinds[X, Xn] == 2
-            if mm.any():
-                cums = mix_cum[X[mm], Xn[mm]]
-                atom = (u_inc[mm, 0:1] >= cums).sum(axis=1)
-                atom = atom.clip(0, mix_val.shape[2] - 1)
-                inc[mm] = mix_val[X[mm], Xn[mm], atom]
+    for k, (X_prev, X, u_inc) in enumerate(_chain_steps(spec.P, X, n, rng, d)):
+        edge = X_prev * S + X
+        atom = first[edge]
+        if cum.shape[1] > 1:
+            atom = atom + (u_inc[:, 0:1] >= cum[edge]).sum(axis=1)
+        inc = mean[atom]
+        if has_gauss:
+            g = gauss[atom]
+            inc[g] += np.einsum("pab,pb->pa", chol[atom[g]], ndtri(u_inc[g]))
         Y += inc
         if keep_panel:
             panel[:, k] = inc[:, 0]
-        X = Xn
     return TrajectoryBatch(spec_id=spec_id, horizon=n, n_paths=n_paths,
                            seed=seed, terminal_Y=Y,
                            terminal_X=X if keep_states else None,
@@ -194,7 +197,7 @@ def simulate_ct(ct: CtMapSpec, t: float, n_paths: int, seed: int,
     (used for skeleton-consistency checks).
     """
     spec_id = spec_content_hash(ct)
-    rng = _rng_for(spec_id, seed)
+    rng = _philox(f"{spec_id}:{seed}".encode())
     G = ct.generator
     S = ct.n_states
     rates = -np.diag(G)

@@ -1,12 +1,15 @@
+import hashlib
 from math import comb
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from maplab import fixtures
 from maplab.chain_core import StochasticKernel
 from maplab.increments import deterministic, gaussian, mixture
 from maplab.map_model import MapSpec
+from maplab.montecarlo import spec_content_hash
 
 
 @pytest.fixture
@@ -74,3 +77,91 @@ def edge_loop_fourier(spec, zeta):
     for (i, j), law in spec.increments.items():
         M[i, j] = spec.P[i, j] * law.cf(zeta)
     return M
+
+
+def _philox(payload):
+    key = int.from_bytes(hashlib.sha256(payload).digest()[:16], "little")
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def _initial_states(pi, mu, n_paths, rng):
+    probs = pi if mu is None else np.asarray(mu, dtype=float)
+    u = rng.random(n_paths)
+    return np.searchsorted(np.cumsum(probs), u, side="right").clip(0, len(pi) - 1)
+
+
+def per_kind_simulate(spec, n, n_paths, seed, mu=None):
+    """(terminal_Y, terminal_X, increment_panel) by a loop branching per law kind.
+
+    Test oracle for montecarlo.simulate_discrete on non-skeleton specs: dense
+    per-edge tables for deterministic values, Gaussian Cholesky factors and
+    mixture cumulative probabilities, consumed in the same stream order (X_0,
+    then per step one move uniform and d increment uniforms per path).
+    """
+    rng = _philox(f"{spec_content_hash(spec)}:{seed}".encode())
+    S, d = spec.n_states, spec.d
+    kinds = np.zeros((S, S), dtype=np.int8)         # 0 det, 1 gauss, 2 mixture
+    det_val = np.zeros((S, S, d))
+    g_mean = np.zeros((S, S, d))
+    g_chol = np.zeros((S, S, d, d))
+    max_atoms = max([1] + [len(law.atoms) for law in spec.increments.values()
+                           if law.kind == "mixture"])
+    mix_cum = np.ones((S, S, max_atoms))
+    mix_val = np.zeros((S, S, max_atoms, d))
+    for (i, j), law in spec.increments.items():
+        if law.kind == "deterministic":
+            det_val[i, j] = law.value
+        elif law.kind == "gaussian":
+            kinds[i, j] = 1
+            g_mean[i, j] = law.mean_vec
+            cov = law.cov + 1e-300 * np.eye(d)
+            g_chol[i, j] = np.linalg.cholesky(cov + 1e-18 * np.trace(cov) * np.eye(d))
+        elif law.kind == "mixture":
+            kinds[i, j] = 2
+            cum = np.cumsum([p for p, _ in law.atoms])
+            mix_cum[i, j, :len(cum)] = cum
+            for a, (_, v) in enumerate(law.atoms):
+                mix_val[i, j, a] = v
+    cumP = np.cumsum(spec.P, axis=1)
+    cumP[:, -1] = 1.0
+    X = _initial_states(spec.pi, mu, n_paths, rng)
+    Y = np.zeros((n_paths, d))
+    panel = np.zeros((n_paths, n))
+    for k in range(n):
+        u_move = rng.random(n_paths)
+        u_inc = rng.random((n_paths, d))
+        Xn = (u_move[:, None] >= cumP[X]).sum(axis=1)
+        inc = det_val[X, Xn].copy()
+        gm = kinds[X, Xn] == 1
+        if gm.any():
+            z = ndtri(u_inc[gm])
+            inc[gm] = g_mean[X[gm], Xn[gm]] + np.einsum(
+                "pab,pb->pa", g_chol[X[gm], Xn[gm]], z)
+        mm = kinds[X, Xn] == 2
+        if mm.any():
+            atom = (u_inc[mm, 0:1] >= mix_cum[X[mm], Xn[mm]]).sum(axis=1)
+            inc[mm] = mix_val[X[mm], Xn[mm], atom.clip(0, max_atoms - 1)]
+        Y += inc
+        panel[:, k] = inc[:, 0]
+        X = Xn
+    return Y, X, panel
+
+
+def stepwise_edge_counts(kernel, n, reps, seed, mu=None):
+    """(reps, S, S) transition counts by an explicit step loop (test oracle).
+
+    The stream is keyed by sha256(P bytes + seed) as mestim.simulate_edge_counts
+    keys it: X_0, then one move uniform per path per step.
+    """
+    rng = _philox(kernel.P.tobytes() + seed.to_bytes(8, "little", signed=True))
+    S = kernel.n_states
+    cumP = np.cumsum(kernel.P, axis=1)
+    cumP[:, -1] = 1.0
+    X = _initial_states(kernel.pi, mu, reps, rng)
+    counts = np.zeros((reps, S * S), dtype=np.int64)
+    rows = np.arange(reps)
+    for _ in range(n):
+        Xn = (rng.random(reps)[:, None] >= cumP[X]).sum(axis=1)
+        np.add.at(counts, (rows, X * S + Xn), 1)
+        X = Xn
+    return counts.reshape(reps, S, S)

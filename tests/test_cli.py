@@ -8,7 +8,7 @@ import pytest
 
 from maplab.cli import dispatch
 from maplab.fixtures import fixture_names, two_state
-from maplab.io import map_spec_to_dict
+from maplab.io import kernel_to_dict, map_spec_to_dict
 
 
 def run(argv):
@@ -80,6 +80,86 @@ class TestInputBoundary:
         assert abs(json.loads(out.read_text())["mean_rate"][0]) <= 1e-12
 
 
+class TestCountsAndLists:
+    """Non-positive counts and list entries exit 2 before any work is done."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-clt", "--fixture", "two_state", "--n-list", "16",
+         "--paths", "0", "--seed", "1"],
+        ["simulate", "--fixture", "two_state", "--n", "4", "--paths", "-3",
+         "--seed", "1", "--out", "unused.bin"],
+        ["mestimate", "--fixture", "mean_contrast_problem", "--n-list", "16",
+         "--reps", "0", "--seed", "1"],
+        ["analyze", "--fixture", "two_state", "--grid-points", "0"],
+        ["nonlattice-scan", "--fixture", "gaussian_iid", "--k-points", "0"],
+    ])
+    def test_non_positive_count(self, argv):
+        assert run(argv) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-clt", "--fixture", "two_state", "--n-list", "0",
+         "--paths", "100", "--seed", "1"],
+        ["verify-clt", "--fixture", "two_state", "--n-list", "16,-4",
+         "--paths", "100", "--seed", "1"],
+        ["mestimate", "--fixture", "mean_contrast_problem", "--n-list", "0",
+         "--reps", "100", "--seed", "1"],
+        ["mixing-bound", "--fixture", "two_state", "--lags", "0,1",
+         "--paths", "100", "--seed", "1"],
+        ["verify-ct", "--fixture", "ct_two_state", "--t-list", "0,8",
+         "--paths", "100", "--seed", "1"],
+        ["verify-ct", "--fixture", "ct_two_state", "--t-list", "-1.5",
+         "--paths", "100", "--seed", "1"],
+        ["verify-clt", "--fixture", "two_state", "--n-list", ",",
+         "--paths", "100", "--seed", "1"],
+        ["nonlattice-scan", "--fixture", "gaussian_iid", "--k-min", "0",
+         "--k-max", "0", "--k-points", "1"],
+    ])
+    def test_non_positive_list_entry(self, argv, capsys):
+        assert run(argv) == 2
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "usage"
+
+
+class TestModelType:
+    """A subcommand given a model it cannot use names what it accepts."""
+
+    def test_analyze_problem_fixture(self, capsys):
+        assert run(["analyze", "--fixture", "mean_contrast_problem"]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "usage"
+        assert err["message"] == ("analyze accepts MapSpec or CtMapSpec, "
+                                  "got MEstimationProblem")
+
+    def test_analyze_bare_kernel(self, tmp_path, capsys):
+        spec = tmp_path / "kernel.json"
+        spec.write_text(json.dumps(kernel_to_dict(two_state().kernel)))
+        assert run(["analyze", "--spec", str(spec)]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "usage"
+        assert "StochasticKernel" in err["message"]
+
+    def test_verify_ct_discrete_spec(self, capsys):
+        assert run(["verify-ct", "--fixture", "two_state", "--t-list", "8",
+                    "--paths", "100", "--seed", "1"]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["message"] == "verify-ct accepts CtMapSpec, got MapSpec"
+
+    def test_mixing_bound_accepts_bare_kernel(self, tmp_path):
+        spec = tmp_path / "kernel.json"
+        spec.write_text(json.dumps(kernel_to_dict(two_state().kernel)))
+        out = tmp_path / "mix.json"
+        assert run(["mixing-bound", "--spec", str(spec), "--lags", "1,2",
+                    "--seed", "1", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["bounds"]["2"] == pytest.approx(0.5)
+
+    def test_wrong_shape_increment_field(self, tmp_path, capsys):
+        doc = map_spec_to_dict(two_state())
+        doc["increments"][0]["value"] = [1.0, 2.0]
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        assert run(["analyze", "--spec", str(spec)]) == 2
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
+
+
 class TestParserReuse:
     def test_dispatch_sequence_matches_fresh_processes(self, tmp_path):
         # one process dispatching many subcommands must behave exactly like
@@ -138,12 +218,8 @@ class TestReports:
         argv = ["verify-be", "--fixture", "iid_rademacher",
                 "--n-list", "64,256", "--paths", "5000", "--seed", "3"]
         o1, o2 = tmp_path / "a.json", tmp_path / "b.json"
-        assert run(argv + ["--out", str(o1), "--threads", "1"]) == 0
-        os.environ["MAPLAB_THREADS"] = "8"
-        try:
-            assert run(argv + ["--out", str(o2)]) == 0
-        finally:
-            del os.environ["MAPLAB_THREADS"]
+        assert run(argv + ["--out", str(o1)]) == 0
+        assert run(argv + ["--out", str(o2)]) == 0
         assert o1.read_bytes() == o2.read_bytes()
 
     def test_spec_file_input(self, tmp_path):

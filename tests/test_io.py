@@ -54,6 +54,34 @@ class TestMapSpecFormat:
             map_spec_from_dict(doc)
 
 
+class TestIncrementShapes:
+    """A numeric increment field of the wrong shape is a FormatError."""
+
+    @pytest.mark.parametrize("law, bad", [
+        ({"kind": "deterministic", "value": [1.0, 2.0]}, "value"),
+        ({"kind": "gaussian", "mean": [0.0, 0.0], "cov": [[1.0]]}, "mean"),
+        ({"kind": "gaussian", "mean": [0.0], "cov": [1.0, 0.0]}, "cov"),
+        ({"kind": "gaussian", "mean": [0.0], "cov": [["a"]]}, "cov"),
+        ({"kind": "mixture", "atoms": [{"p": 0.5, "value": [1.0]},
+                                       {"p": 0.5, "value": []}]}, "value"),
+    ])
+    def test_wrong_shape(self, two_state, law, bad):
+        doc = map_spec_to_dict(two_state)
+        doc["increments"][0] = {"from": 0, "to": 0, **law}
+        with pytest.raises(FormatError, match=repr(bad)):
+            map_spec_from_dict(doc)
+
+    def test_d2_fields_round_trip(self):
+        doc = {"kernel": {"states": [0], "P": [[1.0]]}, "d": 2,
+               "increments": [{"from": 0, "to": 0, "kind": "gaussian",
+                               "mean": [1.0, -1.0],
+                               "cov": [[2.0, 0.5], [0.5, 1.0]]}]}
+        law = map_spec_from_dict(doc).increments[(0, 0)]
+        np.testing.assert_array_equal(law.cov, [[2.0, 0.5], [0.5, 1.0]])
+        assert map_spec_to_dict(map_spec_from_dict(doc))["increments"] == \
+            doc["increments"]
+
+
 class TestCtFormat:
     def test_round_trip(self, ct_two_state):
         back = ct_spec_from_dict(ct_spec_to_dict(ct_two_state))

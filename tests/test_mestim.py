@@ -10,6 +10,8 @@ from maplab.mestim import (ContrastFamily, build_problem, estimate,
                            estimator_be_check, mean_contrast_family,
                            simulate_edge_counts)
 
+from conftest import random_kernel, stepwise_edge_counts
+
 XI_OCCUPATION = np.array([[0.0, 1.0], [0.0, 1.0]])
 
 
@@ -148,6 +150,29 @@ class TestEdgeCounts:
         freqs = counts.sum(axis=0) / counts.sum()
         expected = kernel.pi[:, None] * kernel.P
         np.testing.assert_allclose(freqs, expected, atol=0.01)
+
+
+class TestEdgeCountOracle:
+    """simulate_edge_counts equals the explicit step loop bit for bit."""
+
+    @pytest.mark.parametrize("seed", [1, 31, -5])
+    def test_problem_kernels(self, problem, seed):
+        for theta in problem.thetas:
+            kernel = problem.kernels[theta]
+            np.testing.assert_array_equal(
+                simulate_edge_counts(kernel, 40, 300, seed),
+                stepwise_edge_counts(kernel, 40, 300, seed))
+
+    @pytest.mark.parametrize("case", range(6))
+    def test_random_kernels(self, case):
+        rng = np.random.default_rng(case)
+        S = int(rng.integers(1, 7))
+        kernel = StochasticKernel(states=tuple(range(S)),
+                                  P=random_kernel(rng, S))
+        mu = rng.dirichlet(np.ones(S)) if case % 2 else None
+        np.testing.assert_array_equal(
+            simulate_edge_counts(kernel, 25, 200, 10 * case, mu=mu),
+            stepwise_edge_counts(kernel, 25, 200, 10 * case, mu=mu))
 
 
 class TestBeCheck:

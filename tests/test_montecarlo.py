@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare, ks_2samp
 
+from maplab import fixtures
 from maplab.chain_core import StochasticKernel
 from maplab.errors import UnsupportedInitial
 from maplab.fixtures import ct_two_state, iid_rademacher, two_state
-from maplab.increments import deterministic, gaussian
+from maplab.increments import deterministic, gaussian, mixture
 from maplab.map_model import CtMapSpec, MapSpec, ct_sample_skeleton
 from maplab.montecarlo import (increment_panel, simulate_ct,
                                simulate_discrete, spec_content_hash)
+
+from conftest import per_kind_simulate, random_mixed_spec
 
 
 def _zero_spec():
@@ -36,6 +39,16 @@ class TestDeterminism:
                 != spec_content_hash(iid_rademacher()))
         assert (spec_content_hash(ct_two_state())
                 != spec_content_hash(two_state()))
+
+    def test_skeleton_hashes_through_its_ct_spec(self):
+        G = np.array([[-1.0, 1.0], [2.0, -2.0]])
+        a = CtMapSpec(generator=G, reward=np.array([0.0, 1.0]))
+        b = CtMapSpec(generator=G, reward=np.array([0.0, 5.0]))
+        ha = spec_content_hash(ct_sample_skeleton(a))
+        assert ha != spec_content_hash(ct_sample_skeleton(b))
+        assert ha == spec_content_hash(ct_sample_skeleton(
+            CtMapSpec(generator=G, reward=np.array([0.0, 1.0]))))
+        assert ha == spec_content_hash(a)
 
     def test_ct_bit_identical(self):
         ct = ct_two_state()
@@ -103,6 +116,42 @@ class TestDiscrete:
         spec = MapSpec(kernel=kernel, increments=incs)
         with pytest.raises(UnsupportedInitial):
             simulate_discrete(spec, 4, 10, 0, mu=np.array([0.5, 0.5]))
+
+
+def _oracle_specs():
+    """Every non-skeleton fixture, random mixed specs, a zero-cov Gaussian."""
+    specs = [fixtures.get_fixture(name) for name in fixtures.fixture_names()]
+    specs = [s for s in specs if isinstance(s, MapSpec)]
+    specs += [random_mixed_spec(seed, d) for seed in range(12) for d in (1, 2)]
+    kernel = StochasticKernel(states=(0, 1), P=np.array([[0.3, 0.7],
+                                                         [0.6, 0.4]]))
+    specs.append(MapSpec(kernel=kernel, increments={
+        (0, 0): gaussian([0.5, -1.0], np.zeros((2, 2))),
+        (0, 1): gaussian([0.0, 0.0], [[1.0, 0.5], [0.5, 1.0]]),
+        (1, 0): mixture([(0.25, [1.0, 0.0]), (0.75, [0.0, 1.0])]),
+        (1, 1): deterministic([2.0, 3.0])}, d=2))
+    return specs
+
+
+class TestPerKindOracle:
+    """simulate_discrete equals the per-law-kind loop bit for bit."""
+
+    @pytest.mark.parametrize("spec", _oracle_specs())
+    def test_same_stream(self, spec):
+        S = spec.n_states
+        for mu in (None, np.arange(1.0, S + 1) / (S * (S + 1) / 2)):
+            batch = simulate_discrete(spec, 23, 400, 6, mu=mu,
+                                      keep_panel=True, keep_states=True)
+            Y, X, panel = per_kind_simulate(spec, 23, 400, 6, mu=mu)
+            assert np.array_equal(batch.terminal_Y, Y)
+            assert np.array_equal(batch.terminal_X, X)
+            assert np.array_equal(batch.increment_panel, panel)
+
+    def test_cf_law_without_origin_rejected(self):
+        spec = ct_sample_skeleton(ct_two_state())
+        bare = MapSpec(kernel=spec.kernel, increments=spec.increments)
+        with pytest.raises(ValueError, match="not directly sampleable"):
+            simulate_discrete(bare, 4, 10, 0)
 
 
 class TestPanel:
