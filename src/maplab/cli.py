@@ -4,15 +4,23 @@ Every subcommand emits a deterministic JSON report (atomic write, sorted keys,
 no timestamps) embedding the model content hash and the effective numeric
 configuration, so an identical invocation reproduces the file byte for byte.
 Exit codes: 0 pass-verdict, 1 fail-verdict, 2 usage or configuration error.
+
+COMMANDS is the one table of subcommands: each row declares its options, the
+config keys its report echoes, the model types it accepts and its handler. A
+handler only computes and returns an Outcome; _run turns every Outcome into
+the report, its files and the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
+import math
 import os
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,12 +28,12 @@ from . import fixtures as fixture_registry
 from .chain_core import StochasticKernel, spectral_gap_report
 from .errors import MaplabError
 from .fourier import derivatives_at_zero, lambda_branch, nonlattice_scan
-from .io import (FormatError, _jsonable, load_spec, write_csv, write_report,
-                 write_samples)
+from .io import (FormatError, _jsonable, load_problem, load_spec, write_csv,
+                 write_report, write_samples)
 from .limit_checks import (berry_esseen_check, clt_check, ct_limit_check,
                            edgeworth_check, llt_check, rho_mixing_check)
 from .map_model import CtMapSpec, MapSpec
-from .mestim import estimator_be_check
+from .mestim import MEstimationProblem, estimator_be_check
 from .montecarlo import simulate_ct, simulate_discrete, spec_content_hash
 
 
@@ -33,23 +41,86 @@ class UsageError(Exception):
     pass
 
 
-def _load_model(args, accepts=(MapSpec, CtMapSpec)):
-    """The --fixture or --spec model, if it is an instance of accepts."""
-    if getattr(args, "fixture", None):
+class Outcome(NamedTuple):
+    """What a handler computed; _run turns it into the report and exit code."""
+
+    records: object = None  # per-record dataclasses (simulate: the samples)
+    passed: bool = None     # the verdict; None for commands without one
+    extras: dict = {}       # further report keys; "config" adds config keys
+    table: list = None      # CSV rows, where they are not the records
+
+
+# the rows of the scan-lambda and kernel mixing-bound CSV tables
+BranchPoint = dataclasses.make_dataclass("BranchPoint", [
+    "zeta", "re_lambda", "im_lambda", "abs_lambda", "kappa_hat", "separation"])
+LagBound = dataclasses.make_dataclass("LagBound", ["lag", "bound"])
+
+
+def _number(kind, positive=True):
+    """argparse type: a finite value of kind, and > 0 if positive."""
+    def parse(text: str):
+        value = kind(text)      # a ValueError is argparse's usage error too
+        if not (0 if positive else -math.inf) < value < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"expected a finite{' positive' if positive else ''} "
+                f"{kind.__name__}, got {text!r}")
+        return value
+    parse.__name__ = kind.__name__  # named in argparse's "invalid int value"
+    return parse
+
+
+def _positive_list(text: str, kind):
+    """Comma-separated finite positive values of type kind (int or float)."""
+    try:
+        values = [_number(kind)(x) for x in text.split(",") if x]
+    except (ValueError, argparse.ArgumentTypeError):
+        values = []
+    if not values:
+        raise UsageError(f"expected comma-separated positive "
+                         f"{kind.__name__}s, got {text!r}")
+    return values
+
+
+def _json_vector(text: str) -> str:
+    """--init: a JSON list of finite numbers, kept as text for the report."""
+    try:
+        mu = np.asarray(json.loads(text), dtype=float)
+    except (ValueError, TypeError):
+        mu = None
+    if mu is None or mu.ndim != 1 or not mu.size or not np.isfinite(mu).all():
+        raise argparse.ArgumentTypeError(f"expected a JSON list of finite "
+                                         f"numbers, got {text!r}")
+    return text
+
+
+def _init(args):
+    """The --init distribution as an array, or None when it is not given."""
+    return None if args.init is None else np.asarray(json.loads(args.init),
+                                                     dtype=float)
+
+
+def _load_model(args, accepts):
+    """(model, its config entries) from --fixture, --spec or --problem."""
+    kind = "problem" if "problem" in vars(args) else "spec"
+    path = vars(args)[kind]
+    if args.fixture:
         try:
             model = fixture_registry.get_fixture(args.fixture)
         except KeyError as exc:
             raise UsageError(str(exc))
-    elif getattr(args, "spec", None):
-        if not os.path.exists(args.spec):
-            raise UsageError(f"spec file not found: {args.spec}")
-        model = load_spec(args.spec)
+        doc = {"fixture": args.fixture}
+    elif not path:
+        raise UsageError(f"one of --fixture or --{kind} is required")
+    elif not os.path.exists(path):
+        raise UsageError(f"{kind} file not found: {path}")
     else:
-        raise UsageError("one of --fixture or --spec is required")
+        model, doc = load_problem(path) if kind == "problem" else (
+            load_spec(path), None)
     if not isinstance(model, accepts):
         raise UsageError(f"{args.subcommand} accepts " + " or ".join(
             t.__name__ for t in accepts) + f", got {type(model).__name__}")
-    return model
+    return model, ({"problem": doc} if kind == "problem" else
+                   {"fixture": args.fixture, "spec": args.spec})
 
 
 def _model_hash(model) -> str:
@@ -59,40 +130,9 @@ def _model_hash(model) -> str:
     return spec_content_hash(model)
 
 
-def _positive_list(text: str, kind):
-    """Comma-separated finite positive values of type kind (int or float)."""
-    try:
-        values = [kind(x) for x in text.split(",") if x]
-    except ValueError:
-        values = []
-    if not values or not all(0 < v < float("inf") for v in values):
-        raise UsageError(f"expected comma-separated positive "
-                         f"{kind.__name__}s, got {text!r}")
-    return values
+_DKW_NOTE = {"note": ("statistical falsification test with DKW slack, "
+                      "not a proof-grade certificate")}
 
-
-def _positive_int(text: str) -> int:
-    if not text.isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, "
-                                         f"got {text!r}")
-    return int(text)
-
-
-def _emit(args, report: dict, csv_spec=None) -> None:
-    if getattr(args, "out", None):
-        write_report(args.out, report)
-    else:
-        print(json.dumps(_jsonable(report), sort_keys=True, indent=2))
-    if csv_spec is not None and getattr(args, "csv", None):
-        header, rows = csv_spec
-        write_csv(args.csv, header, rows)
-
-
-def _records_rows(records, fields):
-    return [tuple(getattr(r, f) for f in fields) for r in records]
-
-
-# -- subcommand implementations -------------------------------------------
 
 def cmd_fixtures(args):
     if args.action == "list":
@@ -111,15 +151,10 @@ def _branch(model, args):
     return lambda_branch(model, grid)
 
 
-def cmd_analyze(args):
-    model = _load_model(args)
+def cmd_analyze(args, model):
     summary = _branch(model, args)
     grad, hess, third = derivatives_at_zero(model)
-    report = {
-        "subcommand": "analyze",
-        "spec_hash": _model_hash(model),
-        "config": {"zeta_max": args.zeta_max, "grid_points": args.grid_points,
-                   "fixture": args.fixture, "spec": args.spec},
+    return Outcome(passed=True, extras={
         "grid": summary.grid,
         "lambda_re": np.real(summary.lam),
         "lambda_im": np.imag(summary.lam),
@@ -127,277 +162,207 @@ def cmd_analyze(args):
         "separation": summary.separation,
         "mean_rate": np.imag(grad).tolist(),
         "sigma2": float(np.real(-hess[0, 0])),
-        "mu3": float(np.real(1j * third)) if third is not None else None,
-        "verdict": "pass",
-    }
-    _emit(args, report)
-    return 0
+        "mu3": float(np.real(1j * third)),
+    })
 
 
-def cmd_scan_lambda(args):
-    model = _load_model(args)
+def cmd_scan_lambda(args, model):
     summary = _branch(model, args)
     sep = np.abs(summary.lam) - summary.kappa_hat
-    rows = [(float(z), float(l.real), float(l.imag), float(abs(l)),
-             summary.kappa_hat, float(s))
-            for z, l, s in zip(summary.grid, summary.lam, sep)]
-    if not args.out:
-        raise UsageError("scan-lambda requires --out CSV path")
-    write_csv(args.out, ["zeta", "re_lambda", "im_lambda", "abs_lambda",
-                         "kappa_hat", "separation"], rows)
-    return 0
+    return Outcome([BranchPoint(float(z), float(l.real), float(l.imag),
+                                float(abs(l)), summary.kappa_hat, float(s))
+                    for z, l, s in zip(summary.grid, summary.lam, sep)])
 
 
-def cmd_simulate(args):
-    model = _load_model(args)
-    mu = None
-    if args.init:
-        mu = np.asarray(json.loads(args.init), dtype=float)
-    if isinstance(model, CtMapSpec):
-        if args.t is None:
-            raise UsageError("continuous-time spec requires --t")
-        batch = simulate_ct(model, args.t, args.paths, args.seed, mu=mu)
-    else:
-        if args.n is None:
-            raise UsageError("discrete spec requires --n")
-        batch = simulate_discrete(model, args.n, args.paths, args.seed, mu=mu)
-    if not args.out:
-        raise UsageError("simulate requires --out")
-    sidecar = {
-        "subcommand": "simulate",
-        "spec_hash": batch.spec_id,
-        "config": {"n": args.n, "t": args.t, "paths": args.paths,
-                   "seed": args.seed, "init": args.init,
-                   "fixture": args.fixture, "spec": args.spec},
-        "horizon": batch.horizon,
-        "n_paths": batch.n_paths,
-        "d": batch.terminal_Y.shape[1],
-    }
-    write_samples(args.out, batch.terminal_Y, sidecar)
-    return 0
+def cmd_simulate(args, model):
+    ct = isinstance(model, CtMapSpec)
+    if (args.t if ct else args.n) is None:
+        raise UsageError("continuous-time spec requires --t" if ct else
+                         "discrete spec requires --n")
+    batch = (simulate_ct(model, args.t, args.paths, args.seed, mu=_init(args))
+             if ct else simulate_discrete(model, args.n, args.paths,
+                                          args.seed, mu=_init(args)))
+    return Outcome(batch.terminal_Y, extras={
+        "spec_hash": batch.spec_id, "horizon": batch.horizon,
+        "n_paths": batch.n_paths, "d": batch.terminal_Y.shape[1]})
 
 
-def _gaussian_report(name, args, records, verdict, extra=None):
-    report = {
-        "subcommand": name,
-        "config": {"n_list": args.n_list, "paths": args.paths,
-                   "seed": args.seed, "fixture": args.fixture,
-                   "spec": args.spec},
-        "records": [vars(r) for r in records],
-        "verdict": "pass" if verdict else "fail",
-        "note": ("statistical falsification test with DKW slack, "
-                 "not a proof-grade certificate"),
-    }
-    if extra:
-        report.update(extra)
-    return report
+def _within_clt_gate(record) -> bool:
+    return record.kolmogorov <= 0.03 + 2.0 * record.se
 
 
-_GAUSS_FIELDS = ["n", "n_samples", "sigma_used", "kolmogorov", "be_constant",
-                 "edgeworth_residual", "bias_term_used", "se"]
-
-
-def cmd_verify_clt(args):
-    model = _load_model(args)
+def cmd_verify_clt(args, model):
     n_list = _positive_list(args.n_list, int)
     if isinstance(model, CtMapSpec):
         records, _ = ct_limit_check(model, [float(n) for n in n_list],
                                     args.paths, args.seed)
     else:
         records = clt_check(model, n_list, args.paths, args.seed)
-    last = records[-1]
-    verdict = last.kolmogorov <= 0.03 + 2.0 * last.se
-    report = _gaussian_report("verify-clt", args, records, verdict,
-                              {"spec_hash": _model_hash(model)})
-    _emit(args, report, (_GAUSS_FIELDS, _records_rows(records, _GAUSS_FIELDS)))
-    return 0 if verdict else 1
+    return Outcome(records, _within_clt_gate(records[-1]), _DKW_NOTE)
 
 
-def cmd_verify_be(args):
-    model = _load_model(args)
+def cmd_verify_be(args, model):
     B_hat, records, flat = berry_esseen_check(
         model, _positive_list(args.n_list, int), args.paths, args.seed)
-    report = _gaussian_report("verify-be", args, records, flat,
-                              {"B_hat": B_hat,
-                               "spec_hash": _model_hash(model)})
-    _emit(args, report, (_GAUSS_FIELDS, _records_rows(records, _GAUSS_FIELDS)))
-    return 0 if flat else 1
+    return Outcome(records, flat, {"B_hat": B_hat, **_DKW_NOTE})
 
 
-def cmd_verify_edgeworth(args):
-    model = _load_model(args)
-    mu = np.asarray(json.loads(args.init), dtype=float) if args.init else None
+def cmd_verify_edgeworth(args, model):
     records = edgeworth_check(model, _positive_list(args.n_list, int),
-                              args.paths, args.seed, mu=mu,
+                              args.paths, args.seed, mu=_init(args),
                               allow_lattice=args.allow_lattice)
     improves = all(r.edgeworth_residual <= r.kolmogorov + 1e-15
                    for r in records)
-    report = _gaussian_report("verify-edgeworth", args, records, improves,
-                              {"spec_hash": _model_hash(model),
-                               "init": args.init})
-    _emit(args, report, (_GAUSS_FIELDS, _records_rows(records, _GAUSS_FIELDS)))
-    return 0 if improves else 1
+    return Outcome(records, improves, {"init": args.init, **_DKW_NOTE})
 
 
-def cmd_verify_llt(args):
-    model = _load_model(args)
+def cmd_verify_llt(args, model):
     records = llt_check(model, _positive_list(args.n_list, int), args.paths,
                         args.seed, allow_lattice=args.allow_lattice)
-    verdict = all(abs(r.ratio - 1.0) <= 4.0 * r.mc_se for r in records)
-    fields = ["n", "center", "width", "estimate", "target", "ratio", "mc_se"]
-    report = {
-        "subcommand": "verify-llt",
-        "spec_hash": _model_hash(model),
-        "config": {"n_list": args.n_list, "paths": args.paths,
-                   "seed": args.seed, "fixture": args.fixture,
-                   "spec": args.spec},
-        "records": [vars(r) for r in records],
-        "verdict": "pass" if verdict else "fail",
-    }
-    _emit(args, report, (fields, _records_rows(records, fields)))
-    return 0 if verdict else 1
+    return Outcome(records, all(abs(r.ratio - 1.0) <= 4.0 * r.mc_se
+                                for r in records))
 
 
-def cmd_verify_ct(args):
-    model = _load_model(args, (CtMapSpec,))
-    t_list = _positive_list(args.t_list, float)
-    records, fractional_ok = ct_limit_check(model, t_list, args.paths,
-                                            args.seed)
-    last = records[-1]
-    verdict = fractional_ok and last.kolmogorov <= 0.03 + 2.0 * last.se
-    report = {
-        "subcommand": "verify-ct",
-        "spec_hash": _model_hash(model),
-        "config": {"t_list": args.t_list, "paths": args.paths,
-                   "seed": args.seed, "fixture": args.fixture,
-                   "spec": args.spec},
-        "records": [vars(r) for r in records],
-        "fractional_part_negligible": fractional_ok,
-        "verdict": "pass" if verdict else "fail",
-    }
-    _emit(args, report, (_GAUSS_FIELDS, _records_rows(records, _GAUSS_FIELDS)))
-    return 0 if verdict else 1
+def cmd_verify_ct(args, model):
+    records, fractional_ok = ct_limit_check(
+        model, _positive_list(args.t_list, float), args.paths, args.seed)
+    return Outcome(records, fractional_ok and _within_clt_gate(records[-1]),
+                   {"fractional_part_negligible": fractional_ok})
 
 
-def cmd_mixing_bound(args):
-    model = _load_model(args, (StochasticKernel, MapSpec, CtMapSpec))
+def cmd_mixing_bound(args, model):
     lags = _positive_list(args.lags, int)
     if isinstance(model, StochasticKernel):
-        table = spectral_gap_report(model, max(lags))
-        rows = [(int(t), table.bound(int(t))) for t in lags]
-        report = {
-            "subcommand": "mixing-bound",
-            "spec_hash": _model_hash(model),
-            "config": {"lags": args.lags, "fixture": args.fixture,
-                       "spec": args.spec},
-            "bounds": {str(t): table.bound(int(t)) for t in lags},
+        # the rate fit needs t_max >= 2; it covers 1..max(lags) otherwise
+        table = spectral_gap_report(model, max(lags + [2]))
+        return Outcome(passed=table.gap_present, extras={
+            "bounds": {str(t): table.bound(t) for t in lags},
             "fitted_C": table.C, "fitted_eps": table.eps,
             "gap_present": table.gap_present,
-            "verdict": "pass" if table.gap_present else "fail",
-        }
-        _emit(args, report, (["lag", "bound"], rows))
-        return 0 if table.gap_present else 1
+        }, table=[LagBound(t, table.bound(t)) for t in lags])
     records = rho_mixing_check(model, lags, args.paths, args.seed)
-    ok = all(r.vacuous or r.empirical_max <= r.bound + 4.0 * r.se
-             for r in records)
-    fields = ["lag", "empirical_max", "bound", "se", "degenerate_pairs",
-              "vacuous"]
-    report = {
-        "subcommand": "mixing-bound",
-        "spec_hash": _model_hash(model),
-        "config": {"lags": args.lags, "paths": args.paths, "seed": args.seed,
-                   "fixture": args.fixture, "spec": args.spec},
-        "records": [vars(r) for r in records],
-        "verdict": "pass" if ok else "fail",
-    }
-    _emit(args, report, (fields, _records_rows(records, fields)))
-    return 0 if ok else 1
+    return Outcome(records, all(r.vacuous or r.empirical_max <= r.bound
+                                + 4.0 * r.se for r in records),
+                   {"config": {"paths": args.paths, "seed": args.seed}})
 
 
-def cmd_nonlattice(args):
-    model = _load_model(args)
+def cmd_nonlattice(args, model):
     K = np.linspace(args.k_min, args.k_max, args.k_points)
     K = K[K != 0]
     if not len(K):
         raise UsageError("the k grid has no nonzero point")
     rho_hat, worst = nonlattice_scan(model, K)
-    verdict = rho_hat < 1.0 - 1e-8
-    report = {
-        "subcommand": "nonlattice-scan",
-        "spec_hash": _model_hash(model),
-        "config": {"k_min": args.k_min, "k_max": args.k_max,
-                   "k_points": args.k_points, "fixture": args.fixture,
-                   "spec": args.spec},
-        "rho_hat": rho_hat, "worst_zeta": worst,
-        "verdict": "pass" if verdict else "fail",
-    }
-    _emit(args, report)
-    return 0 if verdict else 1
+    return Outcome(passed=rho_hat < 1.0 - 1e-8,
+                   extras={"rho_hat": rho_hat, "worst_zeta": worst})
 
 
-def cmd_mestimate(args):
-    if args.fixture:
-        if args.fixture != "mean_contrast_problem":
-            raise UsageError("mestimate supports the mean_contrast_problem "
-                             "fixture or a --problem file")
-        problem = fixture_registry.mean_contrast_problem()
-        problem_desc = {"fixture": "mean_contrast_problem"}
-    elif args.problem:
-        problem, problem_desc = _problem_from_file(args.problem)
-    else:
-        raise UsageError("one of --fixture or --problem is required")
+def cmd_mestimate(args, problem):
     n_list = _positive_list(args.n_list, int)
     records, verdict = estimator_be_check(problem, n_list, args.reps,
                                           args.seed)
     gamma = max(r.gamma_hat for r in records if r.n == max(n_list))
     c_hat = max(r.sqrt_n_kolmogorov / (1.0 + np.sqrt(r.n) * r.gamma_hat)
                 for r in records)
-    fields = ["theta", "n", "reps", "kolmogorov", "sqrt_n_kolmogorov",
-              "gamma_hat", "excluded"]
-    report = {
-        "subcommand": "mestimate",
-        "config": {"n_list": args.n_list, "reps": args.reps,
-                   "seed": args.seed, "problem": problem_desc},
+    return Outcome(records, verdict, {
         "alpha0": {str(t): problem.alpha0[t] for t in problem.thetas},
         "tau": {str(t): problem.tau[t] for t in problem.thetas},
         "d_ball": problem.d_ball,
-        "records": [vars(r) for r in records],
         "C_hat_empirical": float(c_hat),
         "gamma_hat_final": float(gamma),
-        "verdict": "pass" if verdict else "fail",
         "note": ("C_hat_empirical is the observed max of sqrt(n) * distance "
                  "/ (1 + sqrt(n) * gamma_hat); it does not bound the "
                  "theoretical constant"),
-    }
-    _emit(args, report, (fields, _records_rows(records, fields)))
-    return 0 if verdict else 1
+    })
 
 
-def _problem_from_file(path):
-    from .io import kernel_from_dict
-    from .mestim import build_problem, mean_contrast_family
-    if not os.path.exists(path):
-        raise UsageError(f"problem file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("family") != "mean_contrast":
-        raise UsageError("only the mean_contrast family is file-loadable")
-    xi = np.asarray(doc["xi"], dtype=float)
-    kernels = {float(t): kernel_from_dict(k)
-               for t, k in doc["kernels"].items()}
-    return build_problem(mean_contrast_family(xi), kernels), doc
+def _csv_table(records):
+    """Header and rows of a CSV table, one column per dataclass field."""
+    fields = [f.name for f in dataclasses.fields(records[0])]
+    return fields, [[getattr(r, f) for f in fields] for r in records]
 
 
-# -- argument parsing ------------------------------------------------------
+def _write_report(args, report, outcome):
+    """The JSON report to --out or stdout, and the table to --csv if asked."""
+    if outcome.records is not None:
+        report["records"] = [vars(r) for r in outcome.records]
+    if args.out:
+        write_report(args.out, report)
+    else:
+        print(json.dumps(_jsonable(report), sort_keys=True, indent=2))
+    if getattr(args, "csv", None):
+        write_csv(args.csv, *_csv_table(outcome.table or outcome.records))
 
-def _subcommand(sub, name, func, help=None):
-    p = sub.add_parser(name, help=help)
-    p.add_argument("--fixture", help="built-in fixture name")
-    p.add_argument("--spec", help="kernel / MAP / continuous-time spec file")
-    p.add_argument("--out", help="report output path")
-    p.add_argument("--csv", help="per-record CSV output path")
-    p.set_defaults(func=func)
-    return p
+
+SPECS = (MapSpec, CtMapSpec)
+
+
+class Command(NamedTuple):
+    handler: object
+    help: str
+    options: list               # (flag, argparse keywords)
+    config: tuple = ()          # option dests the report echoes in config
+    accepts: tuple = SPECS      # model types; None: no model and no report
+    write: object = _write_report   # None: the records are a CSV at --out
+
+
+_FIXTURE = ("--fixture", {"help": "built-in fixture name"})
+_SOURCE = [_FIXTURE,
+           ("--spec", {"help": "kernel / MAP / continuous-time spec file"})]
+_OUT = ("--out", {"help": "report output path (default: stdout)"})
+_CSV = ("--csv", {"help": "per-record CSV output path"})
+_PATHS = ("--paths", {"type": _number(int), "required": True})
+_SEED = ("--seed", {"type": int, "required": True})
+_N_LIST = ("--n-list", {"required": True})
+_INIT = ("--init", {"type": _json_vector,
+                    "help": "initial distribution as a JSON vector"})
+_LATTICE = ("--allow-lattice", {"action": "store_true"})
+_BRANCH = [("--zeta-max", {"type": _number(float, False), "default": 0.5}),
+           ("--grid-points", {"type": _number(int), "default": 41})]
+_VERIFY = [*_SOURCE, _OUT, _CSV, _N_LIST, _PATHS, _SEED]
+_MC = ("n_list", "paths", "seed")
+
+COMMANDS = {
+    "fixtures": Command(cmd_fixtures, "list built-in fixtures", [
+        ("action", {"choices": ["list", "oracles"]})], accepts=None),
+    "analyze": Command(cmd_analyze, "dominant-eigenvalue branch summary",
+                       [*_SOURCE, _OUT, *_BRANCH], ("zeta_max", "grid_points")),
+    "scan-lambda": Command(cmd_scan_lambda, "CSV table of the branch", [
+        *_SOURCE, ("--out", {"required": True, "help": "CSV output path"}),
+        *_BRANCH], write=None),
+    "simulate": Command(cmd_simulate, "dump terminal samples", [
+        *_SOURCE, ("--out", {"required": True, "help": "sample output path"}),
+        ("--n", {"type": _number(int), "help": "discrete horizon"}),
+        ("--t", {"type": _number(float), "help": "continuous horizon"}),
+        _PATHS, _SEED, _INIT], ("n", "t", "paths", "seed", "init"),
+        write=lambda args, report, outcome: write_samples(
+            args.out, outcome.records, report)),
+    "verify-clt": Command(cmd_verify_clt, "central limit theorem", _VERIFY,
+                          _MC),
+    "verify-be": Command(cmd_verify_be, "Berry-Esseen flatness", _VERIFY, _MC,
+                         (MapSpec,)),
+    "verify-edgeworth": Command(cmd_verify_edgeworth, "Edgeworth expansion", [
+        *_VERIFY, _INIT, _LATTICE], _MC + ("allow_lattice",), (MapSpec,)),
+    "verify-llt": Command(cmd_verify_llt, "local limit theorem", [
+        *_VERIFY, _LATTICE], _MC + ("allow_lattice",), (MapSpec,)),
+    "verify-ct": Command(cmd_verify_ct, "continuous-time central limit", [
+        *_SOURCE, _OUT, _CSV, ("--t-list", {"required": True}), _PATHS,
+        _SEED], ("t_list", "paths", "seed"), (CtMapSpec,)),
+    "mixing-bound": Command(cmd_mixing_bound, "rho-mixing bounds", [
+        *_SOURCE, _OUT, _CSV, ("--lags", {"default": "1,2,3,4,5,6,7,8,9,10"}),
+        ("--paths", {"type": _number(int), "default": 100000}), _SEED],
+        ("lags",), (StochasticKernel, *SPECS)),
+    "nonlattice-scan": Command(cmd_nonlattice, "spectral radius off zero", [
+        *_SOURCE, _OUT,
+        ("--k-min", {"type": _number(float, False), "default": 0.1}),
+        ("--k-max", {"type": _number(float, False), "default": 10.0}),
+        ("--k-points", {"type": _number(int), "default": 200})],
+        ("k_min", "k_max", "k_points")),
+    "mestimate": Command(cmd_mestimate, "M-estimator Berry-Esseen", [
+        _FIXTURE, ("--problem", {"help": "problem description file"}),
+        _OUT, _CSV, _N_LIST,
+        ("--reps", {"type": _number(int), "required": True}), _SEED],
+        ("n_list", "reps", "seed"), (MEstimationProblem,)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -406,57 +371,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spectral analysis and limit-theorem verification for "
                     "Markov additive processes.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("fixtures", help="list built-in fixtures")
-    p.add_argument("action", choices=["list", "oracles"])
-    p.set_defaults(func=cmd_fixtures)
-
-    for name, func, help in [
-            ("analyze", cmd_analyze, "dominant-eigenvalue branch summary"),
-            ("scan-lambda", cmd_scan_lambda, "CSV table of the branch")]:
-        p = _subcommand(sub, name, func, help)
-        p.add_argument("--zeta-max", type=float, default=0.5)
-        p.add_argument("--grid-points", type=_positive_int, default=41)
-
-    p = _subcommand(sub, "simulate", cmd_simulate, "dump terminal samples")
-    p.add_argument("--n", type=int, help="discrete horizon")
-    p.add_argument("--t", type=float, help="continuous horizon")
-    p.add_argument("--paths", type=_positive_int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--init", help="initial distribution as a JSON vector")
-
-    for name, func in [("verify-clt", cmd_verify_clt),
-                       ("verify-be", cmd_verify_be),
-                       ("verify-edgeworth", cmd_verify_edgeworth),
-                       ("verify-llt", cmd_verify_llt),
-                       ("verify-ct", cmd_verify_ct)]:
-        p = _subcommand(sub, name, func)
-        p.add_argument("--t-list" if name == "verify-ct" else "--n-list",
-                       required=True)
-        p.add_argument("--paths", type=_positive_int, required=True)
-        p.add_argument("--seed", type=int, required=True)
-        if name == "verify-edgeworth":
-            p.add_argument("--init",
-                           help="initial distribution as a JSON vector")
-        if name in ("verify-edgeworth", "verify-llt"):
-            p.add_argument("--allow-lattice", action="store_true")
-
-    p = _subcommand(sub, "mixing-bound", cmd_mixing_bound)
-    p.add_argument("--lags", default="1,2,3,4,5,6,7,8,9,10")
-    p.add_argument("--paths", type=_positive_int, default=100000)
-    p.add_argument("--seed", type=int, required=True)
-
-    p = _subcommand(sub, "nonlattice-scan", cmd_nonlattice)
-    p.add_argument("--k-min", type=float, default=0.1)
-    p.add_argument("--k-max", type=float, default=10.0)
-    p.add_argument("--k-points", type=_positive_int, default=200)
-
-    p = _subcommand(sub, "mestimate", cmd_mestimate)
-    p.add_argument("--problem", help="problem description file")
-    p.add_argument("--n-list", required=True)
-    p.add_argument("--reps", type=_positive_int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag, keywords in command.options:
+            p.add_argument(flag, **keywords)
     return parser
 
 
@@ -466,16 +384,38 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _run(args) -> int:
+    """The one report path: load, compute, write; the verdict's exit code."""
+    command = COMMANDS[args.subcommand]
+    if command.accepts is None:
+        return command.handler(args)
+    model, source = _load_model(args, command.accepts)
+    outcome = command.handler(args, model)
+    if command.write is None:
+        write_csv(args.out, *_csv_table(outcome.records))
+        return 0
+    report = {"subcommand": args.subcommand, **outcome.extras, "config": {
+        **{key: getattr(args, key) for key in command.config}, **source,
+        **outcome.extras.get("config", {})}}
+    if "spec_hash" not in report and not isinstance(model,
+                                                    MEstimationProblem):
+        report["spec_hash"] = _model_hash(model)
+    if outcome.passed is not None:
+        report["verdict"] = "pass" if outcome.passed else "fail"
+    command.write(args, report, outcome)
+    return 0 if outcome.passed is None or outcome.passed else 1
+
+
 def dispatch(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        return _run(args)
     except UsageError as exc:
         error, message = "usage", str(exc)
-    except (FormatError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (FormatError, OSError) as exc:
         error, message = "config", str(exc)
     except MaplabError as exc:
         error, message = type(exc).__name__, str(exc)

@@ -8,7 +8,9 @@ identical invocation produces a byte-identical file.
 from __future__ import annotations
 
 import csv
+import functools
 import json
+import math
 import os
 import tempfile
 
@@ -18,6 +20,7 @@ from .chain_core import StochasticKernel
 from .errors import MaplabError
 from .increments import deterministic, gaussian, mixture
 from .map_model import CtMapSpec, MapSpec
+from .mestim import build_problem, mean_contrast_family
 
 PI_CHECK_TOL = 1e-8
 
@@ -26,12 +29,25 @@ class FormatError(MaplabError):
     """Raised for malformed or inconsistent input documents."""
 
 
+def _document(load):
+    """load(source), with every malformed-content error a FormatError."""
+    @functools.wraps(load)
+    def checked(source):
+        try:
+            return load(source)
+        except (AttributeError, KeyError, IndexError, TypeError,
+                ValueError) as exc:     # a wrong type, key, shape or value
+            raise FormatError(f"malformed document: {exc}") from None
+    return checked
+
+
 def _require(doc, key, where):
     if key not in doc:
         raise FormatError(f"missing field {key!r} in {where}")
     return doc[key]
 
 
+@_document
 def kernel_from_dict(doc: dict) -> StochasticKernel:
     states = tuple(_require(doc, "states", "kernel"))
     P = np.asarray(_require(doc, "P", "kernel"), dtype=float)
@@ -88,12 +104,20 @@ def _law_to_dict(i, j, law) -> dict:
     return base
 
 
+@_document
 def map_spec_from_dict(doc: dict) -> MapSpec:
     kernel = kernel_from_dict(_require(doc, "kernel", "map spec"))
-    d = int(doc.get("d", 1))
+    d, S = doc.get("d", 1), kernel.n_states
+    if not (isinstance(d, int) and d >= 1):
+        raise FormatError(f"d must be a positive integer, got {d!r}")
     incs = {}
     for entry in _require(doc, "increments", "map spec"):
-        i, j = int(entry["from"]), int(entry["to"])
+        i, j = (_require(entry, k, "increment") for k in ("from", "to"))
+        if not (i in range(S) and j in range(S) and kernel.P[i, j] > 0):
+            raise FormatError(f"increment for ({i}, {j}), not an edge of "
+                              "the kernel")
+        if (i, j) in incs:
+            raise FormatError(f"two increment entries for ({i}, {j})")
         incs[(i, j)] = _law_from_dict(entry, d)
     return MapSpec(kernel=kernel, increments=incs, d=d,
                    centered=bool(doc.get("centered", False)))
@@ -109,6 +133,7 @@ def map_spec_to_dict(spec: MapSpec) -> dict:
     }
 
 
+@_document
 def ct_spec_from_dict(doc: dict) -> CtMapSpec:
     G = np.asarray(_require(doc, "generator", "ct spec"), dtype=float)
     reward = np.asarray(_require(doc, "reward", "ct spec"), dtype=float)
@@ -129,6 +154,31 @@ def ct_spec_to_dict(ct: CtMapSpec) -> dict:
     }
 
 
+@_document
+def _problem_fields(path: str):
+    """(document, xi, kernels) of a mean_contrast problem file."""
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if doc.get("family") != "mean_contrast":
+        raise FormatError("only the mean_contrast family is file-loadable")
+    kernels = {float(t): kernel_from_dict(k)
+               for t, k in _require(doc, "kernels", "problem").items()}
+    xi = np.asarray(_require(doc, "xi", "problem"), dtype=float)
+    sizes = {k.n_states for k in kernels.values()}
+    if (not all(map(math.isfinite, kernels)) or len(sizes) != 1
+            or xi.shape != (sizes.pop(),) * 2):
+        raise FormatError("a problem needs finite theta keys, kernels with "
+                          "one state count S and an S x S xi")
+    return doc, xi, kernels
+
+
+def load_problem(path: str):
+    """(problem, document) from a mean_contrast problem file."""
+    doc, xi, kernels = _problem_fields(path)
+    return build_problem(mean_contrast_family(xi), kernels), doc
+
+
+@_document
 def load_spec(path: str):
     """Load a MAP description file; dispatches on 'generator' vs 'kernel'."""
     with open(path, encoding="utf-8") as fh:

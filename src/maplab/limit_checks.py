@@ -18,7 +18,8 @@ from .fourier import nonlattice_scan
 from .map_model import (CtMapSpec, MapSpec, branch_derivatives,
                         ct_sample_skeleton, detect_lattice,
                         third_cumulant_rate, variance_series)
-from .montecarlo import increment_panel, simulate_ct, simulate_discrete
+from .montecarlo import (_initial_law, increment_panel, simulate_ct,
+                         simulate_discrete)
 
 DKW_DELTA = 1e-3
 A_GRID = np.linspace(-5.0, 5.0, 2001)
@@ -122,8 +123,8 @@ def asymptotic_bias(spec: MapSpec, mu) -> float:
     Requires a centered spec; equals mu Z a with Z = (I - P + Pi)^{-1} and
     a the conditional edge-mean vector.
     """
-    mu = np.asarray(mu, dtype=float)
     P, pi = spec.P, spec.pi
+    mu = _initial_law(pi, mu)
     a = np.einsum("ij,ij->i", P, spec.edge_mean_matrix()[:, :, 0])
     if abs(pi @ a) > 1e-10:
         raise ValueError("asymptotic bias requires a centered spec")

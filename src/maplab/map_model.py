@@ -154,10 +154,14 @@ class CtMapSpec:
         jump_flux = 0.0
         if self.jump_increments is not None:
             J = np.array(self.jump_increments, dtype=float)
+            if J.shape != G.shape:
+                raise ValueError("jump_increments must be S x S")
             J.setflags(write=False)
             object.__setattr__(self, "jump_increments", J)
             jump_flux = (off * J).sum(axis=1)
         xi = np.array(self.reward, dtype=float)
+        if xi.shape != G.shape[:1]:
+            raise ValueError("reward must have one entry per state")
         if self.centered:
             # the mean rate pi(xi + (G_off o J) 1) counts the jumps too
             xi = xi - pi @ (xi + jump_flux)

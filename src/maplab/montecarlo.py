@@ -89,16 +89,20 @@ def _philox(payload: bytes) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _initial_law(pi, mu) -> np.ndarray:
+    """mu as a probability vector on the support of pi, else UnsupportedInitial."""
+    probs = np.asarray(mu, dtype=float)
+    if (probs.shape != pi.shape or not np.isfinite(probs).all()
+            or abs(probs.sum() - 1.0) > 1e-9 or (probs < 0).any()):
+        raise UnsupportedInitial("initial distribution is not a probability vector")
+    if (probs[pi == 0] > 0).any():
+        raise UnsupportedInitial("initial mass outside the support of pi")
+    return probs
+
+
 def _initial_states(spec, mu, n_paths, rng):
     pi = spec.pi
-    if mu is None:
-        probs = pi
-    else:
-        probs = np.asarray(mu, dtype=float)
-        if probs.shape != pi.shape or abs(probs.sum() - 1.0) > 1e-9 or (probs < 0).any():
-            raise UnsupportedInitial("initial distribution is not a probability vector")
-        if (probs[pi == 0] > 0).any():
-            raise UnsupportedInitial("initial mass outside the support of pi")
+    probs = pi if mu is None else _initial_law(pi, mu)
     cum = np.cumsum(probs)
     u = rng.random(n_paths)
     return np.searchsorted(cum, u, side="right").clip(0, len(pi) - 1)

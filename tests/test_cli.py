@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -5,10 +6,15 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from maplab import cli
 from maplab.cli import dispatch
-from maplab.fixtures import fixture_names, two_state
+from maplab.fixtures import fixture_names, mean_contrast_kernel, two_state
 from maplab.io import kernel_to_dict, map_spec_to_dict
+from maplab.limit_checks import GaussianComparison, LltRecord, RhoMixReport
+from maplab.mestim import EstimatorBeRecord
 
 
 def run(argv):
@@ -70,6 +76,49 @@ class TestInputBoundary:
                "reward": [0.0, 1.0]}
         assert self._analyze(tmp_path, doc, capsys) == (2, "NotStochastic")
 
+    _TWO = {"states": [0, 1], "P": [[0.5, 0.5], [0.5, 0.5]]}
+    _EDGES = [{"from": i, "to": j, "kind": "deterministic",
+               "value": [float(j)]} for i in range(2) for j in range(2)]
+    _ONE = {"states": [0], "P": [[1.0]]}
+
+    @pytest.mark.parametrize("doc", [
+        # Gaussian cov that is not PSD
+        {"kernel": _ONE, "increments": [{"from": 0, "to": 0,
+         "kind": "gaussian", "mean": [0.0], "cov": [[-1.0]]}]},
+        # mixture weights that do not sum to 1
+        {"kernel": _ONE, "increments": [{"from": 0, "to": 0,
+         "kind": "mixture", "atoms": [{"p": 0.5, "value": [1.0]}]}]},
+        # a support edge without an increment entry
+        {"kernel": _TWO, "increments": _EDGES[:3]},
+        # an entry without "from"
+        {"kernel": _TWO, "increments": [{k: v for k, v in e.items()
+                                         if k != "from"} for e in _EDGES]},
+        # an entry for an edge outside the support
+        {"kernel": {"states": [0, 1], "P": [[0.0, 1.0], [1.0, 0.0]]},
+         "increments": _EDGES},
+        # an entry for an out-of-range state, and for a negative one
+        {"kernel": _TWO, "increments": _EDGES + [{**_EDGES[0], "from": 2}]},
+        {"kernel": _TWO, "increments": _EDGES + [{**_EDGES[0], "from": -1}]},
+        # two entries for one edge, and a state index that is not an integer
+        {"kernel": _TWO, "increments": _EDGES + _EDGES[:1]},
+        {"kernel": _TWO, "increments": [{**_EDGES[0], "from": 0.9},
+                                        *_EDGES[1:]]},
+        # an additive component of dimension 0
+        {"kernel": _TWO, "d": 0, "increments": [{**e, "value": []}
+                                                for e in _EDGES]},
+        # CT generator whose rows do not sum to 0
+        {"generator": [[-1.0, 2.0], [1.0, -1.0]], "reward": [0.0, 1.0]},
+        # CT reward of the wrong length
+        {"generator": [[-1.0, 1.0], [1.0, -1.0]], "reward": [0.0, 1.0, 2.0]},
+        # CT jump increments that would broadcast to (2, 2)
+        {"generator": [[-1.0, 1.0], [1.0, -1.0]], "reward": [0.0, 1.0],
+         "jump_increments": [[0.0, 1.0]]},
+        # not a JSON object
+        [1, 2],
+    ])
+    def test_malformed_spec_exits_2(self, tmp_path, capsys, doc):
+        assert self._analyze(tmp_path, doc, capsys) == (2, "config")
+
     def test_centered_ct_with_jumps_has_zero_mean_rate(self, tmp_path):
         spec = tmp_path / "ct.json"
         spec.write_text(json.dumps({
@@ -92,8 +141,19 @@ class TestCountsAndLists:
          "--reps", "0", "--seed", "1"],
         ["analyze", "--fixture", "two_state", "--grid-points", "0"],
         ["nonlattice-scan", "--fixture", "gaussian_iid", "--k-points", "0"],
+        ["analyze", "--fixture", "two_state", "--zeta-max", "nan"],
+        ["nonlattice-scan", "--fixture", "gaussian_iid", "--k-min", "nan"],
+        ["simulate", "--fixture", "two_state", "--n", "-5", "--paths", "3",
+         "--seed", "1", "--out", "unused.bin"],
+        ["simulate", "--fixture", "ct_two_state", "--t", "-2", "--paths", "3",
+         "--seed", "1", "--out", "unused.bin"],
+        ["simulate", "--fixture", "two_state", "--n", "4", "--paths", "3",
+         "--seed", "1", "--init", '["a","b"]', "--out", "unused.bin"],
+        ["verify-edgeworth", "--fixture", "skewed_mixture", "--n-list", "16",
+         "--paths", "100", "--seed", "1", "--init", "[0.2,0.3,0.5]"],
     ])
-    def test_non_positive_count(self, argv):
+    def test_non_positive_count(self, argv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)     # where a wrongly accepted run writes
         assert run(argv) == 2
 
     @pytest.mark.parametrize("argv", [
@@ -310,3 +370,153 @@ class TestReports:
                     "--reps", "2000", "--seed", "5",
                     "--out", str(tmp_path / "m.json")])
         assert code == 0
+
+
+def _problem_file(tmp_path):
+    doc = {"family": "mean_contrast", "xi": [[0.0, 1.0], [0.0, 1.0]],
+           "kernels": {"1.0": kernel_to_dict(mean_contrast_kernel(1.0))}}
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestCsvOutput:
+    """--csv writes one row per record, one column per record field."""
+
+    def _tables(self, tmp_path, argv):
+        out, csv = tmp_path / "r.json", tmp_path / "r.csv"
+        assert run(argv + ["--out", str(out), "--csv", str(csv)]) in (0, 1)
+        lines = csv.read_text().splitlines()
+        return json.loads(out.read_text()), lines[0].split(","), lines[1:]
+
+    @pytest.mark.parametrize("argv, record_type", [
+        (["verify-clt", "--fixture", "two_state", "--n-list", "16,64",
+          "--paths", "200", "--seed", "1"], GaussianComparison),
+        (["verify-llt", "--fixture", "gaussian_iid", "--n-list", "8,16",
+          "--paths", "200", "--seed", "1"], LltRecord),
+        (["mixing-bound", "--fixture", "two_state", "--lags", "1,2,3",
+          "--paths", "200", "--seed", "1"], RhoMixReport),
+        (["mestimate", "--problem", None, "--n-list", "16,64",
+          "--reps", "200", "--seed", "1"], EstimatorBeRecord),
+    ])
+    def test_header_is_record_fields(self, tmp_path, argv, record_type):
+        argv = [_problem_file(tmp_path) if a is None else a for a in argv]
+        report, header, rows = self._tables(tmp_path, argv)
+        assert header == [f.name for f in dataclasses.fields(record_type)]
+        assert len(rows) == len(report["records"]) > 0
+
+    def test_kernel_mixing_bound(self, tmp_path):
+        spec = tmp_path / "kernel.json"
+        spec.write_text(json.dumps(kernel_to_dict(two_state().kernel)))
+        report, header, rows = self._tables(tmp_path, [
+            "mixing-bound", "--spec", str(spec), "--lags", "1,2,4",
+            "--seed", "1"])
+        assert header == ["lag", "bound"]
+        assert [row.split(",")[0] for row in rows] == list(report["bounds"])
+
+
+class TestOptions:
+    """Options exist only where the command reads them."""
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--fixture", "two_state", "--csv", "a.csv"],
+        ["scan-lambda", "--fixture", "two_state", "--out", "s.csv",
+         "--csv", "a.csv"],
+        ["simulate", "--fixture", "two_state", "--n", "4", "--paths", "3",
+         "--seed", "1", "--out", "y.bin", "--csv", "a.csv"],
+        ["nonlattice-scan", "--fixture", "gaussian_iid", "--csv", "a.csv"],
+        ["mestimate", "--fixture", "mean_contrast_problem", "--spec", "x",
+         "--n-list", "16", "--reps", "10", "--seed", "1"],
+        ["scan-lambda", "--fixture", "two_state"],
+        ["simulate", "--fixture", "two_state", "--n", "4", "--paths", "3",
+         "--seed", "1"],
+    ])
+    def test_rejected_before_any_work(self, argv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(argv) == 2
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("cmd, fixture, flag", [
+        ("verify-llt", "gaussian_iid", []),
+        ("verify-llt", "lattice_pm1", ["--allow-lattice"]),
+        ("verify-edgeworth", "skewed_mixture", []),
+        ("verify-edgeworth", "two_state", ["--allow-lattice"]),
+    ])
+    def test_config_records_allow_lattice(self, tmp_path, cmd, fixture,
+                                          flag):
+        out = tmp_path / "r.json"
+        assert run([cmd, "--fixture", fixture, "--n-list", "16", "--paths",
+                    "200", "--seed", "1", "--out", str(out)] + flag) in (0, 1)
+        assert json.loads(out.read_text())["config"]["allow_lattice"] == (
+            flag == ["--allow-lattice"])
+
+    @pytest.mark.parametrize("cmd", ["verify-be", "verify-edgeworth",
+                                     "verify-llt"])
+    def test_discrete_checks_reject_ct_specs(self, cmd, capsys):
+        assert run([cmd, "--fixture", "ct_two_state", "--n-list", "16",
+                    "--paths", "10", "--seed", "1"]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["message"] == f"{cmd} accepts MapSpec, got CtMapSpec"
+
+    def test_kernel_mixing_bound_single_lag(self, tmp_path):
+        spec = tmp_path / "kernel.json"
+        spec.write_text(json.dumps(kernel_to_dict(two_state().kernel)))
+        out = tmp_path / "mix.json"
+        assert run(["mixing-bound", "--spec", str(spec), "--lags", "1",
+                    "--seed", "1", "--out", str(out)]) == 0
+        assert list(json.loads(out.read_text())["bounds"]) == ["1"]
+
+
+# every numeric or list option of every subcommand gets each of these values
+_VALUES = ["0", "-1", "nan", "inf", "1e999", "x", ""]
+# the values above that an option's contract allows; it forbids all others
+_ALLOWED = {"--seed": {"0", "-1"}, "--zeta-max": {"0", "-1"},
+            "--k-min": {"0", "-1"}, "--k-max": {"0", "-1"}}
+_NOT_NUMERIC = {"--fixture", "--spec", "--problem", "--out", "--csv"}
+# a cheap valid invocation per subcommand; PROBLEM is a problem file
+_BASE = {
+    "analyze": ["--fixture", "two_state", "--grid-points", "5"],
+    "scan-lambda": ["--fixture", "two_state", "--grid-points", "5"],
+    "simulate": ["--fixture", "two_state", "--n", "4", "--paths", "3",
+                 "--seed", "1"],
+    "verify-clt": ["--fixture", "two_state", "--n-list", "8", "--paths",
+                   "20", "--seed", "1"],
+    "verify-be": ["--fixture", "iid_rademacher", "--n-list", "8",
+                  "--paths", "20", "--seed", "1"],
+    "verify-edgeworth": ["--fixture", "skewed_mixture", "--n-list", "8",
+                         "--paths", "20", "--seed", "1"],
+    "verify-llt": ["--fixture", "gaussian_iid", "--n-list", "8", "--paths",
+                   "20", "--seed", "1"],
+    "verify-ct": ["--fixture", "ct_two_state", "--t-list", "4", "--paths",
+                  "20", "--seed", "1"],
+    "mixing-bound": ["--fixture", "two_state", "--lags", "1,2", "--paths",
+                     "20", "--seed", "1"],
+    "nonlattice-scan": ["--fixture", "gaussian_iid", "--k-points", "5"],
+    "mestimate": ["--problem", "PROBLEM", "--n-list", "8", "--reps", "20",
+                  "--seed", "1"],
+}
+_VALUE_OPTIONS = [(name, flag) for name, command in cli.COMMANDS.items()
+                  for flag, keywords in command.options
+                  if flag.startswith("--") and flag not in _NOT_NUMERIC
+                  and "action" not in keywords]
+
+
+class TestOptionValues:
+    def test_table_walk_covers_every_subcommand(self):
+        assert {name for name, _ in _VALUE_OPTIONS} == set(_BASE)
+        assert ("simulate", "--init") in _VALUE_OPTIONS
+
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(option=st.sampled_from(_VALUE_OPTIONS),
+           value=st.sampled_from(_VALUES))
+    def test_bad_values_exit_2(self, tmp_path, option, value):
+        name, flag = option
+        argv = [_problem_file(tmp_path) if a == "PROBLEM" else a
+                for a in _BASE[name]]
+        if flag in argv:
+            argv[argv.index(flag) + 1] = value
+        else:
+            argv += [flag, value]
+        code = run([name, *argv, "--out", str(tmp_path / "out")])
+        assert code in ((0, 1) if value in _ALLOWED.get(flag, ()) else (2,))

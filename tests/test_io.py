@@ -5,7 +5,8 @@ import pytest
 
 from maplab.fixtures import ct_two_state, skewed_mixture, two_state
 from maplab.io import (FormatError, ct_spec_from_dict, ct_spec_to_dict,
-                       kernel_from_dict, kernel_to_dict, load_spec,
+                       kernel_from_dict, kernel_to_dict, load_problem,
+                       load_spec,
                        map_spec_from_dict, map_spec_to_dict, write_csv,
                        write_report, write_samples)
 
@@ -116,6 +117,43 @@ class TestLoadSpec:
         p.write_text(json.dumps({"foo": 1}))
         with pytest.raises(FormatError):
             load_spec(str(p))
+
+
+class TestLoadProblem:
+    """Malformed problem files raise FormatError before any problem is built."""
+
+    @staticmethod
+    def _doc(**changes):
+        from maplab.fixtures import mean_contrast_kernel
+        doc = {"family": "mean_contrast", "xi": [[0.0, 1.0], [0.0, 1.0]],
+               "kernels": {"1.0": kernel_to_dict(mean_contrast_kernel(1.0))}}
+        doc.update(changes)
+        return {k: v for k, v in doc.items() if v is not None}
+
+    def test_valid_file(self, tmp_path):
+        p = tmp_path / "problem.json"
+        p.write_text(json.dumps(self._doc()))
+        problem, doc = load_problem(str(p))
+        assert problem.thetas == [1.0] and doc == self._doc()
+
+    @pytest.mark.parametrize("case", ["missing xi", "theta key", "nan key",
+                                      "xi shape", "kernel sizes",
+                                      "kernels list", "family"])
+    def test_malformed(self, tmp_path, case):
+        kernel = self._doc()["kernels"]["1.0"]
+        three = {"states": [0, 1, 2], "P": [[1 / 3] * 3] * 3}
+        doc = {"missing xi": self._doc(xi=None),
+               "theta key": self._doc(kernels={"abc": kernel}),
+               "nan key": self._doc(kernels={"nan": kernel}),
+               "xi shape": self._doc(xi=[[0.0, 1.0, 2.0]]),
+               "kernel sizes": self._doc(kernels={"1.0": kernel,
+                                                  "1.2": three}),
+               "kernels list": self._doc(kernels=[kernel]),
+               "family": self._doc(family="other")}[case]
+        p = tmp_path / "problem.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(FormatError):
+            load_problem(str(p))
 
 
 class TestReportWriting:

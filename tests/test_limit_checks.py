@@ -3,7 +3,7 @@ import pytest
 from scipy.special import ndtr, ndtri
 
 from maplab.chain_core import StochasticKernel
-from maplab.errors import DegenerateVariance, LatticeSpec
+from maplab.errors import DegenerateVariance, LatticeSpec, UnsupportedInitial
 from maplab.fixtures import (ct_two_state, gaussian_iid, iid_rademacher,
                              lattice_pm1, skewed_mixture, two_state)
 from maplab.increments import deterministic
@@ -102,6 +102,13 @@ class TestAsymptoticBias:
     def test_stationary_start_no_bias(self):
         spec = two_state()
         assert asymptotic_bias(spec, spec.pi) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("mu", [[0.2, 0.3, 0.5], [1.5, -0.5],
+                                    [float("nan"), 1.0]])
+    def test_invalid_initial_law(self, mu):
+        # the same check as the simulation's start draw, before any algebra
+        with pytest.raises(UnsupportedInitial):
+            asymptotic_bias(two_state(), mu)
 
     def test_uncentered_rejected(self):
         # raw occupation increments have stationary mean 0.6
