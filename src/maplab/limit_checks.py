@@ -289,7 +289,10 @@ def ct_limit_check(ct: CtMapSpec, t_list, paths: int, seed: int):
     moment against the sup_{v<=1} E[Y_v^2] bound.
     """
     sigma = _sigma_for(ct)
-    sup_Yv2 = float(np.max(np.abs(ct.reward)) ** 2)   # |Y_v| <= max|xi| for v <= 1
+    # |Y_v| <= max|xi| + max|J| N_1 for v <= 1, N_1 ~< Poisson(q_max)
+    xi2, q = np.max(np.abs(ct.reward)) ** 2, np.max(-np.diag(ct.generator))
+    J = 0.0 if ct.jump_increments is None else np.max(np.abs(ct.jump_increments))
+    sup_Yv2 = float(xi2 if J == 0 else 2 * xi2 + 2 * J ** 2 * (q + q * q))
     records = []
     fractional_ok = True
     for k, t in enumerate(t_list):

@@ -6,7 +6,9 @@ in a fixed step-major order, so batches are a pure function of (spec,
 horizon, n_paths, seed). Discrete time has one stepping kernel, shared with
 mestim.simulate_edge_counts; increments come from MapSpec.edge_table by flat
 edge index, Gaussian ones through the inverse CDF, so each step consumes a
-fixed number of uniforms per path.
+fixed number of uniforms per path: one Philox draw per block of steps gives
+the uniforms of step-by-step draws (the generator is counter-based). Next
+states and mixture atoms come from a binary search over flat CDF tables.
 """
 
 from __future__ import annotations
@@ -108,21 +110,58 @@ def _initial_states(spec, mu, n_paths, rng):
     return np.searchsorted(cum, u, side="right").clip(0, len(pi) - 1)
 
 
+_BLOCK = 1 << 18        # doubles per block of steps drawn in one call
+
+
+def _cdf_table(cum):
+    """(flat table, width) for _search: cum's last column pinned to 1, the rest
+    clipped to 1, padded with 1s to width 2^k; #{j : cum[row, j] <= u} stays."""
+    width = 1 << (cum.shape[1] - 1).bit_length()
+    table = np.ones((len(cum), width))
+    table[:, :cum.shape[1] - 1] = np.minimum(cum[:, :-1], 1.0)
+    return table.ravel(), width
+
+
+def _search(table, width, row, u):
+    """#{j : table[row, j] <= u}, i.e. (u[:, None] >= cum[row]).sum(1), by a
+    branchless binary search: log2(width) flat gathers, no (N, S) gather."""
+    pos = row * width
+    half = width >> 1
+    while half:
+        pos += half * (table[pos + (half - 1)] <= u)
+        half >>= 1
+    return pos - row * width
+
+
 def _chain_steps(P, X, n, rng, d=0):
     """The one discrete-time stepping loop: n steps of the chain from X.
 
-    Each step draws one move uniform per path, then d increment uniforms per
-    path, and yields (X, X_next, u_inc). The next state is the inverse CDF of
-    its row, with the last cumulative column pinned to 1.
+    Each step consumes one move uniform per path, then d increment uniforms
+    per path, and yields (X, X_next, u_inc). Blocks of steps come from one
+    rng.random((m, N (1 + d))) call of at most _BLOCK doubles (or one step),
+    row k holding step k's draws, so the stream is that of step-by-step
+    draws. X_next is the inverse CDF of row X, found by _search.
     """
-    cumP = np.cumsum(P, axis=1)
-    cumP[:, -1] = 1.0
-    for _ in range(n):
-        u_move = rng.random(len(X))
-        u_inc = rng.random((len(X), d))
-        Xn = (u_move[:, None] >= cumP[X]).sum(axis=1)
-        yield X, Xn, u_inc
-        X = Xn
+    table, width = _cdf_table(np.cumsum(P, axis=1))
+    N, per_step = len(X), len(X) * (1 + d)
+    block = max(1, _BLOCK // max(per_step, 1))
+    for start in range(0, n, block):
+        for u in rng.random((min(block, n - start), per_step)):
+            Xn = _search(table, width, X, u[:N])
+            yield X, Xn, u[N:].reshape(N, d)
+            X = Xn
+
+
+def _cov_factors(cov):
+    """Cholesky factors of a (k, d, d) stack; where one fails (a singular
+    d >= 2 covariance), the symmetric PSD root V sqrt(max(w, 0)) V^T."""
+    try:
+        return np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        if len(cov) > 1:
+            return np.stack([_cov_factors(c[None])[0] for c in cov])
+        w, V = np.linalg.eigh(cov[0])
+        return (V * np.sqrt(w.clip(0.0)) @ V.T)[None]
 
 
 def _atom_lookup(spec: MapSpec):
@@ -130,7 +169,7 @@ def _atom_lookup(spec: MapSpec):
 
     first and cum are indexed by flat edge X*S + X': the run's first atom (a
     trailing zero atom for edges without a law) and its cumulative
-    probabilities, the last pinned to 1. The rest are per atom.
+    probabilities as a _cdf_table (the last pinned to 1). The rest are per atom.
     """
     tab = spec.edge_table
     if tab["cf"]:
@@ -147,8 +186,8 @@ def _atom_lookup(spec: MapSpec):
         cum[edges[k], :m - 1] = np.cumsum(tab["prob"][a:a + m - 1])
     cov = tab["cov"] + 1e-300 * np.eye(d)
     cov += 1e-18 * np.trace(cov, axis1=1, axis2=2)[:, None, None] * np.eye(d)
-    return (first, cum, np.vstack([tab["mean"], np.zeros((1, d))]),
-            np.linalg.cholesky(cov), np.append(tab["gauss"], False))
+    return (first, _cdf_table(cum), np.vstack([tab["mean"], np.zeros((1, d))]),
+            _cov_factors(cov), np.append(tab["gauss"], False))
 
 
 def simulate_discrete(spec: MapSpec, n: int, n_paths: int, seed: int,
@@ -175,12 +214,11 @@ def simulate_discrete(spec: MapSpec, n: int, n_paths: int, seed: int,
     panel = np.zeros((n_paths, n)) if keep_panel else None
     for k, (X_prev, X, u_inc) in enumerate(_chain_steps(spec.P, X, n, rng, d)):
         edge = X_prev * S + X
-        atom = first[edge]
-        if cum.shape[1] > 1:
-            atom = atom + (u_inc[:, 0:1] >= cum[edge]).sum(axis=1)
+        atom = first[edge] + _search(*cum, edge, u_inc[:, 0])
         inc = mean[atom]
         if has_gauss:
             g = gauss[atom]
+            g = slice(None) if g.all() else g     # skip masks on all-Gaussian steps
             inc[g] += np.einsum("pab,pb->pa", chol[atom[g]], ndtri(u_inc[g]))
         Y += inc
         if keep_panel:
@@ -209,8 +247,7 @@ def simulate_ct(ct: CtMapSpec, t: float, n_paths: int, seed: int,
     np.fill_diagonal(embed, 0.0)
     with np.errstate(invalid="ignore", divide="ignore"):
         embed = np.where(rates[:, None] > 0, embed / rates[:, None], 0.0)
-    cumE = np.cumsum(embed, axis=1)
-    cumE[:, -1] = 1.0
+    cumE = _cdf_table(np.cumsum(embed, axis=1))
 
     X = _initial_states(ct, mu, n_paths, rng)
     Y = np.zeros(n_paths)
@@ -253,7 +290,7 @@ def simulate_ct(ct: CtMapSpec, t: float, n_paths: int, seed: int,
         if jumped.any():
             ja = active[jumped]
             u2 = rng.random(len(ja))
-            nxt = (u2[:, None] >= cumE[X[ja]]).sum(axis=1)
+            nxt = _search(*cumE, X[ja], u2)
             if ct.jump_increments is not None:
                 Y[ja] += ct.jump_increments[X[ja], nxt]
             X[ja] = nxt

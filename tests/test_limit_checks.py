@@ -12,7 +12,7 @@ from maplab.limit_checks import (asymptotic_bias, berry_esseen_check,
                                  edgeworth_cdf, edgeworth_check,
                                  kolmogorov_distance, llt_check,
                                  rho_mixing_check, triangular_bump)
-from maplab.map_model import MapSpec
+from maplab.map_model import CtMapSpec, MapSpec
 
 
 class TestKolmogorov:
@@ -191,3 +191,13 @@ class TestContinuousTime:
         records, frac_ok = ct_limit_check(ct_two_state(), [100.5], 20000, 29)
         assert frac_ok
         assert records[0].kolmogorov < 0.05
+
+    def test_fractional_bound_counts_jump_increments(self):
+        # each jump moves Y by 3, beyond max|reward| = 1 over the whole
+        # fractional part; the bound once ignored that and failed this spec
+        ct = CtMapSpec(generator=np.array([[-1.0, 1.0], [2.0, -2.0]]),
+                       reward=np.array([0.0, 1.0]),
+                       jump_increments=np.array([[0.0, 3.0], [-3.0, 0.0]]),
+                       centered=True)
+        _, frac_ok = ct_limit_check(ct, [64.5, 256.5], 2000, 1)
+        assert frac_ok

@@ -6,8 +6,8 @@ from maplab.errors import ConditionViolated
 from maplab.fixtures import (MEAN_CONTRAST_THETAS, mean_contrast_kernel,
                              mean_contrast_problem, two_state)
 from maplab.map_model import variance_series
-from maplab.mestim import (ContrastFamily, build_problem, estimate,
-                           estimator_be_check, mean_contrast_family,
+from maplab.mestim import (ContrastFamily, _edge_expectation, build_problem,
+                           estimate, estimator_be_check, mean_contrast_family,
                            simulate_edge_counts)
 
 from conftest import random_kernel, stepwise_edge_counts
@@ -90,6 +90,18 @@ class TestBuildProblem:
     def test_d_ball_formula(self, problem):
         # d = inf m / (4 (E[W] + 1)) with W = 1: 2 / 8 = 0.25
         assert problem.d_ball == pytest.approx(0.25)
+
+
+class TestEdgeExpectation:
+    def test_grid_equals_pointwise(self, problem):
+        # build_problem's V1 scan evaluates the whole grid in one call
+        grid = np.linspace(-2.0, 3.0, 512)
+        for theta in problem.thetas:
+            kernel = problem.kernels[theta]
+            for func in (problem.family.F1, problem.family.F2):
+                assert np.array_equal(
+                    _edge_expectation(kernel, func, grid),
+                    [_edge_expectation(kernel, func, a) for a in grid])
 
 
 class TestEstimate:

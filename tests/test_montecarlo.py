@@ -1,17 +1,25 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare, ks_2samp
 
-from maplab import fixtures
+from maplab import fixtures, montecarlo
 from maplab.chain_core import StochasticKernel
 from maplab.errors import UnsupportedInitial
 from maplab.fixtures import ct_two_state, iid_rademacher, two_state
 from maplab.increments import deterministic, gaussian, mixture
 from maplab.map_model import CtMapSpec, MapSpec, ct_sample_skeleton
-from maplab.montecarlo import (increment_panel, simulate_ct,
+from maplab.cli import dispatch
+from maplab.mestim import simulate_edge_counts
+from maplab.montecarlo import (_cdf_table, _cov_factors, _search,
+                               increment_panel, simulate_ct,
                                simulate_discrete, spec_content_hash)
 
-from conftest import per_kind_simulate, random_mixed_spec
+from conftest import (per_kind_simulate, random_mixed_spec,
+                      stepwise_edge_counts)
 
 
 def _zero_spec():
@@ -152,6 +160,105 @@ class TestPerKindOracle:
         bare = MapSpec(kernel=spec.kernel, increments=spec.increments)
         with pytest.raises(ValueError, match="not directly sampleable"):
             simulate_discrete(bare, 4, 10, 0)
+
+
+def _comparison_sum(cum, row, u):
+    """The inverse CDF as the kernel once computed it (test oracle)."""
+    return (u[:, None] >= cum[row]).sum(axis=1)
+
+
+class TestSearch:
+    """_search over a _cdf_table equals the comparison-sum inverse CDF."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(S=st.sampled_from([1, 2, 3, 5, 8, 32, 33]),
+           zeros=st.floats(0.0, 0.9), seed=st.integers(0, 2 ** 32 - 1))
+    def test_equals_comparison_sum(self, S, zeros, seed):
+        rng = np.random.default_rng(seed)
+        w = rng.exponential(size=(6, S)) * (rng.random((6, S)) >= zeros)
+        w[w.sum(axis=1) == 0, 0] = 1.0
+        cum = np.cumsum(w / w.sum(axis=1, keepdims=True), axis=1)
+        cum[:, -1] = 1.0
+        row = rng.integers(6, size=500)
+        u = rng.random(500)
+        tied = cum[row, rng.integers(S, size=500)]
+        pick = (rng.random(500) < 0.4) & (tied < 1.0)
+        u[pick] = tied[pick]                    # u equal to a cumulative value
+        u[:5] = 0.0
+        u[5:10] = np.nextafter(1.0, 0.0)
+        table, width = _cdf_table(cum)
+        np.testing.assert_array_equal(_search(table, width, row, u),
+                                      _comparison_sum(cum, row, u))
+
+    def test_row_overshooting_one(self):
+        # cumsum reaches 1 + 2^-52 before the pinned last column
+        cum = np.cumsum(np.array([[6.0, 23.0, 1.0, 0.0]]) / 30.0, axis=1)
+        cum[:, -1] = 1.0
+        assert cum[0, 2] > 1.0
+        u = np.concatenate([cum[0, :2], np.linspace(0.0, 1.0, 101)[:-1],
+                            [np.nextafter(1.0, 0.0)]])
+        row = np.zeros(len(u), dtype=np.int64)
+        table, width = _cdf_table(cum)
+        assert width == 4
+        np.testing.assert_array_equal(_search(table, width, row, u),
+                                      _comparison_sum(cum, row, u))
+
+
+class TestBlocks:
+    """Streams do not depend on how steps are grouped into draw blocks."""
+
+    @pytest.mark.parametrize("block", [1, 250, 700])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_simulate_discrete(self, monkeypatch, block, d):
+        monkeypatch.setattr(montecarlo, "_BLOCK", block)
+        for seed in range(3):
+            spec = random_mixed_spec(seed, d)
+            batch = simulate_discrete(spec, 23, 50, 6, keep_panel=True,
+                                      keep_states=True)
+            Y, X, panel = per_kind_simulate(spec, 23, 50, 6)
+            assert np.array_equal(batch.terminal_Y, Y)
+            assert np.array_equal(batch.terminal_X, X)
+            assert np.array_equal(batch.increment_panel, panel)
+
+    @pytest.mark.parametrize("block", [1, 250, 700])
+    def test_edge_counts(self, monkeypatch, block):
+        monkeypatch.setattr(montecarlo, "_BLOCK", block)
+        for seed in range(3):
+            kernel = random_mixed_spec(seed).kernel
+            assert np.array_equal(simulate_edge_counts(kernel, 23, 50, seed),
+                                  stepwise_edge_counts(kernel, 23, 50, seed))
+
+
+class TestSingularCovariance:
+    """A singular d >= 2 Gaussian covariance is sampled, not rejected."""
+
+    COV = [[1.0, 1.0], [1.0, 1.0]]
+
+    def _spec(self):
+        kernel = StochasticKernel(states=(0,), P=np.array([[1.0]]))
+        return MapSpec(kernel=kernel, increments={
+            (0, 0): gaussian([0.0, 0.0], self.COV)}, d=2)
+
+    def test_sample_covariance(self):
+        Y = simulate_discrete(self._spec(), 4, 20000, 3).terminal_Y / 2.0
+        np.testing.assert_allclose(np.cov(Y.T), self.COV, atol=0.05)
+        np.testing.assert_allclose(Y[:, 0], Y[:, 1], rtol=0, atol=1e-12)
+
+    def test_regular_atoms_keep_cholesky(self):
+        regular = np.array([[2.0, 0.5], [0.5, 1.0]])
+        F = _cov_factors(np.stack([regular, np.array(self.COV)]))
+        assert np.array_equal(F[0], np.linalg.cholesky(regular))
+        np.testing.assert_allclose(F[1] @ F[1].T, self.COV, atol=1e-12)
+
+    def test_cli_simulate(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "kernel": {"states": [0], "P": [[1.0]]}, "d": 2,
+            "increments": [{"from": 0, "to": 0, "kind": "gaussian",
+                            "mean": [0.0, 0.0], "cov": self.COV}]}))
+        assert dispatch(["simulate", "--spec", str(spec), "--n", "8",
+                         "--paths", "100", "--seed", "1",
+                         "--out", str(tmp_path / "y.bin")]) == 0
 
 
 class TestPanel:
