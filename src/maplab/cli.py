@@ -26,7 +26,7 @@ import numpy as np
 
 from . import fixtures as fixture_registry
 from .chain_core import StochasticKernel, spectral_gap_report
-from .errors import MaplabError
+from .errors import MaplabError, NotScalar
 from .fourier import derivatives_at_zero, lambda_branch, nonlattice_scan
 from .io import (FormatError, _jsonable, load_problem, load_spec, write_csv,
                  write_report, write_samples)
@@ -303,6 +303,7 @@ class Command(NamedTuple):
     config: tuple = ()          # option dests the report echoes in config
     accepts: tuple = SPECS      # model types; None: no model and no report
     write: object = _write_report   # None: the records are a CSV at --out
+    scalar: bool = False        # d = 1 specs only
 
 
 _FIXTURE = ("--fixture", {"help": "built-in fixture name"})
@@ -325,10 +326,11 @@ COMMANDS = {
     "fixtures": Command(cmd_fixtures, "list built-in fixtures", [
         ("action", {"choices": ["list", "oracles"]})], accepts=None),
     "analyze": Command(cmd_analyze, "dominant-eigenvalue branch summary",
-                       [*_SOURCE, _OUT, *_BRANCH], ("zeta_max", "grid_points")),
+                       [*_SOURCE, _OUT, *_BRANCH], ("zeta_max", "grid_points"),
+                       scalar=True),
     "scan-lambda": Command(cmd_scan_lambda, "CSV table of the branch", [
         *_SOURCE, ("--out", {"required": True, "help": "CSV output path"}),
-        *_BRANCH], write=None),
+        *_BRANCH], write=None, scalar=True),
     "simulate": Command(cmd_simulate, "dump terminal samples", [
         *_SOURCE, ("--out", {"required": True, "help": "sample output path"}),
         ("--n", {"type": _number(int), "help": "discrete horizon"}),
@@ -337,13 +339,15 @@ COMMANDS = {
         write=lambda args, report, outcome: write_samples(
             args.out, outcome.records, report)),
     "verify-clt": Command(cmd_verify_clt, "central limit theorem", _VERIFY,
-                          _MC),
+                          _MC, scalar=True),
     "verify-be": Command(cmd_verify_be, "Berry-Esseen flatness", _VERIFY, _MC,
-                         (MapSpec,)),
+                         (MapSpec,), scalar=True),
     "verify-edgeworth": Command(cmd_verify_edgeworth, "Edgeworth expansion", [
-        *_VERIFY, _INIT, _LATTICE], _MC + ("allow_lattice",), (MapSpec,)),
+        *_VERIFY, _INIT, _LATTICE], _MC + ("allow_lattice",), (MapSpec,),
+        scalar=True),
     "verify-llt": Command(cmd_verify_llt, "local limit theorem", [
-        *_VERIFY, _LATTICE], _MC + ("allow_lattice",), (MapSpec,)),
+        *_VERIFY, _LATTICE], _MC + ("allow_lattice",), (MapSpec,),
+        scalar=True),
     "verify-ct": Command(cmd_verify_ct, "continuous-time central limit", [
         *_SOURCE, _OUT, _CSV, ("--t-list", {"required": True}), _PATHS,
         _SEED], ("t_list", "paths", "seed"), (CtMapSpec,)),
@@ -356,7 +360,7 @@ COMMANDS = {
         ("--k-min", {"type": _number(float, False), "default": 0.1}),
         ("--k-max", {"type": _number(float, False), "default": 10.0}),
         ("--k-points", {"type": _number(int), "default": 200})],
-        ("k_min", "k_max", "k_points")),
+        ("k_min", "k_max", "k_points"), scalar=True),
     "mestimate": Command(cmd_mestimate, "M-estimator Berry-Esseen", [
         _FIXTURE, ("--problem", {"help": "problem description file"}),
         _OUT, _CSV, _N_LIST,
@@ -390,6 +394,9 @@ def _run(args) -> int:
     if command.accepts is None:
         return command.handler(args)
     model, source = _load_model(args, command.accepts)
+    if command.scalar and getattr(model, "d", 1) != 1:
+        raise NotScalar(f"{args.subcommand} requires a d = 1 spec, "
+                        f"got d = {model.d}")
     outcome = command.handler(args, model)
     if command.write is None:
         write_csv(args.out, *_csv_table(outcome.records))

@@ -45,8 +45,12 @@ class UnsupportedInitial(MaplabError):
     """Initial distribution puts mass outside the support of pi."""
 
 
-class ZeroVariance(MaplabError):
-    """A test functional is degenerate (zero variance)."""
+class NotCentered(MaplabError, ValueError):
+    """A check of a centered limit law got a spec with a nonzero mean rate."""
+
+
+class NotScalar(MaplabError, ValueError):
+    """The operation is defined for scalar (d = 1) specs only."""
 
 
 class ConditionViolated(MaplabError):

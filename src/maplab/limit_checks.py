@@ -13,7 +13,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .chain_core import spectral_gap_report
-from .errors import DegenerateVariance, LatticeSpec
+from .errors import DegenerateVariance, LatticeSpec, NotCentered
 from .fourier import nonlattice_scan
 from .map_model import (CtMapSpec, MapSpec, branch_derivatives,
                         ct_sample_skeleton, detect_lattice,
@@ -73,7 +73,7 @@ def _sigma_for(spec) -> float:
         # exact variance rate eta_2 = l2 - l1^2 of a centered CT spec
         l1, l2, _ = branch_derivatives(spec)
         if abs(l1) > 1e-8:
-            raise ValueError("continuous-time spec must be centered")
+            raise NotCentered("continuous-time spec must be centered")
         sig2 = l2 - l1 * l1
     else:
         sig2 = variance_series(spec)
@@ -127,7 +127,7 @@ def asymptotic_bias(spec: MapSpec, mu) -> float:
     mu = _initial_law(pi, mu)
     a = np.einsum("ij,ij->i", P, spec.edge_mean_matrix()[:, :, 0])
     if abs(pi @ a) > 1e-10:
-        raise ValueError("asymptotic bias requires a centered spec")
+        raise NotCentered("asymptotic bias requires a centered spec")
     Z = np.linalg.inv(np.eye(len(pi)) - P + spec.kernel.projector)
     return float(mu @ Z @ a)
 

@@ -10,6 +10,8 @@ of I - P (discrete time) or -G (continuous time).
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
@@ -18,10 +20,51 @@ import numpy as np
 import scipy.linalg
 
 from .chain_core import StochasticKernel, l2_operator_norm, solve_stationary
-from .errors import GapAbsent, MomentUndefined, NotStochastic
+from .errors import (GapAbsent, MomentUndefined, NotCentered, NotScalar,
+                     NotStochastic)
 from .increments import IncrementLaw, from_cf
 
 CENTER_TOL = 1e-12
+
+
+def _content_hash(spec) -> str:
+    """Stable sha256 of a spec's content (kernel, laws, rewards).
+
+    A skeleton spec hashes as the continuous-time spec it was extracted from.
+    Specs keep it as their cached content_hash, so it is computed once each.
+    """
+    if getattr(spec, "ct_origin", None) is not None:
+        return spec.ct_origin.content_hash
+    if isinstance(spec, CtMapSpec):
+        payload = {
+            "kind": "ct",
+            "generator": np.asarray(spec.generator).round(15).tolist(),
+            "reward": np.asarray(spec.reward).round(15).tolist(),
+            "jump": None if spec.jump_increments is None
+                    else np.asarray(spec.jump_increments).round(15).tolist(),
+        }
+    else:
+        laws = {}
+        for (i, j), law in sorted(spec.increments.items()):
+            if law.kind == "deterministic":
+                desc = ["det", law.value.round(15).tolist()]
+            elif law.kind == "gaussian":
+                desc = ["gauss", law.mean_vec.round(15).tolist(),
+                        law.cov.round(15).tolist()]
+            elif law.kind == "mixture":
+                desc = ["mix", [[round(p, 15), v.round(15).tolist()]
+                                for p, v in law.atoms]]
+            else:
+                desc = ["cf", "None"]     # fixed: hashes must stay stable
+            laws[f"{i},{j}"] = desc
+        payload = {
+            "kind": "discrete",
+            "P": np.asarray(spec.P).round(15).tolist(),
+            "laws": laws,
+            "d": spec.d,
+        }
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()
+                          ).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -77,6 +120,8 @@ class MapSpec:
 
     def law(self, i: int, j: int) -> IncrementLaw:
         return self.increments[(i, j)]
+
+    content_hash = cached_property(_content_hash)
 
     @cached_property
     def moment_matrices(self) -> np.ndarray:
@@ -176,6 +221,8 @@ class CtMapSpec:
     def n_states(self) -> int:
         return self.generator.shape[0]
 
+    content_hash = cached_property(_content_hash)
+
     def fourier_generator(self, zeta) -> np.ndarray:
         """A(zeta), with exp(t A(zeta)) the time-t Fourier operator.
 
@@ -246,7 +293,7 @@ def variance_series(spec: MapSpec, tol: float = 1e-12):
     otherwise.
     """
     if not spec.centered and np.max(np.abs(exact_mean(spec))) > 1e-10:
-        raise ValueError("variance_series requires a centered spec")
+        raise NotCentered("variance_series requires a centered spec")
     S, d, P, pi = spec.n_states, spec.d, spec.P, spec.pi
 
     # s2[x] = E[Z Z* | X_0 = x]; a[x'] = E[Z | X_1 = x'] weighting, b[x] row term
@@ -375,7 +422,7 @@ def detect_lattice(spec: MapSpec, tol: float = 1e-9) -> LatticeReport:
     atoms are reported as undetermined.
     """
     if spec.d != 1:
-        raise ValueError("lattice detection requires d = 1")
+        raise NotScalar("lattice detection requires d = 1")
     laws = spec.increments
     if any(law.has_density_component() for law in laws.values()):
         return LatticeReport(is_lattice=False)

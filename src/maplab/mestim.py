@@ -216,8 +216,9 @@ def simulate_edge_counts(kernel: StochasticKernel, n: int, reps: int,
     counts = np.zeros(reps * S * S, dtype=np.int64)
     base = np.arange(reps) * (S * S)
     X = _initial_states(kernel, mu, reps, rng)
-    for X, Xn, _ in _chain_steps(kernel.P, X, n, rng):
-        counts[base + X * S + Xn] += 1      # each path once per step
+    for states, _ in _chain_steps(kernel.P, X, n, rng):
+        edges = base + states[:-1] * S + states[1:]
+        np.add.at(counts, edges.T.ravel(), 1)   # path-major: ascending
     return counts.reshape(reps, S, S)
 
 

@@ -4,17 +4,17 @@ Every call draws from one counter-based Philox stream keyed by a sha256
 payload (spec hash and seed; mestim's edge counts use kernel bytes and seed)
 in a fixed step-major order, so batches are a pure function of (spec,
 horizon, n_paths, seed). Discrete time has one stepping kernel, shared with
-mestim.simulate_edge_counts; increments come from MapSpec.edge_table by flat
-edge index, Gaussian ones through the inverse CDF, so each step consumes a
-fixed number of uniforms per path: one Philox draw per block of steps gives
-the uniforms of step-by-step draws (the generator is counter-based). Next
-states and mixture atoms come from a binary search over flat CDF tables.
+mestim.simulate_edge_counts and increment_panel: per step only the move
+search runs, by a binary search over flat CDF tables, and the kernel yields
+whole blocks of states, so all other work is done once per block. Given the
+path, Y_n is the sum of the edge atoms' means plus one Gaussian with their
+summed covariance, which simulate_discrete draws once per path after the
+last step; increment_panel alone draws per-step increments.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,43 +25,8 @@ from .map_model import CtMapSpec, MapSpec
 
 
 def spec_content_hash(spec) -> str:
-    """Stable content hash of a spec (kernel, laws, rewards).
-
-    A skeleton spec hashes as the continuous-time spec it was extracted from.
-    """
-    if getattr(spec, "ct_origin", None) is not None:
-        return spec_content_hash(spec.ct_origin)
-    h = hashlib.sha256()
-    if isinstance(spec, CtMapSpec):
-        payload = {
-            "kind": "ct",
-            "generator": np.asarray(spec.generator).round(15).tolist(),
-            "reward": np.asarray(spec.reward).round(15).tolist(),
-            "jump": None if spec.jump_increments is None
-                    else np.asarray(spec.jump_increments).round(15).tolist(),
-        }
-    else:
-        laws = {}
-        for (i, j), law in sorted(spec.increments.items()):
-            if law.kind == "deterministic":
-                desc = ["det", law.value.round(15).tolist()]
-            elif law.kind == "gaussian":
-                desc = ["gauss", law.mean_vec.round(15).tolist(),
-                        law.cov.round(15).tolist()]
-            elif law.kind == "mixture":
-                desc = ["mix", [[round(p, 15), v.round(15).tolist()]
-                                for p, v in law.atoms]]
-            else:
-                desc = ["cf", "None"]     # fixed: hashes must stay stable
-            laws[f"{i},{j}"] = desc
-        payload = {
-            "kind": "discrete",
-            "P": np.asarray(spec.P).round(15).tolist(),
-            "laws": laws,
-            "d": spec.d,
-        }
-    h.update(json.dumps(payload, sort_keys=True).encode())
-    return h.hexdigest()
+    """Stable content hash of a spec (kernel, laws, rewards), cached on it."""
+    return spec.content_hash
 
 
 @dataclass(frozen=True)
@@ -110,66 +75,84 @@ def _initial_states(spec, mu, n_paths, rng):
     return np.searchsorted(cum, u, side="right").clip(0, len(pi) - 1)
 
 
-_BLOCK = 1 << 18        # doubles per block of steps drawn in one call
+_BLOCK = 1 << 16        # doubles per block of steps: ~1 MB of temporaries
 
 
 def _cdf_table(cum):
-    """(flat table, width) for _search: cum's last column pinned to 1, the rest
-    clipped to 1, padded with 1s to width 2^k; #{j : cum[row, j] <= u} stays."""
+    """(levels, width) for _search: cum's last column pinned to 1, the rest
+    clipped to 1, padded with 1s to width 2^k, so #{j : cum[row, j] <= u}
+    stays. The flat table is stored once per binary-search step half, as
+    (half, view shifted by half - 1), so a step gathers at its position."""
     width = 1 << (cum.shape[1] - 1).bit_length()
     table = np.ones((len(cum), width))
     table[:, :cum.shape[1] - 1] = np.minimum(cum[:, :-1], 1.0)
-    return table.ravel(), width
+    flat = table.ravel()
+    halves = [width >> k for k in range(1, width.bit_length())]
+    return [(h, flat[h - 1:]) for h in halves], width
 
 
-def _search(table, width, row, u):
-    """#{j : table[row, j] <= u}, i.e. (u[:, None] >= cum[row]).sum(1), by a
-    branchless binary search: log2(width) flat gathers, no (N, S) gather."""
-    pos = row * width
-    half = width >> 1
-    while half:
-        pos += half * (table[pos + (half - 1)] <= u)
-        half >>= 1
-    return pos - row * width
+def _search(levels, width, row, u):
+    """#{j : cum[row, j] <= u} over a _cdf_table, i.e. (u[:, None] >=
+    cum[row]).sum(1), by a branchless binary search: one flat gather per
+    level, log2(width) in all, and no (N, S) gather."""
+    base = row * width
+    pos = base.copy()
+    for half, level in levels:
+        hit = level[pos] <= u
+        pos += hit if half == 1 else half * hit
+    pos -= base
+    return pos
 
 
-def _chain_steps(P, X, n, rng, d=0):
+def _chain_steps(P, X, n, rng, k=0):
     """The one discrete-time stepping loop: n steps of the chain from X.
 
-    Each step consumes one move uniform per path, then d increment uniforms
-    per path, and yields (X, X_next, u_inc). Blocks of steps come from one
-    rng.random((m, N (1 + d))) call of at most _BLOCK doubles (or one step),
-    row k holding step k's draws, so the stream is that of step-by-step
-    draws. X_next is the inverse CDF of row X, found by _search.
+    Each step draws one move uniform per path, then k extra uniforms per
+    path. A block of m steps is one rng.random((m, N (1 + k))) call of at
+    most _BLOCK doubles (or one step), row j holding step j's draws, so the
+    stream is that of step-by-step draws. Per block it yields the states
+    (m + 1, N), the block's start state first, and the extra uniforms
+    (m, N, k); the next block starts from the last row. Only the move search
+    runs per step: X' is the inverse CDF of row X of P, found by _search.
     """
-    table, width = _cdf_table(np.cumsum(P, axis=1))
-    N, per_step = len(X), len(X) * (1 + d)
+    levels, width = _cdf_table(np.cumsum(P, axis=1))
+    N, per_step = len(X), len(X) * (1 + k)
     block = max(1, _BLOCK // max(per_step, 1))
     for start in range(0, n, block):
-        for u in rng.random((min(block, n - start), per_step)):
-            Xn = _search(table, width, X, u[:N])
-            yield X, Xn, u[N:].reshape(N, d)
-            X = Xn
+        u = rng.random((min(block, n - start), per_step))
+        states = np.empty((len(u) + 1, N), dtype=X.dtype)
+        states[0] = X
+        for j, row in enumerate(u):
+            states[j + 1] = X = _search(levels, width, X, row[:N])
+        yield states, u[:, N:].reshape(len(u), N, k)
 
 
 def _cov_factors(cov):
     """Cholesky factors of a (k, d, d) stack; where one fails (a singular
-    d >= 2 covariance), the symmetric PSD root V sqrt(max(w, 0)) V^T."""
+    d >= 2 covariance), the symmetric PSD root V sqrt(max(w, 0)) V^T. The
+    members that eigh finds singular get the root from one stacked eigh."""
     try:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
-        if len(cov) > 1:
-            return np.stack([_cov_factors(c[None])[0] for c in cov])
-        w, V = np.linalg.eigh(cov[0])
-        return (V * np.sqrt(w.clip(0.0)) @ V.T)[None]
+        w, V = np.linalg.eigh(cov)
+        roots = V * np.sqrt(w.clip(0.0))[:, None, :] @ V.transpose(0, 2, 1)
+        regular = w[:, 0] > 0
+        if regular.all():       # eigh sees none singular: try each member
+            return roots if len(cov) == 1 else np.stack(
+                [_cov_factors(c[None])[0] for c in cov])
+        if regular.any():
+            roots[regular] = _cov_factors(cov[regular])
+        return roots
 
 
 def _atom_lookup(spec: MapSpec):
-    """(first, cum, mean, chol, gauss) for spec.edge_table's atom runs.
+    """(first, cum, mean, cov, gauss) for spec.edge_table's atom runs.
 
     first and cum are indexed by flat edge X*S + X': the run's first atom (a
     trailing zero atom for edges without a law) and its cumulative
-    probabilities as a _cdf_table (the last pinned to 1). The rest are per atom.
+    probabilities as a _cdf_table (the last pinned to 1, width 1 when no run
+    has two atoms). The rest are per atom; cov is regularized so that its
+    Cholesky factor exists wherever the covariance is regular.
     """
     tab = spec.edge_table
     if tab["cf"]:
@@ -184,49 +167,53 @@ def _atom_lookup(spec: MapSpec):
     for k in np.flatnonzero(length > 1):
         a, m = tab["start"][k], length[k]
         cum[edges[k], :m - 1] = np.cumsum(tab["prob"][a:a + m - 1])
-    cov = tab["cov"] + 1e-300 * np.eye(d)
+    cov = np.vstack([tab["cov"], np.zeros((1, d, d))]) + 1e-300 * np.eye(d)
     cov += 1e-18 * np.trace(cov, axis1=1, axis2=2)[:, None, None] * np.eye(d)
     return (first, _cdf_table(cum), np.vstack([tab["mean"], np.zeros((1, d))]),
-            _cov_factors(cov), np.append(tab["gauss"], False))
+            cov, np.append(tab["gauss"], False))
+
+
+def _edge_atoms(spec, first, cum, states, u):
+    """Atom of each step's edge: the run's first atom, plus the inverse CDF
+    of extra uniform 0 over the run where multi-atom runs exist."""
+    edge = states[:-1] * spec.n_states + states[1:]
+    atom = first.take(edge)
+    if cum[1] > 1:
+        atom += _search(*cum, edge, u[..., 0])
+    return atom
 
 
 def simulate_discrete(spec: MapSpec, n: int, n_paths: int, seed: int,
-                      mu=None, keep_panel: bool = False,
-                      keep_states: bool = False) -> TrajectoryBatch:
-    """Simulate n steps of the MAP for n_paths paths.
+                      mu=None, keep_states: bool = False) -> TrajectoryBatch:
+    """Simulate Y_n of the MAP for n_paths paths from sufficient statistics.
 
-    X_0 ~ pi (or mu) and the chain moves through _chain_steps. The edge
-    X*S + X' picks an atom run of spec.edge_table, increment uniform 0 picks
-    the atom within a multi-atom run, and Gaussian atoms add
-    chol @ ndtri(u_inc). Skeleton specs (cf laws) are delegated to exact
-    continuous-time simulation.
+    X_0 ~ pi (or mu) and the chain moves through _chain_steps, with one
+    extra uniform per step only where a multi-atom mixture run exists. Given
+    the path, the increments are independent with laws fixed by their edges,
+    so Y_n is the sum of the atom means plus one Gaussian with the summed
+    atom covariance V: after the last step, Y += F(V) ndtri(u) with F(V) =
+    sqrt(V) for d = 1 and _cov_factors(V) otherwise, drawn only when a
+    Gaussian atom exists.
     """
-    if spec.ct_origin is not None:
-        return simulate_ct(spec.ct_origin, float(n), n_paths, seed,
-                           record_steps=keep_panel)
     spec_id = spec_content_hash(spec)
     rng = _philox(f"{spec_id}:{seed}".encode())
-    S, d = spec.n_states, spec.d
-    first, cum, mean, chol, gauss = _atom_lookup(spec)
-    has_gauss = gauss.any()
+    d = spec.d
+    first, cum, mean, cov, gauss = _atom_lookup(spec)
     X = _initial_states(spec, mu, n_paths, rng)
     Y = np.zeros((n_paths, d))
-    panel = np.zeros((n_paths, n)) if keep_panel else None
-    for k, (X_prev, X, u_inc) in enumerate(_chain_steps(spec.P, X, n, rng, d)):
-        edge = X_prev * S + X
-        atom = first[edge] + _search(*cum, edge, u_inc[:, 0])
-        inc = mean[atom]
-        if has_gauss:
-            g = gauss[atom]
-            g = slice(None) if g.all() else g     # skip masks on all-Gaussian steps
-            inc[g] += np.einsum("pab,pb->pa", chol[atom[g]], ndtri(u_inc[g]))
-        Y += inc
-        if keep_panel:
-            panel[:, k] = inc[:, 0]
+    V = np.zeros((n_paths, d, d)) if gauss.any() else None
+    for states, u in _chain_steps(spec.P, X, n, rng, int(cum[1] > 1)):
+        atom = _edge_atoms(spec, first, cum, states, u)
+        Y += mean.take(atom, axis=0).sum(axis=0)
+        if V is not None:
+            V += cov.take(atom, axis=0).sum(axis=0)
+        X = states[-1]
+    if V is not None:
+        F = np.sqrt(V) if d == 1 else _cov_factors(V)
+        Y += np.einsum("pab,pb->pa", F, ndtri(rng.random((n_paths, d))))
     return TrajectoryBatch(spec_id=spec_id, horizon=n, n_paths=n_paths,
                            seed=seed, terminal_Y=Y,
-                           terminal_X=X if keep_states else None,
-                           increment_panel=panel)
+                           terminal_X=X if keep_states else None)
 
 
 def simulate_ct(ct: CtMapSpec, t: float, n_paths: int, seed: int,
@@ -306,6 +293,27 @@ def simulate_ct(ct: CtMapSpec, t: float, n_paths: int, seed: int,
 
 
 def increment_panel(spec: MapSpec, n: int, n_paths: int, seed: int) -> np.ndarray:
-    """Matrix of per-step increments xi_k = Y_k - Y_{k-1}, shape (paths, n)."""
-    batch = simulate_discrete(spec, n, n_paths, seed, keep_panel=True)
-    return batch.increment_panel
+    """Matrix of per-step increments xi_k = Y_k - Y_{k-1}, shape (paths, n).
+
+    Each step draws d increment uniforms per path: uniform 0 picks the atom
+    within a multi-atom run, and Gaussian atoms add chol @ ndtri(u).
+    Skeleton specs (cf laws) are delegated to exact continuous-time
+    simulation.
+    """
+    if spec.ct_origin is not None:
+        return simulate_ct(spec.ct_origin, float(n), n_paths, seed,
+                           record_steps=True).increment_panel
+    rng = _philox(f"{spec_content_hash(spec)}:{seed}".encode())
+    first, cum, mean, cov, gauss = _atom_lookup(spec)
+    chol = _cov_factors(cov)
+    X = _initial_states(spec, None, n_paths, rng)
+    panel = np.empty((n, n_paths))
+    k = 0
+    for states, u in _chain_steps(spec.P, X, n, rng, spec.d):
+        atom = _edge_atoms(spec, first, cum, states, u)
+        inc = mean[atom, 0]
+        g = gauss[atom]
+        inc[g] += np.einsum("pab,pb->pa", chol[atom[g]], ndtri(u[g]))[:, 0]
+        panel[k:k + len(inc)] = inc
+        k += len(inc)
+    return panel.T

@@ -3,7 +3,8 @@ from math import comb
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
+from scipy.stats import binom
 
 from maplab import fixtures
 from maplab.chain_core import StochasticKernel
@@ -145,6 +146,90 @@ def per_kind_simulate(spec, n, n_paths, seed, mu=None):
         panel[:, k] = inc[:, 0]
         X = Xn
     return Y, X, panel
+
+
+def _psd_root(V):
+    """Cholesky factor of V, or its symmetric PSD root where that fails."""
+    try:
+        return np.linalg.cholesky(V)
+    except np.linalg.LinAlgError:
+        w, Q = np.linalg.eigh(V)
+        return Q * np.sqrt(w.clip(0.0)) @ Q.T
+
+
+def stepwise_sufficient_simulate(spec, n, n_paths, seed, mu=None):
+    """(terminal_Y, terminal_X) by a plain per-step loop (test oracle).
+
+    Test oracle for montecarlo.simulate_discrete: X_0, then per step one move
+    uniform per path and, when some mixture law has two or more atoms, one
+    atom uniform per path. Y adds the mean of each step's edge law (or of its
+    chosen atom) and V the Gaussian covariance; when some law is Gaussian, one
+    draw ndtri(u) per path after the last step adds F(V) ndtri(u), with F the
+    Cholesky factor (the PSD root where that fails).
+    """
+    rng = _philox(f"{spec_content_hash(spec)}:{seed}".encode())
+    S, d = spec.n_states, spec.d
+    laws = spec.increments
+    extra = int(any(law.kind == "mixture" and len(law.atoms) > 1
+                    for law in laws.values()))
+    mean = np.zeros((S, S, d))
+    cov = np.zeros((S, S, d, d))
+    atoms = {}
+    for (i, j), law in laws.items():
+        if law.kind == "mixture":
+            atoms[i, j] = (np.cumsum([p for p, _ in law.atoms])[:-1],
+                           [v for _, v in law.atoms])
+        elif law.kind == "gaussian":
+            mean[i, j], cov[i, j] = law.mean_vec, law.cov
+        else:
+            mean[i, j] = law.value
+    cumP = np.cumsum(spec.P, axis=1)
+    cumP[:, -1] = 1.0
+    X = _initial_states(spec.pi, mu, n_paths, rng)
+    Y = np.zeros((n_paths, d))
+    V = np.zeros((n_paths, d, d))
+    for _ in range(n):
+        u = rng.random(n_paths * (1 + extra))
+        Xn = (u[:n_paths, None] >= cumP[X]).sum(axis=1)
+        Y += mean[X, Xn]
+        V += cov[X, Xn]
+        for p in range(n_paths):
+            if (X[p], Xn[p]) in atoms:
+                cum, values = atoms[X[p], Xn[p]]
+                a = int((u[n_paths + p] >= cum).sum()) if len(cum) else 0
+                Y[p] += values[a]
+        X = Xn
+    if any(law.kind == "gaussian" for law in laws.values()):
+        z = ndtri(rng.random((n_paths, d)))
+        Y += np.stack([_psd_root(v) @ zp for v, zp in zip(V, z)])
+    return Y, X
+
+
+def skewed_mixture_exact_cdf(y, n):
+    """Exact CDF of Y_n at the points y for fixtures.skewed_mixture.
+
+    Y_n = (n - 2K) + N(0, K) with K ~ Binomial(n, 1/2) the number of Gaussian
+    steps; K = 0 is a point mass at n.
+    """
+    y = np.asarray(y, dtype=float)[..., None]
+    k = np.arange(n + 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        parts = np.where(k > 0, ndtr((y - (n - 2.0 * k)) / np.sqrt(k)), y >= n)
+    return (binom.pmf(k, n, 0.5) * parts).sum(axis=-1)
+
+
+def projected_spec(spec, w):
+    """The d = 1 spec of w . Y: every edge law pushed through y -> w . y."""
+    w = np.asarray(w, dtype=float)
+    incs = {}
+    for e, law in spec.increments.items():
+        if law.kind == "gaussian":
+            incs[e] = gaussian([law.mean_vec @ w], [[w @ law.cov @ w]])
+        elif law.kind == "mixture":
+            incs[e] = mixture([(p, [v @ w]) for p, v in law.atoms])
+        else:
+            incs[e] = deterministic([law.value @ w])
+    return MapSpec(kernel=spec.kernel, increments=incs, d=1)
 
 
 def stepwise_edge_counts(kernel, n, reps, seed, mu=None):

@@ -16,7 +16,6 @@ suite is deterministic.
 import numpy as np
 import pytest
 from scipy.special import ndtr
-from scipy.stats import binom
 
 from maplab import fixtures
 from maplab.chain_core import StochasticKernel, l2_operator_norm, spectral_gap_report
@@ -32,7 +31,7 @@ from maplab.map_model import (CtMapSpec, MapSpec, exact_mean, exact_moments,
 from maplab.mestim import _f_map_spec, estimator_be_check
 from maplab.montecarlo import simulate_discrete
 
-from conftest import step_moments
+from conftest import skewed_mixture_exact_cdf, step_moments
 
 PATHS = 100_000
 
@@ -203,19 +202,6 @@ def test_criterion_08_berry_esseen_flatness():
              f"flat={flat_two and flat_iid}, B_hat(iid)={B_iid:.3f} in [0.2, 0.7]")
 
 
-def _skewed_mixture_exact_cdf(n, sigma):
-    """Exact CDF of Y_n/(sigma sqrt n) on A_GRID for the skewed mixture.
-
-    Y_n = (n - 2K) + N(0, K) with K ~ Binomial(n, 1/2); the k = 0 term is a
-    point mass at n, outside the grid for all n used here (weight 2^-n).
-    """
-    k = np.arange(1, n + 1)
-    pmf = binom.pmf(k, n, 0.5)
-    x = A_GRID * sigma * np.sqrt(n)
-    arg = (x[:, None] - (n - 2.0 * k[None, :])) / np.sqrt(k[None, :])
-    return (pmf[None, :] * ndtr(arg)).sum(axis=1)
-
-
 def test_criterion_09_edgeworth_correction():
     spec = fixtures.skewed_mixture()
     sigma = float(np.sqrt(variance_series(spec)))
@@ -223,7 +209,8 @@ def test_criterion_09_edgeworth_correction():
     n_list = (256, 1024, 4096)
     uncorr, corr = {}, {}
     for n in n_list:
-        F = _skewed_mixture_exact_cdf(n, sigma)
+        # the K = 0 point mass at n lies outside the grid for these n
+        F = skewed_mixture_exact_cdf(A_GRID * sigma * np.sqrt(n), n)
         uncorr[n] = float(np.max(np.abs(F - ndtr(A_GRID))))
         corr[n] = float(np.max(np.abs(
             F - edgeworth_cdf(A_GRID, sigma, mu3, n))))

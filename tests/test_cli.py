@@ -11,10 +11,13 @@ from hypothesis import strategies as st
 
 from maplab import cli
 from maplab.cli import dispatch
-from maplab.fixtures import fixture_names, mean_contrast_kernel, two_state
-from maplab.io import kernel_to_dict, map_spec_to_dict
+from maplab.fixtures import (ct_two_state, fixture_names,
+                             mean_contrast_kernel, two_state)
+from maplab.io import ct_spec_to_dict, kernel_to_dict, map_spec_to_dict
 from maplab.limit_checks import GaussianComparison, LltRecord, RhoMixReport
 from maplab.mestim import EstimatorBeRecord
+
+from conftest import random_mixed_spec
 
 
 def run(argv):
@@ -127,6 +130,51 @@ class TestInputBoundary:
         out = tmp_path / "r.json"
         assert run(["analyze", "--spec", str(spec), "--out", str(out)]) == 0
         assert abs(json.loads(out.read_text())["mean_rate"][0]) <= 1e-12
+
+
+class TestSpecDefects:
+    """Uncentered and d = 2 spec files exit 2 with a MaplabError, which
+    names the defect, instead of a traceback (exit 1)."""
+
+    _MC = ["--n-list", "16", "--paths", "100", "--seed", "0"]
+
+    def _run(self, tmp_path, capsys, doc, argv):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        out = tmp_path / "out.json"
+        code = run([argv[0], "--spec", str(spec), "--out", str(out),
+                    *argv[1:]])
+        err = capsys.readouterr().err.strip()
+        return code, err and json.loads(err)["error"]
+
+    @pytest.mark.parametrize("cmd", ["verify-clt", "verify-be",
+                                     "verify-edgeworth", "verify-llt"])
+    def test_uncentered_discrete(self, tmp_path, capsys, cmd):
+        doc = map_spec_to_dict(random_mixed_spec(7, 1))
+        assert not doc["centered"]
+        assert self._run(tmp_path, capsys, doc, [cmd, *self._MC]) == (
+            2, "NotCentered")
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-ct", "--t-list", "16", "--paths", "100", "--seed", "0"],
+        ["verify-clt", *_MC]])
+    def test_uncentered_ct(self, tmp_path, capsys, argv):
+        doc = ct_spec_to_dict(ct_two_state(centered=False))
+        assert self._run(tmp_path, capsys, doc, argv) == (2, "NotCentered")
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-clt", *_MC], ["verify-be", *_MC], ["verify-edgeworth", *_MC],
+        ["verify-llt", *_MC], ["analyze"], ["scan-lambda"],
+        ["nonlattice-scan"]])
+    def test_d2_rejected(self, tmp_path, capsys, argv):
+        doc = {**map_spec_to_dict(random_mixed_spec(3, 2)), "centered": True}
+        assert self._run(tmp_path, capsys, doc, argv) == (2, "NotScalar")
+
+    def test_d2_simulate_still_runs(self, tmp_path, capsys):
+        doc = {**map_spec_to_dict(random_mixed_spec(3, 2)), "centered": True}
+        assert self._run(tmp_path, capsys, doc, [
+            "simulate", "--n", "8", "--paths", "100", "--seed", "0"]) == (
+            0, "")
 
 
 class TestCountsAndLists:

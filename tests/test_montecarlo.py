@@ -4,22 +4,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import chisquare, ks_2samp
+from scipy.stats import binom, chisquare, ks_2samp
 
-from maplab import fixtures, montecarlo
+from maplab import fixtures, map_model, montecarlo
 from maplab.chain_core import StochasticKernel
 from maplab.errors import UnsupportedInitial
 from maplab.fixtures import ct_two_state, iid_rademacher, two_state
 from maplab.increments import deterministic, gaussian, mixture
-from maplab.map_model import CtMapSpec, MapSpec, ct_sample_skeleton
+from maplab.limit_checks import ecdf_se, kolmogorov_distance
+from maplab.map_model import (CtMapSpec, MapSpec, ct_sample_skeleton,
+                              exact_moments)
 from maplab.cli import dispatch
 from maplab.mestim import simulate_edge_counts
 from maplab.montecarlo import (_cdf_table, _cov_factors, _search,
                                increment_panel, simulate_ct,
                                simulate_discrete, spec_content_hash)
 
-from conftest import (per_kind_simulate, random_mixed_spec,
-                      stepwise_edge_counts)
+from conftest import (per_kind_simulate, projected_spec, random_mixed_spec,
+                      skewed_mixture_exact_cdf, stepwise_edge_counts,
+                      stepwise_sufficient_simulate)
 
 
 def _zero_spec():
@@ -126,6 +129,51 @@ class TestDiscrete:
             simulate_discrete(spec, 4, 10, 0, mu=np.array([0.5, 0.5]))
 
 
+class TestContentHash:
+    """The content hash keeps its bytes and is computed once per spec."""
+
+    PINNED = {
+        "birth_death_5": "6240204dbfc1557efe7b87ced2d13519"
+                         "b53216171720641477dbcc2609c6285e",
+        "ct_two_state": "07a13894145f983431c3c15a1930835b"
+                        "df82ef0e2ec277ffc4e95780798f9a12",
+        "gaussian_iid": "c17de21643333116349e909789c49cd3"
+                        "3072f82a4f724fef8cb874f121cf4b63",
+        "iid_rademacher": "6dc880145064215cd2db57d2d509c2d1"
+                          "325a129b923cb6b33a9e9a27ab335267",
+        "lattice_pm1": "6dc880145064215cd2db57d2d509c2d1"
+                       "325a129b923cb6b33a9e9a27ab335267",
+        "skewed_mixture": "96ada62e31af9ed3276e0972da3a44d8"
+                          "ac2552e599b74c046587c3063efd282e",
+        "two_state": "b7cf9847fd9a08767da2937039102a23"
+                     "1465700e2f948fe107ed4c71f9d57793",
+        (0, 1): "fc9807877c6723113377462c1a94ae63"
+                "75f1db05ade5e0a25cafa2c800e3d522",
+        (1, 2): "fedc3ee7df9422a4ff1e4fb6774e9397"
+                "e35c0752e27023bbb02840ddc6b61e97",
+    }
+
+    @pytest.mark.parametrize("name", list(PINNED))
+    def test_bytes_unchanged(self, name):
+        spec = (random_mixed_spec(*name) if isinstance(name, tuple)
+                else fixtures.get_fixture(name))
+        assert spec_content_hash(spec) == self.PINNED[name]
+
+    def test_skeleton_keeps_ct_hash(self):
+        skeleton = ct_sample_skeleton(fixtures.ct_two_state())
+        assert spec_content_hash(skeleton) == self.PINNED["ct_two_state"]
+
+    def test_second_call_does_no_work(self, monkeypatch):
+        calls = []
+        real = map_model.hashlib.sha256
+        monkeypatch.setattr(map_model.hashlib, "sha256",
+                            lambda data: calls.append(1) or real(data))
+        for spec in (fixtures.skewed_mixture(), fixtures.ct_two_state()):
+            first = spec_content_hash(spec)
+            assert spec_content_hash(spec) == first
+        assert len(calls) == 2
+
+
 def _oracle_specs():
     """Every non-skeleton fixture, random mixed specs, a zero-cov Gaussian."""
     specs = [fixtures.get_fixture(name) for name in fixtures.fixture_names()]
@@ -141,25 +189,59 @@ def _oracle_specs():
     return specs
 
 
+def _mu_list(S):
+    return (None, np.arange(1.0, S + 1) / (S * (S + 1) / 2))
+
+
+def _panel_states(spec, n, n_paths, seed, mu=None):
+    """X_n of the increment-panel stream: the kernel with d extra uniforms."""
+    rng = montecarlo._philox(f"{spec_content_hash(spec)}:{seed}".encode())
+    X = montecarlo._initial_states(spec, mu, n_paths, rng)
+    for states, _ in montecarlo._chain_steps(spec.P, X, n, rng, spec.d):
+        X = states[-1]
+    return X
+
+
 class TestPerKindOracle:
-    """simulate_discrete equals the per-law-kind loop bit for bit."""
+    """increment_panel and the kernel with d extra uniforms per step equal
+    the per-law-kind loop bit for bit."""
 
     @pytest.mark.parametrize("spec", _oracle_specs())
     def test_same_stream(self, spec):
-        S = spec.n_states
-        for mu in (None, np.arange(1.0, S + 1) / (S * (S + 1) / 2)):
-            batch = simulate_discrete(spec, 23, 400, 6, mu=mu,
-                                      keep_panel=True, keep_states=True)
-            Y, X, panel = per_kind_simulate(spec, 23, 400, 6, mu=mu)
-            assert np.array_equal(batch.terminal_Y, Y)
-            assert np.array_equal(batch.terminal_X, X)
-            assert np.array_equal(batch.increment_panel, panel)
+        Y, _, panel = per_kind_simulate(spec, 23, 400, 6)
+        got = increment_panel(spec, 23, 400, 6)
+        assert np.array_equal(got, panel)
+        assert np.array_equal(np.cumsum(got, axis=1)[:, -1], Y[:, 0])
+        for mu in _mu_list(spec.n_states):
+            _, X, _ = per_kind_simulate(spec, 23, 400, 6, mu=mu)
+            assert np.array_equal(_panel_states(spec, 23, 400, 6, mu), X)
 
     def test_cf_law_without_origin_rejected(self):
         spec = ct_sample_skeleton(ct_two_state())
         bare = MapSpec(kernel=spec.kernel, increments=spec.increments)
         with pytest.raises(ValueError, match="not directly sampleable"):
             simulate_discrete(bare, 4, 10, 0)
+        with pytest.raises(ValueError, match="not directly sampleable"):
+            increment_panel(bare, 4, 10, 0)
+
+
+def _assert_sufficient_oracle(spec, n, n_paths, seed, mu=None):
+    batch = simulate_discrete(spec, n, n_paths, seed, mu=mu, keep_states=True)
+    Y, X = stepwise_sufficient_simulate(spec, n, n_paths, seed, mu=mu)
+    assert np.array_equal(batch.terminal_X, X)
+    assert np.all(np.abs(batch.terminal_Y - Y) <= 1e-12 * (1.0 + np.abs(Y)))
+
+
+class TestSufficientOracle:
+    """simulate_discrete equals the plain per-step loop over its stream: X_n
+    exactly, Y_n up to summation order, for every draw-block size."""
+
+    @pytest.mark.parametrize("spec", _oracle_specs())
+    def test_same_path(self, monkeypatch, spec):
+        for block in (1, 250, 700):
+            monkeypatch.setattr(montecarlo, "_BLOCK", block)
+            for mu in _mu_list(spec.n_states):
+                _assert_sufficient_oracle(spec, 23, 400, 6, mu)
 
 
 def _comparison_sum(cum, row, u):
@@ -213,12 +295,9 @@ class TestBlocks:
         monkeypatch.setattr(montecarlo, "_BLOCK", block)
         for seed in range(3):
             spec = random_mixed_spec(seed, d)
-            batch = simulate_discrete(spec, 23, 50, 6, keep_panel=True,
-                                      keep_states=True)
-            Y, X, panel = per_kind_simulate(spec, 23, 50, 6)
-            assert np.array_equal(batch.terminal_Y, Y)
-            assert np.array_equal(batch.terminal_X, X)
-            assert np.array_equal(batch.increment_panel, panel)
+            _assert_sufficient_oracle(spec, 23, 50, 6)
+            assert np.array_equal(increment_panel(spec, 23, 50, 6),
+                                  per_kind_simulate(spec, 23, 50, 6)[2])
 
     @pytest.mark.parametrize("block", [1, 250, 700])
     def test_edge_counts(self, monkeypatch, block):
@@ -263,10 +342,13 @@ class TestSingularCovariance:
 
 class TestPanel:
     def test_panel_sums_to_terminal(self):
-        spec = two_state()
-        batch = simulate_discrete(spec, 32, 200, 21, keep_panel=True)
-        np.testing.assert_allclose(batch.increment_panel.sum(axis=1),
-                                   batch.terminal_Y[:, 0], atol=1e-10)
+        # two routes to the law of Y_n: per-step increments and sufficient
+        # statistics
+        spec = fixtures.skewed_mixture()
+        sums = increment_panel(spec, 32, 20000, 21).sum(axis=1)
+        _, p = ks_2samp(sums, simulate_discrete(spec, 32, 20000, 21)
+                        .terminal_Y[:, 0])
+        assert p > 1e-3
 
     def test_iid_lag_correlations_vanish(self):
         panel = increment_panel(iid_rademacher(), 6, 50000, 2)
@@ -332,12 +414,50 @@ class TestSkeletonConsistency:
         skeleton = ct_sample_skeleton(ct)
         n, paths = 16, 20000
         a = simulate_ct(ct, float(n), paths, 100)
-        b = simulate_discrete(skeleton, n, paths, 200)
-        _, p = ks_2samp(a.terminal_Y[:, 0], b.terminal_Y[:, 0])
+        b = increment_panel(skeleton, n, paths, 200)
+        _, p = ks_2samp(a.terminal_Y[:, 0], b.sum(axis=1))
         assert p > 1e-3
 
     def test_skeleton_delegates_to_ct(self):
         skeleton = ct_sample_skeleton(ct_two_state())
-        batch = simulate_discrete(skeleton, 8, 100, 5)
-        ref = simulate_ct(ct_two_state(), 8.0, 100, 5)
-        assert np.array_equal(batch.terminal_Y, ref.terminal_Y)
+        panel = increment_panel(skeleton, 8, 100, 5)
+        ref = simulate_ct(ct_two_state(), 8.0, 100, 5, record_steps=True)
+        assert np.array_equal(panel, ref.increment_panel)
+        with pytest.raises(ValueError, match="not directly sampleable"):
+            simulate_discrete(skeleton, 8, 100, 5)
+
+
+class TestLaw:
+    """The law of simulated Y_n against exact laws and moments."""
+
+    PATHS = 20000
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_iid_rademacher_binomial(self, n):
+        y = simulate_discrete(iid_rademacher(), n, self.PATHS, 3).terminal_Y
+        support = np.arange(-n, n + 1, 2)
+        ecdf = np.searchsorted(np.sort(y[:, 0]), support, side="right")
+        exact = binom.cdf((support + n) // 2, n, 0.5)
+        assert np.max(np.abs(ecdf / self.PATHS - exact)) <= ecdf_se(self.PATHS)
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_skewed_mixture_exact_cdf(self, n):
+        y = simulate_discrete(fixtures.skewed_mixture(), n, self.PATHS,
+                              4).terminal_Y[:, 0]
+        dist = kolmogorov_distance(y, lambda a: skewed_mixture_exact_cdf(a, n))
+        assert dist <= ecdf_se(self.PATHS)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_moments(self, seed, d):
+        spec, n = random_mixed_spec(seed, d), 12
+        Y = simulate_discrete(spec, n, self.PATHS, 5).terminal_Y
+        for w in np.vstack([np.eye(d), np.ones((1, d))])[:2 * d - 1]:
+            flat = projected_spec(spec, w)
+            m1, m2, m3, m4 = (exact_moments(flat, n, k) for k in range(1, 5))
+            var = m2 - m1 ** 2
+            mu4 = m4 - 4 * m1 * m3 + 6 * m1 ** 2 * m2 - 3 * m1 ** 4
+            y = Y @ w
+            assert abs(y.mean() - m1) <= 5 * np.sqrt(var / self.PATHS)
+            assert (abs(y.var() - var)
+                    <= 5 * np.sqrt((mu4 - var ** 2) / self.PATHS))
