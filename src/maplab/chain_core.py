@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.csgraph as csgraph
 
 from .errors import NonIrreducible, NotStochastic, ZeroMassState
 
@@ -19,16 +18,28 @@ STATIONARY_TOL = 1e-10
 
 
 def _closed_classes(P: np.ndarray) -> list[np.ndarray]:
-    """Return the closed (recurrent) communicating classes of a support graph."""
-    support = (P > 0).astype(np.int8)
-    n_comp, labels = csgraph.connected_components(support, directed=True,
-                                                  connection="strong")
+    """Return the closed (recurrent) communicating classes of a support graph.
+
+    R, the reflexive transitive closure of the support, comes from repeated
+    boolean squaring until it stops growing (about log2 S products). A state
+    lies in a closed class when every state it reaches reaches it back, and
+    its class is then its row of R. Each product costs O(S^3): several times
+    faster than a strongly-connected-components search at S <= 32, about ten
+    times slower on a 500-state ring (31 ms against 3 ms on a 2-CPU Xeon).
+    """
+    R = (P > 0) | np.eye(P.shape[0], dtype=bool)
+    while True:
+        Rf = R.astype(float)
+        grown = (Rf @ Rf) > 0
+        if (grown == R).all():
+            break
+        R = grown
+    todo = ~(R & ~R.T).any(axis=1)
     closed = []
-    for c in range(n_comp):
-        members = np.flatnonzero(labels == c)
-        leaves = support[np.ix_(members, np.setdiff1d(np.arange(P.shape[0]), members))]
-        if leaves.size == 0 or not leaves.any():
-            closed.append(members)
+    while todo.any():
+        members = np.flatnonzero(R[np.argmax(todo)])
+        closed.append(members)
+        todo[members] = False
     return closed
 
 

@@ -12,13 +12,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .chain_core import l2_operator_norm
 from .errors import BranchCollision, SingularResolvent
 from .map_model import CtMapSpec, branch_derivatives
 
 SEPARATION_MIN = 1e-6
+
+
+def _expm(A):
+    """scipy.linalg.expm, imported on first use and looked up at each call
+    (so a patched scipy.linalg.expm sees every call)."""
+    import scipy.linalg
+    return scipy.linalg.expm(A)
 
 
 @dataclass(frozen=True)
@@ -39,7 +45,7 @@ def _fourier_matrix(spec, zeta) -> np.ndarray:
     """
     if isinstance(spec, CtMapSpec):
         z = np.asarray(zeta, dtype=float).reshape(-1)
-        return scipy.linalg.expm(spec.fourier_generator(z))
+        return _expm(spec.fourier_generator(z))
     Z = np.asarray(zeta, dtype=float).reshape(-1, spec.d)
     S, tab = spec.n_states, spec.edge_table
     M = np.zeros((len(Z), S, S), dtype=complex)
@@ -58,7 +64,7 @@ def build_fourier(spec, zeta, t=1) -> FourierOperator:
     zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
     if isinstance(spec, CtMapSpec):
         z = float(zeta[0])
-        M = scipy.linalg.expm(float(t) * spec.fourier_generator(z))
+        M = _expm(float(t) * spec.fourier_generator(z))
         return FourierOperator(zeta=zeta, t=float(t), M=M)
     if int(t) != t or t < 0:
         raise ValueError("discrete time must be a nonnegative integer")

@@ -9,6 +9,7 @@ extrapolated numerical differentiation of its characteristic function.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,21 +151,30 @@ class IncrementLaw:
         return self.kind in ("gaussian", "cf")
 
     def shifted(self, delta: np.ndarray) -> "IncrementLaw":
-        """Law of Z + delta (used for centering)."""
+        """Law of Z + delta (used for centering).
+
+        A shift keeps the covariance and the atom probabilities, so the copy
+        skips the validation in __post_init__.
+        """
         delta = np.atleast_1d(np.asarray(delta, dtype=float))
-        if self.kind == "deterministic":
-            return IncrementLaw("deterministic", d=self.d, value=self.value + delta)
-        if self.kind == "gaussian":
-            return IncrementLaw("gaussian", d=self.d, mean_vec=self.mean_vec + delta,
-                                cov=self.cov)
+        if self.kind == "cf":
+            base = self.cf_callable
+            return IncrementLaw(
+                "cf", d=self.d,
+                cf_callable=lambda zeta, _b=base, _s=delta:
+                    _b(zeta) * np.exp(1j * np.atleast_1d(zeta) @ _s))
+        law = copy.copy(self)
         if self.kind == "mixture":
-            return IncrementLaw("mixture", d=self.d,
-                                atoms=tuple((p, v + delta) for p, v in self.atoms))
-        base = self.cf_callable
-        return IncrementLaw(
-            "cf", d=self.d,
-            cf_callable=lambda zeta, _b=base, _s=delta:
-                _b(zeta) * np.exp(1j * np.atleast_1d(zeta) @ _s))
+            atoms = tuple((p, v + delta) for p, v in self.atoms)
+            for _, v in atoms:
+                v.setflags(write=False)
+            object.__setattr__(law, "atoms", atoms)
+        else:
+            name = "value" if self.kind == "deterministic" else "mean_vec"
+            moved = getattr(self, name) + delta
+            moved.setflags(write=False)
+            object.__setattr__(law, name, moved)
+        return law
 
 
 def deterministic(value) -> IncrementLaw:

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .chain_core import spectral_gap_report
 from .errors import DegenerateVariance, LatticeSpec, NotCentered
@@ -30,7 +29,10 @@ def ecdf_se(n_samples: int, delta: float = DKW_DELTA) -> float:
     return float(np.sqrt(np.log(2.0 / delta) / (2.0 * n_samples)))
 
 
-_phi = ndtr
+def _phi(a):
+    """Standard normal CDF (scipy.special.ndtr, imported on first use)."""
+    from scipy.special import ndtr
+    return ndtr(a)
 
 
 def _eta(a):

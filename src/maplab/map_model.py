@@ -17,7 +17,6 @@ from functools import cached_property
 from math import comb
 
 import numpy as np
-import scipy.linalg
 
 from .chain_core import StochasticKernel, l2_operator_norm, solve_stationary
 from .errors import (GapAbsent, MomentUndefined, NotCentered, NotScalar,
@@ -25,6 +24,13 @@ from .errors import (GapAbsent, MomentUndefined, NotCentered, NotScalar,
 from .increments import IncrementLaw, from_cf
 
 CENTER_TOL = 1e-12
+
+
+def _expm(A):
+    """scipy.linalg.expm, imported on first use and looked up at each call
+    (so a patched scipy.linalg.expm sees every call)."""
+    import scipy.linalg
+    return scipy.linalg.expm(A)
 
 
 def _content_hash(spec) -> str:
@@ -478,13 +484,13 @@ def ct_sample_skeleton(ct: CtMapSpec) -> MapSpec:
     their exact characteristic functions extracted from the Feynman-Kac
     matrix exp(G + i zeta diag(xi)).
     """
-    P = scipy.linalg.expm(ct.generator)
+    P = _expm(ct.generator)
     P = np.clip(P, 0.0, None)
     P /= P.sum(axis=1, keepdims=True)
     kernel = StochasticKernel(states=tuple(range(ct.n_states)), P=P)
 
     def edge_cf(i, j):
-        return lambda zeta: scipy.linalg.expm(ct.fourier_generator(
+        return lambda zeta: _expm(ct.fourier_generator(
             float(np.atleast_1d(zeta)[0])))[i, j] / P[i, j]
 
     increments = {(i, j): from_cf(edge_cf(i, j), d=1)

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .chain_core import StochasticKernel, l2_operator_norm
 from .errors import (ConditionViolated, DegenerateVariance, NoInteriorRoot)
@@ -126,6 +125,8 @@ def build_problem(family: ContrastFamily, kernels: dict,
 
     Raises ConditionViolated naming the first failed condition and theta.
     """
+    from scipy.optimize import brentq
+
     rng = np.random.default_rng(seed)
     lo, hi = family.alpha_domain
     pad = 1e-6 * (hi - lo)

@@ -18,10 +18,15 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import UnsupportedInitial
 from .map_model import CtMapSpec, MapSpec
+
+
+def _ndtri(u):
+    """Standard normal quantile (scipy.special.ndtri, imported on first use)."""
+    from scipy.special import ndtri
+    return ndtri(u)
 
 
 def spec_content_hash(spec) -> str:
@@ -210,7 +215,7 @@ def simulate_discrete(spec: MapSpec, n: int, n_paths: int, seed: int,
         X = states[-1]
     if V is not None:
         F = np.sqrt(V) if d == 1 else _cov_factors(V)
-        Y += np.einsum("pab,pb->pa", F, ndtri(rng.random((n_paths, d))))
+        Y += np.einsum("pab,pb->pa", F, _ndtri(rng.random((n_paths, d))))
     return TrajectoryBatch(spec_id=spec_id, horizon=n, n_paths=n_paths,
                            seed=seed, terminal_Y=Y,
                            terminal_X=X if keep_states else None)
@@ -313,7 +318,7 @@ def increment_panel(spec: MapSpec, n: int, n_paths: int, seed: int) -> np.ndarra
         atom = _edge_atoms(spec, first, cum, states, u)
         inc = mean[atom, 0]
         g = gauss[atom]
-        inc[g] += np.einsum("pab,pb->pa", chol[atom[g]], ndtri(u[g]))[:, 0]
+        inc[g] += np.einsum("pab,pb->pa", chol[atom[g]], _ndtri(u[g]))[:, 0]
         panel[k:k + len(inc)] = inc
         k += len(inc)
     return panel.T

@@ -29,6 +29,32 @@ def random_kernel(rng, n_states):
     return P / P.sum(axis=1, keepdims=True)
 
 
+def closed_classes_dfs(successors):
+    """Closed communicating classes of a graph, by plain depth-first search.
+
+    Test oracle for chain_core._closed_classes. successors[x] lists the
+    states x can step to. reach(x) is every state a DFS from x visits; x's
+    class is the part of reach(x) that reaches x back, and the class is
+    closed when it is all of reach(x). Returns sorted tuples, in order.
+    """
+    def reach(x):
+        seen, stack = {x}, [x]
+        while stack:
+            for y in successors[stack.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        return seen
+
+    reached = [reach(x) for x in range(len(successors))]
+    closed = set()
+    for x, r in enumerate(reached):
+        members = {y for y in r if x in reached[y]}
+        if members == r:
+            closed.add(tuple(sorted(members)))
+    return sorted(closed)
+
+
 def random_mixed_spec(seed, d=None):
     """Random spec whose edges mix deterministic, Gaussian and mixture laws.
 

@@ -1,15 +1,61 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from maplab.chain_core import (StochasticKernel, check_reversible,
+from maplab.chain_core import (StochasticKernel, _closed_classes,
+                               check_reversible,
                                interpolation_bound, l2_operator_norm,
                                solve_stationary, spectral_gap_report)
 from maplab.errors import NonIrreducible, NotStochastic, ZeroMassState
 from maplab.fixtures import TWO_STATE_P
 
-from conftest import random_kernel
+from conftest import closed_classes_dfs, random_kernel
+
+
+@st.composite
+def sparse_supports(draw):
+    """Successor lists of a random sparse graph on S <= 8 states.
+
+    Each state gets one to three successors, so absorbing states, transient
+    states, several closed classes and periodic cycles all occur.
+    """
+    S = draw(st.integers(1, 8))
+    return [sorted(set(draw(st.lists(st.integers(0, S - 1), min_size=1,
+                                     max_size=3))))
+            for _ in range(S)]
+
+
+def _kernel_on(successors, weights):
+    """Row-stochastic matrix with the given support and positive weights."""
+    S = len(successors)
+    P = np.zeros((S, S))
+    for x, ys in enumerate(successors):
+        P[x, ys] = weights[x * S:x * S + len(ys)]
+    return P / P.sum(axis=1, keepdims=True)
+
+
+class TestClosedClasses:
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_supports(), st.lists(st.integers(1, 9), min_size=64,
+                                       max_size=64))
+    @example([[0], [1], [2]], [1] * 64)                 # identity: 3 classes
+    @example([[1], [2], [0]], [1] * 64)                 # period-3 cycle
+    @example([[0, 1], [1], [1, 2], [3, 0]], [1] * 64)   # absorbing + transient
+    @example([[1], [0], [3], [2], [0, 2]], [1] * 64)    # two periodic classes
+    def test_matches_dfs_oracle(self, successors, weights):
+        P = _kernel_on(successors, weights)
+        expected = closed_classes_dfs(successors)
+        assert [tuple(c) for c in _closed_classes(P)] == expected
+        if len(expected) == 1:
+            pi = solve_stationary(P)
+            assert tuple(np.flatnonzero(pi > 0)) == expected[0]
+            np.testing.assert_allclose(pi @ P, pi, atol=1e-10)
+        else:
+            with pytest.raises(NonIrreducible,
+                               match=f"^{len(expected)} closed classes "
+                                     "detected$"):
+                solve_stationary(P)
 
 
 class TestSolveStationary:

@@ -98,6 +98,24 @@ class TestStackedFourier:
             np.testing.assert_allclose(M, scipy.linalg.expm(A),
                                        rtol=0, atol=1e-13)
 
+    def test_ct_looks_up_expm_at_call_time(self, ct_two_state, monkeypatch):
+        # a patched scipy.linalg.expm must see every CT call (the tracer
+        # counts expm calls this way)
+        import scipy.linalg
+        calls = []
+
+        def counting(A):
+            calls.append(np.shape(A))
+            return expm(A)
+
+        expm = scipy.linalg.expm
+        monkeypatch.setattr(scipy.linalg, "expm", counting)
+        zetas = np.array([0.0, 0.5, 1.0])
+        stack = _fourier_matrix(ct_two_state, zetas)
+        assert calls == [(3, 2, 2)]
+        np.testing.assert_array_equal(
+            stack, expm(ct_two_state.fourier_generator(zetas)))
+
     def test_cf_laws_use_their_callable(self):
         from maplab.map_model import ct_sample_skeleton
         skeleton = ct_sample_skeleton(ct_two_state())

@@ -10,6 +10,8 @@ from maplab.io import (FormatError, ct_spec_from_dict, ct_spec_to_dict,
                        map_spec_from_dict, map_spec_to_dict, write_csv,
                        write_report, write_samples)
 
+from conftest import random_mixed_spec
+
 
 class TestKernelFormat:
     def test_round_trip(self, two_state):
@@ -111,6 +113,35 @@ class TestLoadSpec:
         assert isinstance(load_spec(str(p1)), MapSpec)
         assert isinstance(load_spec(str(p2)), CtMapSpec)
         assert isinstance(load_spec(str(p3)), StochasticKernel)
+
+    def test_centered_file_builds_each_law_once(self, tmp_path, monkeypatch):
+        # centering shifts the validated laws; it does not rebuild them
+        from maplab.increments import IncrementLaw
+        from maplab.map_model import exact_mean
+        spec = random_mixed_spec(0, d=1)
+        assert {law.kind for law in spec.increments.values()} == {
+            "deterministic", "gaussian", "mixture"}
+        doc = map_spec_to_dict(spec)
+        doc["centered"] = True
+        path = tmp_path / "centered.json"
+        path.write_text(json.dumps(doc))
+        calls = []
+        real = IncrementLaw.__post_init__
+        monkeypatch.setattr(IncrementLaw, "__post_init__",
+                            lambda law: calls.append(1) or real(law))
+        loaded = load_spec(str(path))
+        assert len(calls) == len(spec.increments)
+        m = exact_mean(spec)
+        assert abs(m[0]) > 1e-3 and abs(exact_mean(loaded)[0]) < 1e-12
+        for e, law in loaded.increments.items():
+            assert law.kind == spec.increments[e].kind
+            np.testing.assert_allclose(law.mean(),
+                                       spec.increments[e].mean() - m,
+                                       rtol=0, atol=1e-14)
+            arrays = ([v for _, v in law.atoms] if law.kind == "mixture"
+                      else [law.value if law.kind == "deterministic"
+                            else law.mean_vec])
+            assert not any(a.flags.writeable for a in arrays)
 
     def test_garbage_rejected(self, tmp_path):
         p = tmp_path / "bad.json"
