@@ -84,13 +84,22 @@ def _sigma_for(spec) -> float:
     return float(np.sqrt(sig2))
 
 
+def _terminal_Y(spec: MapSpec, n_list, paths: int, seed: int, mu=None):
+    """{n: Y_n} for every n in n_list, from one chain per path run to the
+    largest n and read at each distinct n on the way."""
+    horizons = sorted({int(n) for n in n_list})
+    batches = simulate_discrete(spec, horizons[-1], paths, seed, mu=mu,
+                                at=horizons)
+    return {b.horizon: b.terminal_Y[:, 0] for b in batches}
+
+
 def clt_check(spec: MapSpec, n_list, paths: int, seed: int):
     """Kolmogorov distance of Y_n/(sigma sqrt n) to N(0,1) along n_list."""
     sigma = _sigma_for(spec)
+    Y = _terminal_Y(spec, n_list, paths, seed)
     records = []
-    for k, n in enumerate(n_list):
-        batch = simulate_discrete(spec, int(n), paths, seed + k)
-        z = batch.terminal_Y[:, 0] / (sigma * np.sqrt(n))
+    for n in n_list:
+        z = Y[int(n)] / (sigma * np.sqrt(n))
         kol = kolmogorov_distance(z)
         records.append(GaussianComparison(
             n=n, n_samples=paths, sigma_used=sigma, kolmogorov=kol,
@@ -162,10 +171,10 @@ def edgeworth_check(spec: MapSpec, n_list, paths: int, seed: int, mu=None,
     sigma = _sigma_for(spec)
     mu3 = third_cumulant_rate(spec)
     b_mu = 0.0 if mu is None else asymptotic_bias(spec, mu)
+    Y = _terminal_Y(spec, n_list, paths, seed, mu)
     records = []
-    for k, n in enumerate(n_list):
-        batch = simulate_discrete(spec, int(n), paths, seed + k, mu=mu)
-        z = batch.terminal_Y[:, 0] / (sigma * np.sqrt(n))
+    for n in n_list:
+        z = Y[int(n)] / (sigma * np.sqrt(n))
         kol = kolmogorov_distance(z)
         if mu3 == 0.0 and b_mu == 0.0:
             resid = kol
@@ -213,10 +222,10 @@ def llt_check(spec: MapSpec, n_list, paths: int, seed: int, bumps=None,
     sigma = _sigma_for(spec)
     if bumps is None:
         bumps = [triangular_bump(0.0, 1.0)]
+    Y = _terminal_Y(spec, n_list, paths, seed)
     records = []
-    for k, n in enumerate(n_list):
-        batch = simulate_discrete(spec, int(n), paths, seed + k)
-        y = batch.terminal_Y[:, 0]
+    for n in n_list:
+        y = Y[int(n)]
         scale = sigma * np.sqrt(2.0 * np.pi * n)
         for g in bumps:
             vals = scale * g(y)

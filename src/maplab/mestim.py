@@ -17,7 +17,7 @@ from .errors import (ConditionViolated, DegenerateVariance, NoInteriorRoot)
 from .increments import deterministic
 from .limit_checks import ecdf_se, kolmogorov_distance
 from .map_model import MapSpec, exact_moments, variance_series
-from .montecarlo import _chain_steps, _initial_states, _philox
+from .montecarlo import _chain_steps, _horizons, _initial_states, _philox
 
 FOC_TOL = 1e-10
 
@@ -27,7 +27,8 @@ class ContrastFamily:
     """Twice-differentiable contrast F(alpha, x, y) with supplied derivatives.
 
     F, F1, F2 take (alpha, i, j) with alpha numpy-broadcastable and i, j
-    state indices; W(i) is the Lipschitz witness for the second derivative.
+    state indices, or arrays of them that broadcast against alpha; W(i) is
+    the Lipschitz witness for the second derivative.
     """
 
     name: str
@@ -99,23 +100,46 @@ class MEstimationProblem:
         return sorted(self.kernels)
 
 
+def _edge_value_table(func, alpha, S):
+    """(len(alpha), S*S) table of func at every alpha and flat edge i*S + j,
+    from one broadcast call (func may return shape (len(alpha), 1))."""
+    alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
+    i, j = divmod(np.arange(S * S), S)
+    return np.broadcast_to(func(alpha[:, None], i, j), (len(alpha), S * S))
+
+
 def _edge_expectation(kernel, func, alpha):
-    pi, P = kernel.pi, kernel.P
-    total = 0.0
-    for i in range(kernel.n_states):
-        for j in range(kernel.n_states):
-            if P[i, j] > 0:
-                total += pi[i] * P[i, j] * func(alpha, i, j)
-    return total
+    """E_pi[func(alpha, X_0, X_1)], for a scalar or a vector alpha.
+
+    The terms pi_i P_ij func(alpha, i, j) over the edges P_ij > 0 are summed
+    in row-major edge order (cumsum is sequential), as an edge loop would.
+    """
+    edges = np.flatnonzero(kernel.P.ravel() > 0)
+    w = (kernel.pi[:, None] * kernel.P).ravel()[edges]
+    terms = w * _edge_value_table(func, alpha, kernel.n_states)[:, edges]
+    total = np.cumsum(terms, axis=1)[:, -1]
+    return total if np.ndim(alpha) else total[0]
 
 
 def _f_map_spec(kernel, func, alpha, offset=0.0) -> MapSpec:
-    incs = {}
-    for i in range(kernel.n_states):
-        for j in range(kernel.n_states):
-            if kernel.P[i, j] > 0:
-                incs[(i, j)] = deterministic([float(func(alpha, i, j)) - offset])
+    S = kernel.n_states
+    vals = _edge_value_table(func, alpha, S)[0]
+    incs = {divmod(int(e), S): deterministic([float(vals[e]) - offset])
+            for e in np.flatnonzero(kernel.P.ravel() > 0)}
     return MapSpec(kernel=kernel, increments=incs, d=1, centered=False)
+
+
+def _bisect(f, lo, hi, xtol=1e-14):
+    """A root of f in the sign-change bracket [lo, hi], to within xtol or
+    to adjacent floats, whichever is wider."""
+    side = np.sign(f(lo))
+    while hi - lo > xtol and lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if np.sign(f(mid)) == side:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def build_problem(family: ContrastFamily, kernels: dict,
@@ -125,8 +149,6 @@ def build_problem(family: ContrastFamily, kernels: dict,
 
     Raises ConditionViolated naming the first failed condition and theta.
     """
-    from scipy.optimize import brentq
-
     rng = np.random.default_rng(seed)
     lo, hi = family.alpha_domain
     pad = 1e-6 * (hi - lo)
@@ -156,9 +178,8 @@ def build_problem(family: ContrastFamily, kernels: dict,
         if len(crossings) > 1:
             raise ConditionViolated("V1", theta=theta,
                                     detail=f"{len(crossings)} roots of E[F1]")
-        k = crossings[0]
-        a0 = brentq(lambda a: _edge_expectation(kernel, family.F1, a),
-                    grid[k], grid[k + 1], xtol=1e-14)
+        a0 = _bisect(lambda a: _edge_expectation(kernel, family.F1, a),
+                     grid[crossings[0]], grid[crossings[0] + 1])
         for _ in range(3):  # Newton polish
             f1 = _edge_expectation(kernel, family.F1, a0)
             f2 = _edge_expectation(kernel, family.F2, a0)
@@ -207,30 +228,31 @@ def build_problem(family: ContrastFamily, kernels: dict,
 # -- path simulation via edge counts --------------------------------------
 
 def simulate_edge_counts(kernel: StochasticKernel, n: int, reps: int,
-                         seed: int, mu=None) -> np.ndarray:
+                         seed: int, mu=None, at=None) -> np.ndarray:
     """Transition-pair counts over n steps for reps paths, shape (reps, S, S).
 
-    The stream is keyed by the kernel's bytes and the seed.
+    The stream is keyed by the kernel's bytes and the seed. With at, a
+    strictly increasing list of horizons ending at n, one chain per path runs
+    to n and the counts at every horizon come back, shape (len(at), reps, S,
+    S); the counts at n are those of the call without at.
     """
+    horizons = _horizons(n, at)
     rng = _philox(kernel.P.tobytes() + seed.to_bytes(8, "little", signed=True))
     S = kernel.n_states
-    counts = np.zeros(reps * S * S, dtype=np.int64)
+    counts = np.zeros((len(horizons), reps * S * S), dtype=np.int64)
     base = np.arange(reps) * (S * S)
     X = _initial_states(kernel, mu, reps, rng)
-    for states, _ in _chain_steps(kernel.P, X, n, rng):
-        edges = base + states[:-1] * S + states[1:]
-        np.add.at(counts, edges.T.ravel(), 1)   # path-major: ascending
-    return counts.reshape(reps, S, S)
-
-
-def _edge_value_table(family_func, alpha, S):
-    """(len(alpha), S, S) table of F-values for a vector of alphas."""
-    alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-    out = np.empty((len(alpha), S, S))
-    for i in range(S):
-        for j in range(S):
-            out[:, i, j] = family_func(alpha, i, j)
-    return out
+    done = 0
+    for k, h in enumerate(horizons):
+        if k:
+            counts[k] = counts[k - 1]
+        for states, _ in _chain_steps(kernel.P, X, h - done, rng):
+            edges = base + states[:-1] * S + states[1:]
+            np.add.at(counts[k], edges.T.ravel(), 1)   # path-major: ascending
+            X = states[-1]
+        done = h
+    counts = counts.reshape(len(horizons), reps, S, S)
+    return counts if at is not None else counts[0]
 
 
 def _newton_on_counts(family, counts, alpha_init, domain, max_iter=60):
@@ -245,16 +267,16 @@ def _newton_on_counts(family, counts, alpha_init, domain, max_iter=60):
     alpha = np.full(reps, float(alpha_init))
     lo, hi = domain
     for _ in range(max_iter):
-        f1 = _edge_value_table(family.F1, alpha, S).reshape(reps, S * S)
+        f1 = _edge_value_table(family.F1, alpha, S)
         val = np.einsum("re,re->r", flat, f1) / n
-        f2 = _edge_value_table(family.F2, alpha, S).reshape(reps, S * S)
+        f2 = _edge_value_table(family.F2, alpha, S)
         der = np.einsum("re,re->r", flat, f2) / n
         bad = np.abs(der) < 1e-14
         step = np.where(bad, 0.0, val / np.where(bad, 1.0, der))
         alpha = np.clip(alpha - step, lo + 1e-12, hi - 1e-12)
         if np.max(np.abs(val)) <= FOC_TOL:
             break
-    f1 = _edge_value_table(family.F1, alpha, S).reshape(reps, S * S)
+    f1 = _edge_value_table(family.F1, alpha, S)
     resid = np.abs(np.einsum("re,re->r", flat, f1) / n)
     return alpha, resid, resid <= FOC_TOL
 
@@ -278,15 +300,11 @@ def estimate(problem: MEstimationProblem, theta, n: int, seed: int) -> Estimator
     lo, hi = family.alpha_domain
     # coarse global scan of M_n to seed Newton at the global minimizer
     scan = np.linspace(lo + 1e-6, hi - 1e-6, 64)
+    flat = counts.reshape(-1).astype(float)
     f_tab = _edge_value_table(family.F, scan, kernel.n_states)
-    m_vals = np.einsum("ae,e->a", f_tab.reshape(len(scan), -1),
-                       counts.reshape(-1).astype(float)) / n
-    f1_lo = float(np.einsum("e,e->", _edge_value_table(
-        family.F1, scan[0], kernel.n_states).reshape(-1),
-        counts.reshape(-1).astype(float))) / n
-    f1_hi = float(np.einsum("e,e->", _edge_value_table(
-        family.F1, scan[-1], kernel.n_states).reshape(-1),
-        counts.reshape(-1).astype(float))) / n
+    m_vals = np.einsum("ae,e->a", f_tab, flat) / n
+    f1_lo, f1_hi = np.einsum("ae,e->a", _edge_value_table(
+        family.F1, scan[[0, -1]], kernel.n_states), flat) / n
     if f1_lo * f1_hi > 0:
         raise NoInteriorRoot(
             f"M_n^(1) has no sign change in ({lo:g}, {hi:g})")
@@ -322,24 +340,27 @@ def estimator_be_check(problem: MEstimationProblem, n_list, reps: int,
     nonincreasing.
     """
     family = problem.family
+    horizons = sorted({int(n) for n in n_list})
     records = []
     for theta in problem.thetas:
         kernel = problem.kernels[theta]
         a0, tau = problem.alpha0[theta], problem.tau[theta]
-        for k, n in enumerate(n_list):
-            n = int(n)
-            counts = simulate_edge_counts(kernel, n, reps,
-                                          seed + 1000 * k + hash(theta) % 997)
+        # one chain per path read at every horizon; the stream is keyed by
+        # the kernel's bytes, so each theta has its own
+        record_at = {}
+        for n, counts in zip(horizons, simulate_edge_counts(
+                kernel, horizons[-1], reps, seed, at=horizons)):
             alpha, resid, ok = _newton_on_counts(family, counts, a0,
                                                  family.alpha_domain)
             gamma_hat = float(np.mean(np.abs(alpha - a0) >= problem.d_ball))
             keep = ok & (np.abs(alpha - a0) < problem.d_ball)
             z = np.sqrt(n) * (alpha[keep] - a0) / tau
             kol = kolmogorov_distance(z)
-            records.append(EstimatorBeRecord(
+            record_at[n] = EstimatorBeRecord(
                 theta=theta, n=n, reps=reps, kolmogorov=kol,
                 sqrt_n_kolmogorov=float(np.sqrt(n) * kol),
-                gamma_hat=gamma_hat, excluded=int((~ok).sum())))
+                gamma_hat=gamma_hat, excluded=int((~ok).sum()))
+        records.extend(record_at[int(n)] for n in n_list)
 
     by_n = {}
     gamma_by_n = {}

@@ -3,13 +3,15 @@
 Every call draws from one counter-based Philox stream keyed by a sha256
 payload (spec hash and seed; mestim's edge counts use kernel bytes and seed)
 in a fixed step-major order, so batches are a pure function of (spec,
-horizon, n_paths, seed). Discrete time has one stepping kernel, shared with
+horizons, n_paths, seed). Discrete time has one stepping kernel, shared with
 mestim.simulate_edge_counts and increment_panel: per step only the move
 search runs, by a binary search over flat CDF tables, and the kernel yields
-whole blocks of states, so all other work is done once per block. Given the
-path, Y_n is the sum of the edge atoms' means plus one Gaussian with their
-summed covariance, which simulate_discrete draws once per path after the
-last step; increment_panel alone draws per-step increments.
+whole blocks of states, so all other work is done once per block. One chain
+per path serves a whole list of horizons: it runs to the largest one and is
+read at each on the way. Given the path, Y_n is the sum of the edge atoms'
+means plus one Gaussian with their summed covariance, which
+simulate_discrete draws once per path and segment between horizons, after
+the segment's last step; increment_panel alone draws per-step increments.
 """
 
 from __future__ import annotations
@@ -78,6 +80,18 @@ def _initial_states(spec, mu, n_paths, rng):
     cum = np.cumsum(probs)
     u = rng.random(n_paths)
     return np.searchsorted(cum, u, side="right").clip(0, len(pi) - 1)
+
+
+def _horizons(n, at):
+    """[n], or at checked to be a strictly increasing list of horizons from
+    0 or more up to n."""
+    if at is None:
+        return [n]
+    at = [int(h) for h in at]
+    if (not at or at[0] < 0 or at[-1] != n
+            or any(b <= a for a, b in zip(at, at[1:]))):
+        raise ValueError(f"horizons {at} must increase strictly up to n = {n}")
+    return at
 
 
 _BLOCK = 1 << 16        # doubles per block of steps: ~1 MB of temporaries
@@ -189,7 +203,7 @@ def _edge_atoms(spec, first, cum, states, u):
 
 
 def simulate_discrete(spec: MapSpec, n: int, n_paths: int, seed: int,
-                      mu=None, keep_states: bool = False) -> TrajectoryBatch:
+                      mu=None, keep_states: bool = False, at=None):
     """Simulate Y_n of the MAP for n_paths paths from sufficient statistics.
 
     X_0 ~ pi (or mu) and the chain moves through _chain_steps, with one
@@ -199,26 +213,40 @@ def simulate_discrete(spec: MapSpec, n: int, n_paths: int, seed: int,
     atom covariance V: after the last step, Y += F(V) ndtri(u) with F(V) =
     sqrt(V) for d = 1 and _cov_factors(V) otherwise, drawn only when a
     Gaussian atom exists.
+
+    With at, a strictly increasing list of horizons ending at n, one chain
+    per path runs to n and one batch per horizon is returned. Each segment
+    between horizons draws its own Gaussian from its own summed covariance
+    after its last step, so Y_h2 - Y_h1 is independent of Y_h1 given the
+    path. Without at, the one batch at n is returned: the one-segment case,
+    on the same stream as at=[n].
     """
+    horizons = _horizons(n, at)
     spec_id = spec_content_hash(spec)
     rng = _philox(f"{spec_id}:{seed}".encode())
     d = spec.d
     first, cum, mean, cov, gauss = _atom_lookup(spec)
     X = _initial_states(spec, mu, n_paths, rng)
     Y = np.zeros((n_paths, d))
-    V = np.zeros((n_paths, d, d)) if gauss.any() else None
-    for states, u in _chain_steps(spec.P, X, n, rng, int(cum[1] > 1)):
-        atom = _edge_atoms(spec, first, cum, states, u)
-        Y += mean.take(atom, axis=0).sum(axis=0)
+    batches, done = [], 0
+    for h in horizons:
+        V = np.zeros((n_paths, d, d)) if gauss.any() else None
+        for states, u in _chain_steps(spec.P, X, h - done, rng,
+                                      int(cum[1] > 1)):
+            atom = _edge_atoms(spec, first, cum, states, u)
+            Y += mean.take(atom, axis=0).sum(axis=0)
+            if V is not None:
+                V += cov.take(atom, axis=0).sum(axis=0)
+            X = states[-1]
         if V is not None:
-            V += cov.take(atom, axis=0).sum(axis=0)
-        X = states[-1]
-    if V is not None:
-        F = np.sqrt(V) if d == 1 else _cov_factors(V)
-        Y += np.einsum("pab,pb->pa", F, _ndtri(rng.random((n_paths, d))))
-    return TrajectoryBatch(spec_id=spec_id, horizon=n, n_paths=n_paths,
-                           seed=seed, terminal_Y=Y,
-                           terminal_X=X if keep_states else None)
+            F = np.sqrt(V) if d == 1 else _cov_factors(V)
+            Y += np.einsum("pab,pb->pa", F, _ndtri(rng.random((n_paths, d))))
+        batches.append(TrajectoryBatch(
+            spec_id=spec_id, horizon=h, n_paths=n_paths, seed=seed,
+            terminal_Y=Y.copy() if h < n else Y,
+            terminal_X=X if keep_states else None))
+        done = h
+    return batches if at is not None else batches[0]
 
 
 def simulate_ct(ct: CtMapSpec, t: float, n_paths: int, seed: int,

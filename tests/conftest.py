@@ -192,7 +192,12 @@ def stepwise_sufficient_simulate(spec, n, n_paths, seed, mu=None):
     chosen atom) and V the Gaussian covariance; when some law is Gaussian, one
     draw ndtri(u) per path after the last step adds F(V) ndtri(u), with F the
     Cholesky factor (the PSD root where that fails).
+
+    With n a list of increasing horizons, one chain runs to the last one and
+    a list of (Y, X) comes back, one per horizon; V restarts at 0 after each
+    horizon's draw, so each segment between horizons draws its own Gaussian.
     """
+    horizons = [n] if np.ndim(n) == 0 else list(n)
     rng = _philox(f"{spec_content_hash(spec)}:{seed}".encode())
     S, d = spec.n_states, spec.d
     laws = spec.increments
@@ -211,24 +216,29 @@ def stepwise_sufficient_simulate(spec, n, n_paths, seed, mu=None):
             mean[i, j] = law.value
     cumP = np.cumsum(spec.P, axis=1)
     cumP[:, -1] = 1.0
+    has_gauss = any(law.kind == "gaussian" for law in laws.values())
     X = _initial_states(spec.pi, mu, n_paths, rng)
     Y = np.zeros((n_paths, d))
-    V = np.zeros((n_paths, d, d))
-    for _ in range(n):
-        u = rng.random(n_paths * (1 + extra))
-        Xn = (u[:n_paths, None] >= cumP[X]).sum(axis=1)
-        Y += mean[X, Xn]
-        V += cov[X, Xn]
-        for p in range(n_paths):
-            if (X[p], Xn[p]) in atoms:
-                cum, values = atoms[X[p], Xn[p]]
-                a = int((u[n_paths + p] >= cum).sum()) if len(cum) else 0
-                Y[p] += values[a]
-        X = Xn
-    if any(law.kind == "gaussian" for law in laws.values()):
-        z = ndtri(rng.random((n_paths, d)))
-        Y += np.stack([_psd_root(v) @ zp for v, zp in zip(V, z)])
-    return Y, X
+    out, done = [], 0
+    for h in horizons:
+        V = np.zeros((n_paths, d, d))
+        for _ in range(h - done):
+            u = rng.random(n_paths * (1 + extra))
+            Xn = (u[:n_paths, None] >= cumP[X]).sum(axis=1)
+            Y += mean[X, Xn]
+            V += cov[X, Xn]
+            for p in range(n_paths):
+                if (X[p], Xn[p]) in atoms:
+                    cum, values = atoms[X[p], Xn[p]]
+                    a = int((u[n_paths + p] >= cum).sum()) if len(cum) else 0
+                    Y[p] += values[a]
+            X = Xn
+        if has_gauss:
+            z = ndtri(rng.random((n_paths, d)))
+            Y += np.stack([_psd_root(v) @ zp for v, zp in zip(V, z)])
+        out.append((Y.copy(), X))
+        done = h
+    return out[0] if np.ndim(n) == 0 else out
 
 
 def skewed_mixture_exact_cdf(y, n):
@@ -262,8 +272,11 @@ def stepwise_edge_counts(kernel, n, reps, seed, mu=None):
     """(reps, S, S) transition counts by an explicit step loop (test oracle).
 
     The stream is keyed by sha256(P bytes + seed) as mestim.simulate_edge_counts
-    keys it: X_0, then one move uniform per path per step.
+    keys it: X_0, then one move uniform per path per step. With n a list of
+    increasing horizons, one chain runs to the last one and the counts at
+    every horizon come back, shape (len(n), reps, S, S).
     """
+    horizons = [n] if np.ndim(n) == 0 else list(n)
     rng = _philox(kernel.P.tobytes() + seed.to_bytes(8, "little", signed=True))
     S = kernel.n_states
     cumP = np.cumsum(kernel.P, axis=1)
@@ -271,8 +284,12 @@ def stepwise_edge_counts(kernel, n, reps, seed, mu=None):
     X = _initial_states(kernel.pi, mu, reps, rng)
     counts = np.zeros((reps, S * S), dtype=np.int64)
     rows = np.arange(reps)
-    for _ in range(n):
-        Xn = (rng.random(reps)[:, None] >= cumP[X]).sum(axis=1)
-        np.add.at(counts, (rows, X * S + Xn), 1)
-        X = Xn
-    return counts.reshape(reps, S, S)
+    out, done = [], 0
+    for h in horizons:
+        for _ in range(h - done):
+            Xn = (rng.random(reps)[:, None] >= cumP[X]).sum(axis=1)
+            np.add.at(counts, (rows, X * S + Xn), 1)
+            X = Xn
+        out.append(counts.reshape(reps, S, S).copy())
+        done = h
+    return out[0] if np.ndim(n) == 0 else np.array(out)

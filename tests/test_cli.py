@@ -309,6 +309,39 @@ class TestParserReuse:
         assert [code for code, _ in fresh] == [0, 1, 2, 0, 2, 0, 0]
 
 
+class TestHorizonLists:
+    """An unsorted, repeated --n-list reads one chain per path: each record
+    is the one the sorted distinct list gives for its n, in the list's order,
+    and reruns give the same bytes."""
+
+    @pytest.mark.parametrize("cmd, source, size", [
+        ("verify-clt", ["--fixture", "two_state"], "--paths"),
+        ("verify-be", ["--fixture", "iid_rademacher"], "--paths"),
+        ("verify-edgeworth", ["--fixture", "skewed_mixture"], "--paths"),
+        ("verify-llt", ["--fixture", "gaussian_iid"], "--paths"),
+        ("mestimate", ["--fixture", "mean_contrast_problem"], "--reps"),
+    ])
+    def test_unsorted_and_repeated(self, tmp_path, cmd, source, size):
+        def records(n_list, name):
+            out = tmp_path / name
+            run([cmd, *source, "--n-list", n_list, size, "500", "--seed",
+                 "5", "--out", str(out)])
+            return out.read_bytes(), json.loads(out.read_text())["records"]
+
+        raw, messy = records("64,16,64", "messy.json")
+        again, _ = records("64,16,64", "again.json")
+        _, tidy = records("16,64", "tidy.json")
+        assert raw == again
+        assert [r["n"] for r in messy if r.get("theta", 1.0) == 1.0] == \
+            [64, 16, 64]
+        def key(r):
+            return r.get("theta"), r["n"], r.get("center")
+
+        by_key = {key(r): r for r in tidy}
+        assert len(messy) == 3 * len(tidy) // 2
+        assert all(by_key[key(r)] == r for r in messy)
+
+
 class TestReports:
     def test_verify_clt_report(self, tmp_path):
         out = tmp_path / "r.json"

@@ -187,6 +187,37 @@ class TestEdgeCountOracle:
             stepwise_edge_counts(kernel, 25, 200, 10 * case, mu=mu))
 
 
+class TestEdgeCountHorizons:
+    """Edge counts of one chain per path read at a list of horizons."""
+
+    HORIZONS = [5, 17, 40]
+
+    @pytest.mark.parametrize("case", range(6))
+    def test_against_single_calls_and_oracle(self, case):
+        rng = np.random.default_rng(case)
+        S = int(rng.integers(1, 7))
+        kernel = StochasticKernel(states=tuple(range(S)),
+                                  P=random_kernel(rng, S))
+        mu = rng.dirichlet(np.ones(S)) if case % 2 else None
+        hs, seed = self.HORIZONS, 10 * case - 7
+        counts = simulate_edge_counts(kernel, hs[-1], 200, seed, mu=mu, at=hs)
+        assert counts.shape == (len(hs), 200, S, S)
+        np.testing.assert_array_equal(
+            counts[0], simulate_edge_counts(kernel, hs[0], 200, seed, mu=mu))
+        np.testing.assert_array_equal(
+            counts[-1], simulate_edge_counts(kernel, hs[-1], 200, seed, mu=mu))
+        np.testing.assert_array_equal(
+            counts, stepwise_edge_counts(kernel, hs, 200, seed, mu=mu))
+        assert (np.diff(counts, axis=0) >= 0).all()
+        for h, c in zip(hs, counts):
+            np.testing.assert_array_equal(c.sum(axis=(1, 2)), h)
+
+    def test_rejects_unsorted(self, problem):
+        with pytest.raises(ValueError, match="increase strictly"):
+            simulate_edge_counts(problem.kernels[1.0], 40, 10, 0,
+                                 at=[17, 5, 40])
+
+
 class TestBeCheck:
     def test_flat_and_gamma_decreasing(self, problem):
         records, verdict = estimator_be_check(problem, [64, 256], 20000, 31)
@@ -199,3 +230,17 @@ class TestBeCheck:
     def test_all_thetas_covered(self, problem):
         records, _ = estimator_be_check(problem, [64], 2000, 1)
         assert sorted(set(r.theta for r in records)) == list(MEAN_CONTRAST_THETAS)
+
+    def test_first_horizon_matches_single_list(self, problem):
+        # the first horizon's counts are those of a run to it alone
+        single, _ = estimator_be_check(problem, [64], 2000, 3)
+        both, _ = estimator_be_check(problem, [64, 256], 2000, 3)
+        assert single == [r for r in both if r.n == 64]
+
+    def test_unsorted_and_repeated_list(self, problem):
+        # records keep the list's order; a repeated n reads the same counts
+        records, _ = estimator_be_check(problem, [256, 64, 256], 2000, 3)
+        by_theta, _ = estimator_be_check(problem, [64, 256], 2000, 3)
+        want = {(r.theta, r.n): r for r in by_theta}
+        assert records == [want[theta, n] for theta in problem.thetas
+                           for n in (256, 64, 256)]

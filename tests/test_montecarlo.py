@@ -461,3 +461,67 @@ class TestLaw:
             assert abs(y.mean() - m1) <= 5 * np.sqrt(var / self.PATHS)
             assert (abs(y.var() - var)
                     <= 5 * np.sqrt((mu4 - var ** 2) / self.PATHS))
+
+
+class TestHorizons:
+    """One chain per path read at a list of horizons."""
+
+    HORIZONS = [3, 8, 12]
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_first_horizon_is_the_single_call(self, seed, d):
+        spec = random_mixed_spec(seed, d)
+        hs = self.HORIZONS
+        first = simulate_discrete(spec, hs[-1], 300, 9, at=hs)[0]
+        single = simulate_discrete(spec, hs[0], 300, 9, keep_states=True)
+        assert first.horizon == hs[0]
+        assert np.array_equal(first.terminal_Y, single.terminal_Y)
+        assert first.terminal_X is None
+
+    @pytest.mark.parametrize("block", [1, 250, 700])
+    def test_stepwise_oracle(self, monkeypatch, block):
+        monkeypatch.setattr(montecarlo, "_BLOCK", block)
+        for spec in _oracle_specs()[::3]:
+            for mu in _mu_list(spec.n_states):
+                batches = simulate_discrete(spec, 12, 200, 6, mu=mu,
+                                            keep_states=True, at=[1, 5, 12])
+                oracle = stepwise_sufficient_simulate(spec, [1, 5, 12], 200,
+                                                      6, mu=mu)
+                for batch, (Y, X) in zip(batches, oracle):
+                    assert np.array_equal(batch.terminal_X, X)
+                    assert np.all(np.abs(batch.terminal_Y - Y)
+                                  <= 1e-12 * (1.0 + np.abs(Y)))
+
+    def test_batches_are_frozen_snapshots(self):
+        batches = simulate_discrete(fixtures.skewed_mixture(), 12, 50, 1,
+                                    at=self.HORIZONS)
+        assert [b.horizon for b in batches] == self.HORIZONS
+        for b in batches:
+            assert not b.terminal_Y.flags.writeable
+        assert not np.array_equal(batches[0].terminal_Y,
+                                  batches[-1].terminal_Y)
+
+    @pytest.mark.parametrize("at", [[8, 3, 12], [3, 3, 12], [3, 8], [],
+                                    [-1, 12], [3, 8, 13]])
+    def test_rejects_bad_lists(self, at):
+        with pytest.raises(ValueError, match="increase strictly"):
+            simulate_discrete(two_state(), 12, 10, 0, at=at)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_moments_at_every_horizon(self, seed, d):
+        spec, paths = random_mixed_spec(seed, d), 20000
+        batches = simulate_discrete(spec, 12, paths, 5, at=self.HORIZONS)
+        for batch in batches:
+            n = batch.horizon
+            for w in np.vstack([np.eye(d), np.ones((1, d))])[:2 * d - 1]:
+                flat = projected_spec(spec, w)
+                m1, m2, m3, m4 = (exact_moments(flat, n, k)
+                                  for k in range(1, 5))
+                var = m2 - m1 ** 2
+                mu4 = m4 - 4 * m1 * m3 + 6 * m1 ** 2 * m2 - 3 * m1 ** 4
+                y = batch.terminal_Y @ w
+                assert abs(y.mean() - m1) <= 5 * np.sqrt(var / paths)
+                assert (abs(y.var() - var)
+                        <= 5 * np.sqrt((mu4 - var ** 2) / paths))

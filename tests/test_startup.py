@@ -53,3 +53,12 @@ def test_ct_analyze_loads_linalg_only(tmp_path):
     argv = ["analyze", "--fixture", "ct_two_state",
             "--out", str(tmp_path / "report.json")]
     assert loaded_after(argv) == ["scipy.linalg"]
+
+
+def test_mestimate_loads_special_only(tmp_path):
+    # the root of E[F1] is bisected on the scan's bracket, without
+    # scipy.optimize (which would pull in the other three modules)
+    argv = ["mestimate", "--fixture", "mean_contrast_problem", "--n-list",
+            "16", "--reps", "50", "--seed", "1",
+            "--out", str(tmp_path / "report.json")]
+    assert loaded_after(argv) == ["scipy.special"]
