@@ -234,24 +234,30 @@ def simulate_edge_counts(kernel: StochasticKernel, n: int, reps: int,
     The stream is keyed by the kernel's bytes and the seed. With at, a
     strictly increasing list of horizons ending at n, one chain per path runs
     to n and the counts at every horizon come back, shape (len(at), reps, S,
-    S); the counts at n are those of the call without at.
+    S). The chain is not broken at the horizons, so the counts at each are
+    those of the call without at to it.
     """
     horizons = _horizons(n, at)
     rng = _philox(kernel.P.tobytes() + seed.to_bytes(8, "little", signed=True))
     S = kernel.n_states
-    counts = np.zeros((len(horizons), reps * S * S), dtype=np.int64)
+    size = reps * S * S
+    counts = np.zeros(len(horizons) * size, dtype=np.int64)
     base = np.arange(reps) * (S * S)
+    # offset of step t = 1..n's segment: the first horizon at or after t
+    seg = np.searchsorted(horizons, np.arange(1, n + 1))[:, None] * size
     X = _initial_states(kernel, mu, reps, rng)
-    done = 0
-    for k, h in enumerate(horizons):
-        if k:
-            counts[k] = counts[k - 1]
-        for states, _ in _chain_steps(kernel.P, X, h - done, rng):
-            edges = base + states[:-1] * S + states[1:]
-            np.add.at(counts[k], edges.T.ravel(), 1)   # path-major: ascending
-            X = states[-1]
-        done = h
+    t = 0
+    for states, _ in _chain_steps(kernel.P, X, n, rng):
+        edges = states[:-1] * S
+        edges += states[1:]
+        edges += base
+        if len(horizons) > 1:
+            edges += seg[t:t + len(edges)]
+        np.add.at(counts, edges.ravel(), 1)
+        t += len(edges)
     counts = counts.reshape(len(horizons), reps, S, S)
+    for k in range(1, len(horizons)):
+        counts[k] += counts[k - 1]
     return counts if at is not None else counts[0]
 
 

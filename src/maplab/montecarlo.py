@@ -2,20 +2,26 @@
 
 Every call draws from one counter-based Philox stream keyed by a sha256
 payload (spec hash and seed; mestim's edge counts use kernel bytes and seed)
-in a fixed step-major order, so batches are a pure function of (spec,
-horizons, n_paths, seed). Discrete time has one stepping kernel, shared with
-mestim.simulate_edge_counts and increment_panel: per step only the move
-search runs, by a binary search over flat CDF tables, and the kernel yields
-whole blocks of states, so all other work is done once per block. One chain
-per path serves a whole list of horizons: it runs to the largest one and is
-read at each on the way. Given the path, Y_n is the sum of the edge atoms'
-means plus one Gaussian with their summed covariance, which
-simulate_discrete draws once per path and segment between horizons, after
-the segment's last step; increment_panel alone draws per-step increments.
+in a fixed order, so batches are a pure function of (spec, horizons,
+n_paths, seed). Discrete time has one stepping kernel, shared with
+mestim.simulate_edge_counts and increment_panel. It steps by block paths:
+one move uniform per path draws the next B steps at once, as the inverse
+CDF of the exact B-step path law from the path's state, found by a binary
+search over a flat table of the S^B paths' cumulative probabilities. B
+depends only on the state count, the path count and the extra uniforms per
+step (B = 1 is single-step stepping), and the last draw of a run keeps
+only the steps left. The kernel yields whole blocks of states, so all other
+work is done once per block. One chain per path serves a whole list of
+horizons: it runs to the largest one and is read at each on the way. Given
+the path, Y_n is the sum of the edge atoms' means plus one Gaussian with
+their summed covariance, which simulate_discrete draws once per path and
+segment between horizons, after the segment's last step; increment_panel
+alone draws per-step increments. Continuous time steps one jump at a time.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -75,11 +81,12 @@ def _initial_law(pi, mu) -> np.ndarray:
 
 
 def _initial_states(spec, mu, n_paths, rng):
+    """X_0 ~ pi (or mu): the inverse CDF of one uniform per path."""
     pi = spec.pi
     probs = pi if mu is None else _initial_law(pi, mu)
-    cum = np.cumsum(probs)
     u = rng.random(n_paths)
-    return np.searchsorted(cum, u, side="right").clip(0, len(pi) - 1)
+    return _search(*_cdf_table(np.cumsum(probs)[None]),
+                   np.zeros(n_paths, dtype=np.intp), u)
 
 
 def _horizons(n, at):
@@ -95,16 +102,24 @@ def _horizons(n, at):
 
 
 _BLOCK = 1 << 16        # doubles per block of steps: ~1 MB of temporaries
+_PATHS = 1 << 10        # most B-step paths per row of the path table
+_DRAW = 1 << 16         # most states and extra uniforms per draw of all paths
 
 
 def _cdf_table(cum):
-    """(levels, width) for _search: cum's last column pinned to 1, the rest
-    clipped to 1, padded with 1s to width 2^k, so #{j : cum[row, j] <= u}
-    stays. The flat table is stored once per binary-search step half, as
-    (half, view shifted by half - 1), so a step gathers at its position."""
-    width = 1 << (cum.shape[1] - 1).bit_length()
+    """(levels, width) for _search: each row of cum pinned to 1 from its
+    last positive entry (its last rise) on, so that no u < 1 lands on a
+    state of probability 0, the rest clipped to 1, the last column dropped
+    and padded with 1s to width 2^k, so #{j : cum[row, j] <= u} stays. The
+    flat table is stored once per binary-search step half, as (half, view
+    shifted by half - 1), so a step gathers at its position."""
+    S = cum.shape[1]
+    rise = np.diff(cum, axis=1, prepend=0.0) > 0
+    last = S - 1 - rise[:, ::-1].argmax(axis=1)
+    width = 1 << (S - 1).bit_length()
     table = np.ones((len(cum), width))
-    table[:, :cum.shape[1] - 1] = np.minimum(cum[:, :-1], 1.0)
+    table[:, :S - 1] = np.where(np.arange(S - 1) < last[:, None],
+                                np.minimum(cum[:, :-1], 1.0), 1.0)
     flat = table.ravel()
     halves = [width >> k for k in range(1, width.bit_length())]
     return [(h, flat[h - 1:]) for h in halves], width
@@ -123,27 +138,84 @@ def _search(levels, width, row, u):
     return pos
 
 
+def _path_length(S, N, k):
+    """B, the steps one move uniform draws: the largest B <= 8 with S^B <=
+    _PATHS and N B (1 + k) <= _DRAW, and at least 1. It depends on the
+    states S, the paths N and the extra uniforms per step k alone."""
+    B = 1
+    while (B < 8 and S ** (B + 1) <= _PATHS
+           and N * (B + 1) * (1 + k) <= _DRAW):
+        B += 1
+    return B
+
+
+@functools.lru_cache(maxsize=8)
+def _path_table(P_bytes, S, B):
+    """(levels, width, decode) of the B-step path law of the kernel whose
+    (S, S) float64 bytes are P_bytes, cached across segments and calls.
+
+    The _cdf_table holds, in row x, the cumulative probabilities of the S^B
+    paths from x in lexicographic order, each the product of its
+    transitions from left to right. decode[j, p] is the state after step
+    j + 1 of path p, or None at B = 1, where p is that state.
+    """
+    P = np.frombuffer(P_bytes).reshape(S, S)
+    probs = P
+    for _ in range(B - 1):
+        last = np.arange(probs.shape[1]) % S
+        probs = (probs[:, :, None] * P[last]).reshape(S, -1)
+    levels, width = _cdf_table(np.cumsum(probs, axis=1))
+    decode = None if B == 1 else np.indices((S,) * B).reshape(B, -1)
+    for arr in [level for _, level in levels] + [decode]:
+        if arr is not None:
+            arr.setflags(write=False)       # shared by every cache hit
+    return levels, width, decode
+
+
 def _chain_steps(P, X, n, rng, k=0):
     """The one discrete-time stepping loop: n steps of the chain from X.
 
-    Each step draws one move uniform per path, then k extra uniforms per
-    path. A block of m steps is one rng.random((m, N (1 + k))) call of at
-    most _BLOCK doubles (or one step), row j holding step j's draws, so the
-    stream is that of step-by-step draws. Per block it yields the states
-    (m + 1, N), the block's start state first, and the extra uniforms
-    (m, N, k); the next block starts from the last row. Only the move search
-    runs per step: X' is the inverse CDF of row X of P, found by _search.
+    Block-path stepping: one move uniform per path draws the next B =
+    _path_length(S, N, k) steps at once, as the inverse CDF (_search) of
+    the B-step path law from the path's state over its S^B paths. The last
+    draw keeps only its first r = n mod B steps, whose law is the r-step
+    law. A draw's values are N move uniforms, then k extra uniforms per
+    path for each step it keeps, step-major. A block of draws is one
+    rng.random call of about _BLOCK values (at least one draw), so the
+    stream is that of draw-by-draw calls. Per block it yields the states
+    (m + 1, N), the block's start state first, and the extra uniforms (m,
+    N, k); the next block starts from the last row. At B = 1 a draw is one
+    step and no path is decoded.
     """
-    levels, width = _cdf_table(np.cumsum(P, axis=1))
-    N, per_step = len(X), len(X) * (1 + k)
-    block = max(1, _BLOCK // max(per_step, 1))
+    N = len(X)
+    S = len(P)
+    B = _path_length(S, N, k)
+    levels, width, decode = _path_table(
+        np.asarray(P, dtype=float).tobytes(), S, B)
+    block = B * max(1, _BLOCK // max(N * B * (1 + k), 1))     # steps
+    draw = N * (1 + B * k)                  # values of a whole draw
     for start in range(0, n, block):
-        u = rng.random((min(block, n - start), per_step))
-        states = np.empty((len(u) + 1, N), dtype=X.dtype)
+        m = min(block, n - start)
+        full, r = divmod(m, B)
+        u = rng.random(N * (full + (r > 0) + m * k))
+        cut = full * draw
+        rows = u[:cut].reshape(full, draw)
+        moves = list(rows[:, :N])
+        extra = rows[:, N:].reshape(full * B, N, k)
+        if r:                               # the last draw, cut to r steps
+            moves.append(u[cut:cut + N])
+            extra = np.concatenate([extra, u[cut + N:].reshape(r, N, k)])
+        states = np.empty((m + 1, N), dtype=X.dtype)
         states[0] = X
-        for j, row in enumerate(u):
-            states[j + 1] = X = _search(levels, width, X, row[:N])
-        yield states, u[:, N:].reshape(len(u), N, k)
+        for j, row in enumerate(moves):
+            path = _search(levels, width, X, row)
+            if decode is None:
+                states[j + 1] = X = path
+            else:
+                kept = states[j * B + 1:(j + 1) * B + 1]
+                X = decode[:len(kept)].take(path, axis=1, out=kept,
+                                            mode="clip")[-1]
+        yield states, extra
 
 
 def _cov_factors(cov):
@@ -169,9 +241,9 @@ def _atom_lookup(spec: MapSpec):
 
     first and cum are indexed by flat edge X*S + X': the run's first atom (a
     trailing zero atom for edges without a law) and its cumulative
-    probabilities as a _cdf_table (the last pinned to 1, width 1 when no run
-    has two atoms). The rest are per atom; cov is regularized so that its
-    Cholesky factor exists wherever the covariance is regular.
+    probabilities as a _cdf_table (width 1 when no run has two atoms). The
+    rest are per atom; cov is regularized so that its Cholesky factor exists
+    wherever the covariance is regular.
     """
     tab = spec.edge_table
     if tab["cf"]:
@@ -185,7 +257,9 @@ def _atom_lookup(spec: MapSpec):
     cum = np.ones((S * S, length.max()))
     for k in np.flatnonzero(length > 1):
         a, m = tab["start"][k], length[k]
-        cum[edges[k], :m - 1] = np.cumsum(tab["prob"][a:a + m - 1])
+        run = np.cumsum(tab["prob"][a:a + m])
+        cum[edges[k]] = run[-1]         # no rise past the run's last atom
+        cum[edges[k], :m] = run
     cov = np.vstack([tab["cov"], np.zeros((1, d, d))]) + 1e-300 * np.eye(d)
     cov += 1e-18 * np.trace(cov, axis1=1, axis2=2)[:, None, None] * np.eye(d)
     return (first, _cdf_table(cum), np.vstack([tab["mean"], np.zeros((1, d))]),

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 from math import comb
 
 import numpy as np
@@ -112,65 +113,101 @@ def _philox(payload):
 
 
 def _initial_states(pi, mu, n_paths, rng):
+    """X_0 by the inverse CDF of pi (or mu), pinned to 1 from its last
+    positive entry on, so no uniform lands on a state of mass 0."""
     probs = pi if mu is None else np.asarray(mu, dtype=float)
+    cum = np.cumsum(probs)
+    cum[np.flatnonzero(probs > 0)[-1]:] = 1.0
     u = rng.random(n_paths)
-    return np.searchsorted(np.cumsum(probs), u, side="right").clip(0, len(pi) - 1)
+    return (u[:, None] >= cum).sum(axis=1)
 
 
-def per_kind_simulate(spec, n, n_paths, seed, mu=None):
-    """(terminal_Y, terminal_X, increment_panel) by a loop branching per law kind.
+def path_length(S, N, k):
+    """B of block-path stepping, from its rule: the largest B <= 8 with
+    S^B <= 1024 and N B (1 + k) <= 2^16, and at least 1."""
+    return max([1] + [B for B in range(1, 9)
+                      if S ** B <= 1024 and N * B * (1 + k) <= 1 << 16])
 
-    Test oracle for montecarlo.simulate_discrete on non-skeleton specs: dense
-    per-edge tables for deterministic values, Gaussian Cholesky factors and
-    mixture cumulative probabilities, consumed in the same stream order (X_0,
-    then per step one move uniform and d increment uniforms per path).
+
+def path_laws(P, B):
+    """(paths, cums): the B-step paths as tuples from itertools.product,
+    and per start state x the cumulative probabilities of the paths from x,
+    each a product of P along the path, pinned to 1 from the last path of
+    positive probability on."""
+    S = len(P)
+    paths = list(itertools.product(range(S), repeat=B))
+    cums = []
+    for x in range(S):
+        probs = []
+        for path in paths:
+            q, prev = 1.0, x
+            for y in path:
+                q, prev = q * P[prev, y], y
+            probs.append(q)
+        cum = np.cumsum(probs)
+        cum[max(i for i, q in enumerate(probs) if q > 0):] = 1.0
+        cums.append(cum)
+    return paths, cums
+
+
+def _walk(paths, cums, x, u, r):
+    """x, then the first r states of the path that u draws from x."""
+    return [x, *paths[int((u >= cums[x]).sum())][:r]]
+
+
+def _atom_cdf(law):
+    """A mixture's cumulative atom probabilities, pinned to 1 from its last
+    positive atom on."""
+    probs = [p for p, _ in law.atoms]
+    cum = np.cumsum(probs)
+    cum[max(i for i, p in enumerate(probs) if p > 0):] = 1.0
+    return cum
+
+
+def per_kind_simulate(spec, n, n_paths, seed, mu=None, B=None):
+    """(terminal_Y, terminal_X, increment_panel) by a per-path loop
+    branching per law kind (test oracle for increment_panel).
+
+    The stream: X_0, then per draw of B = path_length(S, n_paths, d) steps
+    (the last one cut to what is left) one move uniform per path and d
+    increment uniforms per path per step, step-major. A path's move uniform
+    picks its next B states among the itertools.product paths by their
+    products of P. Each step's increment is the deterministic value, a
+    Gaussian mean + Cholesky factor @ ndtri(u) or the mixture atom that
+    increment uniform 0 picks.
     """
     rng = _philox(f"{spec_content_hash(spec)}:{seed}".encode())
     S, d = spec.n_states, spec.d
-    kinds = np.zeros((S, S), dtype=np.int8)         # 0 det, 1 gauss, 2 mixture
-    det_val = np.zeros((S, S, d))
-    g_mean = np.zeros((S, S, d))
-    g_chol = np.zeros((S, S, d, d))
-    max_atoms = max([1] + [len(law.atoms) for law in spec.increments.values()
-                           if law.kind == "mixture"])
-    mix_cum = np.ones((S, S, max_atoms))
-    mix_val = np.zeros((S, S, max_atoms, d))
-    for (i, j), law in spec.increments.items():
-        if law.kind == "deterministic":
-            det_val[i, j] = law.value
-        elif law.kind == "gaussian":
-            kinds[i, j] = 1
-            g_mean[i, j] = law.mean_vec
+    B = path_length(S, n_paths, d) if B is None else B
+    paths, cums = path_laws(spec.P, B)
+    chol = {}
+    for e, law in spec.increments.items():
+        if law.kind == "gaussian":
             cov = law.cov + 1e-300 * np.eye(d)
-            g_chol[i, j] = np.linalg.cholesky(cov + 1e-18 * np.trace(cov) * np.eye(d))
-        elif law.kind == "mixture":
-            kinds[i, j] = 2
-            cum = np.cumsum([p for p, _ in law.atoms])
-            mix_cum[i, j, :len(cum)] = cum
-            for a, (_, v) in enumerate(law.atoms):
-                mix_val[i, j, a] = v
-    cumP = np.cumsum(spec.P, axis=1)
-    cumP[:, -1] = 1.0
+            chol[e] = np.linalg.cholesky(cov + 1e-18 * np.trace(cov) * np.eye(d))
     X = _initial_states(spec.pi, mu, n_paths, rng)
     Y = np.zeros((n_paths, d))
     panel = np.zeros((n_paths, n))
-    for k in range(n):
-        u_move = rng.random(n_paths)
-        u_inc = rng.random((n_paths, d))
-        Xn = (u_move[:, None] >= cumP[X]).sum(axis=1)
-        inc = det_val[X, Xn].copy()
-        gm = kinds[X, Xn] == 1
-        if gm.any():
-            z = ndtri(u_inc[gm])
-            inc[gm] = g_mean[X[gm], Xn[gm]] + np.einsum(
-                "pab,pb->pa", g_chol[X[gm], Xn[gm]], z)
-        mm = kinds[X, Xn] == 2
-        if mm.any():
-            atom = (u_inc[mm, 0:1] >= mix_cum[X[mm], Xn[mm]]).sum(axis=1)
-            inc[mm] = mix_val[X[mm], Xn[mm], atom.clip(0, max_atoms - 1)]
-        Y += inc
-        panel[:, k] = inc[:, 0]
-        X = Xn
+    for t in range(0, n, B):
+        r = min(B, n - t)
+        u = rng.random(n_paths * (1 + r * d))
+        u_inc = u[n_paths:].reshape(r, n_paths, d)
+        for p in range(n_paths):
+            walk = _walk(paths, cums, X[p], u[p], r)
+            for s, e in enumerate(zip(walk, walk[1:])):
+                law = spec.increments.get(e)
+                if law is None:
+                    inc = np.zeros(d)
+                elif law.kind == "deterministic":
+                    inc = law.value
+                elif law.kind == "gaussian":
+                    inc = law.mean_vec + chol[e] @ ndtri(u_inc[s, p])
+                else:
+                    a = int((u_inc[s, p, 0] >= _atom_cdf(law)).sum())
+                    inc = law.atoms[a][1]
+                Y[p] += inc
+                panel[p, t + s] = inc[0]
+            X[p] = walk[-1]
     return Y, X, panel
 
 
@@ -183,19 +220,23 @@ def _psd_root(V):
         return Q * np.sqrt(w.clip(0.0)) @ Q.T
 
 
-def stepwise_sufficient_simulate(spec, n, n_paths, seed, mu=None):
-    """(terminal_Y, terminal_X) by a plain per-step loop (test oracle).
+def stepwise_sufficient_simulate(spec, n, n_paths, seed, mu=None, B=None):
+    """(terminal_Y, terminal_X) by a plain per-path loop (test oracle).
 
-    Test oracle for montecarlo.simulate_discrete: X_0, then per step one move
-    uniform per path and, when some mixture law has two or more atoms, one
-    atom uniform per path. Y adds the mean of each step's edge law (or of its
-    chosen atom) and V the Gaussian covariance; when some law is Gaussian, one
-    draw ndtri(u) per path after the last step adds F(V) ndtri(u), with F the
+    Test oracle for montecarlo.simulate_discrete. The stream: X_0, then per
+    draw of B = path_length(S, n_paths, extra) steps one move uniform per
+    path and, with extra = 1 when some mixture law has two or more atoms,
+    one atom uniform per path per step, step-major. A path's move uniform
+    picks its next B states among the itertools.product paths by their
+    products of P. Y adds the mean of each step's edge law (or of its chosen
+    atom) and V the Gaussian covariance; when some law is Gaussian, one draw
+    ndtri(u) per path after the last step adds F(V) ndtri(u), with F the
     Cholesky factor (the PSD root where that fails).
 
     With n a list of increasing horizons, one chain runs to the last one and
-    a list of (Y, X) comes back, one per horizon; V restarts at 0 after each
-    horizon's draw, so each segment between horizons draws its own Gaussian.
+    a list of (Y, X) comes back, one per horizon. The last draw before each
+    horizon is cut there, and V restarts at 0 after each horizon's draw, so
+    each segment between horizons draws its own Gaussian.
     """
     horizons = [n] if np.ndim(n) == 0 else list(n)
     rng = _philox(f"{spec_content_hash(spec)}:{seed}".encode())
@@ -203,40 +244,38 @@ def stepwise_sufficient_simulate(spec, n, n_paths, seed, mu=None):
     laws = spec.increments
     extra = int(any(law.kind == "mixture" and len(law.atoms) > 1
                     for law in laws.values()))
-    mean = np.zeros((S, S, d))
-    cov = np.zeros((S, S, d, d))
-    atoms = {}
-    for (i, j), law in laws.items():
-        if law.kind == "mixture":
-            atoms[i, j] = (np.cumsum([p for p, _ in law.atoms])[:-1],
-                           [v for _, v in law.atoms])
-        elif law.kind == "gaussian":
-            mean[i, j], cov[i, j] = law.mean_vec, law.cov
-        else:
-            mean[i, j] = law.value
-    cumP = np.cumsum(spec.P, axis=1)
-    cumP[:, -1] = 1.0
+    B = path_length(S, n_paths, extra) if B is None else B
+    paths, cums = path_laws(spec.P, B)
     has_gauss = any(law.kind == "gaussian" for law in laws.values())
     X = _initial_states(spec.pi, mu, n_paths, rng)
     Y = np.zeros((n_paths, d))
     out, done = [], 0
     for h in horizons:
         V = np.zeros((n_paths, d, d))
-        for _ in range(h - done):
-            u = rng.random(n_paths * (1 + extra))
-            Xn = (u[:n_paths, None] >= cumP[X]).sum(axis=1)
-            Y += mean[X, Xn]
-            V += cov[X, Xn]
+        for t in range(done, h, B):
+            r = min(B, h - t)
+            u = rng.random(n_paths * (1 + r * extra))
+            u_atom = u[n_paths:].reshape(r * extra, n_paths)
             for p in range(n_paths):
-                if (X[p], Xn[p]) in atoms:
-                    cum, values = atoms[X[p], Xn[p]]
-                    a = int((u[n_paths + p] >= cum).sum()) if len(cum) else 0
-                    Y[p] += values[a]
-            X = Xn
+                walk = _walk(paths, cums, X[p], u[p], r)
+                for s, e in enumerate(zip(walk, walk[1:])):
+                    law = laws.get(e)
+                    if law is None:
+                        continue
+                    if law.kind == "gaussian":
+                        Y[p] += law.mean_vec
+                        V[p] += law.cov
+                    elif law.kind == "deterministic":
+                        Y[p] += law.value
+                    else:
+                        a = (int((u_atom[s, p] >= _atom_cdf(law)).sum())
+                             if len(law.atoms) > 1 else 0)
+                        Y[p] += law.atoms[a][1]
+                X[p] = walk[-1]
         if has_gauss:
             z = ndtri(rng.random((n_paths, d)))
             Y += np.stack([_psd_root(v) @ zp for v, zp in zip(V, z)])
-        out.append((Y.copy(), X))
+        out.append((Y.copy(), X.copy()))
         done = h
     return out[0] if np.ndim(n) == 0 else out
 
@@ -268,11 +307,163 @@ def projected_spec(spec, w):
     return MapSpec(kernel=spec.kernel, increments=incs, d=1)
 
 
-def stepwise_edge_counts(kernel, n, reps, seed, mu=None):
-    """(reps, S, S) transition counts by an explicit step loop (test oracle).
+def stepwise_edge_counts(kernel, n, reps, seed, mu=None, B=None):
+    """(reps, S, S) transition counts by a plain per-path loop (test oracle).
 
     The stream is keyed by sha256(P bytes + seed) as mestim.simulate_edge_counts
-    keys it: X_0, then one move uniform per path per step. With n a list of
+    keys it: X_0, then one move uniform per path per draw of B =
+    path_length(S, reps, 0) steps, which picks the path's next B states
+    among the itertools.product paths by their products of P. With n a list
+    of increasing horizons, one unbroken chain runs to the last one and the
+    counts at every horizon come back, shape (len(n), reps, S, S).
+    """
+    horizons = [n] if np.ndim(n) == 0 else list(n)
+    rng = _philox(kernel.P.tobytes() + seed.to_bytes(8, "little", signed=True))
+    S = kernel.n_states
+    B = path_length(S, reps, 0) if B is None else B
+    paths, cums = path_laws(kernel.P, B)
+    X = _initial_states(kernel.pi, mu, reps, rng)
+    U = rng.random((-(-horizons[-1] // B), reps))
+    counts = np.zeros((len(horizons), reps, S, S), dtype=np.int64)
+    for p in range(reps):
+        walk = [X[p]]
+        for u in U[:, p]:
+            walk += _walk(paths, cums, walk[-1], u, B)[1:]
+        for k, h in enumerate(horizons):
+            for a, b in zip(walk[:h], walk[1:h + 1]):
+                counts[k, p, a, b] += 1
+    return counts[0] if np.ndim(n) == 0 else counts
+
+
+def _initial_states_b1(pi, mu, n_paths, rng):
+    probs = pi if mu is None else np.asarray(mu, dtype=float)
+    u = rng.random(n_paths)
+    return np.searchsorted(np.cumsum(probs), u, side="right").clip(0, len(pi) - 1)
+
+
+def per_kind_simulate_b1(spec, n, n_paths, seed, mu=None):
+    """(terminal_Y, terminal_X, increment_panel) by a loop branching per law kind.
+
+    The single-step oracle: per_kind_simulate at B = 1, kept as it was
+    before block-path stepping. Dense
+    per-edge tables for deterministic values, Gaussian Cholesky factors and
+    mixture cumulative probabilities, consumed in the same stream order (X_0,
+    then per step one move uniform and d increment uniforms per path).
+    """
+    rng = _philox(f"{spec_content_hash(spec)}:{seed}".encode())
+    S, d = spec.n_states, spec.d
+    kinds = np.zeros((S, S), dtype=np.int8)         # 0 det, 1 gauss, 2 mixture
+    det_val = np.zeros((S, S, d))
+    g_mean = np.zeros((S, S, d))
+    g_chol = np.zeros((S, S, d, d))
+    max_atoms = max([1] + [len(law.atoms) for law in spec.increments.values()
+                           if law.kind == "mixture"])
+    mix_cum = np.ones((S, S, max_atoms))
+    mix_val = np.zeros((S, S, max_atoms, d))
+    for (i, j), law in spec.increments.items():
+        if law.kind == "deterministic":
+            det_val[i, j] = law.value
+        elif law.kind == "gaussian":
+            kinds[i, j] = 1
+            g_mean[i, j] = law.mean_vec
+            cov = law.cov + 1e-300 * np.eye(d)
+            g_chol[i, j] = np.linalg.cholesky(cov + 1e-18 * np.trace(cov) * np.eye(d))
+        elif law.kind == "mixture":
+            kinds[i, j] = 2
+            cum = np.cumsum([p for p, _ in law.atoms])
+            mix_cum[i, j, :len(cum)] = cum
+            for a, (_, v) in enumerate(law.atoms):
+                mix_val[i, j, a] = v
+    cumP = np.cumsum(spec.P, axis=1)
+    cumP[:, -1] = 1.0
+    X = _initial_states_b1(spec.pi, mu, n_paths, rng)
+    Y = np.zeros((n_paths, d))
+    panel = np.zeros((n_paths, n))
+    for k in range(n):
+        u_move = rng.random(n_paths)
+        u_inc = rng.random((n_paths, d))
+        Xn = (u_move[:, None] >= cumP[X]).sum(axis=1)
+        inc = det_val[X, Xn].copy()
+        gm = kinds[X, Xn] == 1
+        if gm.any():
+            z = ndtri(u_inc[gm])
+            inc[gm] = g_mean[X[gm], Xn[gm]] + np.einsum(
+                "pab,pb->pa", g_chol[X[gm], Xn[gm]], z)
+        mm = kinds[X, Xn] == 2
+        if mm.any():
+            atom = (u_inc[mm, 0:1] >= mix_cum[X[mm], Xn[mm]]).sum(axis=1)
+            inc[mm] = mix_val[X[mm], Xn[mm], atom.clip(0, max_atoms - 1)]
+        Y += inc
+        panel[:, k] = inc[:, 0]
+        X = Xn
+    return Y, X, panel
+
+
+def stepwise_sufficient_simulate_b1(spec, n, n_paths, seed, mu=None):
+    """(terminal_Y, terminal_X) by a plain per-step loop (test oracle).
+
+    The single-step oracle: stepwise_sufficient_simulate at B = 1, kept as
+    it was before block-path stepping. X_0, then per step one move
+    uniform per path and, when some mixture law has two or more atoms, one
+    atom uniform per path. Y adds the mean of each step's edge law (or of its
+    chosen atom) and V the Gaussian covariance; when some law is Gaussian, one
+    draw ndtri(u) per path after the last step adds F(V) ndtri(u), with F the
+    Cholesky factor (the PSD root where that fails).
+
+    With n a list of increasing horizons, one chain runs to the last one and
+    a list of (Y, X) comes back, one per horizon; V restarts at 0 after each
+    horizon's draw, so each segment between horizons draws its own Gaussian.
+    """
+    horizons = [n] if np.ndim(n) == 0 else list(n)
+    rng = _philox(f"{spec_content_hash(spec)}:{seed}".encode())
+    S, d = spec.n_states, spec.d
+    laws = spec.increments
+    extra = int(any(law.kind == "mixture" and len(law.atoms) > 1
+                    for law in laws.values()))
+    mean = np.zeros((S, S, d))
+    cov = np.zeros((S, S, d, d))
+    atoms = {}
+    for (i, j), law in laws.items():
+        if law.kind == "mixture":
+            atoms[i, j] = (np.cumsum([p for p, _ in law.atoms])[:-1],
+                           [v for _, v in law.atoms])
+        elif law.kind == "gaussian":
+            mean[i, j], cov[i, j] = law.mean_vec, law.cov
+        else:
+            mean[i, j] = law.value
+    cumP = np.cumsum(spec.P, axis=1)
+    cumP[:, -1] = 1.0
+    has_gauss = any(law.kind == "gaussian" for law in laws.values())
+    X = _initial_states_b1(spec.pi, mu, n_paths, rng)
+    Y = np.zeros((n_paths, d))
+    out, done = [], 0
+    for h in horizons:
+        V = np.zeros((n_paths, d, d))
+        for _ in range(h - done):
+            u = rng.random(n_paths * (1 + extra))
+            Xn = (u[:n_paths, None] >= cumP[X]).sum(axis=1)
+            Y += mean[X, Xn]
+            V += cov[X, Xn]
+            for p in range(n_paths):
+                if (X[p], Xn[p]) in atoms:
+                    cum, values = atoms[X[p], Xn[p]]
+                    a = int((u[n_paths + p] >= cum).sum()) if len(cum) else 0
+                    Y[p] += values[a]
+            X = Xn
+        if has_gauss:
+            z = ndtri(rng.random((n_paths, d)))
+            Y += np.stack([_psd_root(v) @ zp for v, zp in zip(V, z)])
+        out.append((Y.copy(), X))
+        done = h
+    return out[0] if np.ndim(n) == 0 else out
+
+
+def stepwise_edge_counts_b1(kernel, n, reps, seed, mu=None):
+    """(reps, S, S) transition counts by an explicit step loop (test oracle).
+
+    The single-step oracle: stepwise_edge_counts at B = 1, kept as it was
+    before block-path stepping. The stream is keyed by sha256(P bytes +
+    seed): X_0, then one move uniform per path per step. With n a list of
     increasing horizons, one chain runs to the last one and the counts at
     every horizon come back, shape (len(n), reps, S, S).
     """
@@ -281,7 +472,7 @@ def stepwise_edge_counts(kernel, n, reps, seed, mu=None):
     S = kernel.n_states
     cumP = np.cumsum(kernel.P, axis=1)
     cumP[:, -1] = 1.0
-    X = _initial_states(kernel.pi, mu, reps, rng)
+    X = _initial_states_b1(kernel.pi, mu, reps, rng)
     counts = np.zeros((reps, S * S), dtype=np.int64)
     rows = np.arange(reps)
     out, done = [], 0

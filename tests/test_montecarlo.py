@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,9 +21,11 @@ from maplab.montecarlo import (_cdf_table, _cov_factors, _search,
                                increment_panel, simulate_ct,
                                simulate_discrete, spec_content_hash)
 
-from conftest import (per_kind_simulate, projected_spec, random_mixed_spec,
+from conftest import (path_length, per_kind_simulate, per_kind_simulate_b1,
+                      projected_spec, random_mixed_spec,
                       skewed_mixture_exact_cdf, stepwise_edge_counts,
-                      stepwise_sufficient_simulate)
+                      stepwise_edge_counts_b1, stepwise_sufficient_simulate,
+                      stepwise_sufficient_simulate_b1)
 
 
 def _zero_spec():
@@ -525,3 +528,194 @@ class TestHorizons:
                 assert abs(y.mean() - m1) <= 5 * np.sqrt(var / paths)
                 assert (abs(y.var() - var)
                         <= 5 * np.sqrt((mu4 - var ** 2) / paths))
+
+
+def _sparse_kernel(rng, S, zeros=0.5):
+    """Random kernel with about a fraction zeros of its entries 0, kept
+    irreducible by a cycle x -> x + 1 of weight 0.5 before normalizing."""
+    P = rng.uniform(0.05, 1.0, (S, S)) * (rng.random((S, S)) >= zeros)
+    P[np.arange(S), (np.arange(S) + 1) % S] += 0.5
+    return StochasticKernel(states=tuple(range(S)),
+                            P=P / P.sum(axis=1, keepdims=True))
+
+
+class TestPathLength:
+    """B, the steps one move uniform draws, and its rule."""
+
+    @pytest.mark.parametrize("S, N, k, B", [
+        (1, 1, 0, 8), (1, 0, 0, 8), (1, 10 ** 6, 0, 1), (2, 8192, 0, 8),
+        (2, 8193, 0, 7), (2, 16384, 1, 2), (2, 16385, 1, 1),
+        (2, 60000, 0, 1), (3, 100, 0, 6), (4, 100, 0, 5), (5, 100, 0, 4),
+        (8, 100, 0, 3), (10, 100, 0, 3), (11, 100, 0, 2), (32, 1000, 0, 2),
+        (32, 700, 2, 2), (33, 1, 0, 1)])
+    def test_values(self, monkeypatch, S, N, k, B):
+        assert montecarlo._path_length(S, N, k) == B
+        monkeypatch.setattr(montecarlo, "_BLOCK", 1)
+        assert montecarlo._path_length(S, N, k) == B
+
+    @settings(max_examples=300, deadline=None)
+    @given(S=st.integers(1, 40), N=st.integers(0, 10 ** 6),
+           k=st.integers(0, 4))
+    def test_rule(self, S, N, k):
+        assert montecarlo._path_length(S, N, k) == path_length(S, N, k)
+
+
+class TestSingleStepCase:
+    """At B = 1 the block-path oracles are the single-step oracles, and the
+    kernel's stream is the single-step kernel's, byte for byte."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_oracles_agree_at_b1(self, d):
+        for seed in range(3):
+            spec = random_mixed_spec(seed, d)
+            Y, X, panel = per_kind_simulate(spec, 9, 60, 6, B=1)
+            Y1, X1, panel1 = per_kind_simulate_b1(spec, 9, 60, 6)
+            assert np.array_equal(X, X1) and np.array_equal(panel, panel1)
+            assert np.all(np.abs(Y - Y1) <= 1e-12 * (1.0 + np.abs(Y1)))
+            got = stepwise_sufficient_simulate(spec, [2, 9], 60, 6, B=1)
+            want = stepwise_sufficient_simulate_b1(spec, [2, 9], 60, 6)
+            for (Y, X), (Y1, X1) in zip(got, want):
+                assert np.array_equal(X, X1)
+                assert np.all(np.abs(Y - Y1) <= 1e-12 * (1.0 + np.abs(Y1)))
+            assert np.array_equal(
+                stepwise_edge_counts(spec.kernel, [2, 9], 60, seed, B=1),
+                stepwise_edge_counts_b1(spec.kernel, [2, 9], 60, seed))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_kernel_is_single_step_at_b1(self, seed):
+        N = 33000       # N B (1 + k) > 2^16 at B = 2 for every k
+        spec = random_mixed_spec(seed, 1)
+        S = spec.n_states
+        assert montecarlo._path_length(S, N, 0) == 1
+        assert np.array_equal(
+            simulate_edge_counts(spec.kernel, 5, N, seed, at=[2, 5]),
+            stepwise_edge_counts_b1(spec.kernel, [2, 5], N, seed))
+        batches = simulate_discrete(spec, 4, N, 6, keep_states=True,
+                                    at=[1, 4])
+        for batch, (Y, X) in zip(batches, stepwise_sufficient_simulate_b1(
+                spec, [1, 4], N, 6)):
+            assert np.array_equal(batch.terminal_X, X)
+            assert np.all(np.abs(batch.terminal_Y - Y)
+                          <= 1e-12 * (1.0 + np.abs(Y)))
+        assert np.array_equal(increment_panel(spec, 4, N, 6),
+                              per_kind_simulate_b1(spec, 4, N, 6)[2])
+
+    def test_wide_state_space_is_single_step(self):
+        # S = 33: S^2 > 1024, so B = 1 at any path count
+        kernel = _sparse_kernel(np.random.default_rng(3), 33, zeros=0.0)
+        assert montecarlo._path_length(33, 10, 0) == 1
+        assert np.array_equal(
+            simulate_edge_counts(kernel, 7, 10, 1, at=[3, 7]),
+            stepwise_edge_counts_b1(kernel, [3, 7], 10, 1))
+
+
+class TestZeroMassStates:
+    """No uniform below 1 lands on a state, atom or path of probability 0,
+    even where the cumulative sum stops short of 1."""
+
+    ROW = np.array([0.39546199, 0.59301806, 0.01151995, 0.0])
+    U = np.nextafter(1.0, 0.0)
+
+    def test_precondition(self):
+        assert self.U >= np.cumsum(self.ROW)[2]
+
+    def test_cdf_table(self):
+        cum = np.cumsum(self.ROW)[None]
+        got = _search(*_cdf_table(cum), np.zeros(1, dtype=np.intp),
+                      np.array([self.U]))
+        assert got.tolist() == [2]
+
+    def test_initial_states(self):
+        rng = SimpleNamespace(random=lambda n: np.full(n, self.U))
+        spec = SimpleNamespace(pi=np.full(4, 0.25))
+        X = montecarlo._initial_states(spec, self.ROW, 3, rng)
+        assert X.tolist() == [2, 2, 2]
+
+    @pytest.mark.parametrize("B", range(1, 6))
+    def test_block_paths(self, B):
+        P = np.array([self.ROW, self.ROW[[1, 0, 3, 2]], self.ROW[::-1],
+                      [0.25] * 4])
+        levels, width, decode = montecarlo._path_table(P.tobytes(), 4, B)
+        x = np.arange(4)
+        path = _search(levels, width, x, np.full(4, self.U))
+        states = path[None] if decode is None else decode[:, path]
+        walk = np.vstack([x, states])
+        assert (P[walk[:-1], walk[1:]] > 0).all()
+
+    def test_mixture_atoms(self):
+        kernel = StochasticKernel(states=(0,), P=np.array([[1.0]]))
+        law = mixture([(p, [float(a)]) for a, p in enumerate(self.ROW)])
+        spec = MapSpec(kernel=kernel, increments={(0, 0): law})
+        first, cum, *_ = montecarlo._atom_lookup(spec)
+        atom = first[0] + _search(*cum, np.zeros(1, dtype=np.intp),
+                                  np.array([self.U]))
+        assert atom.tolist() == [2]
+
+
+class TestBlockPathLaw:
+    """Edge counts of the block kernel against exact laws, not the stream:
+    n not a multiple of B, horizon lists, sparse rows."""
+
+    @pytest.mark.parametrize("S", [1, 2, 3, 5, 8, 33])
+    def test_mean_counts(self, S):
+        rng = np.random.default_rng(S)
+        kernel, N = _sparse_kernel(rng, S), 4000
+        P, B = kernel.P, montecarlo._path_length(S, N, 0)
+        n = 2 * B + 1
+        hs = sorted({1, max(B - 1, 1), B, B + 1, n})
+        mu = rng.dirichlet(np.ones(S))
+        counts = simulate_edge_counts(kernel, n, N, S, mu=mu, at=hs)
+        for h, c in zip(hs, counts):
+            np.testing.assert_array_equal(c.sum(axis=(1, 2)), h)
+            occupation = sum(mu @ np.linalg.matrix_power(P, t)
+                             for t in range(h))
+            exact = occupation[:, None] * P
+            # the sample variance, floored at the mean count for rare cells
+            se = np.sqrt(np.maximum(c.var(axis=0), exact) / N)
+            assert np.all(np.abs(c.mean(axis=0) - exact) <= 5 * se)
+
+    @pytest.mark.parametrize("S", [2, 3, 5, 8])
+    def test_draw_boundary_edges(self, S):
+        # the last edge of the first draw (B - 1 -> B) and the first of the
+        # second (B -> B + 1) each have the stationary edge law pi_i P_ij
+        rng = np.random.default_rng(10 + S)
+        kernel, N = _sparse_kernel(rng, S), 8000
+        B = montecarlo._path_length(S, N, 0)
+        assert B > 1
+        counts = simulate_edge_counts(kernel, B + 1, N, S,
+                                      at=[B - 1, B, B + 1])
+        q = kernel.pi[:, None] * kernel.P
+        for edge in np.diff(counts, axis=0):
+            freq = edge.mean(axis=0)
+            assert np.all(np.abs(freq - q) <= 5 * np.sqrt(q * (1 - q) / N))
+
+    @settings(max_examples=60, deadline=None)
+    @given(S=st.sampled_from([2, 3, 4, 5, 8]), zeros=st.floats(0.2, 0.8),
+           n=st.integers(1, 30), N=st.integers(1, 60),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_no_count_on_zero_edges(self, S, zeros, n, N, seed):
+        rng = np.random.default_rng(seed)
+        kernel = _sparse_kernel(rng, S, zeros)
+        hs = sorted({int(h) for h in rng.integers(1, n + 1, size=3)} | {n})
+        counts = simulate_edge_counts(kernel, n, N, seed % 1000, at=hs)
+        assert not counts[..., kernel.P == 0].any()
+        for h, c in zip(hs, counts):
+            np.testing.assert_array_equal(c.sum(axis=(1, 2)), h)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_discrete_moments(self, seed):
+        # Y at horizons off the draw grid, on a sparse kernel
+        spec = random_mixed_spec(seed, 1)
+        S, paths = spec.n_states, 8000
+        kernel = _sparse_kernel(np.random.default_rng(seed), S)
+        spec = MapSpec(kernel=kernel, increments=spec.increments)
+        B = montecarlo._path_length(S, paths, 1)
+        hs = [1, B + 1, 2 * B + 1]
+        for batch in simulate_discrete(spec, hs[-1], paths, 5, at=hs):
+            m1, m2, m3, m4 = (exact_moments(spec, batch.horizon, k)
+                              for k in range(1, 5))
+            var = m2 - m1 ** 2
+            mu4 = m4 - 4 * m1 * m3 + 6 * m1 ** 2 * m2 - 3 * m1 ** 4
+            y = batch.terminal_Y[:, 0]
+            assert abs(y.mean() - m1) <= 5 * np.sqrt(var / paths)
+            assert abs(y.var() - var) <= 5 * np.sqrt((mu4 - var ** 2) / paths)
