@@ -6,17 +6,25 @@ in a fixed order, so batches are a pure function of (spec, horizons,
 n_paths, seed). Discrete time has one stepping kernel, shared with
 mestim.simulate_edge_counts and increment_panel. It steps by block paths:
 one move uniform per path draws the next B steps at once, as the inverse
-CDF of the exact B-step path law from the path's state, found by a binary
-search over a flat table of the S^B paths' cumulative probabilities. B
-depends only on the state count, the path count and the extra uniforms per
-step (B = 1 is single-step stepping), and the last draw of a run keeps
-only the steps left. The kernel yields whole blocks of states, so all other
-work is done once per block. One chain per path serves a whole list of
-horizons: it runs to the largest one and is read at each on the way. Given
-the path, Y_n is the sum of the edge atoms' means plus one Gaussian with
-their summed covariance, which simulate_discrete draws once per path and
-segment between horizons, after the segment's last step; increment_panel
-alone draws per-step increments. Continuous time steps one jump at a time.
+CDF of the exact B-step path law from the path's state over the S^B paths'
+cumulative probabilities. B depends only on the state count, the path
+count and the extra uniforms per step (B = 1 is single-step stepping), and
+the last draw of a run keeps only the steps left. The kernel yields whole
+blocks of states, so all other work is done once per block. One chain per
+path serves a whole list of horizons: it runs to the largest one and is
+read at each on the way. Given the path, Y_n is the sum of the edge atoms'
+means plus one Gaussian with their summed covariance, which
+simulate_discrete draws once per path and segment between horizons, after
+the segment's last step; increment_panel alone draws per-step increments.
+Continuous time steps one jump at a time over compact arrays of the paths
+still running.
+
+Every inverse CDF (moves, block paths, CT jumps, initial states, mixture
+atoms) is one search, _search over a _cdf_table: a branchless binary
+search over each row's positive-probability columns, started from a guide
+table of equal buckets of [0, 1) where that saves levels (Chen & Asau,
+1974). It returns the same index as the comparison sum #{j : cum_j <= u},
+so the streams do not depend on how the search is done.
 """
 
 from __future__ import annotations
@@ -106,36 +114,85 @@ _PATHS = 1 << 10        # most B-step paths per row of the path table
 _DRAW = 1 << 16         # most states and extra uniforms per draw of all paths
 
 
+def _rises(cum):
+    """Where each row of cum rises: cum[:, j] > cum[:, j - 1], with 0 before
+    column 0."""
+    rise = np.empty(cum.shape, dtype=bool)
+    np.greater(cum[:, 0], 0.0, out=rise[:, 0])
+    np.greater(cum[:, 1:], cum[:, :-1], out=rise[:, 1:])
+    return rise
+
+
 def _cdf_table(cum):
-    """(levels, width) for _search: each row of cum pinned to 1 from its
-    last positive entry (its last rise) on, so that no u < 1 lands on a
-    state of probability 0, the rest clipped to 1, the last column dropped
-    and padded with 1s to width 2^k, so #{j : cum[row, j] <= u} stays. The
-    flat table is stored once per binary-search step half, as (half, view
-    shifted by half - 1), so a step gathers at its position."""
-    S = cum.shape[1]
-    rise = np.diff(cum, axis=1, prepend=0.0) > 0
-    last = S - 1 - rise[:, ::-1].argmax(axis=1)
-    width = 1 << (S - 1).bit_length()
-    table = np.ones((len(cum), width))
-    table[:, :S - 1] = np.where(np.arange(S - 1) < last[:, None],
-                                np.minimum(cum[:, :-1], 1.0), 1.0)
-    flat = table.ravel()
-    halves = [width >> k for k in range(1, width.bit_length())]
-    return [(h, flat[h - 1:]) for h in halves], width
+    """(table, width) for _search over the rows of cum; width is the column
+    count. Each row is read clipped to 1 and pinned to 1 from its last
+    positive entry (its last rise) on, so that no u < 1 lands on a state of
+    probability 0; a row with no positive entry draws its last column. A
+    row keeps only the columns it rises at: values c_0 < ... < c_{m-1} = 1,
+    flat at a common row stride and padded with 1s, and a map back to their
+    columns.
+
+    The guide splits [0, 1) into M buckets, M = 2^k >= twice the widest
+    row. For row r and bucket b it holds the start #{i : c_i <= b/M}, counted
+    from the integer bucket ceil(c M) of each value; the values that can
+    still be <= u for u in bucket b are those with floor(c M) = b < c M.
+    Both are exact, as M is a power of two. The search runs bit_length(most
+    such values in a bucket) levels from the start. Where that does not
+    save two of the bit_length(m - 1) levels from the row base (narrow rows,
+    as for B = 1 chains and short atom runs), the table keeps no guide. The
+    flat values are stored once per level, as (half, view shifted by half -
+    1), so a level gathers at its position."""
+    n, S = cum.shape
+    last = S - 1 - _rises(cum)[:, ::-1].argmax(axis=1)
+    eff = np.where(np.arange(S) < last[:, None], np.minimum(cum, 1.0), 1.0)
+    keep = _rises(eff)
+    rows, cols = np.nonzero(keep)
+    c = eff[keep]
+    m = np.bincount(rows, minlength=n)
+    depth = int(m.max() - 1).bit_length()
+    M = 2 << depth
+    start = None
+    if depth >= 2:
+        cM = c * M
+        low = np.floor(cM)
+        inside = low < cM                   # candidates of bucket floor(c M)
+        span = np.bincount(rows[inside] * M + low[inside].astype(np.intp))
+        guided = int(span.max(initial=0)).bit_length()
+        if guided + 2 <= depth:
+            depth = guided
+            start = np.bincount(rows * (M + 1) + np.ceil(cM).astype(np.intp),
+                                minlength=n * (M + 1))
+            start = start.reshape(n, M + 1).cumsum(axis=1)[:, :M]
+    stride = int(m.max()) + (1 << depth)
+    at = rows * stride + np.arange(len(c)) - np.repeat(np.cumsum(m) - m, m)
+    flat = np.ones(n * stride)
+    flat[at] = c
+    column = np.zeros(n * stride, dtype=np.intp)
+    column[at] = cols
+    if start is not None:
+        start = (start + np.arange(n)[:, None] * stride).ravel()
+    levels = [(1 << k, flat[(1 << k) - 1:]) for k in range(depth - 1, -1, -1)]
+    for arr in [column, start, flat]:
+        if arr is not None:
+            arr.setflags(write=False)
+    return (levels, column, start, M, stride), S
 
 
-def _search(levels, width, row, u):
-    """#{j : cum[row, j] <= u} over a _cdf_table, i.e. (u[:, None] >=
-    cum[row]).sum(1), by a branchless binary search: one flat gather per
-    level, log2(width) in all, and no (N, S) gather."""
-    base = row * width
-    pos = base.copy()
+def _search(table, width, row, u):
+    """#{j : cum[row, j] <= u} for u in [0, 1) over a _cdf_table, i.e. (u[:,
+    None] >= cum[row]).sum(1): the guide's start for u's bucket (or the row
+    base), one branchless binary-search level per flat gather, then the
+    column map. width, which callers test for a single column, is not read.
+    """
+    levels, column, start, M, stride = table
+    if start is None:
+        pos = row * stride
+    else:
+        pos = start.take(row * M + (u * M).astype(np.intp))
     for half, level in levels:
-        hit = level[pos] <= u
+        hit = level.take(pos) <= u
         pos += hit if half == 1 else half * hit
-    pos -= base
-    return pos
+    return column.take(pos)
 
 
 def _path_length(S, N, k):
@@ -151,7 +208,7 @@ def _path_length(S, N, k):
 
 @functools.lru_cache(maxsize=8)
 def _path_table(P_bytes, S, B):
-    """(levels, width, decode) of the B-step path law of the kernel whose
+    """(table, width, decode) of the B-step path law of the kernel whose
     (S, S) float64 bytes are P_bytes, cached across segments and calls.
 
     The _cdf_table holds, in row x, the cumulative probabilities of the S^B
@@ -164,12 +221,11 @@ def _path_table(P_bytes, S, B):
     for _ in range(B - 1):
         last = np.arange(probs.shape[1]) % S
         probs = (probs[:, :, None] * P[last]).reshape(S, -1)
-    levels, width = _cdf_table(np.cumsum(probs, axis=1))
+    table, width = _cdf_table(np.cumsum(probs, axis=1))
     decode = None if B == 1 else np.indices((S,) * B).reshape(B, -1)
-    for arr in [level for _, level in levels] + [decode]:
-        if arr is not None:
-            arr.setflags(write=False)       # shared by every cache hit
-    return levels, width, decode
+    if decode is not None:
+        decode.setflags(write=False)        # shared by every cache hit
+    return table, width, decode
 
 
 def _chain_steps(P, X, n, rng, k=0):
@@ -190,7 +246,7 @@ def _chain_steps(P, X, n, rng, k=0):
     N = len(X)
     S = len(P)
     B = _path_length(S, N, k)
-    levels, width, decode = _path_table(
+    table, width, decode = _path_table(
         np.asarray(P, dtype=float).tobytes(), S, B)
     block = B * max(1, _BLOCK // max(N * B * (1 + k), 1))     # steps
     draw = N * (1 + B * k)                  # values of a whole draw
@@ -208,7 +264,7 @@ def _chain_steps(P, X, n, rng, k=0):
         states = np.empty((m + 1, N), dtype=X.dtype)
         states[0] = X
         for j, row in enumerate(moves):
-            path = _search(levels, width, X, row)
+            path = _search(table, width, X, row)
             if decode is None:
                 states[j + 1] = X = path
             else:
@@ -330,7 +386,10 @@ def simulate_ct(ct: CtMapSpec, t: float, n_paths: int, seed: int,
     Holding times are exponential with the diagonal rates; Y accumulates
     reward * holding plus any per-transition jump increments. No time
     discretization error. Y at integer times is recorded when record_steps
-    (used for skeleton-consistency checks).
+    (used for skeleton-consistency checks), each mark k inside a dwell from
+    pos as Y + reward * (k - pos). The loop keeps X, Y and the clock of the
+    running paths as compact arrays and writes a path back once, when it
+    stops.
     """
     spec_id = spec_content_hash(ct)
     rng = _philox(f"{spec_id}:{seed}".encode())
@@ -345,55 +404,63 @@ def simulate_ct(ct: CtMapSpec, t: float, n_paths: int, seed: int,
 
     X = _initial_states(ct, mu, n_paths, rng)
     Y = np.zeros(n_paths)
-    clock = np.zeros(n_paths)
     n_int = int(np.floor(t))
     fractional = n_int >= 1 and n_int < t
     Y_at_int = np.zeros(n_paths) if fractional else None
-    panel = np.zeros((n_paths, n_int)) if record_steps and n_int >= 1 else None
-    y_marks = np.zeros((n_paths, n_int + 1)) if panel is not None else None
+    y_marks = (np.zeros((n_paths, n_int + 1)) if record_steps and n_int >= 1
+               else None)
+    absorbing = not (rates > 0).all()
 
-    active = np.arange(n_paths)
+    # the running paths: their indices and compact X, Y and clock
+    active, x, y, pos = (np.arange(n_paths), X.copy(), np.zeros(n_paths),
+                         np.zeros(n_paths))
     while len(active):
-        r = rates[X[active]]
+        r = rates[x]
         u = rng.random(len(active))
-        with np.errstate(divide="ignore"):
-            hold = np.where(r > 0, -np.log1p(-u) / np.where(r > 0, r, 1.0), np.inf)
-        t_left = t - clock[active]
+        if absorbing:
+            with np.errstate(divide="ignore"):
+                hold = np.where(r > 0, -np.log1p(-u) / np.where(r > 0, r, 1.0),
+                                np.inf)
+        else:
+            hold = -np.log1p(-u) / r
+        t_left = t - pos
         dwell = np.minimum(hold, t_left)
-        pos = clock[active]
         new_pos = pos + dwell
-        rate_val = ct.reward[X[active]]
+        rate_val = ct.reward[x]
 
         if fractional:
             # value at the last integer mark, interpolated inside the dwell
             cross = (pos < n_int) & (new_pos >= n_int)
             if cross.any():
-                Y_at_int[active[cross]] = (Y[active[cross]]
+                Y_at_int[active[cross]] = (y[cross]
                                            + rate_val[cross] * (n_int - pos[cross]))
         if y_marks is not None:
             lo = np.ceil(pos - 1e-12).astype(np.int64).clip(1, None)
             hi = np.floor(new_pos + 1e-12).astype(np.int64).clip(None, n_int)
-            for idx in np.flatnonzero(hi >= lo):
-                p = active[idx]
-                for mark in range(lo[idx], hi[idx] + 1):
-                    y_marks[p, mark] = Y[p] + rate_val[idx] * (mark - pos[idx])
+            count = (hi - lo + 1).clip(0, None)
+            idx = np.repeat(np.arange(len(active)), count)
+            mark = lo[idx] + (np.arange(len(idx))
+                              - np.repeat(np.cumsum(count) - count, count))
+            y_marks[active[idx], mark] = (y[idx]
+                                          + rate_val[idx] * (mark - pos[idx]))
 
-        Y[active] += ct.reward[X[active]] * dwell
-        clock[active] += dwell
+        y += rate_val * dwell
+        pos = new_pos
         jumped = hold < t_left
-        if jumped.any():
-            ja = active[jumped]
-            u2 = rng.random(len(ja))
-            nxt = _search(*cumE, X[ja], u2)
+        if not jumped.all():        # write the stopped paths back, once
+            done = ~jumped
+            Y[active[done]] = y[done]
+            X[active[done]] = x[done]
+            active, x, y, pos = active[jumped], x[jumped], y[jumped], pos[jumped]
+        if len(active):
+            nxt = _search(*cumE, x, rng.random(len(active)))
             if ct.jump_increments is not None:
-                Y[ja] += ct.jump_increments[X[ja], nxt]
-            X[ja] = nxt
-        active = active[jumped]
+                y += ct.jump_increments[x, nxt]
+            x = nxt
 
     if Y_at_int is None and n_int >= 1:
         Y_at_int = Y.copy()     # integer horizon: floor(t) = t
-    if y_marks is not None:
-        panel[:] = np.diff(y_marks, axis=1)
+    panel = None if y_marks is None else np.diff(y_marks, axis=1)
     return TrajectoryBatch(spec_id=spec_id, horizon=float(t), n_paths=n_paths,
                            seed=seed, terminal_Y=Y[:, None], terminal_X=X,
                            increment_panel=panel, integer_part_Y=Y_at_int)

@@ -335,6 +335,86 @@ def stepwise_edge_counts(kernel, n, reps, seed, mu=None, B=None):
     return counts[0] if np.ndim(n) == 0 else counts
 
 
+def _pinned_cdf(probs):
+    """Row-wise cumulative sums of probs, each pinned to 1 from its last
+    positive entry on (a row with none is all 1)."""
+    cum = np.cumsum(probs, axis=1)
+    for row, p in zip(cum, probs):
+        row[np.flatnonzero(p > 0)[-1] if (p > 0).any() else 0:] = 1.0
+    return cum
+
+
+def stepwise_ct(ct, t, n_paths, seed, mu=None, record_steps=False):
+    """(terminal_Y, terminal_X, increment_panel, integer_part_Y) of
+    montecarlo.simulate_ct as it stood before its running paths were kept
+    compact: the loop re-indexes X, Y and the clock by the active paths on
+    every jump and writes the integer marks one path and one mark at a time
+    (test oracle). The jump target is the comparison-sum inverse CDF over
+    the pinned embedded-chain rows, X_0 is _initial_states."""
+    spec_id = spec_content_hash(ct)
+    rng = _philox(f"{spec_id}:{seed}".encode())
+    G = ct.generator
+    rates = -np.diag(G)
+    embed = np.array(G)
+    np.fill_diagonal(embed, 0.0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        embed = np.where(rates[:, None] > 0, embed / rates[:, None], 0.0)
+    cumE = _pinned_cdf(embed)
+
+    X = _initial_states(ct.pi, mu, n_paths, rng)
+    Y = np.zeros(n_paths)
+    clock = np.zeros(n_paths)
+    n_int = int(np.floor(t))
+    fractional = n_int >= 1 and n_int < t
+    Y_at_int = np.zeros(n_paths) if fractional else None
+    panel = np.zeros((n_paths, n_int)) if record_steps and n_int >= 1 else None
+    y_marks = np.zeros((n_paths, n_int + 1)) if panel is not None else None
+
+    active = np.arange(n_paths)
+    while len(active):
+        r = rates[X[active]]
+        u = rng.random(len(active))
+        with np.errstate(divide="ignore"):
+            hold = np.where(r > 0, -np.log1p(-u) / np.where(r > 0, r, 1.0), np.inf)
+        t_left = t - clock[active]
+        dwell = np.minimum(hold, t_left)
+        pos = clock[active]
+        new_pos = pos + dwell
+        rate_val = ct.reward[X[active]]
+
+        if fractional:
+            # value at the last integer mark, interpolated inside the dwell
+            cross = (pos < n_int) & (new_pos >= n_int)
+            if cross.any():
+                Y_at_int[active[cross]] = (Y[active[cross]]
+                                           + rate_val[cross] * (n_int - pos[cross]))
+        if y_marks is not None:
+            lo = np.ceil(pos - 1e-12).astype(np.int64).clip(1, None)
+            hi = np.floor(new_pos + 1e-12).astype(np.int64).clip(None, n_int)
+            for idx in np.flatnonzero(hi >= lo):
+                p = active[idx]
+                for mark in range(lo[idx], hi[idx] + 1):
+                    y_marks[p, mark] = Y[p] + rate_val[idx] * (mark - pos[idx])
+
+        Y[active] += ct.reward[X[active]] * dwell
+        clock[active] += dwell
+        jumped = hold < t_left
+        if jumped.any():
+            ja = active[jumped]
+            u2 = rng.random(len(ja))
+            nxt = (u2[:, None] >= cumE[X[ja]]).sum(axis=1)
+            if ct.jump_increments is not None:
+                Y[ja] += ct.jump_increments[X[ja], nxt]
+            X[ja] = nxt
+        active = active[jumped]
+
+    if Y_at_int is None and n_int >= 1:
+        Y_at_int = Y.copy()     # integer horizon: floor(t) = t
+    if y_marks is not None:
+        panel[:] = np.diff(y_marks, axis=1)
+    return Y[:, None], X, panel, Y_at_int
+
+
 def _initial_states_b1(pi, mu, n_paths, rng):
     probs = pi if mu is None else np.asarray(mu, dtype=float)
     u = rng.random(n_paths)
