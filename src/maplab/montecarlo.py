@@ -93,7 +93,7 @@ def _initial_states(spec, mu, n_paths, rng):
     pi = spec.pi
     probs = pi if mu is None else _initial_law(pi, mu)
     u = rng.random(n_paths)
-    return _search(*_cdf_table(np.cumsum(probs)[None]),
+    return _search(_cdf_table(np.cumsum(probs)[None]),
                    np.zeros(n_paths, dtype=np.intp), u)
 
 
@@ -124,13 +124,12 @@ def _rises(cum):
 
 
 def _cdf_table(cum):
-    """(table, width) for _search over the rows of cum; width is the column
-    count. Each row is read clipped to 1 and pinned to 1 from its last
-    positive entry (its last rise) on, so that no u < 1 lands on a state of
-    probability 0; a row with no positive entry draws its last column. A
-    row keeps only the columns it rises at: values c_0 < ... < c_{m-1} = 1,
-    flat at a common row stride and padded with 1s, and a map back to their
-    columns.
+    """The table _search reads for the rows of cum. Each row is read
+    clipped to 1 and pinned to 1 from its last positive entry (its last
+    rise) on, so that no u < 1 lands on a state of probability 0; a row
+    with no positive entry draws its last column. A row keeps only the
+    columns it rises at: values c_0 < ... < c_{m-1} = 1, flat at a common
+    row stride and padded with 1s, and a map back to their columns.
 
     The guide splits [0, 1) into M buckets, M = 2^k >= twice the widest
     row. For row r and bucket b it holds the start #{i : c_i <= b/M}, counted
@@ -171,18 +170,18 @@ def _cdf_table(cum):
     column[at] = cols
     if start is not None:
         start = (start + np.arange(n)[:, None] * stride).ravel()
-    levels = [(1 << k, flat[(1 << k) - 1:]) for k in range(depth - 1, -1, -1)]
-    for arr in [column, start, flat]:
+    for arr in [column, start, flat]:       # before the level views of flat
         if arr is not None:
             arr.setflags(write=False)
-    return (levels, column, start, M, stride), S
+    levels = [(1 << k, flat[(1 << k) - 1:]) for k in range(depth - 1, -1, -1)]
+    return levels, column, start, M, stride
 
 
-def _search(table, width, row, u):
+def _search(table, row, u):
     """#{j : cum[row, j] <= u} for u in [0, 1) over a _cdf_table, i.e. (u[:,
     None] >= cum[row]).sum(1): the guide's start for u's bucket (or the row
     base), one branchless binary-search level per flat gather, then the
-    column map. width, which callers test for a single column, is not read.
+    column map.
     """
     levels, column, start, M, stride = table
     if start is None:
@@ -208,7 +207,7 @@ def _path_length(S, N, k):
 
 @functools.lru_cache(maxsize=8)
 def _path_table(P_bytes, S, B):
-    """(table, width, decode) of the B-step path law of the kernel whose
+    """(table, decode) of the B-step path law of the kernel whose
     (S, S) float64 bytes are P_bytes, cached across segments and calls.
 
     The _cdf_table holds, in row x, the cumulative probabilities of the S^B
@@ -221,11 +220,11 @@ def _path_table(P_bytes, S, B):
     for _ in range(B - 1):
         last = np.arange(probs.shape[1]) % S
         probs = (probs[:, :, None] * P[last]).reshape(S, -1)
-    table, width = _cdf_table(np.cumsum(probs, axis=1))
+    table = _cdf_table(np.cumsum(probs, axis=1))
     decode = None if B == 1 else np.indices((S,) * B).reshape(B, -1)
     if decode is not None:
         decode.setflags(write=False)        # shared by every cache hit
-    return table, width, decode
+    return table, decode
 
 
 def _chain_steps(P, X, n, rng, k=0):
@@ -246,7 +245,7 @@ def _chain_steps(P, X, n, rng, k=0):
     N = len(X)
     S = len(P)
     B = _path_length(S, N, k)
-    table, width, decode = _path_table(
+    table, decode = _path_table(
         np.asarray(P, dtype=float).tobytes(), S, B)
     block = B * max(1, _BLOCK // max(N * B * (1 + k), 1))     # steps
     draw = N * (1 + B * k)                  # values of a whole draw
@@ -264,7 +263,7 @@ def _chain_steps(P, X, n, rng, k=0):
         states = np.empty((m + 1, N), dtype=X.dtype)
         states[0] = X
         for j, row in enumerate(moves):
-            path = _search(table, width, X, row)
+            path = _search(table, X, row)
             if decode is None:
                 states[j + 1] = X = path
             else:
@@ -297,7 +296,7 @@ def _atom_lookup(spec: MapSpec):
 
     first and cum are indexed by flat edge X*S + X': the run's first atom (a
     trailing zero atom for edges without a law) and its cumulative
-    probabilities as a _cdf_table (width 1 when no run has two atoms). The
+    probabilities as a _cdf_table (None when no run has two atoms). The
     rest are per atom; cov is regularized so that its Cholesky factor exists
     wherever the covariance is regular.
     """
@@ -318,7 +317,8 @@ def _atom_lookup(spec: MapSpec):
         cum[edges[k], :m] = run
     cov = np.vstack([tab["cov"], np.zeros((1, d, d))]) + 1e-300 * np.eye(d)
     cov += 1e-18 * np.trace(cov, axis1=1, axis2=2)[:, None, None] * np.eye(d)
-    return (first, _cdf_table(cum), np.vstack([tab["mean"], np.zeros((1, d))]),
+    return (first, _cdf_table(cum) if length.max() > 1 else None,
+            np.vstack([tab["mean"], np.zeros((1, d))]),
             cov, np.append(tab["gauss"], False))
 
 
@@ -327,8 +327,8 @@ def _edge_atoms(spec, first, cum, states, u):
     of extra uniform 0 over the run where multi-atom runs exist."""
     edge = states[:-1] * spec.n_states + states[1:]
     atom = first.take(edge)
-    if cum[1] > 1:
-        atom += _search(*cum, edge, u[..., 0])
+    if cum is not None:
+        atom += _search(cum, edge, u[..., 0])
     return atom
 
 
@@ -362,7 +362,7 @@ def simulate_discrete(spec: MapSpec, n: int, n_paths: int, seed: int,
     for h in horizons:
         V = np.zeros((n_paths, d, d)) if gauss.any() else None
         for states, u in _chain_steps(spec.P, X, h - done, rng,
-                                      int(cum[1] > 1)):
+                                      int(cum is not None)):
             atom = _edge_atoms(spec, first, cum, states, u)
             Y += mean.take(atom, axis=0).sum(axis=0)
             if V is not None:
@@ -395,7 +395,8 @@ def simulate_ct(ct: CtMapSpec, t: float, n_paths: int, seed: int,
     rng = _philox(f"{spec_id}:{seed}".encode())
     G = ct.generator
     S = ct.n_states
-    rates = -np.diag(G)
+    diag = np.diag(G)
+    rates = np.where(diag < 0, -diag, 0.0)  # +0.0, not -0.0, with no exit
     embed = np.array(G)
     np.fill_diagonal(embed, 0.0)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -409,54 +410,52 @@ def simulate_ct(ct: CtMapSpec, t: float, n_paths: int, seed: int,
     Y_at_int = np.zeros(n_paths) if fractional else None
     y_marks = (np.zeros((n_paths, n_int + 1)) if record_steps and n_int >= 1
                else None)
-    absorbing = not (rates > 0).all()
 
     # the running paths: their indices and compact X, Y and clock
     active, x, y, pos = (np.arange(n_paths), X.copy(), np.zeros(n_paths),
                          np.zeros(n_paths))
-    while len(active):
-        r = rates[x]
-        u = rng.random(len(active))
-        if absorbing:
-            with np.errstate(divide="ignore"):
-                hold = np.where(r > 0, -np.log1p(-u) / np.where(r > 0, r, 1.0),
-                                np.inf)
-        else:
-            hold = -np.log1p(-u) / r
-        t_left = t - pos
-        dwell = np.minimum(hold, t_left)
-        new_pos = pos + dwell
-        rate_val = ct.reward[x]
+    # at rate 0 (a state with no exit) the hold is inf, or 0/0 = nan at
+    # u = 0; fmin and hold < t_left read both as no jump
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while len(active):
+            u = rng.random(len(active))
+            hold = -np.log1p(-u) / rates[x]
+            t_left = t - pos
+            dwell = np.fmin(hold, t_left)
+            new_pos = pos + dwell
+            rate_val = ct.reward[x]
 
-        if fractional:
-            # value at the last integer mark, interpolated inside the dwell
-            cross = (pos < n_int) & (new_pos >= n_int)
-            if cross.any():
-                Y_at_int[active[cross]] = (y[cross]
-                                           + rate_val[cross] * (n_int - pos[cross]))
-        if y_marks is not None:
-            lo = np.ceil(pos - 1e-12).astype(np.int64).clip(1, None)
-            hi = np.floor(new_pos + 1e-12).astype(np.int64).clip(None, n_int)
-            count = (hi - lo + 1).clip(0, None)
-            idx = np.repeat(np.arange(len(active)), count)
-            mark = lo[idx] + (np.arange(len(idx))
-                              - np.repeat(np.cumsum(count) - count, count))
-            y_marks[active[idx], mark] = (y[idx]
-                                          + rate_val[idx] * (mark - pos[idx]))
+            if fractional:
+                # value at the last integer mark, interpolated in the dwell
+                cross = (pos < n_int) & (new_pos >= n_int)
+                if cross.any():
+                    Y_at_int[active[cross]] = (
+                        y[cross] + rate_val[cross] * (n_int - pos[cross]))
+            if y_marks is not None:
+                lo = np.ceil(pos - 1e-12).astype(np.int64).clip(1, None)
+                hi = np.floor(new_pos + 1e-12).astype(np.int64).clip(
+                    None, n_int)
+                count = (hi - lo + 1).clip(0, None)
+                idx = np.repeat(np.arange(len(active)), count)
+                mark = lo[idx] + (np.arange(len(idx))
+                                  - np.repeat(np.cumsum(count) - count, count))
+                y_marks[active[idx], mark] = (
+                    y[idx] + rate_val[idx] * (mark - pos[idx]))
 
-        y += rate_val * dwell
-        pos = new_pos
-        jumped = hold < t_left
-        if not jumped.all():        # write the stopped paths back, once
-            done = ~jumped
-            Y[active[done]] = y[done]
-            X[active[done]] = x[done]
-            active, x, y, pos = active[jumped], x[jumped], y[jumped], pos[jumped]
-        if len(active):
-            nxt = _search(*cumE, x, rng.random(len(active)))
-            if ct.jump_increments is not None:
-                y += ct.jump_increments[x, nxt]
-            x = nxt
+            y += rate_val * dwell
+            pos = new_pos
+            jumped = hold < t_left
+            if not jumped.all():        # write the stopped paths back, once
+                done = ~jumped
+                Y[active[done]] = y[done]
+                X[active[done]] = x[done]
+                active, x, y, pos = (active[jumped], x[jumped], y[jumped],
+                                     pos[jumped])
+            if len(active):
+                nxt = _search(cumE, x, rng.random(len(active)))
+                if ct.jump_increments is not None:
+                    y += ct.jump_increments[x, nxt]
+                x = nxt
 
     if Y_at_int is None and n_int >= 1:
         Y_at_int = Y.copy()     # integer horizon: floor(t) = t

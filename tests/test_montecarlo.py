@@ -1,4 +1,5 @@
 import json
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -274,8 +275,8 @@ class TestSearch:
         u[pick] = tied[pick]                    # u equal to a cumulative value
         u[:5] = 0.0
         u[5:10] = np.nextafter(1.0, 0.0)
-        table, width = _cdf_table(cum)
-        np.testing.assert_array_equal(_search(table, width, row, u),
+        table = _cdf_table(cum)
+        np.testing.assert_array_equal(_search(table, row, u),
                                       _comparison_sum(cum, row, u))
         assert _depth(table) <= (S - 1).bit_length()   # binary search's
 
@@ -287,16 +288,15 @@ class TestSearch:
         u = np.concatenate([cum[0, :2], np.linspace(0.0, 1.0, 101)[:-1],
                             [np.nextafter(1.0, 0.0)]])
         row = np.zeros(len(u), dtype=np.int64)
-        table, width = _cdf_table(cum)
-        assert width == 4
-        np.testing.assert_array_equal(_search(table, width, row, u),
+        table = _cdf_table(cum)
+        np.testing.assert_array_equal(_search(table, row, u),
                                       _comparison_sum(cum, row, u))
 
 
     def test_rows_without_positive_entry(self):
         # a zero row draws its last column; the single-state CT embed row
         # is [[0]], so it draws state 0
-        single = _search(*_cdf_table(np.zeros((1, 1))),
+        single = _search(_cdf_table(np.zeros((1, 1))),
                          np.zeros(3, dtype=np.intp), np.array([0.0, 0.5, 0.9]))
         assert single.tolist() == [0, 0, 0]
         w = np.random.default_rng(2).exponential(size=(40, 40))
@@ -304,11 +304,11 @@ class TestSearch:
         cum = np.cumsum(w / np.maximum(w.sum(axis=1, keepdims=True), 1e-300),
                         axis=1)
         cum[:, -1] = 1.0
-        table, width = _cdf_table(cum)
+        table = _cdf_table(cum)
         assert table[2] is not None             # guided
         row = np.repeat(np.arange(40), 50)
         u = np.random.default_rng(3).random(len(row))
-        got = _search(table, width, row, u)
+        got = _search(table, row, u)
         np.testing.assert_array_equal(got, _comparison_sum(cum, row, u))
         assert (got[row % 3 == 0] == 39).all()
 
@@ -322,7 +322,7 @@ class TestSearch:
         smallest = min(np.prod(P[[x, *path[:-1]], path])
                        for x in range(S) for path in paths)
         assert 0 < smallest < 1e-15
-        table, width, _ = montecarlo._path_table(P.tobytes(), S, B)
+        table, _ = montecarlo._path_table(P.tobytes(), S, B)
         row = np.repeat(np.arange(S), 400)
         u = rng.random(len(row))
         tied = np.array([cums[x][j] for x, j in
@@ -332,7 +332,7 @@ class TestSearch:
         u[::7] = 1.0 - rng.random(len(u[::7])) * 1e-3    # near the end
         u = np.clip(u, 0.0, np.nextafter(1.0, 0.0))
         want = [int((v >= cums[x]).sum()) for x, v in zip(row, u)]
-        np.testing.assert_array_equal(_search(table, width, row, u), want)
+        np.testing.assert_array_equal(_search(table, row, u), want)
 
     @pytest.mark.parametrize("S", [8, 32, 33])
     def test_bucket_edges(self, S):
@@ -340,28 +340,28 @@ class TestSearch:
         rng = np.random.default_rng(S)
         cum = np.cumsum(rng.dirichlet(np.full(S, 0.3), size=6), axis=1)
         cum[:, -1] = 1.0
-        table, width = _cdf_table(cum)
+        table = _cdf_table(cum)
         M = table[3]
         edge = np.arange(M) / M
         u = np.concatenate([edge, np.nextafter(edge, 1.0),
                             np.nextafter(edge[1:], 0.0)])
         for r in range(6):
             row = np.full(len(u), r)
-            np.testing.assert_array_equal(_search(table, width, row, u),
+            np.testing.assert_array_equal(_search(table, row, u),
                                           _comparison_sum(cum, row, u))
 
     def test_dyadic_table(self):
         # every path probability a multiple of 1/M: no bucket holds a
         # candidate, so the guided search runs no level at all
         P = np.full((2, 2), 0.5)
-        table, width, _ = montecarlo._path_table(P.tobytes(), 2, 4)
+        table, _ = montecarlo._path_table(P.tobytes(), 2, 4)
         assert table[2] is not None and _depth(table) == 0
         paths, cums = path_laws(P, 4)
         row = np.repeat(np.arange(2), 64)
         u = np.concatenate([np.arange(64) / 64, np.nextafter(
             np.arange(1, 65) / 64, 0.0)])
         want = [int((v >= cums[x]).sum()) for x, v in zip(row, u)]
-        np.testing.assert_array_equal(_search(table, width, row, u), want)
+        np.testing.assert_array_equal(_search(table, row, u), want)
 
     def test_values_one_ulp_from_bucket_edges(self):
         # cumulative values one ulp above or below j/32 in every row: a
@@ -371,7 +371,7 @@ class TestSearch:
         row_values = np.where(np.arange(31) % 2, np.nextafter(edge, 2.0),
                               np.nextafter(edge, 0.0))
         cum = np.tile(np.append(row_values, 1.0), (6, 1))
-        table, width = _cdf_table(cum)
+        table = _cdf_table(cum)
         assert table[2] is not None             # guided
         M = table[3]
         u = np.arange(M) / M
@@ -379,14 +379,14 @@ class TestSearch:
                             row_values])
         for r in range(6):
             row = np.full(len(u), r)
-            np.testing.assert_array_equal(_search(table, width, row, u),
+            np.testing.assert_array_equal(_search(table, row, u),
                                           _comparison_sum(cum, row, u))
 
     def test_width_one(self):
-        table, width = _cdf_table(np.ones((4, 1)))
-        assert width == 1 and _depth(table) == 0
+        table = _cdf_table(np.ones((4, 1)))
+        assert _depth(table) == 0
         row = np.array([0, 1, 2, 3, 3])
-        got = _search(table, width, row, np.array([0.0, 0.3, 0.5, 0.99,
+        got = _search(table, row, np.array([0.0, 0.3, 0.5, 0.99,
                                                    np.nextafter(1.0, 0.0)]))
         assert got.tolist() == [0] * 5
 
@@ -399,14 +399,23 @@ class TestSearch:
             nxt = rng.choice(S, successors, replace=False)
             P[x, nxt] = rng.uniform(0.2, 1.0, successors)
         P /= P.sum(axis=1, keepdims=True)
-        table, width, _ = montecarlo._path_table(P.tobytes(), S, B)
+        table, _ = montecarlo._path_table(P.tobytes(), S, B)
         assert table[2] is not None
         assert _depth(table) < (S ** B - 1).bit_length()
         paths, cums = path_laws(P, B)
         row = np.repeat(np.arange(S), 200)
         u = rng.random(len(row))
         want = [int((v >= cums[x]).sum()) for x, v in zip(row, u)]
-        np.testing.assert_array_equal(_search(table, width, row, u), want)
+        np.testing.assert_array_equal(_search(table, row, u), want)
+
+    def test_path_table_read_only(self):
+        # every cache hit shares the table, the level views of flat included
+        P = np.random.default_rng(8).dirichlet(np.ones(8), size=8)
+        table, decode = montecarlo._path_table(P.tobytes(), 8, 3)
+        levels, column, start = table[:3]
+        assert levels and start is not None
+        for arr in [column, start, decode, *(level for _, level in levels)]:
+            assert not arr.flags.writeable
 
 
 def _depth(table):
@@ -504,6 +513,19 @@ class TestContinuous:
         ct = CtMapSpec(generator=np.array([[0.0]]), reward=np.array([1.0]))
         batch = simulate_ct(ct, 4.2, 10, 0)
         np.testing.assert_allclose(batch.terminal_Y[:, 0], 4.2, atol=1e-12)
+
+    def test_single_state_zero_uniform(self, monkeypatch):
+        # rate 0 and u = 0 make the hold 0/0 = nan: still no jump, no warning
+        zeros = SimpleNamespace(random=lambda n: np.zeros(n))
+        monkeypatch.setattr(montecarlo, "_philox", lambda payload: zeros)
+        ct = CtMapSpec(generator=np.array([[0.0]]), reward=np.array([1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = simulate_ct(ct, 4.5, 3, 0, record_steps=True)
+        assert batch.terminal_Y[:, 0].tolist() == [4.5] * 3
+        assert batch.terminal_X.tolist() == [0] * 3
+        assert batch.integer_part_Y.tolist() == [4.0] * 3
+        assert (batch.increment_panel == 1.0).all()
 
     def test_mean_rate_oracle(self):
         ct = ct_two_state(centered=False)
@@ -793,7 +815,7 @@ class TestZeroMassStates:
 
     def test_cdf_table(self):
         cum = np.cumsum(self.ROW)[None]
-        got = _search(*_cdf_table(cum), np.zeros(1, dtype=np.intp),
+        got = _search(_cdf_table(cum), np.zeros(1, dtype=np.intp),
                       np.array([self.U]))
         assert got.tolist() == [2]
 
@@ -807,9 +829,9 @@ class TestZeroMassStates:
     def test_block_paths(self, B):
         P = np.array([self.ROW, self.ROW[[1, 0, 3, 2]], self.ROW[::-1],
                       [0.25] * 4])
-        levels, width, decode = montecarlo._path_table(P.tobytes(), 4, B)
+        table, decode = montecarlo._path_table(P.tobytes(), 4, B)
         x = np.arange(4)
-        path = _search(levels, width, x, np.full(4, self.U))
+        path = _search(table, x, np.full(4, self.U))
         states = path[None] if decode is None else decode[:, path]
         walk = np.vstack([x, states])
         assert (P[walk[:-1], walk[1:]] > 0).all()
@@ -819,7 +841,7 @@ class TestZeroMassStates:
         law = mixture([(p, [float(a)]) for a, p in enumerate(self.ROW)])
         spec = MapSpec(kernel=kernel, increments={(0, 0): law})
         first, cum, *_ = montecarlo._atom_lookup(spec)
-        atom = first[0] + _search(*cum, np.zeros(1, dtype=np.intp),
+        atom = first[0] + _search(cum, np.zeros(1, dtype=np.intp),
                                   np.array([self.U]))
         assert atom.tolist() == [2]
 
