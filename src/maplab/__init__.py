@@ -13,8 +13,7 @@ from .fourier import (ExpansionEvaluation, FourierOperator, SpectralSummary,
                       build_fourier, check_semigroup, contour_crosscheck,
                       derivatives_at_zero, evaluate_expansion,
                       is_nonlattice_spectral, lambda_branch, nonlattice_scan)
-from .increments import (IncrementLaw, deterministic, from_cf, gaussian,
-                         mixture)
+from .increments import IncrementLaw, deterministic, gaussian, mixture
 from .limit_checks import (GaussianComparison, LltRecord, RhoMixReport,
                            asymptotic_bias, berry_esseen_check, clt_check,
                            ct_limit_check, ecdf_se, edgeworth_cdf,

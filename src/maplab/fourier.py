@@ -40,8 +40,8 @@ def _fourier_matrix(spec, zeta) -> np.ndarray:
     """Stack of S_1(zeta) over K points (K scalars or a (K, d) array).
 
     Discrete specs evaluate all atoms of spec.edge_table in one expression,
-    each as p exp(i zeta.m - zeta.C.zeta / 2); cf-kind laws call their own
-    cf. Continuous specs give exp(A(zeta)). Shape (K, S, S).
+    each as p exp(i zeta.m - zeta.C.zeta / 2). Continuous specs give
+    exp(A(zeta)). Shape (K, S, S).
     """
     if isinstance(spec, CtMapSpec):
         z = np.asarray(zeta, dtype=float).reshape(-1)
@@ -54,8 +54,6 @@ def _fourier_matrix(spec, zeta) -> np.ndarray:
         atoms = tab["prob"] * np.exp(1j * (Z @ tab["mean"].T) - 0.5 * quad)
         M[:, tab["rows"], tab["cols"]] = tab["weight"] * np.add.reduceat(
             atoms, tab["start"], axis=1)
-    for i, j, law in tab["cf"]:
-        M[:, i, j] = [spec.P[i, j] * law.cf(z) for z in Z]
     return M
 
 

@@ -1,53 +1,40 @@
-"""Per-edge increment laws with closed-form characteristic functions.
+"""Per-edge increment laws, each one run of Gaussian atoms.
 
-Four kinds are supported: deterministic point masses, Gaussians, finite
-mixtures of point masses, and characteristic-function-only laws (produced by
-skeleton extraction from continuous time). The first three are sampleable and
-have closed-form moments; the last exposes moments through Richardson-
-extrapolated numerical differentiation of its characteristic function.
+Three kinds are supported: deterministic point masses, Gaussians and finite
+mixtures of point masses. Every law is read through one view, a run of
+Gaussian atoms (prob, mean, cov): a Gaussian is one atom, a point mass one
+atom with cov = 0, a mixture one zero-cov atom per point. The
+characteristic function and the moments are one formula over that run, and
+MapSpec.edge_table compiles the runs of all edges into flat arrays.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import MomentUndefined
 
-# larger steps for higher orders: roundoff in a k-th difference grows like
-# eps / h^k, so h must grow with k to keep 1e-6 absolute accuracy
-_CF_DIFF_STEPS = {1: 1e-3, 2: 1e-3, 3: 1e-2, 4: 2e-2}
 
-# central-difference stencils for d^k/dz^k at 0, nodes -3h..3h, O(h^2) at
-# least; combined pairwise with Richardson below
-_STENCILS = {
-    1: (np.array([-1, 1]), np.array([-0.5, 0.5]), 1),
-    2: (np.array([-1, 0, 1]), np.array([1.0, -2.0, 1.0]), 2),
-    3: (np.array([-2, -1, 1, 2]), np.array([-0.5, 1.0, -1.0, 0.5]), 3),
-    4: (np.array([-2, -1, 0, 1, 2]), np.array([1.0, -4.0, 6.0, -4.0, 1.0]), 4),
-}
-
-
-def _cf_derivative(cf, order: int, h: float = None) -> complex:
-    """k-th derivative of a characteristic function at 0 (two-level Richardson)."""
-    if h is None:
-        h = _CF_DIFF_STEPS[order]
-    nodes, weights, power = _STENCILS[order]
-
-    def diff(step):
-        return sum(w * cf(float(n * step)) for n, w in zip(nodes, weights)) / step ** power
-
-    d1, d2 = diff(h), diff(h / 2.0)
-    return (4.0 * d2 - d1) / 3.0
+def _normal_moment(m, s2, k: int):
+    """E[N(m, s2)^k] for k = 1..4."""
+    if k == 1:
+        return m
+    if k == 2:
+        return m * m + s2
+    if k == 3:
+        return m ** 3 + 3 * m * s2
+    return m ** 4 + 6 * m * m * s2 + 3 * s2 * s2
 
 
 @dataclass(frozen=True)
 class IncrementLaw:
     """Distribution of the additive increment attached to one edge.
 
-    kind is one of "deterministic", "gaussian", "mixture", "cf". Fields are
+    kind is one of "deterministic", "gaussian", "mixture". Fields are
     interpreted per kind; d is the dimension of the additive component.
     """
 
@@ -57,7 +44,6 @@ class IncrementLaw:
     mean_vec: np.ndarray = None         # gaussian
     cov: np.ndarray = None              # gaussian
     atoms: tuple = None                 # mixture: ((prob, vector), ...)
-    cf_callable: object = None          # cf: zeta (d-vector) -> complex
 
     def __post_init__(self):
         def freeze(name, arr):
@@ -86,69 +72,43 @@ class IncrementLaw:
             for _, v in atoms:
                 v.setflags(write=False)
             object.__setattr__(self, "atoms", atoms)
-        elif self.kind == "cf":
-            if self.cf_callable is None:
-                raise ValueError("cf kind requires a callable")
         else:
             raise ValueError(f"unknown increment kind {self.kind!r}")
 
-    # -- characteristic function ------------------------------------------
+    @cached_property
+    def gaussian_atoms(self) -> tuple:
+        """The law as a run of Gaussian atoms ((prob, mean, cov), ...).
+
+        Built once per law; shifted() drops the copy's run so that it is
+        rebuilt from the moved values.
+        """
+        if self.kind == "gaussian":
+            return ((1.0, self.mean_vec, self.cov),)
+        zero = np.zeros((self.d, self.d))
+        zero.setflags(write=False)
+        if self.kind == "deterministic":
+            return ((1.0, self.value, zero),)
+        return tuple((p, v, zero) for p, v in self.atoms)
 
     def cf(self, zeta) -> complex:
-        """E[exp(i <zeta, Z>)] in closed form."""
+        """E[exp(i <zeta, Z>)] = sum_a p_a exp(i zeta.m_a - zeta.C_a.zeta/2)."""
         zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
-        if self.kind == "deterministic":
-            return complex(np.exp(1j * zeta @ self.value))
-        if self.kind == "gaussian":
-            return complex(np.exp(1j * zeta @ self.mean_vec
-                                  - 0.5 * zeta @ self.cov @ zeta))
-        if self.kind == "mixture":
-            return complex(sum(p * np.exp(1j * zeta @ v) for p, v in self.atoms))
-        return complex(self.cf_callable(zeta))
-
-    # -- moments (d = 1 for k >= 2) ---------------------------------------
+        return complex(sum(p * np.exp(1j * zeta @ m - 0.5 * zeta @ c @ zeta)
+                           for p, m, c in self.gaussian_atoms))
 
     def mean(self) -> np.ndarray:
-        if self.kind == "deterministic":
-            return self.value.copy()
-        if self.kind == "gaussian":
-            return self.mean_vec.copy()
-        if self.kind == "mixture":
-            return sum(p * v for p, v in self.atoms)
-        return np.atleast_1d(np.real(_cf_derivative(self._cf1, 1) / 1j))
-
-    def _cf1(self, z: float) -> complex:
-        # scalar characteristic function (d = 1 access path for cf kind)
-        return self.cf(np.array([z]) if self.d == 1 else z)
+        return sum(p * m for p, m, _ in self.gaussian_atoms)
 
     def moment(self, k: int) -> float:
-        """Raw moment E[Z^k], k <= 4, d = 1."""
+        """Raw moment E[Z^k] = sum_a p_a E[N(m_a, c_a)^k], k <= 4, d = 1."""
         if self.d != 1:
             raise MomentUndefined("scalar moments require d = 1")
         if k == 0:
             return 1.0
         if k > 4:
             raise MomentUndefined(f"moment order {k} not supported")
-        if self.kind == "deterministic":
-            return float(self.value[0] ** k)
-        if self.kind == "gaussian":
-            m, s2 = float(self.mean_vec[0]), float(self.cov[0, 0])
-            if k == 1:
-                return m
-            if k == 2:
-                return m * m + s2
-            if k == 3:
-                return m ** 3 + 3 * m * s2
-            return m ** 4 + 6 * m * m * s2 + 3 * s2 * s2
-        if self.kind == "mixture":
-            return float(sum(p * v[0] ** k for p, v in self.atoms))
-        deriv = _cf_derivative(self._cf1, k)
-        return float(np.real(deriv / (1j ** k)))
-
-    # -- structure --------------------------------------------------------
-
-    def has_density_component(self) -> bool:
-        return self.kind in ("gaussian", "cf")
+        return float(sum(p * _normal_moment(m.item(0), c.item(0), k)
+                         for p, m, c in self.gaussian_atoms))
 
     def shifted(self, delta: np.ndarray) -> "IncrementLaw":
         """Law of Z + delta (used for centering).
@@ -157,13 +117,8 @@ class IncrementLaw:
         skips the validation in __post_init__.
         """
         delta = np.atleast_1d(np.asarray(delta, dtype=float))
-        if self.kind == "cf":
-            base = self.cf_callable
-            return IncrementLaw(
-                "cf", d=self.d,
-                cf_callable=lambda zeta, _b=base, _s=delta:
-                    _b(zeta) * np.exp(1j * np.atleast_1d(zeta) @ _s))
         law = copy.copy(self)
+        law.__dict__.pop("gaussian_atoms", None)
         if self.kind == "mixture":
             atoms = tuple((p, v + delta) for p, v in self.atoms)
             for _, v in atoms:
@@ -191,7 +146,3 @@ def gaussian(mean, cov) -> IncrementLaw:
 def mixture(atoms) -> IncrementLaw:
     atoms = tuple((p, np.atleast_1d(np.asarray(v, dtype=float))) for p, v in atoms)
     return IncrementLaw("mixture", d=len(atoms[0][1]), atoms=atoms)
-
-
-def from_cf(cf_callable, d: int = 1) -> IncrementLaw:
-    return IncrementLaw("cf", d=d, cf_callable=cf_callable)

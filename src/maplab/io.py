@@ -96,11 +96,9 @@ def _law_to_dict(i, j, law) -> dict:
     elif law.kind == "gaussian":
         base["mean"] = law.mean_vec.tolist()
         base["cov"] = law.cov.tolist()
-    elif law.kind == "mixture":
+    else:
         base["atoms"] = [{"p": float(p), "value": v.tolist()}
                          for p, v in law.atoms]
-    else:
-        raise FormatError("characteristic-function laws are not serializable")
     return base
 
 

@@ -260,13 +260,21 @@ def _test_functionals(panel_col):
     return funcs
 
 
-def rho_mixing_check(spec: MapSpec, lags, paths: int, seed: int):
-    """Empirical lag correlations of increments against ||P^{t-1} - Pi||_2."""
-    if isinstance(spec, CtMapSpec):
-        spec = ct_sample_skeleton(spec)
+def rho_mixing_check(spec, lags, paths: int, seed: int):
+    """Empirical lag correlations of increments against ||P^{t-1} - Pi||_2.
+
+    A continuous-time spec is read at integer times: its panel is that of
+    simulate_ct(record_steps=True), and P the time-1 skeleton kernel.
+    """
     max_lag = int(max(lags))
-    panel = increment_panel(spec, max_lag + 1, paths, seed)
-    report = spectral_gap_report(spec.kernel, max_lag + 1)
+    if isinstance(spec, CtMapSpec):
+        kernel = ct_sample_skeleton(spec)
+        panel = simulate_ct(spec, float(max_lag + 1), paths, seed,
+                            record_steps=True).increment_panel
+    else:
+        kernel = spec.kernel
+        panel = increment_panel(spec, max_lag + 1, paths, seed)
+    report = spectral_gap_report(kernel, max_lag + 1)
     se = 1.0 / np.sqrt(paths)
     out = []
     base = panel[:, 0]

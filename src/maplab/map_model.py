@@ -21,7 +21,7 @@ import numpy as np
 from .chain_core import StochasticKernel, l2_operator_norm, solve_stationary
 from .errors import (GapAbsent, MomentUndefined, NotCentered, NotScalar,
                      NotStochastic)
-from .increments import IncrementLaw, from_cf
+from .increments import IncrementLaw
 
 CENTER_TOL = 1e-12
 
@@ -36,11 +36,8 @@ def _expm(A):
 def _content_hash(spec) -> str:
     """Stable sha256 of a spec's content (kernel, laws, rewards).
 
-    A skeleton spec hashes as the continuous-time spec it was extracted from.
     Specs keep it as their cached content_hash, so it is computed once each.
     """
-    if getattr(spec, "ct_origin", None) is not None:
-        return spec.ct_origin.content_hash
     if isinstance(spec, CtMapSpec):
         payload = {
             "kind": "ct",
@@ -57,11 +54,9 @@ def _content_hash(spec) -> str:
             elif law.kind == "gaussian":
                 desc = ["gauss", law.mean_vec.round(15).tolist(),
                         law.cov.round(15).tolist()]
-            elif law.kind == "mixture":
+            else:
                 desc = ["mix", [[round(p, 15), v.round(15).tolist()]
                                 for p, v in law.atoms]]
-            else:
-                desc = ["cf", "None"]     # fixed: hashes must stay stable
             laws[f"{i},{j}"] = desc
         payload = {
             "kind": "discrete",
@@ -86,7 +81,6 @@ class MapSpec:
     increments: dict
     d: int = 1
     centered: bool = False
-    ct_origin: object = None   # CtMapSpec the spec was skeleton-extracted from
 
     def __post_init__(self):
         P = self.kernel.P
@@ -143,32 +137,23 @@ class MapSpec:
     def edge_table(self) -> dict:
         """Edges compiled once into flat arrays for the stacked Fourier matrix.
 
-        Every edge without a cf-kind law becomes a run of Gaussian atoms
-        (prob, mean, cov): a Gaussian law is one atom, a deterministic value
-        one atom with cov = 0, a mixture one zero-cov atom per point mass.
-        start[e] is the first atom of edge e and gauss[a] marks the atoms of
-        Gaussian laws; cf-kind laws keep their callables under "cf".
+        Each edge's law is its run of Gaussian atoms (prob, mean, cov), see
+        IncrementLaw.gaussian_atoms. start[e] is the first atom of edge e
+        and gauss[a] marks the atoms of Gaussian laws.
         """
-        zero = np.zeros((self.d, self.d))
-        runs = {}
-        for e, law in self.increments.items():
-            if law.kind == "gaussian":
-                runs[e] = [(1.0, law.mean_vec, law.cov, True)]
-            elif law.kind == "deterministic":
-                runs[e] = [(1.0, law.value, zero, False)]
-            elif law.kind == "mixture":
-                runs[e] = [(p, v, zero, False) for p, v in law.atoms]
-        atoms = [a for run in runs.values() for a in run]
-        rows, cols = np.array(list(runs), dtype=int).reshape(-1, 2).T
+        laws = self.increments.values()
+        atoms = [(p, m, c, law.kind == "gaussian")
+                 for law in laws for p, m, c in law.gaussian_atoms]
+        edges = np.array(list(self.increments), dtype=int).reshape(-1, 2)
+        rows, cols = edges.T
         return {"rows": rows, "cols": cols, "weight": self.P[rows, cols],
-                "start": np.cumsum([0] + [len(r) for r in runs.values()])[:-1],
+                "start": np.cumsum([0] + [len(law.gaussian_atoms)
+                                          for law in laws])[:-1],
                 "prob": np.array([a[0] for a in atoms]),
                 "mean": np.array([a[1] for a in atoms]).reshape(-1, self.d),
                 "cov": np.array([a[2] for a in atoms]).reshape(-1, self.d,
                                                                self.d),
-                "gauss": np.array([a[3] for a in atoms], dtype=bool),
-                "cf": [(i, j, law) for (i, j), law in self.increments.items()
-                       if law.kind == "cf"]}
+                "gauss": np.array([a[3] for a in atoms], dtype=bool)}
 
 
 @dataclass(frozen=True)
@@ -302,24 +287,17 @@ def variance_series(spec: MapSpec, tol: float = 1e-12):
         raise NotCentered("variance_series requires a centered spec")
     S, d, P, pi = spec.n_states, spec.d, spec.P, spec.pi
 
-    # s2[x] = E[Z Z* | X_0 = x]; a[x'] = E[Z | X_1 = x'] weighting, b[x] row term
+    # s2[x] = E[Z Z* | X_0 = x]: edge e adds P_e sum_a p_a (C_a + m_a m_a*),
+    # each sum taken in atom order (np.add.at adds in order, reduceat not)
+    tab = spec.edge_table
+    m, n_edges = tab["mean"], len(tab["start"])
+    edge = np.repeat(np.arange(n_edges),
+                     np.diff(np.append(tab["start"], len(m))))
+    second = np.zeros((n_edges, d, d))
+    np.add.at(second, edge, tab["prob"][:, None, None]
+              * (tab["cov"] + m[:, :, None] * m[:, None, :]))
     s2 = np.zeros((S, d, d))
-    for (i, j), law in spec.increments.items():
-        law_d = law
-        if d == 1:
-            mu2 = law_d.moment(2)
-            s2[i, 0, 0] += P[i, j] * mu2
-        else:
-            mu = law_d.mean()
-            if law_d.kind == "gaussian":
-                second = law_d.cov + np.outer(mu, mu)
-            elif law_d.kind == "deterministic":
-                second = np.outer(mu, mu)
-            elif law_d.kind == "mixture":
-                second = sum(p * np.outer(v, v) for p, v in law_d.atoms)
-            else:
-                raise MomentUndefined("matrix second moments unavailable for cf laws")
-            s2[i] += P[i, j] * second
+    np.add.at(s2, tab["rows"], tab["weight"][:, None, None] * second)
     base = np.einsum("x,xab->ab", pi, s2)
 
     # cross terms: E[Z_1 Z_{1+l}*] = sum_e pi_i P_ij m_ij (P^{l-1} a)(j)
@@ -421,27 +399,22 @@ def _real_gcd(values, tol=1e-9):
 def detect_lattice(spec: MapSpec, tol: float = 1e-9) -> LatticeReport:
     """Search for (shift, span, beta) putting all increments on a lattice.
 
-    Complete for scalar deterministic increments: beta is propagated along a
+    Complete for scalar point-mass increments: beta is propagated along a
     spanning tree of the support graph for each candidate shift, and the
-    non-tree edge discrepancies must share a common real gcd. Any edge law
-    with a density component is immediately nonlattice; mixtures of several
-    atoms are reported as undetermined.
+    non-tree edge discrepancies must share a common real gcd. Read through
+    the laws' Gaussian atoms: any atom with a positive variance makes the
+    spec nonlattice, and a run of several atoms is reported as undetermined.
     """
     if spec.d != 1:
         raise NotScalar("lattice detection requires d = 1")
-    laws = spec.increments
-    if any(law.has_density_component() for law in laws.values()):
+    runs = {e: law.gaussian_atoms for e, law in spec.increments.items()}
+    if any(c[0, 0] > 0 for run in runs.values() for _, _, c in run):
         return LatticeReport(is_lattice=False)
-    if any(law.kind == "mixture" and len(law.atoms) > 1 for law in laws.values()):
+    if any(len(run) > 1 for run in runs.values()):
         return LatticeReport(is_lattice=False, undetermined=True)
 
-    def edge_value(law):
-        if law.kind == "deterministic":
-            return float(law.value[0])
-        return float(law.atoms[0][1][0])
-
     S = spec.n_states
-    vals = {e: edge_value(law) for e, law in laws.items()}
+    vals = {e: float(run[0][1][0]) for e, run in runs.items()}
     adj = [[] for _ in range(S)]
     for (i, j), v in vals.items():
         adj[i].append((j, v, +1.0))
@@ -477,23 +450,9 @@ def detect_lattice(spec: MapSpec, tol: float = 1e-9) -> LatticeReport:
     return LatticeReport(is_lattice=False)
 
 
-def ct_sample_skeleton(ct: CtMapSpec) -> MapSpec:
-    """Time-1 skeleton of a continuous-time MAP.
-
-    The skeleton kernel is exp(G); edge increment laws are carried through
-    their exact characteristic functions extracted from the Feynman-Kac
-    matrix exp(G + i zeta diag(xi)).
-    """
-    P = _expm(ct.generator)
-    P = np.clip(P, 0.0, None)
+def ct_sample_skeleton(ct: CtMapSpec) -> StochasticKernel:
+    """Kernel of the time-1 skeleton of a continuous-time MAP: exp(G), with
+    roundoff negatives clipped and the rows renormalised."""
+    P = np.clip(_expm(ct.generator), 0.0, None)
     P /= P.sum(axis=1, keepdims=True)
-    kernel = StochasticKernel(states=tuple(range(ct.n_states)), P=P)
-
-    def edge_cf(i, j):
-        return lambda zeta: _expm(ct.fourier_generator(
-            float(np.atleast_1d(zeta)[0])))[i, j] / P[i, j]
-
-    increments = {(i, j): from_cf(edge_cf(i, j), d=1)
-                  for i, j in zip(*np.nonzero(P > 0))}
-    return MapSpec(kernel=kernel, increments=increments, d=1,
-                   centered=False, ct_origin=ct)
+    return StochasticKernel(states=tuple(range(ct.n_states)), P=P)

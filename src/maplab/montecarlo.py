@@ -17,7 +17,8 @@ means plus one Gaussian with their summed covariance, which
 simulate_discrete draws once per path and segment between horizons, after
 the segment's last step; increment_panel alone draws per-step increments.
 Continuous time steps one jump at a time over compact arrays of the paths
-still running.
+still running; with record_steps it also marks Y at integer times, which
+gives a continuous-time spec its increment panel.
 
 Every inverse CDF (moves, block paths, CT jumps, initial states, mixture
 atoms) is one search, _search over a _cdf_table: a branchless binary
@@ -301,8 +302,6 @@ def _atom_lookup(spec: MapSpec):
     wherever the covariance is regular.
     """
     tab = spec.edge_table
-    if tab["cf"]:
-        raise ValueError("cf increment laws are not directly sampleable")
     S, d = spec.n_states, spec.d
     n_atoms = len(tab["prob"])
     length = np.diff(np.append(tab["start"], n_atoms))
@@ -386,10 +385,10 @@ def simulate_ct(ct: CtMapSpec, t: float, n_paths: int, seed: int,
     Holding times are exponential with the diagonal rates; Y accumulates
     reward * holding plus any per-transition jump increments. No time
     discretization error. Y at integer times is recorded when record_steps
-    (used for skeleton-consistency checks), each mark k inside a dwell from
-    pos as Y + reward * (k - pos). The loop keeps X, Y and the clock of the
-    running paths as compact arrays and writes a path back once, when it
-    stops.
+    (the increment panel of the CT mixing check), each mark k inside a
+    dwell from pos as Y + reward * (k - pos). The loop keeps X, Y and the
+    clock of the running paths as compact arrays and writes a path back
+    once, when it stops.
     """
     spec_id = spec_content_hash(ct)
     rng = _philox(f"{spec_id}:{seed}".encode())
@@ -469,13 +468,9 @@ def increment_panel(spec: MapSpec, n: int, n_paths: int, seed: int) -> np.ndarra
     """Matrix of per-step increments xi_k = Y_k - Y_{k-1}, shape (paths, n).
 
     Each step draws d increment uniforms per path: uniform 0 picks the atom
-    within a multi-atom run, and Gaussian atoms add chol @ ndtri(u).
-    Skeleton specs (cf laws) are delegated to exact continuous-time
-    simulation.
+    within a multi-atom run, and Gaussian atoms add chol @ ndtri(u). The
+    continuous-time panel is simulate_ct(record_steps=True).increment_panel.
     """
-    if spec.ct_origin is not None:
-        return simulate_ct(spec.ct_origin, float(n), n_paths, seed,
-                           record_steps=True).increment_panel
     rng = _philox(f"{spec_content_hash(spec)}:{seed}".encode())
     first, cum, mean, cov, gauss = _atom_lookup(spec)
     chol = _cov_factors(cov)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 from math import comb
@@ -105,6 +106,111 @@ def edge_loop_fourier(spec, zeta):
     for (i, j), law in spec.increments.items():
         M[i, j] = spec.P[i, j] * law.cf(zeta)
     return M
+
+
+def per_kind_cf(law, zeta) -> complex:
+    """IncrementLaw.cf as one branch per law kind (test oracle for the
+    formula over the law's Gaussian atoms)."""
+    zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
+    if law.kind == "deterministic":
+        return complex(np.exp(1j * zeta @ law.value))
+    if law.kind == "gaussian":
+        return complex(np.exp(1j * zeta @ law.mean_vec
+                              - 0.5 * zeta @ law.cov @ zeta))
+    return complex(sum(p * np.exp(1j * zeta @ v) for p, v in law.atoms))
+
+
+def per_kind_mean(law) -> np.ndarray:
+    """IncrementLaw.mean as one branch per law kind (test oracle)."""
+    if law.kind == "deterministic":
+        return law.value.copy()
+    if law.kind == "gaussian":
+        return law.mean_vec.copy()
+    return sum(p * v for p, v in law.atoms)
+
+
+def per_kind_moment(law, k) -> float:
+    """IncrementLaw.moment(k), k = 1..4, d = 1, as one branch per law kind
+    (test oracle). Point masses square by pow(v, 2), as this code did."""
+    if law.kind == "deterministic":
+        return float(law.value[0] ** k)
+    if law.kind == "gaussian":
+        m, s2 = float(law.mean_vec[0]), float(law.cov[0, 0])
+        if k == 1:
+            return m
+        if k == 2:
+            return m * m + s2
+        if k == 3:
+            return m ** 3 + 3 * m * s2
+        return m ** 4 + 6 * m * m * s2 + 3 * s2 * s2
+    return float(sum(p * v[0] ** k for p, v in law.atoms))
+
+
+def per_kind_variance_series(spec):
+    """map_model.variance_series with its edge second moments summed by one
+    branch per law kind (test oracle): moment(2) for d = 1, outer products
+    for d > 1. The cross terms are the same code."""
+    S, d, P, pi = spec.n_states, spec.d, spec.P, spec.pi
+    s2 = np.zeros((S, d, d))
+    for (i, j), law in spec.increments.items():
+        if d == 1:
+            s2[i, 0, 0] += P[i, j] * per_kind_moment(law, 2)
+        else:
+            mu = per_kind_mean(law)
+            if law.kind == "gaussian":
+                second = law.cov + np.outer(mu, mu)
+            elif law.kind == "deterministic":
+                second = np.outer(mu, mu)
+            else:
+                second = sum(p * np.outer(v, v) for p, v in law.atoms)
+            s2[i] += P[i, j] * second
+    base = np.einsum("x,xab->ab", pi, s2)
+    EM = spec.edge_mean_matrix()
+    a = np.einsum("ij,ija->ia", P, EM)
+    w = np.einsum("i,ij,ija->ja", pi, P, EM)
+    Z = np.linalg.inv(np.eye(S) - P + spec.kernel.projector)
+    cross_half = np.einsum("ja,jb->ab", w, Z @ a)
+    Sigma = base + (cross_half + cross_half.T)
+    return float(Sigma[0, 0]) if d == 1 else Sigma
+
+
+def van_loan_moments(ct, t, k) -> np.ndarray:
+    """E_pi[Y_t^j] for j = 0..k of a continuous-time spec, exactly.
+
+    Van Loan's block-triangular matrix exponential (Van Loan 1978, "Computing
+    integrals involving the matrix exponential"): the rows m_j(x) =
+    E[Y_t^j 1{X_t = x}] solve m_j' = sum_r C(j, r) m_r A_{j-r}, with
+    A_0 = G, A_1 = diag(xi) + G_off o J and A_i = G_off o J^i. So block
+    (r, j) of T is C(j, r) A_{j-r}, and E_pi[Y_t^j] = pi expm(tT)[0, j] 1.
+    """
+    import scipy.linalg
+    G = ct.generator
+    S = len(G)
+    off = G - np.diag(np.diag(G))
+    J = 0.0 if ct.jump_increments is None else ct.jump_increments
+    A = [G, np.diag(ct.reward) + off * J] + [off * J ** i
+                                              for i in range(2, k + 1)]
+    T = np.zeros(((k + 1) * S, (k + 1) * S))
+    for j in range(k + 1):
+        for r in range(j + 1):
+            T[r * S:(r + 1) * S, j * S:(j + 1) * S] = comb(j, r) * A[j - r]
+    E = scipy.linalg.expm(t * T)
+    return np.array([ct.pi @ E[:S, j * S:(j + 1) * S].sum(axis=1)
+                     for j in range(k + 1)])
+
+
+def van_loan_cumulants(ct, t) -> np.ndarray:
+    """The first three cumulants of Y_t under pi, from van_loan_moments.
+
+    The raw moments are taken of Y_t - c t, c the stationary mean rate, so
+    that they stay small: only the first cumulant moves with the shift, and
+    it is c t plus the mean of the shifted Y_t whatever c is.
+    """
+    centered = dataclasses.replace(ct, centered=True)
+    c = ct.reward[0] - centered.reward[0]
+    _, m1, m2, m3 = van_loan_moments(centered, t, 3)
+    return np.array([m1 + c * t, m2 - m1 ** 2,
+                     m3 - 3 * m2 * m1 + 2 * m1 ** 3])
 
 
 def _philox(payload):

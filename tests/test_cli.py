@@ -170,6 +170,18 @@ class TestSpecDefects:
         doc = {**map_spec_to_dict(random_mixed_spec(3, 2)), "centered": True}
         assert self._run(tmp_path, capsys, doc, argv) == (2, "NotScalar")
 
+    @pytest.mark.parametrize("cmd", ["verify-llt", "verify-edgeworth"])
+    def test_zero_cov_gaussian_lattice(self, tmp_path, capsys, cmd):
+        # the +-1 walk written with Gaussian laws of covariance 0 is the
+        # lattice it would be with deterministic laws, so both exit 2
+        doc = {"kernel": {"states": [0, 1], "P": [[0.5, 0.5], [0.5, 0.5]]},
+               "d": 1, "centered": True, "increments": [
+                   {"from": i, "to": j, "kind": "gaussian",
+                    "mean": [2.0 * j - 1.0], "cov": [[0.0]]}
+                   for i in range(2) for j in range(2)]}
+        argv = [cmd, "--n-list", "64", "--paths", "4000", "--seed", "3"]
+        assert self._run(tmp_path, capsys, doc, argv) == (2, "LatticeSpec")
+
     def test_d2_simulate_still_runs(self, tmp_path, capsys):
         doc = {**map_spec_to_dict(random_mixed_spec(3, 2)), "centered": True}
         assert self._run(tmp_path, capsys, doc, [

@@ -116,13 +116,6 @@ class TestStackedFourier:
         np.testing.assert_array_equal(
             stack, expm(ct_two_state.fourier_generator(zetas)))
 
-    def test_cf_laws_use_their_callable(self):
-        from maplab.map_model import ct_sample_skeleton
-        skeleton = ct_sample_skeleton(ct_two_state())
-        z = 0.7
-        np.testing.assert_allclose(_fourier_matrix(skeleton, z)[0],
-                                   edge_loop_fourier(skeleton, z), atol=1e-15)
-
 
 class TestSemigroup:
     @settings(max_examples=200, deadline=None)

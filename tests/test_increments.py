@@ -4,8 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maplab.errors import MomentUndefined
-from maplab.increments import (_cf_derivative, deterministic, from_cf,
-                               gaussian, mixture)
+from maplab.increments import deterministic, gaussian, mixture
+from maplab.map_model import MapSpec, variance_series
+
+from conftest import (per_kind_cf, per_kind_mean, per_kind_moment,
+                      per_kind_variance_series, random_mixed_spec)
 
 
 class TestCharacteristicFunctions:
@@ -54,27 +57,112 @@ class TestMoments:
         with pytest.raises(MomentUndefined):
             deterministic([1.0]).moment(5)
 
-    def test_cf_law_moments_match_closed_form(self):
-        # numerical differentiation of the Gaussian cf against closed form
-        ref = gaussian([0.4], [[0.9]])
-        law = from_cf(lambda z: ref.cf(z), d=1)
-        for k in (1, 2, 3, 4):
-            assert law.moment(k) == pytest.approx(ref.moment(k), abs=1e-6)
+    def test_point_mass_square_correctly_rounded(self):
+        # v * v is the correctly rounded square; pow(v, 2), which point
+        # masses used before they were read as atoms, is off by an ulp here
+        from fractions import Fraction
+        v = 2.759
+        assert v ** 2 != v * v
+        assert v * v == float(Fraction(v) ** 2)
+        for law in (deterministic([v]), mixture([(1.0, [v])]),
+                    gaussian([v], [[0.0]])):
+            assert law.moment(2) == v * v
 
-    def test_cf_derivative_stencils(self):
-        # f(z) = exp(i a z): k-th derivative at 0 is (i a)^k
-        a = 1.7
-        for k in (1, 2, 3, 4):
-            val = _cf_derivative(lambda z: np.exp(1j * a * z), k)
-            assert val == pytest.approx((1j * a) ** k, abs=1e-6)
+
+def _vectors(d):
+    return st.lists(st.floats(-10, 10), min_size=d, max_size=d)
+
+
+@st.composite
+def random_laws(draw):
+    """A law of any kind in d = 1 or 2, possibly shifted."""
+    d = draw(st.integers(1, 2))
+    kind = draw(st.sampled_from(["deterministic", "gaussian", "mixture"]))
+    if kind == "deterministic":
+        law = deterministic(draw(_vectors(d)))
+    elif kind == "gaussian":
+        A = np.array(draw(_vectors(d * d))).reshape(d, d)
+        if draw(st.booleans()):
+            A[:] = 0.0              # covariance 0
+        law = gaussian(draw(_vectors(d)), A @ A.T)
+    else:
+        n = draw(st.integers(1, 3))
+        w = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n,
+                                   max_size=n)))
+        law = mixture([(p, draw(_vectors(d))) for p in w / w.sum()])
+    if draw(st.booleans()):
+        law.gaussian_atoms      # a cached run must not survive the shift
+        law = law.shifted(draw(_vectors(d)))
+    return law, draw(_vectors(d))
+
+
+def _same(a, b):
+    return type(a) is type(b) and getattr(a, "dtype", None) == getattr(
+        b, "dtype", None) and np.array_equal(a, b)
+
+
+def _pow_squares(law):
+    """Whether a point mass of law squares differently by pow(v, 2)."""
+    return law.kind != "gaussian" and any(
+        v[0] ** 2 != v[0] * v[0] for _, v, _ in law.gaussian_atoms)
+
+
+class TestAtomFormulas:
+    """cf, mean, moment and the variance_series second moments, each one
+    formula over the laws' Gaussian atoms, equal the per-kind code bit for
+    bit. The one exception is the square of a point mass: the atom formula
+    squares by multiplication, which is correctly rounded, where the
+    per-kind code used pow(v, 2). There the two agree to a few ulps."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(random_laws())
+    def test_equal_per_kind_code(self, case):
+        law, zeta = case
+        assert _same(law.cf(zeta), per_kind_cf(law, zeta))
+        assert _same(law.cf(np.negative(zeta)),
+                     per_kind_cf(law, np.negative(zeta)))
+        assert _same(law.mean(), per_kind_mean(law))
+        if law.d == 1:
+            for k in (1, 2, 3, 4):
+                if k == 2 and _pow_squares(law):
+                    assert law.moment(2) == pytest.approx(
+                        per_kind_moment(law, 2), rel=1e-15, abs=0)
+                else:
+                    assert _same(law.moment(k), per_kind_moment(law, k))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(1, 2))
+    def test_variance_series_equal_per_kind_code(self, seed, d):
+        raw = random_mixed_spec(seed, d)
+        spec = MapSpec(kernel=raw.kernel, increments=raw.increments, d=d,
+                       centered=True)
+        got, want = variance_series(spec), per_kind_variance_series(spec)
+        if d == 1 and any(map(_pow_squares, spec.increments.values())):
+            assert got == pytest.approx(want, rel=1e-15, abs=0)
+        else:
+            assert _same(got, want)
 
 
 class TestStructure:
     def test_density_component(self):
-        assert gaussian([0.0], [[1.0]]).has_density_component()
-        assert from_cf(lambda z: 1.0).has_density_component()
-        assert not deterministic([1.0]).has_density_component()
-        assert not mixture([(1.0, [2.0])]).has_density_component()
+        # a law has a density component when one of its atoms has a
+        # positive covariance; a zero-cov Gaussian is a point mass
+        def density(law):
+            return any(c[0, 0] > 0 for _, _, c in law.gaussian_atoms)
+        assert density(gaussian([0.0], [[1.0]]))
+        assert not density(gaussian([0.0], [[0.0]]))
+        assert not density(deterministic([1.0]))
+        assert not density(mixture([(1.0, [2.0])]))
+
+    def test_gaussian_atoms(self):
+        g = gaussian([1.0, 2.0], [[2.0, 0.5], [0.5, 1.0]])
+        ((p, m, c),) = g.gaussian_atoms
+        assert p == 1.0 and m is g.mean_vec and c is g.cov
+        ((p, m, c),) = deterministic([3.0]).gaussian_atoms
+        assert p == 1.0 and m[0] == 3.0 and not c.any()
+        run = mixture([(0.25, [0.0]), (0.75, [2.0])]).gaussian_atoms
+        assert [(p, m[0], c[0, 0]) for p, m, c in run] == [
+            (0.25, 0.0, 0.0), (0.75, 2.0, 0.0)]
 
     def test_shifted_mean(self):
         for law in (deterministic([1.0]), gaussian([1.0], [[2.0]]),
@@ -89,10 +177,15 @@ class TestStructure:
             law.cf(z) * np.exp(1j * z * 0.25))
 
     def test_shifted_cf_kind(self):
-        base = from_cf(lambda z: np.exp(-0.5 * float(np.atleast_1d(z)[0]) ** 2))
-        shifted = base.shifted([1.0])
+        # for every kind the shift must rebuild the law's atoms, even once
+        # they are built
         z = 0.6
-        assert shifted.cf(z) == pytest.approx(base.cf(z) * np.exp(1j * z))
+        for law in (deterministic([1.0]), gaussian([1.0], [[2.0]]),
+                    mixture([(0.3, [1.0]), (0.7, [-0.5])])):
+            base = law.cf(z)
+            shifted = law.shifted([1.0])
+            assert shifted.cf(z) == pytest.approx(base * np.exp(1j * z))
+            assert shifted.mean()[0] == pytest.approx(law.mean()[0] + 1.0)
 
     def test_mixture_bad_probs(self):
         with pytest.raises(ValueError):

@@ -15,7 +15,8 @@ from maplab.map_model import (CtMapSpec, MapSpec, branch_derivatives,
                               exact_moments, third_cumulant_rate,
                               variance_series)
 
-from conftest import random_kernel, random_mixed_spec, step_moments
+from conftest import (random_kernel, random_mixed_spec, step_moments,
+                      van_loan_cumulants, van_loan_moments)
 
 
 def _make_spec(P, values, centered=False):
@@ -166,6 +167,25 @@ class TestLatticeDetection:
     def test_density_component_nonlattice(self):
         assert not detect_lattice(gaussian_iid()).is_lattice
 
+    def test_zero_cov_gaussian_is_a_point_mass(self):
+        # the +-1 walk written with Gaussian laws of covariance 0 has no
+        # density component: it is the lattice of lattice_pm1, span 2
+        kernel = StochasticKernel(states=(0, 1), P=np.full((2, 2), 0.5))
+        spec = MapSpec(kernel=kernel, centered=True, increments={
+            (i, j): gaussian([2.0 * j - 1.0], [[0.0]])
+            for i in range(2) for j in range(2)})
+        report = detect_lattice(spec)
+        assert report.is_lattice
+        assert report.span == pytest.approx(2.0)
+
+    def test_one_atom_mixture_is_a_point_mass(self):
+        spec = _make_spec([[0.5, 0.5], [0.5, 0.5]], [[1.0, 3.0], [1.0, 3.0]])
+        incs = {e: mixture([(1.0, law.value)])
+                for e, law in spec.increments.items()}
+        report = detect_lattice(MapSpec(kernel=spec.kernel, increments=incs))
+        assert report.is_lattice
+        assert report.span == pytest.approx(detect_lattice(spec).span)
+
     def test_mixture_undetermined(self):
         kernel = StochasticKernel(states=(0,), P=np.array([[1.0]]))
         spec = MapSpec(kernel=kernel, increments={
@@ -234,20 +254,24 @@ class TestContinuousTime:
                                    atol=1e-12)
 
     def test_skeleton_cf_normalization(self):
-        # each edge cf equals 1 at zeta = 0 by construction
-        skeleton = ct_sample_skeleton(ct_two_state())
-        for law in skeleton.increments.values():
-            assert law.cf(0.0) == pytest.approx(1.0, abs=1e-12)
+        # the rows of the skeleton kernel sum to 1, and so does the law of
+        # Y_1: its order-0 moment pi exp(G) 1 from Van Loan's exponential
+        ct = ct_two_state()
+        kernel = ct_sample_skeleton(ct)
+        np.testing.assert_allclose(kernel.P.sum(axis=1), 1.0, atol=1e-15)
+        assert van_loan_moments(ct, 1.0, 1)[0] == pytest.approx(1.0,
+                                                                abs=1e-14)
 
     def test_skeleton_mean_matches_reward_rate(self):
-        # centered CT spec: skeleton one-step mean is 0
-        skeleton = ct_sample_skeleton(ct_two_state(centered=True))
-        assert abs(exact_mean(skeleton)[0]) < 1e-8
+        # centered CT spec: the exact one-step mean E[Y_1] is 0
+        ct = ct_two_state(centered=True)
+        assert abs(van_loan_moments(ct, 1.0, 1)[1]) <= 1e-14
 
     def test_uncentered_skeleton_mean(self):
         # E[Y_1] = pi(xi) = 1/3 for the uncentered fixture
-        skeleton = ct_sample_skeleton(ct_two_state(centered=False))
-        assert exact_mean(skeleton)[0] == pytest.approx(1.0 / 3.0, abs=1e-8)
+        ct = ct_two_state(centered=False)
+        assert van_loan_moments(ct, 1.0, 1)[1] == pytest.approx(1.0 / 3.0,
+                                                               abs=1e-14)
 
     def test_pi_solved_once(self):
         ct = ct_two_state()
@@ -275,9 +299,36 @@ class TestContinuousTime:
         np.testing.assert_allclose(ct.reward, [-2 / 3, 1 / 3], atol=1e-12)
 
     def test_variance_rate_matches_skeleton_route(self):
-        # exact series against the time-1 skeleton's geometric series, whose
-        # edge moments are finite differences of expm characteristic functions
+        # the perturbation series against Var Y_61 - Var Y_60, exact by Van
+        # Loan's exponential at the skeleton's integer times
         ct = ct_two_state()
         l1, l2, _ = branch_derivatives(ct)
-        skeleton = variance_series(ct_sample_skeleton(ct))
-        assert l2 - l1 * l1 == pytest.approx(skeleton, rel=1e-6)
+        rate = van_loan_cumulants(ct, 61.0) - van_loan_cumulants(ct, 60.0)
+        assert abs(l2 - l1 * l1 - rate[1]) <= 1e-9
+
+
+def _random_ct(seed, S):
+    """CT spec with jumps, rates scaled to one expected jump per unit time."""
+    rng = np.random.default_rng(seed)
+    G = rng.uniform(0.0, 1.0, size=(S, S))
+    np.fill_diagonal(G, 0.0)
+    np.fill_diagonal(G, -G.sum(axis=1))
+    G /= CtMapSpec(generator=G, reward=np.zeros(S)).pi @ -np.diag(G)
+    J = rng.normal(size=(S, S))
+    np.fill_diagonal(J, 0.0)
+    return CtMapSpec(generator=G, reward=rng.normal(size=S),
+                     jump_increments=J)
+
+
+@pytest.mark.parametrize("ct", [ct_two_state(centered=False),
+                                ct_two_state(centered=True),
+                                _random_ct(0, 5)],
+                         ids=["ct_two_state", "centered", "random_S5_jumps"])
+def test_ct_rates_match_van_loan(ct):
+    # mean rate, sigma^2 and mu_3 of the perturbation series against the
+    # differences of the exact cumulants of Y_61 and Y_60; the gap makes
+    # the remainder exp(-gap t) negligible at t = 60
+    l1, l2, _ = branch_derivatives(ct)
+    rates = van_loan_cumulants(ct, 61.0) - van_loan_cumulants(ct, 60.0)
+    exact = [l1, l2 - l1 * l1, third_cumulant_rate(ct)]
+    np.testing.assert_allclose(rates, exact, rtol=0, atol=1e-9)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import warnings
 from types import SimpleNamespace
@@ -8,14 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom, chisquare, ks_2samp
 
-from maplab import fixtures, map_model, montecarlo
+from maplab import fixtures, limit_checks, map_model, montecarlo
 from maplab.chain_core import StochasticKernel
 from maplab.errors import UnsupportedInitial
 from maplab.fixtures import ct_two_state, iid_rademacher, two_state
 from maplab.increments import deterministic, gaussian, mixture
 from maplab.limit_checks import ecdf_se, kolmogorov_distance
-from maplab.map_model import (CtMapSpec, MapSpec, ct_sample_skeleton,
-                              exact_moments)
+from maplab.map_model import CtMapSpec, MapSpec, exact_moments
 from maplab.cli import dispatch
 from maplab.mestim import simulate_edge_counts
 from maplab.montecarlo import (_cdf_table, _cov_factors, _search,
@@ -55,16 +55,6 @@ class TestDeterminism:
                 != spec_content_hash(iid_rademacher()))
         assert (spec_content_hash(ct_two_state())
                 != spec_content_hash(two_state()))
-
-    def test_skeleton_hashes_through_its_ct_spec(self):
-        G = np.array([[-1.0, 1.0], [2.0, -2.0]])
-        a = CtMapSpec(generator=G, reward=np.array([0.0, 1.0]))
-        b = CtMapSpec(generator=G, reward=np.array([0.0, 5.0]))
-        ha = spec_content_hash(ct_sample_skeleton(a))
-        assert ha != spec_content_hash(ct_sample_skeleton(b))
-        assert ha == spec_content_hash(ct_sample_skeleton(
-            CtMapSpec(generator=G, reward=np.array([0.0, 1.0]))))
-        assert ha == spec_content_hash(a)
 
     def test_ct_bit_identical(self):
         ct = ct_two_state()
@@ -164,9 +154,17 @@ class TestContentHash:
                 else fixtures.get_fixture(name))
         assert spec_content_hash(spec) == self.PINNED[name]
 
-    def test_skeleton_keeps_ct_hash(self):
-        skeleton = ct_sample_skeleton(fixtures.ct_two_state())
-        assert spec_content_hash(skeleton) == self.PINNED["ct_two_state"]
+    def test_skeleton_keeps_ct_hash(self, tmp_path):
+        # the CT mixing report: its stream and spec_hash are the CT spec's,
+        # and its bytes are pinned
+        out = tmp_path / "mix.json"
+        assert dispatch(["mixing-bound", "--fixture", "ct_two_state",
+                         "--lags", "1,5", "--paths", "3000", "--seed", "11",
+                         "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["spec_hash"] == self.PINNED[
+            "ct_two_state"]
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "71287681ff9a9892559f6a9a37f3824ca9a0d81ad9b5778efb8fc7d8e5e80516")
 
     def test_second_call_does_no_work(self, monkeypatch):
         calls = []
@@ -220,14 +218,6 @@ class TestPerKindOracle:
         for mu in _mu_list(spec.n_states):
             _, X, _ = per_kind_simulate(spec, 23, 400, 6, mu=mu)
             assert np.array_equal(_panel_states(spec, 23, 400, 6, mu), X)
-
-    def test_cf_law_without_origin_rejected(self):
-        spec = ct_sample_skeleton(ct_two_state())
-        bare = MapSpec(kernel=spec.kernel, increments=spec.increments)
-        with pytest.raises(ValueError, match="not directly sampleable"):
-            simulate_discrete(bare, 4, 10, 0)
-        with pytest.raises(ValueError, match="not directly sampleable"):
-            increment_panel(bare, 4, 10, 0)
 
 
 def _assert_sufficient_oracle(spec, n, n_paths, seed, mu=None):
@@ -608,20 +598,25 @@ class TestCtOracle:
 class TestSkeletonConsistency:
     def test_two_sample_ks(self):
         ct = ct_two_state()
-        skeleton = ct_sample_skeleton(ct)
         n, paths = 16, 20000
         a = simulate_ct(ct, float(n), paths, 100)
-        b = increment_panel(skeleton, n, paths, 200)
+        b = simulate_ct(ct, float(n), paths, 200,
+                        record_steps=True).increment_panel
         _, p = ks_2samp(a.terminal_Y[:, 0], b.sum(axis=1))
         assert p > 1e-3
 
-    def test_skeleton_delegates_to_ct(self):
-        skeleton = ct_sample_skeleton(ct_two_state())
-        panel = increment_panel(skeleton, 8, 100, 5)
-        ref = simulate_ct(ct_two_state(), 8.0, 100, 5, record_steps=True)
-        assert np.array_equal(panel, ref.increment_panel)
-        with pytest.raises(ValueError, match="not directly sampleable"):
-            simulate_discrete(skeleton, 8, 100, 5)
+    def test_skeleton_delegates_to_ct(self, monkeypatch):
+        # the CT mixing check reads the integer-time panel of simulate_ct
+        # bit for bit: every column it tests is a column of that panel
+        seen = []
+        real = limit_checks._test_functionals
+        monkeypatch.setattr(limit_checks, "_test_functionals",
+                            lambda col: seen.append(col) or real(col))
+        limit_checks.rho_mixing_check(ct_two_state(), [1, 3], 100, 5)
+        panel = simulate_ct(ct_two_state(), 4.0, 100, 5,
+                            record_steps=True).increment_panel
+        assert [c.tolist() for c in seen] == [panel[:, t].tolist()
+                                              for t in (0, 1, 3)]
 
 
 class TestLaw:

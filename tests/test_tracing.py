@@ -1,0 +1,48 @@
+"""The benchmark's span tracer finds every maplab name it patches.
+
+perfbench/spans.py patches maplab functions by name when a run is traced
+(run.py --trace 1). A renamed or deleted name would make that run raise, so
+each name is resolved here the way Tracer.install resolves it, without
+installing any patch.
+"""
+
+import importlib
+import importlib.util
+import os
+
+import pytest
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                         os.pardir, "perfbench")
+
+
+@pytest.fixture(scope="module")
+def spans():
+    mp = pytest.MonkeyPatch()
+    mp.syspath_prepend(PERFBENCH)       # spans imports perfbench/reference
+    try:
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_spans", os.path.join(PERFBENCH, "spans.py"))
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        mp.undo()
+
+
+def test_every_span_resolves(spans):
+    assert spans.SPANS
+    for mname, attr, _ in spans.SPANS:
+        mod = importlib.import_module("maplab." + mname)
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            assert callable(getattr(mod, cls_name).__dict__[meth]), attr
+        else:
+            assert callable(getattr(mod, attr)), f"{mname}.{attr}"
+
+
+def test_counted_names_resolve():
+    # the count-only patches of Tracer.install
+    from maplab import io, map_model
+    assert isinstance(map_model.CtMapSpec.__dict__["pi"], property)
+    assert callable(io._atomic_write_bytes)
