@@ -6,9 +6,9 @@ from .chain_core import (MixingBoundTable, StochasticKernel, check_reversible,
                          solve_stationary, spectral_gap_report)
 from .errors import (BranchCollision, ConditionViolated, DegenerateVariance,
                      GapAbsent, LatticeSpec, MaplabError, MomentUndefined,
-                     NoInteriorRoot, NonIrreducible, NotCentered, NotScalar,
-                     NotStochastic, SingularResolvent, UnsupportedInitial,
-                     ZeroMassState)
+                     NoInteriorRoot, NonFiniteOperator, NonIrreducible,
+                     NotCentered, NotScalar, NotStochastic, SingularResolvent,
+                     UnsupportedInitial, ZeroMassState)
 from .fourier import (ExpansionEvaluation, FourierOperator, SpectralSummary,
                       build_fourier, check_semigroup, contour_crosscheck,
                       derivatives_at_zero, evaluate_expansion,

@@ -29,6 +29,10 @@ class BranchCollision(MaplabError):
     """Dominant-eigenvalue branch lost spectral separation on the grid."""
 
 
+class NonFiniteOperator(MaplabError):
+    """A Fourier operator has a non-finite entry (the frequency overflows it)."""
+
+
 class SingularResolvent(MaplabError):
     """An eigenvalue lies too close to an integration contour."""
 

@@ -10,6 +10,7 @@ from scipy.stats import binom
 
 from maplab import fixtures
 from maplab.chain_core import StochasticKernel
+from maplab.fourier import _fourier_matrix
 from maplab.increments import deterministic, gaussian, mixture
 from maplab.map_model import MapSpec
 from maplab.montecarlo import spec_content_hash
@@ -106,6 +107,22 @@ def edge_loop_fourier(spec, zeta):
     for (i, j), law in spec.increments.items():
         M[i, j] = spec.P[i, j] * law.cf(zeta)
     return M
+
+
+def full_nonlattice_scan(spec, K) -> tuple:
+    """fourier.nonlattice_scan with eigvals at every grid point (test oracle
+    for the pruned scan; the body is the unpruned scan verbatim).
+
+    Returns (rho_hat, worst_zeta); nonlattice verdict is rho_hat < 1 - 1e-8.
+    """
+    K = np.asarray(K, dtype=float)
+    if (K == 0).any():
+        raise ValueError("scan grid must exclude 0")
+    if not len(K):
+        return -1.0, None
+    rho = np.max(np.abs(np.linalg.eigvals(_fourier_matrix(spec, K))), axis=1)
+    worst = int(np.argmax(rho))
+    return float(rho[worst]), float(K[worst])
 
 
 def per_kind_cf(law, zeta) -> complex:

@@ -189,6 +189,37 @@ class TestSpecDefects:
             0, "")
 
 
+    _OVERFLOW = [
+        ["analyze", "--zeta-max", "1e200", "--grid-points", "3"],
+        ["scan-lambda", "--zeta-max", "1e200", "--grid-points", "3",
+         "--out", "x.csv"],
+        ["nonlattice-scan", "--k-min", "1e200", "--k-max", "2e200",
+         "--k-points", "3"]]
+
+    @pytest.mark.parametrize("argv", _OVERFLOW)
+    def test_ct_fourier_overflow(self, tmp_path, capsys, monkeypatch, argv):
+        # exp(A(zeta)) of ct_two_state stops being finite past about 1e20
+        monkeypatch.chdir(tmp_path)
+        code = run([argv[0], "--fixture", "ct_two_state", *argv[1:]])
+        err = json.loads(capsys.readouterr().err.strip())["error"]
+        assert (code, err) == (2, "NonFiniteOperator")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_ct_fourier_overflow_stderr(self, tmp_path):
+        # a fresh process prints the one error line: no traceback, and no
+        # overflow warning from expm
+        argv = self._OVERFLOW[2]
+        proc = subprocess.run(
+            [sys.executable, "-m", "maplab.cli", argv[0], "--fixture",
+             "ct_two_state", *argv[1:]], cwd=tmp_path, capture_output=True,
+            env={**os.environ, "PYTHONPATH": os.path.dirname(
+                os.path.dirname(cli.__file__))})
+        assert proc.returncode == 2
+        lines = proc.stderr.decode().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "NonFiniteOperator"
+
+
 class TestCountsAndLists:
     """Non-positive counts and list entries exit 2 before any work is done."""
 

@@ -3,20 +3,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maplab import fixtures
 from maplab.chain_core import StochasticKernel, l2_operator_norm
-from maplab.errors import BranchCollision, SingularResolvent
+from maplab.errors import BranchCollision, NonFiniteOperator, SingularResolvent
 from maplab.fixtures import (ct_two_state, gaussian_iid, iid_rademacher,
                              lattice_pm1, skewed_mixture, two_state)
 from maplab.fourier import (_fourier_matrix, build_fourier, check_semigroup,
                             contour_crosscheck, derivatives_at_zero,
                             evaluate_expansion, is_nonlattice_spectral,
                             lambda_branch, nonlattice_scan)
-from maplab.increments import deterministic
-from maplab.map_model import (CtMapSpec, MapSpec, exact_mean,
+from maplab.increments import deterministic, gaussian, mixture
+from maplab.map_model import (CtMapSpec, MapSpec, detect_lattice, exact_mean,
                               third_cumulant_rate, variance_series)
 
-from conftest import (edge_loop_fourier, random_kernel, random_mixed_spec,
-                      step_moments)
+from conftest import (edge_loop_fourier, full_nonlattice_scan, random_kernel,
+                      random_mixed_spec, step_moments)
 
 ALL_DISCRETE = [two_state, iid_rademacher, skewed_mixture, gaussian_iid]
 
@@ -282,6 +283,164 @@ class TestNonlattice:
     def test_zero_rejected(self, two_state):
         with pytest.raises(ValueError):
             nonlattice_scan(two_state, np.array([0.0, 1.0]))
+
+
+LAW_KINDS = ("int", "real", "gauss", "mix")    # "int" makes a lattice spec
+DEFAULT_GRID = np.linspace(0.1, 10.0, 200)     # nonlattice-scan's default
+SPEC_FIXTURES = [name for name in fixtures.REGISTRY
+                 if name != "mean_contrast_problem"]
+
+
+def _scan_law(rng, kind):
+    if kind == "int":
+        return deterministic([float(rng.integers(-2, 3))])
+    if kind == "real":
+        return deterministic([rng.normal()])
+    if kind == "gauss":
+        return gaussian([rng.normal()], [[rng.uniform(0.25, 2.0)]])
+    p = rng.dirichlet(np.ones(3))
+    return mixture([(q, [v]) for q, v in zip(p, rng.normal(0.0, 1.5, 3))])
+
+
+def _scan_spec(seed, S, kind, sparse, centered):
+    """Random d = 1 spec; kind is one of LAW_KINDS or "any" (per edge).
+
+    A sparse kernel keeps the ring and the self-loops plus random chords,
+    so it stays irreducible and aperiodic.
+    """
+    rng = np.random.default_rng(seed)
+    P = random_kernel(rng, S)
+    if sparse:
+        ring = np.eye(S, dtype=bool) | np.roll(np.eye(S, dtype=bool), 1, 1)
+        P = np.where(ring | (rng.random((S, S)) < 0.2), P, 0.0)
+        P = P / P.sum(axis=1, keepdims=True)
+    incs = {(int(i), int(j)): _scan_law(
+        rng, LAW_KINDS[rng.integers(4)] if kind == "any" else kind)
+        for i, j in zip(*np.nonzero(P))}
+    return MapSpec(kernel=StochasticKernel(states=tuple(range(S)), P=P),
+                   increments=incs, centered=centered)
+
+
+def _scan_ct(seed, S, jumps):
+    rng = np.random.default_rng(seed)
+    G = rng.uniform(0.1, 1.0, size=(S, S))
+    np.fill_diagonal(G, 0.0)
+    np.fill_diagonal(G, -G.sum(axis=1))
+    return CtMapSpec(generator=G, reward=rng.normal(size=S),
+                     jump_increments=rng.normal(size=(S, S)) if jumps
+                     else None, centered=True)
+
+
+def _scan_grids(spec, rng):
+    """The default grid, symmetric +-zeta grids (S(-zeta) is the conjugate
+    of S(zeta), so their bounds tie and argmax must keep the first of the
+    pair), one point, and for a lattice spec a grid ending at 2 pi / span."""
+    z = np.sort(rng.uniform(0.05, 12.0, size=int(rng.integers(1, 40))))
+    grids = [DEFAULT_GRID, np.ravel(np.column_stack([z, -z])),
+             np.hstack([-z, z]), z[:1]]
+    report = None if isinstance(spec, CtMapSpec) else detect_lattice(spec)
+    if report is not None and report.is_lattice and report.span > 0:
+        # |lambda(2 pi / span)| = 1, and the grid ends exactly there
+        grids.append(np.linspace(0.1, 2.0 * np.pi / report.span, 200))
+    return grids
+
+
+class TestPrunedScan:
+    """The pruned scan returns the full scan's values, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.sampled_from([1, 2, 3, 8]),
+           st.sampled_from(LAW_KINDS + ("any",)), st.booleans(),
+           st.booleans())
+    def test_discrete_matches_full_scan(self, seed, S, kind, sparse,
+                                        centered):
+        spec = _scan_spec(seed, S, kind, sparse, centered)
+        for K in _scan_grids(spec, np.random.default_rng(seed + 1)):
+            assert nonlattice_scan(spec, K) == full_nonlattice_scan(spec, K)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.sampled_from([1, 2, 3, 8]),
+           st.booleans())
+    def test_ct_matches_full_scan(self, seed, S, jumps):
+        spec = _scan_ct(seed, S, jumps)
+        for K in _scan_grids(spec, np.random.default_rng(seed + 1)):
+            assert nonlattice_scan(spec, K) == full_nonlattice_scan(spec, K)
+
+    @pytest.mark.parametrize("name", SPEC_FIXTURES)
+    def test_fixtures_match_full_scan(self, name):
+        spec = getattr(fixtures, name)()
+        for K in _scan_grids(spec, np.random.default_rng(0)):
+            assert nonlattice_scan(spec, K) == full_nonlattice_scan(spec, K)
+
+    def test_empty_grid(self, two_state):
+        assert nonlattice_scan(two_state, np.array([])) == (-1.0, None)
+
+
+class TestScanWork:
+    """Eigenvalues are computed only where the norm bound cannot rule the
+    point out."""
+
+    @staticmethod
+    def _evaluated(monkeypatch, spec, K):
+        count = []
+        eigvals = np.linalg.eigvals
+
+        def counting(a):
+            count.append(1 if np.ndim(a) == 2 else len(a))
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        result = nonlattice_scan(spec, K)
+        monkeypatch.undo()
+        assert result == full_nonlattice_scan(spec, K)
+        return sum(count)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sparse_gaussian_s32_evaluates_few(self, monkeypatch, seed):
+        # the benchmark's d32_gauss recipe: ring, self-loop and chords to
+        # width 4, Dirichlet + 0.02 rows, N(m, s2) edges with m ~ N(0, 1)
+        # and s2 ~ U(0.25, 2), centred
+        rng = np.random.default_rng(seed)
+        S = 32
+        P = np.zeros((S, S))
+        for i in range(S):
+            cols = {i, (i + 1) % S}
+            while len(cols) < 4:
+                cols.add(int(rng.integers(S)))
+            cols = sorted(cols)
+            P[i, cols] = rng.dirichlet(np.ones(len(cols))) + 0.02
+        P = P / P.sum(axis=1, keepdims=True)
+        incs = {(int(i), int(j)): gaussian([rng.normal()],
+                                           [[rng.uniform(0.25, 2.0)]])
+                for i, j in zip(*np.nonzero(P))}
+        spec = MapSpec(kernel=StochasticKernel(states=tuple(range(S)), P=P),
+                       increments=incs, centered=True)
+        assert self._evaluated(monkeypatch, spec, DEFAULT_GRID) <= 8
+
+    def test_lattice_evaluates_every_point(self, monkeypatch):
+        # every |phi| is 1, so every bound is 1 and no point is ruled out
+        K = np.linspace(np.pi / 200, np.pi, 200)
+        assert self._evaluated(monkeypatch, lattice_pm1(), K) >= 200
+
+
+class TestNonFinite:
+    def test_ct_overflow_raises(self, ct_two_state):
+        # exp(A(zeta)) stops being finite between 1e20 and 1e25
+        assert np.isfinite(_fourier_matrix(ct_two_state, [1e20])).all()
+        with pytest.raises(NonFiniteOperator):
+            _fourier_matrix(ct_two_state, [1.0, 1e25])
+
+    def test_discrete_overflow_raises(self):
+        spec = MapSpec(kernel=StochasticKernel(states=(0,), P=np.ones((1, 1))),
+                       increments={(0, 0): deterministic([1e10])})
+        with pytest.raises(NonFiniteOperator):
+            _fourier_matrix(spec, [1e300])
+
+    @pytest.mark.parametrize("K", [[1e25], [1.0, 1e25, 2.0]])
+    def test_scan_raises_before_pruning(self, ct_two_state, K):
+        # a NaN bound compares False and would read as ruled out
+        with pytest.raises(NonFiniteOperator):
+            nonlattice_scan(ct_two_state, np.array(K))
 
 
 class TestContour:
