@@ -1,22 +1,50 @@
 """Per-edge increment laws, each one run of Gaussian atoms.
 
 Three kinds are supported: deterministic point masses, Gaussians and finite
-mixtures of point masses. Every law is read through one view, a run of
-Gaussian atoms (prob, mean, cov): a Gaussian is one atom, a point mass one
-atom with cov = 0, a mixture one zero-cov atom per point. The
-characteristic function and the moments are one formula over that run, and
-MapSpec.edge_table compiles the runs of all edges into flat arrays.
+mixtures of point masses. Every law is one run of Gaussian atoms (prob,
+mean, cov): a Gaussian is one atom, a point mass one atom with cov = 0, a
+mixture one zero-cov atom per point. A MapSpec holds the runs of all its
+edges in one flat atom table (MapSpec.edge_table), and check_atoms validates
+such runs in whole-array operations, for a spec's table and for a single
+IncrementLaw alike. An IncrementLaw gives the characteristic function and
+the moments of one law as one formula over its run.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import MomentUndefined
+
+KINDS = ("deterministic", "gaussian", "mixture")    # the table's kind codes
+DETERMINISTIC, GAUSSIAN, MIXTURE = range(3)
+
+
+def check_atoms(kind, edge, prob, mean, cov):
+    """Validate runs of atoms, ValueError otherwise.
+
+    kind[e] is run e's code into KINDS; per atom, edge[a] is its run (the
+    atoms of a run are contiguous), prob its probability, mean (n, d) and
+    cov (n, d, d) its moments. Every field must be finite, every Gaussian
+    covariance symmetric and PSD, and the probabilities of each run
+    nonnegative with sum 1 (so no run is empty).
+    """
+    if not (np.isfinite(prob).all() and np.isfinite(mean).all()
+            and np.isfinite(cov).all()):
+        raise ValueError("increment fields must be finite numbers")
+    c = cov[np.asarray(kind)[edge] == GAUSSIAN]
+    if len(c) and c.shape[1] > 1:
+        if np.abs(c - c.transpose(0, 2, 1)).max() > 1e-12:
+            raise ValueError("covariance must be symmetric")
+        c = np.linalg.eigvalsh(c)
+    if len(c) and c.min() < -1e-12:         # for d = 1, the variances
+        raise ValueError("covariance must be PSD")
+    total = np.bincount(edge, weights=prob, minlength=len(kind))
+    if (prob < 0).any() or np.abs(total - 1.0).max(initial=0.0) > 1e-12:
+        raise ValueError("mixture probabilities must be nonnegative and sum to 1")
 
 
 def _normal_moment(m, s2, k: int):
@@ -50,38 +78,30 @@ class IncrementLaw:
             a = np.array(arr, dtype=float)
             a.setflags(write=False)
             object.__setattr__(self, name, a)
-            return a
 
         if self.kind == "deterministic":
             freeze("value", np.atleast_1d(self.value))
         elif self.kind == "gaussian":
-            m = freeze("mean_vec", np.atleast_1d(self.mean_vec))
-            c = freeze("cov", np.atleast_2d(self.cov))
-            if np.max(np.abs(c - c.T)) > 1e-12:
-                raise ValueError("covariance must be symmetric")
-            if np.linalg.eigvalsh(c).min() < -1e-12:
-                raise ValueError("covariance must be PSD")
-            if c.shape[0] != m.shape[0]:
-                raise ValueError("mean/covariance dimension mismatch")
+            freeze("mean_vec", np.atleast_1d(self.mean_vec))
+            freeze("cov", np.atleast_2d(self.cov))
         elif self.kind == "mixture":
             atoms = tuple((float(p), np.atleast_1d(np.array(v, dtype=float)))
                           for p, v in self.atoms)
-            probs = np.array([p for p, _ in atoms])
-            if abs(probs.sum() - 1.0) > 1e-12 or (probs < 0).any():
-                raise ValueError("mixture probabilities must be nonnegative and sum to 1")
             for _, v in atoms:
                 v.setflags(write=False)
             object.__setattr__(self, "atoms", atoms)
         else:
             raise ValueError(f"unknown increment kind {self.kind!r}")
+        run = self.gaussian_atoms
+        prob, mean, cov = (np.array([a[k] for a in run]) for k in range(3))
+        if mean.shape[1:] != (self.d,) or cov.shape[1:] != (self.d,) * 2:
+            raise ValueError("mean/covariance dimension mismatch")
+        check_atoms([KINDS.index(self.kind)], np.zeros(len(run), dtype=int),
+                    prob, mean, cov)
 
     @cached_property
     def gaussian_atoms(self) -> tuple:
-        """The law as a run of Gaussian atoms ((prob, mean, cov), ...).
-
-        Built once per law; shifted() drops the copy's run so that it is
-        rebuilt from the moved values.
-        """
+        """The law as a run of Gaussian atoms ((prob, mean, cov), ...)."""
         if self.kind == "gaussian":
             return ((1.0, self.mean_vec, self.cov),)
         zero = np.zeros((self.d, self.d))
@@ -109,27 +129,6 @@ class IncrementLaw:
             raise MomentUndefined(f"moment order {k} not supported")
         return float(sum(p * _normal_moment(m.item(0), c.item(0), k)
                          for p, m, c in self.gaussian_atoms))
-
-    def shifted(self, delta: np.ndarray) -> "IncrementLaw":
-        """Law of Z + delta (used for centering).
-
-        A shift keeps the covariance and the atom probabilities, so the copy
-        skips the validation in __post_init__.
-        """
-        delta = np.atleast_1d(np.asarray(delta, dtype=float))
-        law = copy.copy(self)
-        law.__dict__.pop("gaussian_atoms", None)
-        if self.kind == "mixture":
-            atoms = tuple((p, v + delta) for p, v in self.atoms)
-            for _, v in atoms:
-                v.setflags(write=False)
-            object.__setattr__(law, "atoms", atoms)
-        else:
-            name = "value" if self.kind == "deterministic" else "mean_vec"
-            moved = getattr(self, name) + delta
-            moved.setflags(write=False)
-            object.__setattr__(law, name, moved)
-        return law
 
 
 def deterministic(value) -> IncrementLaw:

@@ -1,8 +1,11 @@
 """Loading and saving of kernel, model and problem description files.
 
-All documents are UTF-8 JSON. Reports are written atomically (temp file in
-the target directory, then rename) with sorted keys and no timestamps, so an
-identical invocation produces a byte-identical file.
+All documents are UTF-8 JSON. A discrete spec's increment entries are read
+in one pass straight into the columns of its flat atom table (see MapSpec),
+which is checked on whole arrays; no per-law object is built. Reports are
+written atomically (temp file in the target directory, then rename) with
+sorted keys and no timestamps, so an identical invocation produces a
+byte-identical file.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 from .chain_core import StochasticKernel
 from .errors import MaplabError
-from .increments import deterministic, gaussian, mixture
+from .increments import GAUSSIAN, KINDS
 from .map_model import CtMapSpec, MapSpec
 from .mestim import build_problem, mean_contrast_family
 
@@ -35,8 +38,8 @@ def _document(load):
     def checked(source):
         try:
             return load(source)
-        except (AttributeError, KeyError, IndexError, TypeError,
-                ValueError) as exc:     # a wrong type, key, shape or value
+        except (AttributeError, KeyError, IndexError, OverflowError,
+                TypeError, ValueError) as exc:  # a wrong type, key, size...
             raise FormatError(f"malformed document: {exc}") from None
     return checked
 
@@ -65,28 +68,34 @@ def kernel_to_dict(kernel: StochasticKernel) -> dict:
             "pi": kernel.pi.tolist()}
 
 
-def _field(doc: dict, key: str, shape, where="increment"):
-    """Numeric field of doc as an array of the given shape, else FormatError."""
-    value = _require(doc, key, where)
+def _field(value, key: str, shape):
+    """value as an array of the given shape, else FormatError."""
     try:
         return np.asarray(value, dtype=float).reshape(shape)
     except (TypeError, ValueError):
-        raise FormatError(f"field {key!r} in {where} must be numbers of "
-                          f"shape {shape}, got {value!r}") from None
+        raise FormatError(f"increment field {key!r} must be numbers of shape "
+                          f"{shape}, got {value!r}") from None
 
 
-def _law_from_dict(doc: dict, d: int):
-    kind = _require(doc, "kind", "increment")
-    if kind == "deterministic":
-        return deterministic(_field(doc, "value", d))
-    if kind == "gaussian":
-        return gaussian(_field(doc, "mean", d), _field(doc, "cov", (d, d)))
-    if kind == "mixture":
-        atoms = [(float(_field(a, "p", (), "mixture atom")),
-                  _field(a, "value", d, "mixture atom"))
-                 for a in _require(doc, "atoms", "increment")]
-        return mixture(atoms)
-    raise FormatError(f"unknown increment kind {kind!r}")
+def _column(values: list, keys: list, shape) -> np.ndarray:
+    """values as one array of shape (len(values),) + shape. Each value may
+    be nested in any way that reshapes to shape, as _field reads it; one
+    that does not is a FormatError naming its key."""
+    try:
+        col = np.array(values, dtype=float)
+        if col.shape == (len(values),) + shape:
+            return col
+    except (TypeError, ValueError):
+        pass
+    return np.array([_field(v, k, shape) for v, k in zip(values, keys)]
+                    ).reshape((len(values),) + shape)
+
+
+def _centered(doc: dict) -> bool:
+    flag = doc.get("centered", False)
+    if not isinstance(flag, bool):
+        raise FormatError(f"centered must be true or false, got {flag!r}")
+    return flag
 
 
 def _law_to_dict(i, j, law) -> dict:
@@ -104,21 +113,50 @@ def _law_to_dict(i, j, law) -> dict:
 
 @_document
 def map_spec_from_dict(doc: dict) -> MapSpec:
+    """MapSpec of a document. One pass over the increment entries collects
+    their fields, in file order, into the columns of the spec's atom table;
+    MapSpec checks them on whole arrays."""
     kernel = kernel_from_dict(_require(doc, "kernel", "map spec"))
-    d, S = doc.get("d", 1), kernel.n_states
+    d = doc.get("d", 1)
     if not (isinstance(d, int) and d >= 1):
         raise FormatError(f"d must be a positive integer, got {d!r}")
-    incs = {}
-    for entry in _require(doc, "increments", "map spec"):
-        i, j = (_require(entry, k, "increment") for k in ("from", "to"))
-        if not (i in range(S) and j in range(S) and kernel.P[i, j] > 0):
-            raise FormatError(f"increment for ({i}, {j}), not an edge of "
-                              "the kernel")
-        if (i, j) in incs:
-            raise FormatError(f"two increment entries for ({i}, {j})")
-        incs[(i, j)] = _law_from_dict(entry, d)
-    return MapSpec(kernel=kernel, increments=incs, d=d,
-                   centered=bool(doc.get("centered", False)))
+    edges, kind, start, prob, mean, cov = [], [], [], [], [], []
+    try:
+        for entry in _require(doc, "increments", "map spec"):
+            edges.append((entry["from"], entry["to"]))
+            name = entry["kind"]
+            if name not in KINDS:
+                raise FormatError(f"unknown increment kind {name!r}")
+            kind.append(KINDS.index(name))
+            start.append(len(prob))
+            if name == "mixture":
+                for atom in entry["atoms"]:
+                    prob.append(atom["p"])
+                    mean.append(atom["value"])
+            else:
+                prob.append(1.0)
+                mean.append(entry["mean" if name == "gaussian" else "value"])
+                if name == "gaussian":
+                    cov.append(entry["cov"])
+    except KeyError as exc:
+        raise FormatError(f"missing field {exc} in an increment entry"
+                          ) from None
+    pairs = np.array(edges if edges else np.zeros((0, 2), dtype=int))
+    if pairs.ndim != 2 or pairs.dtype.kind not in "iu":
+        raise FormatError("increment 'from' and 'to' must be state indices")
+    gauss = np.repeat(np.equal(kind, GAUSSIAN), np.diff(start + [len(prob)]))
+    table = {"rows": pairs[:, 0], "cols": pairs[:, 1], "kind": kind,
+             "start": start, "prob": _column(prob, ["p"] * len(prob), ()),
+             "mean": _column(mean, np.where(gauss, "mean", "value").tolist(),
+                             (d,)),
+             "cov": np.zeros((len(prob), d, d))}
+    table["cov"][gauss] = _column(cov, ["cov"] * len(cov), (d, d))
+    spec = MapSpec(kernel=kernel, d=d, centered=_centered(doc), table=table)
+    off = np.flatnonzero(spec.edge_table["weight"] <= 0)
+    if len(off):
+        raise FormatError(f"increment for {tuple(pairs[off[0]].tolist())}, "
+                          "not an edge of the kernel")
+    return spec
 
 
 def map_spec_to_dict(spec: MapSpec) -> dict:
@@ -139,7 +177,7 @@ def ct_spec_from_dict(doc: dict) -> CtMapSpec:
     if jumps is not None:
         jumps = np.asarray(jumps, dtype=float)
     return CtMapSpec(generator=G, reward=reward, jump_increments=jumps,
-                     centered=bool(doc.get("centered", False)))
+                     centered=_centered(doc))
 
 
 def ct_spec_to_dict(ct: CtMapSpec) -> dict:

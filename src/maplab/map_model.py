@@ -1,11 +1,13 @@
 """Discrete- and continuous-time Markov additive process specifications.
 
-A MapSpec couples a driving kernel with one increment law per supported edge.
-Exact moments of the additive component come from a power of the
-block-triangular moment transfer matrix; the asymptotic variance from the
-geometric correlation series; the derivatives of the dominant eigenvalue at 0
-from Kato's perturbation series, whose reduced resolvent is the group inverse
-of I - P (discrete time) or -G (continuous time).
+A MapSpec couples a driving kernel with one increment law per supported edge,
+all held in one flat atom table that the moments, the content hash, the
+Fourier matrix, the sampler and the lattice search read. Exact moments of
+the additive component come from a power of the block-triangular moment
+transfer matrix; the asymptotic variance from the geometric correlation
+series; the derivatives of the dominant eigenvalue at 0 from Kato's
+perturbation series, whose reduced resolvent is the group inverse of I - P
+(discrete time) or -G (continuous time).
 """
 
 from __future__ import annotations
@@ -21,9 +23,11 @@ import numpy as np
 from .chain_core import StochasticKernel, l2_operator_norm, solve_stationary
 from .errors import (GapAbsent, MomentUndefined, NotCentered, NotScalar,
                      NotStochastic)
-from .increments import IncrementLaw
+from .increments import (DETERMINISTIC, GAUSSIAN, KINDS, IncrementLaw,
+                         check_atoms, deterministic, gaussian, mixture)
 
 CENTER_TOL = 1e-12
+_TABLE_FIELDS = ("rows", "cols", "kind", "start", "prob", "mean", "cov")
 
 
 def _expm(A):
@@ -33,10 +37,20 @@ def _expm(A):
     return scipy.linalg.expm(A)
 
 
+def _runs(tab):
+    """(i, j, kind, first atom, end atom) of each edge of an atom table, as
+    Python ints in table order."""
+    end = np.append(tab["start"][1:], len(tab["prob"]))
+    return zip(tab["rows"].tolist(), tab["cols"].tolist(), tab["kind"].tolist(),
+               tab["start"].tolist(), end.tolist())
+
+
 def _content_hash(spec) -> str:
     """Stable sha256 of a spec's content (kernel, laws, rewards).
 
     Specs keep it as their cached content_hash, so it is computed once each.
+    A discrete spec's laws come from its atom table: vectors rounded by
+    ndarray.round(15), mixture probabilities by round(p, 15).
     """
     if isinstance(spec, CtMapSpec):
         payload = {
@@ -47,16 +61,18 @@ def _content_hash(spec) -> str:
                     else np.asarray(spec.jump_increments).round(15).tolist(),
         }
     else:
+        tab = spec.edge_table
+        mean, cov = tab["mean"].round(15).tolist(), tab["cov"].round(15).tolist()
+        prob = tab["prob"].tolist()
         laws = {}
-        for (i, j), law in sorted(spec.increments.items()):
-            if law.kind == "deterministic":
-                desc = ["det", law.value.round(15).tolist()]
-            elif law.kind == "gaussian":
-                desc = ["gauss", law.mean_vec.round(15).tolist(),
-                        law.cov.round(15).tolist()]
+        for i, j, kind, a, b in _runs(tab):
+            if kind == DETERMINISTIC:
+                desc = ["det", mean[a]]
+            elif kind == GAUSSIAN:
+                desc = ["gauss", mean[a], cov[a]]
             else:
-                desc = ["mix", [[round(p, 15), v.round(15).tolist()]
-                                for p, v in law.atoms]]
+                desc = ["mix", [[round(p, 15), v]
+                                for p, v in zip(prob[a:b], mean[a:b])]]
             laws[f"{i},{j}"] = desc
         payload = {
             "kind": "discrete",
@@ -68,35 +84,82 @@ def _content_hash(spec) -> str:
                           ).hexdigest()
 
 
-@dataclass(frozen=True)
-class MapSpec:
-    """Driving kernel plus per-edge increment laws (discrete time).
+def _laws_table(increments, d) -> dict:
+    """Atom table of a {(i, j): IncrementLaw} mapping, in its order."""
+    laws = list(increments.values())
+    if any(law.d != d for law in laws):
+        raise ValueError("increment dimension mismatch")
+    atoms = [a for law in laws for a in law.gaussian_atoms]
+    edges = np.array(list(increments), dtype=int).reshape(-1, 2)
+    return {"rows": edges[:, 0], "cols": edges[:, 1],
+            "kind": [KINDS.index(law.kind) for law in laws],
+            "start": np.cumsum([0] + [len(law.gaussian_atoms)
+                                      for law in laws])[:-1],
+            "prob": [a[0] for a in atoms],
+            "mean": np.reshape([a[1] for a in atoms], (-1, d)),
+            "cov": np.reshape([a[2] for a in atoms], (-1, d, d))}
 
-    increments maps (i, j) state-index pairs to IncrementLaw for every edge
-    with P[i, j] > 0. If centered=True the edge means are shifted at
-    construction so that the stationary one-step mean vanishes.
+
+def _check_support(P, rows, cols):
+    """Every law on a pair of states, at most one per pair, and one on every
+    edge P[i, j] > 0 (a mapping may give pairs with P[i, j] = 0 too)."""
+    S = len(P)
+    if ((rows < 0) | (rows >= S) | (cols < 0) | (cols >= S)).any():
+        raise ValueError("an increment law for a pair outside the states")
+    count = np.bincount(rows * S + cols, minlength=S * S)
+    for bad, why in ((count > 1, "two increment entries for ({}, {})"),
+                     (count < (P.ravel() > 0),
+                      "missing increment law for edge ({}, {})")):
+        if bad.any():
+            raise ValueError(why.format(*divmod(int(np.argmax(bad)), S)))
+
+
+def _run_sums(tab, values) -> np.ndarray:
+    """sum_a p_a values[a] over each edge's run of atoms, summed from 0 in
+    atom order as Python's sum over the run is (np.add.at adds in order)."""
+    total = np.zeros((len(tab["start"]),) + values.shape[1:])
+    np.add.at(total, tab["edge"], tab["prob"].reshape(
+        (-1,) + (1,) * (values.ndim - 1)) * values)
+    return total
+
+
+class MapSpec:
+    """Driving kernel plus one increment law per edge (discrete time).
+
+    The laws are one read-only atom table, edge_table, built here from a
+    {(i, j): IncrementLaw} mapping or a table dict (rows, cols, kind, start,
+    prob, mean, cov) and checked by check_atoms and _check_support. Per
+    edge, in the order given: rows, cols, kind (a code into
+    increments.KINDS), weight = P[rows, cols] and start, its first atom.
+    Per atom: edge, prob, mean (n, d), cov (n, d, d) and gauss (a Gaussian
+    law's atom). centered=True subtracts the stationary one-step mean from
+    every atom mean. increments is a view of the table, built on first use.
     """
 
-    kernel: StochasticKernel
-    increments: dict
-    d: int = 1
-    centered: bool = False
-
-    def __post_init__(self):
-        P = self.kernel.P
-        edges = list(zip(*np.nonzero(P > 0)))
-        incs = dict(self.increments)
-        for i, j in edges:
-            if (i, j) not in incs:
-                raise ValueError(f"missing increment law for edge ({i}, {j})")
-        for law in incs.values():
-            if law.d != self.d:
-                raise ValueError("increment dimension mismatch")
-        if self.centered:
-            m = _stationary_step_mean(self.kernel, incs, self.d)
+    def __init__(self, kernel: StochasticKernel, increments: dict = None,
+                 d: int = 1, centered: bool = False, table: dict = None):
+        if table is None:
+            table = _laws_table(increments, d)
+        tab = {k: np.array(table[k], dtype=float if k in ("prob", "mean", "cov")
+                           else int) for k in _TABLE_FIELDS}
+        n = len(tab["prob"])
+        if tab["mean"].shape != (n, d) or tab["cov"].shape != (n, d, d):
+            raise ValueError("increment dimension mismatch")
+        tab["edge"] = np.repeat(np.arange(len(tab["start"])),
+                                np.diff(tab["start"], append=n))
+        check_atoms(tab["kind"], tab["edge"], tab["prob"], tab["mean"],
+                    tab["cov"])
+        _check_support(kernel.P, tab["rows"], tab["cols"])
+        tab["weight"] = kernel.P[tab["rows"], tab["cols"]]
+        tab["gauss"] = tab["kind"][tab["edge"]] == GAUSSIAN
+        self.kernel, self.d, self.centered = kernel, d, centered
+        self.edge_table = tab
+        if centered:
+            m = exact_mean(self)
             if np.max(np.abs(m)) > CENTER_TOL:
-                incs = {e: law.shifted(-m) for e, law in incs.items()}
-        object.__setattr__(self, "increments", incs)
+                tab["mean"] = tab["mean"] + (-m)
+        for a in tab.values():
+            a.setflags(write=False)
 
     @property
     def pi(self):
@@ -112,11 +175,21 @@ class MapSpec:
 
     def edge_mean_matrix(self) -> np.ndarray:
         """Matrix of conditional edge means, shape (S, S, d); zero off support."""
-        S = self.n_states
+        S, tab = self.n_states, self.edge_table
         M = np.zeros((S, S, self.d))
-        for (i, j), law in self.increments.items():
-            M[i, j] = law.mean()
+        M[tab["rows"], tab["cols"]] = _run_sums(tab, tab["mean"])
         return M
+
+    @cached_property
+    def increments(self) -> dict:
+        """{(i, j): IncrementLaw} view of the table, in its edge order (for
+        the file writer and tests; no computation reads it)."""
+        tab = self.edge_table
+        mean, cov, prob = tab["mean"], tab["cov"], tab["prob"].tolist()
+        law = (lambda a, b: deterministic(mean[a]),
+               lambda a, b: gaussian(mean[a], cov[a]),
+               lambda a, b: mixture(zip(prob[a:b], mean[a:b])))
+        return {(i, j): law[kind](a, b) for i, j, kind, a, b in _runs(tab)}
 
     def law(self, i: int, j: int) -> IncrementLaw:
         return self.increments[(i, j)]
@@ -125,35 +198,24 @@ class MapSpec:
 
     @cached_property
     def moment_matrices(self) -> np.ndarray:
-        """D_k = P o E[Z^k] for k = 0..4, shape (5, S, S); scalar specs only."""
+        """D_k = P o E[Z^k] for k = 0..4, shape (5, S, S); scalar specs only.
+
+        Each edge's E[Z^k] is IncrementLaw.moment's sum over its atoms, with
+        m ** 3 and m ** 4 taken on Python floats as there.
+        """
+        if self.d != 1:
+            raise MomentUndefined("scalar moments require d = 1")
+        tab = self.edge_table
+        m, s2 = tab["mean"][:, 0], tab["cov"][:, 0, 0]
+        cube, fourth = (np.array([v ** k for v in m.tolist()]) for k in (3, 4))
+        atom = np.stack([m, m * m + s2, cube + 3 * m * s2,
+                         fourth + 6 * m * m * s2 + 3 * s2 * s2], axis=1)
         D = np.zeros((5,) + self.P.shape)
         D[0] = self.P
-        for (i, j), law in self.increments.items():
-            D[1:, i, j] = [self.P[i, j] * law.moment(k) for k in range(1, 5)]
+        D[1:, tab["rows"], tab["cols"]] = (tab["weight"][:, None]
+                                           * _run_sums(tab, atom)).T
         D.setflags(write=False)     # cached: every caller shares this array
         return D
-
-    @cached_property
-    def edge_table(self) -> dict:
-        """Edges compiled once into flat arrays for the stacked Fourier matrix.
-
-        Each edge's law is its run of Gaussian atoms (prob, mean, cov), see
-        IncrementLaw.gaussian_atoms. start[e] is the first atom of edge e
-        and gauss[a] marks the atoms of Gaussian laws.
-        """
-        laws = self.increments.values()
-        atoms = [(p, m, c, law.kind == "gaussian")
-                 for law in laws for p, m, c in law.gaussian_atoms]
-        edges = np.array(list(self.increments), dtype=int).reshape(-1, 2)
-        rows, cols = edges.T
-        return {"rows": rows, "cols": cols, "weight": self.P[rows, cols],
-                "start": np.cumsum([0] + [len(law.gaussian_atoms)
-                                          for law in laws])[:-1],
-                "prob": np.array([a[0] for a in atoms]),
-                "mean": np.array([a[1] for a in atoms]).reshape(-1, self.d),
-                "cov": np.array([a[2] for a in atoms]).reshape(-1, self.d,
-                                                               self.d),
-                "gauss": np.array([a[3] for a in atoms], dtype=bool)}
 
 
 @dataclass(frozen=True)
@@ -198,6 +260,8 @@ class CtMapSpec:
         xi = np.array(self.reward, dtype=float)
         if xi.shape != G.shape[:1]:
             raise ValueError("reward must have one entry per state")
+        if not (np.isfinite(xi).all() and np.isfinite(jump_flux).all()):
+            raise ValueError("reward and jump_increments must be finite")
         if self.centered:
             # the mean rate pi(xi + (G_off o J) 1) counts the jumps too
             xi = xi - pi @ (xi + jump_flux)
@@ -228,16 +292,16 @@ class CtMapSpec:
         return G + 1j * z * np.diag(self.reward)
 
 
-def _stationary_step_mean(kernel, increments, d) -> np.ndarray:
-    m = np.zeros(d)
-    for (i, j), law in increments.items():
-        m += kernel.pi[i] * kernel.P[i, j] * law.mean()
-    return m
-
-
 def exact_mean(spec: MapSpec) -> np.ndarray:
-    """Exact stationary one-step mean E[Y_1]; additivity gives E[Y_n] = n * mean."""
-    return _stationary_step_mean(spec.kernel, spec.increments, spec.d)
+    """Exact stationary one-step mean E[Y_1]; additivity gives E[Y_n] = n * mean.
+
+    The terms pi_i P_ij E[Z_ij] are added one at a time in table order
+    (cumsum is sequential), as an edge loop from 0 would.
+    """
+    tab = spec.edge_table
+    terms = ((spec.pi[tab["rows"]] * tab["weight"])[:, None]
+             * _run_sums(tab, tab["mean"]))
+    return np.cumsum(terms, axis=0)[-1]
 
 
 def exact_moments(spec: MapSpec, n: int, k: int) -> float:
@@ -287,15 +351,10 @@ def variance_series(spec: MapSpec, tol: float = 1e-12):
         raise NotCentered("variance_series requires a centered spec")
     S, d, P, pi = spec.n_states, spec.d, spec.P, spec.pi
 
-    # s2[x] = E[Z Z* | X_0 = x]: edge e adds P_e sum_a p_a (C_a + m_a m_a*),
-    # each sum taken in atom order (np.add.at adds in order, reduceat not)
+    # s2[x] = E[Z Z* | X_0 = x]: edge e adds P_e sum_a p_a (C_a + m_a m_a*)
     tab = spec.edge_table
-    m, n_edges = tab["mean"], len(tab["start"])
-    edge = np.repeat(np.arange(n_edges),
-                     np.diff(np.append(tab["start"], len(m))))
-    second = np.zeros((n_edges, d, d))
-    np.add.at(second, edge, tab["prob"][:, None, None]
-              * (tab["cov"] + m[:, :, None] * m[:, None, :]))
+    m = tab["mean"]
+    second = _run_sums(tab, tab["cov"] + m[:, :, None] * m[:, None, :])
     s2 = np.zeros((S, d, d))
     np.add.at(s2, tab["rows"], tab["weight"][:, None, None] * second)
     base = np.einsum("x,xab->ab", pi, s2)
@@ -401,20 +460,21 @@ def detect_lattice(spec: MapSpec, tol: float = 1e-9) -> LatticeReport:
 
     Complete for scalar point-mass increments: beta is propagated along a
     spanning tree of the support graph for each candidate shift, and the
-    non-tree edge discrepancies must share a common real gcd. Read through
-    the laws' Gaussian atoms: any atom with a positive variance makes the
-    spec nonlattice, and a run of several atoms is reported as undetermined.
+    non-tree edge discrepancies must share a common real gcd. Read from the
+    atom table: any atom with a positive variance makes the spec
+    nonlattice, and a run of several atoms is reported as undetermined.
     """
     if spec.d != 1:
         raise NotScalar("lattice detection requires d = 1")
-    runs = {e: law.gaussian_atoms for e, law in spec.increments.items()}
-    if any(c[0, 0] > 0 for run in runs.values() for _, _, c in run):
+    tab = spec.edge_table
+    if (tab["cov"][:, 0, 0] > 0).any():
         return LatticeReport(is_lattice=False)
-    if any(len(run) > 1 for run in runs.values()):
+    if len(tab["prob"]) > len(tab["start"]):    # some run has two atoms
         return LatticeReport(is_lattice=False, undetermined=True)
 
     S = spec.n_states
-    vals = {e: float(run[0][1][0]) for e, run in runs.items()}
+    vals = dict(zip(zip(tab["rows"].tolist(), tab["cols"].tolist()),
+                    tab["mean"][:, 0].tolist()))
     adj = [[] for _ in range(S)]
     for (i, j), v in vals.items():
         adj[i].append((j, v, +1.0))

@@ -14,7 +14,7 @@ import numpy as np
 
 from .chain_core import StochasticKernel, l2_operator_norm
 from .errors import (ConditionViolated, DegenerateVariance, NoInteriorRoot)
-from .increments import deterministic
+from .increments import DETERMINISTIC
 from .limit_checks import ecdf_se, kolmogorov_distance
 from .map_model import MapSpec, exact_moments, variance_series
 from .montecarlo import _chain_steps, _horizons, _initial_states, _philox
@@ -122,11 +122,16 @@ def _edge_expectation(kernel, func, alpha):
 
 
 def _f_map_spec(kernel, func, alpha, offset=0.0) -> MapSpec:
+    """The spec whose edge (i, j) has the point mass func(alpha, i, j) -
+    offset, its atom table built from the edge values in one go."""
     S = kernel.n_states
-    vals = _edge_value_table(func, alpha, S)[0]
-    incs = {divmod(int(e), S): deterministic([float(vals[e]) - offset])
-            for e in np.flatnonzero(kernel.P.ravel() > 0)}
-    return MapSpec(kernel=kernel, increments=incs, d=1, centered=False)
+    edges = np.flatnonzero(kernel.P.ravel() > 0)
+    n = len(edges)
+    vals = _edge_value_table(func, alpha, S)[0, edges].astype(float) - offset
+    return MapSpec(kernel=kernel, d=1, centered=False, table={
+        "rows": edges // S, "cols": edges % S,
+        "kind": np.full(n, DETERMINISTIC), "start": np.arange(n),
+        "prob": np.ones(n), "mean": vals[:, None], "cov": np.zeros((n, 1, 1))})
 
 
 def _bisect(f, lo, hi, xtol=1e-14):

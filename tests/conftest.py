@@ -1,6 +1,9 @@
+import copy
 import dataclasses
 import hashlib
 import itertools
+import json
+from functools import cached_property
 from math import comb
 
 import numpy as np
@@ -12,6 +15,7 @@ from maplab import fixtures
 from maplab.chain_core import StochasticKernel
 from maplab.fourier import _fourier_matrix
 from maplab.increments import deterministic, gaussian, mixture
+from maplab.io import FormatError, kernel_from_dict
 from maplab.map_model import MapSpec
 from maplab.montecarlo import spec_content_hash
 
@@ -687,3 +691,234 @@ def stepwise_edge_counts_b1(kernel, n, reps, seed, mu=None):
         out.append(counts.reshape(reps, S, S).copy())
         done = h
     return out[0] if np.ndim(n) == 0 else np.array(out)
+
+
+# -- The per-law spec lifecycle as it was before the flat atom table (test
+# oracle for io.map_spec_from_dict and MapSpec's table readers). The bodies
+# are the earlier code verbatim (of the content hash, its discrete branch);
+# only the names changed, and the shift, once IncrementLaw.shifted, is now a
+# function of the law.
+
+ORACLE_CENTER_TOL = 1e-12
+
+
+def _oracle_field(doc: dict, key: str, shape, where="increment"):
+    """Numeric field of doc as an array of the given shape, else FormatError."""
+    value = _oracle_require(doc, key, where)
+    try:
+        return np.asarray(value, dtype=float).reshape(shape)
+    except (TypeError, ValueError):
+        raise FormatError(f"field {key!r} in {where} must be numbers of "
+                          f"shape {shape}, got {value!r}") from None
+
+
+def _oracle_require(doc, key, where):
+    if key not in doc:
+        raise FormatError(f"missing field {key!r} in {where}")
+    return doc[key]
+
+
+def oracle_law_from_dict(doc: dict, d: int):
+    kind = _oracle_require(doc, "kind", "increment")
+    if kind == "deterministic":
+        return deterministic(_oracle_field(doc, "value", d))
+    if kind == "gaussian":
+        return gaussian(_oracle_field(doc, "mean", d),
+                        _oracle_field(doc, "cov", (d, d)))
+    if kind == "mixture":
+        atoms = [(float(_oracle_field(a, "p", (), "mixture atom")),
+                  _oracle_field(a, "value", d, "mixture atom"))
+                 for a in _oracle_require(doc, "atoms", "increment")]
+        return mixture(atoms)
+    raise FormatError(f"unknown increment kind {kind!r}")
+
+
+def oracle_spec_from_dict(doc: dict) -> "OracleSpec":
+    kernel = kernel_from_dict(_oracle_require(doc, "kernel", "map spec"))
+    d, S = doc.get("d", 1), kernel.n_states
+    if not (isinstance(d, int) and d >= 1):
+        raise FormatError(f"d must be a positive integer, got {d!r}")
+    incs = {}
+    for entry in _oracle_require(doc, "increments", "map spec"):
+        i, j = (_oracle_require(entry, k, "increment") for k in ("from", "to"))
+        if not (i in range(S) and j in range(S) and kernel.P[i, j] > 0):
+            raise FormatError(f"increment for ({i}, {j}), not an edge of "
+                              "the kernel")
+        if (i, j) in incs:
+            raise FormatError(f"two increment entries for ({i}, {j})")
+        incs[(i, j)] = oracle_law_from_dict(entry, d)
+    return OracleSpec(kernel=kernel, increments=incs, d=d,
+                      centered=bool(doc.get("centered", False)))
+
+
+def oracle_shifted(self, delta: np.ndarray):
+    """Law of Z + delta (used for centering).
+
+    A shift keeps the covariance and the atom probabilities, so the copy
+    skips the validation in __post_init__.
+    """
+    delta = np.atleast_1d(np.asarray(delta, dtype=float))
+    law = copy.copy(self)
+    law.__dict__.pop("gaussian_atoms", None)
+    if self.kind == "mixture":
+        atoms = tuple((p, v + delta) for p, v in self.atoms)
+        for _, v in atoms:
+            v.setflags(write=False)
+        object.__setattr__(law, "atoms", atoms)
+    else:
+        name = "value" if self.kind == "deterministic" else "mean_vec"
+        moved = getattr(self, name) + delta
+        moved.setflags(write=False)
+        object.__setattr__(law, name, moved)
+    return law
+
+
+def oracle_stationary_step_mean(kernel, increments, d) -> np.ndarray:
+    m = np.zeros(d)
+    for (i, j), law in increments.items():
+        m += kernel.pi[i] * kernel.P[i, j] * law.mean()
+    return m
+
+
+def oracle_content_hash(spec) -> str:
+    """Stable sha256 of a spec's content (kernel, laws, rewards).
+
+    Specs keep it as their cached content_hash, so it is computed once each.
+    """
+    laws = {}
+    for (i, j), law in sorted(spec.increments.items()):
+        if law.kind == "deterministic":
+            desc = ["det", law.value.round(15).tolist()]
+        elif law.kind == "gaussian":
+            desc = ["gauss", law.mean_vec.round(15).tolist(),
+                    law.cov.round(15).tolist()]
+        else:
+            desc = ["mix", [[round(p, 15), v.round(15).tolist()]
+                            for p, v in law.atoms]]
+        laws[f"{i},{j}"] = desc
+    payload = {
+        "kind": "discrete",
+        "P": np.asarray(spec.P).round(15).tolist(),
+        "laws": laws,
+        "d": spec.d,
+    }
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()
+                          ).hexdigest()
+
+
+@dataclasses.dataclass(frozen=True)
+class OracleSpec:
+    """Driving kernel plus per-edge increment laws (discrete time).
+
+    increments maps (i, j) state-index pairs to IncrementLaw for every edge
+    with P[i, j] > 0. If centered=True the edge means are shifted at
+    construction so that the stationary one-step mean vanishes.
+    """
+
+    kernel: StochasticKernel
+    increments: dict
+    d: int = 1
+    centered: bool = False
+
+    def __post_init__(self):
+        P = self.kernel.P
+        edges = list(zip(*np.nonzero(P > 0)))
+        incs = dict(self.increments)
+        for i, j in edges:
+            if (i, j) not in incs:
+                raise ValueError(f"missing increment law for edge ({i}, {j})")
+        for law in incs.values():
+            if law.d != self.d:
+                raise ValueError("increment dimension mismatch")
+        if self.centered:
+            m = oracle_stationary_step_mean(self.kernel, incs, self.d)
+            if np.max(np.abs(m)) > ORACLE_CENTER_TOL:
+                incs = {e: oracle_shifted(law, -m) for e, law in incs.items()}
+        object.__setattr__(self, "increments", incs)
+
+    @property
+    def P(self):
+        return self.kernel.P
+
+    def edge_mean_matrix(self) -> np.ndarray:
+        """Matrix of conditional edge means, shape (S, S, d); zero off support."""
+        S = self.kernel.n_states
+        M = np.zeros((S, S, self.d))
+        for (i, j), law in self.increments.items():
+            M[i, j] = law.mean()
+        return M
+
+    content_hash = cached_property(oracle_content_hash)
+
+    @cached_property
+    def moment_matrices(self) -> np.ndarray:
+        """D_k = P o E[Z^k] for k = 0..4, shape (5, S, S); scalar specs only."""
+        D = np.zeros((5,) + self.P.shape)
+        D[0] = self.P
+        for (i, j), law in self.increments.items():
+            D[1:, i, j] = [self.P[i, j] * law.moment(k) for k in range(1, 5)]
+        D.setflags(write=False)     # cached: every caller shares this array
+        return D
+
+    @cached_property
+    def edge_table(self) -> dict:
+        """Edges compiled once into flat arrays for the stacked Fourier matrix.
+
+        Each edge's law is its run of Gaussian atoms (prob, mean, cov), see
+        IncrementLaw.gaussian_atoms. start[e] is the first atom of edge e
+        and gauss[a] marks the atoms of Gaussian laws.
+        """
+        laws = self.increments.values()
+        atoms = [(p, m, c, law.kind == "gaussian")
+                 for law in laws for p, m, c in law.gaussian_atoms]
+        edges = np.array(list(self.increments), dtype=int).reshape(-1, 2)
+        rows, cols = edges.T
+        return {"rows": rows, "cols": cols, "weight": self.P[rows, cols],
+                "start": np.cumsum([0] + [len(law.gaussian_atoms)
+                                          for law in laws])[:-1],
+                "prob": np.array([a[0] for a in atoms]),
+                "mean": np.array([a[1] for a in atoms]).reshape(-1, self.d),
+                "cov": np.array([a[2] for a in atoms]).reshape(-1, self.d,
+                                                               self.d),
+                "gauss": np.array([a[3] for a in atoms], dtype=bool)}
+
+
+def random_spec_document(seed, S, d, centered) -> dict:
+    """Random discrete spec document: a ring with self-loops plus random
+    chords (dense-ish for S <= 8, about 4 successors per state above); per
+    edge a
+    point mass, a Gaussian (covariance 0 one time in three) or a mixture of
+    1 to 4 atoms; entries in shuffled order. Some values are integers or
+    -0.0, so that centering and rounding meet exact and signed zeros."""
+    rng = np.random.default_rng(seed)
+    ring = np.eye(S, dtype=bool) | np.roll(np.eye(S, dtype=bool), 1, axis=1)
+    chords = rng.random((S, S)) < (0.6 if S <= 8 else 2.0 / S)
+    P = rng.uniform(0.1, 1.0, (S, S)) * (ring | chords)
+    P /= P.sum(axis=1, keepdims=True)
+
+    def vector():
+        pick = rng.integers(4)
+        if pick == 0:
+            return [float(v) for v in rng.integers(-2, 3, d)]
+        if pick == 1:
+            return [-0.0] * d
+        return (rng.normal(size=d) * 10.0 ** rng.integers(-3, 3)).tolist()
+
+    entries = []
+    for i, j in zip(*np.nonzero(P)):
+        entry = {"from": int(i), "to": int(j)}
+        kind = rng.integers(3)
+        if kind == 0:
+            entry.update(kind="deterministic", value=vector())
+        elif kind == 1:
+            A = rng.normal(size=(d, d)) * (rng.integers(3) > 0)
+            entry.update(kind="gaussian", mean=vector(),
+                         cov=(A @ A.T).tolist())
+        else:
+            p = rng.dirichlet(np.ones(int(rng.integers(1, 5))))
+            entry.update(kind="mixture", atoms=[
+                {"p": float(q), "value": vector()} for q in p])
+        entries.append(entry)
+    rng.shuffle(entries)
+    return {"kernel": {"states": list(range(S)), "P": P.tolist()}, "d": d,
+            "increments": entries, "centered": centered}

@@ -106,6 +106,9 @@ class TestInputBoundary:
         {"kernel": _TWO, "increments": _EDGES + _EDGES[:1]},
         {"kernel": _TWO, "increments": [{**_EDGES[0], "from": 0.9},
                                         *_EDGES[1:]]},
+        # a number too large for a float (json reads it as an int)
+        {"kernel": _ONE, "increments": [{"from": 0, "to": 0,
+         "kind": "deterministic", "value": [10 ** 400]}]},
         # an additive component of dimension 0
         {"kernel": _TWO, "d": 0, "increments": [{**e, "value": []}
                                                 for e in _EDGES]},
@@ -188,6 +191,50 @@ class TestSpecDefects:
             "simulate", "--n", "8", "--paths", "100", "--seed", "0"]) == (
             0, "")
 
+
+    _NAN, _INF = float("nan"), float("inf")
+    _SIM = ["simulate", "--n", "8", "--paths", "5", "--seed", "1"]
+    _CLT = ["verify-clt", "--n-list", "16", "--paths", "200", "--seed", "1"]
+    _CT_SIM = ["simulate", "--t", "4", "--paths", "10", "--seed", "1"]
+
+    @staticmethod
+    def _pm1(law):
+        """The i.i.d. +-1 walk on P = [[.5, .5], [.5, .5]], edge (0, 0)'s
+        law replaced by law."""
+        incs = [{"from": i, "to": j, "kind": "deterministic",
+                 "value": [2.0 * j - 1.0]} for i in range(2) for j in range(2)]
+        incs[0] = {"from": 0, "to": 0, **law}
+        return {"kernel": {"states": [0, 1], "P": [[0.5, 0.5], [0.5, 0.5]]},
+                "increments": incs, "centered": True}
+
+    @pytest.mark.parametrize("law, argv", [
+        ({"kind": "gaussian", "mean": [_NAN], "cov": [[1.0]]}, _SIM),
+        ({"kind": "gaussian", "mean": [0.0], "cov": [[_INF]]},
+         ["nonlattice-scan"]),
+        ({"kind": "mixture", "atoms": [{"p": _NAN, "value": [1.0]},
+                                       {"p": 0.5, "value": [-1.0]}]}, _CLT),
+        ({"kind": "deterministic", "value": [-_INF]}, ["analyze"])])
+    def test_nonfinite_increment(self, tmp_path, capsys, law, argv):
+        # these used to load: NaN samples, a "pass" scan, bare NaN tokens
+        assert self._run(tmp_path, capsys, self._pm1(law), argv) == (
+            2, "config")
+
+    @pytest.mark.parametrize("field, value", [
+        ("reward", [_NAN, 1.0]),
+        ("jump_increments", [[0.0, _INF], [0.0, 0.0]])])
+    def test_nonfinite_ct(self, tmp_path, capsys, field, value):
+        doc = {**ct_spec_to_dict(ct_two_state()), field: value}
+        assert self._run(tmp_path, capsys, doc, self._CT_SIM) == (2, "config")
+
+    @pytest.mark.parametrize("doc, argv", [
+        ({**map_spec_to_dict(random_mixed_spec(7, 1)), "centered": "false"},
+         _CLT),
+        ({**ct_spec_to_dict(ct_two_state(centered=False)), "centered": "no"},
+         ["verify-ct", "--t-list", "16", "--paths", "100", "--seed", "0"]),
+        ({**ct_spec_to_dict(ct_two_state()), "centered": 1}, _CT_SIM)])
+    def test_centered_not_boolean(self, tmp_path, capsys, doc, argv):
+        # bool("false") is True: such a spec used to be centred silently
+        assert self._run(tmp_path, capsys, doc, argv) == (2, "config")
 
     _OVERFLOW = [
         ["analyze", "--zeta-max", "1e200", "--grid-points", "3"],

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maplab.chain_core import StochasticKernel
 from maplab.errors import MomentUndefined
 from maplab.increments import deterministic, gaussian, mixture
 from maplab.map_model import MapSpec, variance_series
@@ -69,6 +70,14 @@ class TestMoments:
             assert law.moment(2) == v * v
 
 
+def _centered(law):
+    """law shifted by minus its mean: the one law of a centered 1-state
+    spec, read back from the spec's atom table."""
+    kernel = StochasticKernel(states=(0,), P=np.array([[1.0]]))
+    return MapSpec(kernel=kernel, increments={(0, 0): law}, d=law.d,
+                   centered=True).law(0, 0)
+
+
 def _vectors(d):
     return st.lists(st.floats(-10, 10), min_size=d, max_size=d)
 
@@ -91,8 +100,7 @@ def random_laws(draw):
                                    max_size=n)))
         law = mixture([(p, draw(_vectors(d))) for p in w / w.sum()])
     if draw(st.booleans()):
-        law.gaussian_atoms      # a cached run must not survive the shift
-        law = law.shifted(draw(_vectors(d)))
+        law = _centered(law)    # a law of a spec's table view
     return law, draw(_vectors(d))
 
 
@@ -165,31 +173,41 @@ class TestStructure:
             (0.25, 0.0, 0.0), (0.75, 2.0, 0.0)]
 
     def test_shifted_mean(self):
+        # centering shifts each law by minus the stationary mean, here 1
         for law in (deterministic([1.0]), gaussian([1.0], [[2.0]]),
                     mixture([(0.5, [0.0]), (0.5, [2.0])])):
-            shifted = law.shifted([-1.0])
+            shifted = _centered(law)
             assert shifted.mean()[0] == pytest.approx(law.mean()[0] - 1.0)
 
     def test_shifted_cf_identity(self):
         law = mixture([(0.3, [1.0]), (0.7, [-0.5])])
-        z = 0.9
-        assert law.shifted([0.25]).cf(z) == pytest.approx(
-            law.cf(z) * np.exp(1j * z * 0.25))
+        z, m = 0.9, law.mean()[0]
+        assert _centered(law).cf(z) == pytest.approx(
+            law.cf(z) * np.exp(-1j * z * m))
 
     def test_shifted_cf_kind(self):
-        # for every kind the shift must rebuild the law's atoms, even once
-        # they are built
+        # for every kind, centering moves the law's atoms and keeps its kind
         z = 0.6
         for law in (deterministic([1.0]), gaussian([1.0], [[2.0]]),
                     mixture([(0.3, [1.0]), (0.7, [-0.5])])):
-            base = law.cf(z)
-            shifted = law.shifted([1.0])
-            assert shifted.cf(z) == pytest.approx(base * np.exp(1j * z))
-            assert shifted.mean()[0] == pytest.approx(law.mean()[0] + 1.0)
+            base, m = law.cf(z), law.mean()[0]
+            shifted = _centered(law)
+            assert shifted.kind == law.kind
+            assert shifted.cf(z) == pytest.approx(base * np.exp(-1j * z * m))
+            assert shifted.mean()[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_mixture_bad_probs(self):
         with pytest.raises(ValueError):
             mixture([(0.5, [0.0]), (0.6, [1.0])])
+
+    @pytest.mark.parametrize("make", [
+        lambda: deterministic([float("nan")]),
+        lambda: gaussian([0.0], [[float("inf")]]),
+        lambda: mixture([(float("nan"), [0.0]), (0.5, [1.0])]),
+        lambda: mixture([(1.0, [float("-inf")])])])
+    def test_nonfinite_field(self, make):
+        with pytest.raises(ValueError, match="finite"):
+            make()
 
     def test_gaussian_bad_cov(self):
         with pytest.raises(ValueError):

@@ -2,15 +2,22 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from maplab.errors import MomentUndefined
 from maplab.fixtures import ct_two_state, skewed_mixture, two_state
+from maplab.increments import deterministic
 from maplab.io import (FormatError, ct_spec_from_dict, ct_spec_to_dict,
                        kernel_from_dict, kernel_to_dict, load_problem,
                        load_spec,
                        map_spec_from_dict, map_spec_to_dict, write_csv,
                        write_report, write_samples)
+from maplab.map_model import exact_mean
 
-from conftest import random_mixed_spec
+from conftest import (OracleSpec, oracle_law_from_dict,
+                      oracle_spec_from_dict, oracle_stationary_step_mean,
+                      random_mixed_spec, random_spec_document)
 
 
 class TestKernelFormat:
@@ -50,6 +57,21 @@ class TestMapSpecFormat:
                 assert back.increments[e].cf(z) == pytest.approx(
                     spec.increments[e].cf(z))
 
+    @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None, [True]])
+    def test_centered_must_be_boolean(self, two_state, ct_two_state, flag):
+        for load, doc in ((map_spec_from_dict, map_spec_to_dict(two_state)),
+                          (ct_spec_from_dict, ct_spec_to_dict(ct_two_state))):
+            with pytest.raises(FormatError, match="centered"):
+                load({**doc, "centered": flag})
+
+    @pytest.mark.parametrize("state", [1.0, "1", None, 2 ** 70, [1]])
+    def test_state_index_not_an_integer(self, two_state, state):
+        doc = map_spec_to_dict(two_state)
+        doc["increments"] = [{**e, "to": state} if e["to"] == 1 else e
+                             for e in doc["increments"]]
+        with pytest.raises(FormatError):
+            map_spec_from_dict(doc)
+
     def test_unknown_kind(self, two_state):
         doc = map_spec_to_dict(two_state)
         doc["increments"][0]["kind"] = "levy"
@@ -85,6 +107,62 @@ class TestIncrementShapes:
             doc["increments"]
 
 
+def _same(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+class TestAtomTableOracle:
+    """A spec file parsed straight into the atom table, and a law mapping
+    compiled into it, give the bytes of the per-law lifecycle (conftest's
+    oracle_spec_from_dict): content hash, every edge_table array, the edge
+    means, exact_mean, moment_matrices and the increments view."""
+
+    @staticmethod
+    def _check(spec, want, d):
+        assert spec.content_hash == want.content_hash
+        for key, arr in want.edge_table.items():
+            assert _same(spec.edge_table[key], arr), key
+        assert _same(exact_mean(spec), oracle_stationary_step_mean(
+            want.kernel, want.increments, d))
+        assert _same(spec.edge_mean_matrix(), want.edge_mean_matrix())
+        if d == 1:
+            assert _same(spec.moment_matrices, want.moment_matrices)
+        else:
+            for s in (spec, want):
+                with pytest.raises(MomentUndefined):
+                    s.moment_matrices
+        assert list(spec.increments) == list(want.increments)
+        for e, law in want.increments.items():
+            got = spec.increments[e]
+            assert got.kind == law.kind and got.d == law.d
+            for name in ("value", "mean_vec", "cov"):
+                if getattr(law, name) is not None:
+                    assert _same(getattr(got, name), getattr(law, name))
+            if law.kind == "mixture":
+                assert [p for p, _ in got.atoms] == [p for p, _ in law.atoms]
+                assert all(_same(u, v) for (_, u), (_, v)
+                           in zip(got.atoms, law.atoms, strict=True))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 2, 3, 8, 32]),
+           st.integers(1, 2), st.booleans())
+    def test_equal_per_law_lifecycle(self, seed, S, d, centered):
+        from maplab.map_model import MapSpec
+        doc = random_spec_document(seed, S, d, centered)
+        want = oracle_spec_from_dict(doc)
+        self._check(map_spec_from_dict(doc), want, d)
+        # a mapping may also hold laws for pairs off the support
+        laws = {(e["from"], e["to"]): oracle_law_from_dict(e, d)
+                for e in doc["increments"]}
+        laws.update({(int(i), int(j)): deterministic([1.5] * d)
+                     for i, j in zip(*np.nonzero(want.P == 0))})
+        self._check(MapSpec(kernel=want.kernel, increments=laws, d=d,
+                            centered=centered),
+                    OracleSpec(kernel=want.kernel, increments=laws, d=d,
+                               centered=centered), d)
+
+
 class TestCtFormat:
     def test_round_trip(self, ct_two_state):
         back = ct_spec_from_dict(ct_spec_to_dict(ct_two_state))
@@ -114,10 +192,18 @@ class TestLoadSpec:
         assert isinstance(load_spec(str(p2)), CtMapSpec)
         assert isinstance(load_spec(str(p3)), StochasticKernel)
 
-    def test_centered_file_builds_each_law_once(self, tmp_path, monkeypatch):
-        # centering shifts the validated laws; it does not rebuild them
+    @staticmethod
+    def _count_laws(monkeypatch):
         from maplab.increments import IncrementLaw
-        from maplab.map_model import exact_mean
+        calls = []
+        real = IncrementLaw.__post_init__
+        monkeypatch.setattr(IncrementLaw, "__post_init__",
+                            lambda law: calls.append(1) or real(law))
+        return calls
+
+    def test_centered_file_builds_no_law(self, tmp_path, monkeypatch):
+        # the file is parsed into the atom table and centred there; laws
+        # are built only when the increments view is read
         spec = random_mixed_spec(0, d=1)
         assert {law.kind for law in spec.increments.values()} == {
             "deterministic", "gaussian", "mixture"}
@@ -125,12 +211,9 @@ class TestLoadSpec:
         doc["centered"] = True
         path = tmp_path / "centered.json"
         path.write_text(json.dumps(doc))
-        calls = []
-        real = IncrementLaw.__post_init__
-        monkeypatch.setattr(IncrementLaw, "__post_init__",
-                            lambda law: calls.append(1) or real(law))
+        calls = self._count_laws(monkeypatch)
         loaded = load_spec(str(path))
-        assert len(calls) == len(spec.increments)
+        assert calls == []
         m = exact_mean(spec)
         assert abs(m[0]) > 1e-3 and abs(exact_mean(loaded)[0]) < 1e-12
         for e, law in loaded.increments.items():
@@ -142,6 +225,40 @@ class TestLoadSpec:
                       else [law.value if law.kind == "deterministic"
                             else law.mean_vec])
             assert not any(a.flags.writeable for a in arrays)
+        assert not any(a.flags.writeable
+                       for a in loaded.edge_table.values())
+
+    def test_sparse_s32_file_builds_no_law(self, tmp_path, monkeypatch):
+        # a ring with self-loops and chords, 4 successors per state, every
+        # law kind; loading, hashing and the spectral tables build no law
+        from maplab.fourier import nonlattice_scan
+        from maplab.map_model import variance_series
+        rng = np.random.default_rng(32)
+        S, incs = 32, []
+        P = np.zeros((S, S))
+        for i in range(S):
+            cols = sorted({i, (i + 1) % S, *rng.choice(S, 2).tolist()})
+            P[i, cols] = rng.dirichlet(np.ones(len(cols)))
+            for j in cols:
+                incs.append({"from": i, "to": j, **[
+                    {"kind": "deterministic", "value": [float(j % 3)]},
+                    {"kind": "gaussian", "mean": [rng.normal()],
+                     "cov": [[1.0]]},
+                    {"kind": "mixture", "atoms": [
+                        {"p": 0.25, "value": [-1.0]},
+                        {"p": 0.75, "value": [rng.normal()]}]}][j % 3]})
+        path = tmp_path / "s32.json"
+        path.write_text(json.dumps({
+            "kernel": {"states": list(range(S)), "P": P.tolist()},
+            "increments": incs, "centered": True}))
+        calls = self._count_laws(monkeypatch)
+        spec = load_spec(str(path))
+        spec.content_hash, spec.moment_matrices
+        variance_series(spec)
+        nonlattice_scan(spec, np.linspace(0.1, 3.0, 5))
+        assert calls == [] and abs(exact_mean(spec)[0]) < 1e-12
+        assert len(spec.edge_table["rows"]) == len(incs)
+        assert len(spec.increments) == len(incs) and len(calls) == len(incs)
 
     def test_garbage_rejected(self, tmp_path):
         p = tmp_path / "bad.json"
