@@ -27,7 +27,8 @@ import numpy as np
 from . import fixtures as fixture_registry
 from .chain_core import StochasticKernel, spectral_gap_report
 from .errors import MaplabError, NotScalar
-from .fourier import derivatives_at_zero, lambda_branch, nonlattice_scan
+from .fourier import (NONLATTICE_RHO_MAX, derivatives_at_zero,
+                      lambda_branch, nonlattice_scan)
 from .io import (FormatError, _jsonable, load_problem, load_spec, write_csv,
                  write_report, write_samples)
 from .limit_checks import (berry_esseen_check, clt_check, ct_limit_check,
@@ -192,12 +193,8 @@ def _within_clt_gate(record) -> bool:
 
 
 def cmd_verify_clt(args, model):
-    n_list = _positive_list(args.n_list, int)
-    if isinstance(model, CtMapSpec):
-        records, _ = ct_limit_check(model, [float(n) for n in n_list],
-                                    args.paths, args.seed)
-    else:
-        records = clt_check(model, n_list, args.paths, args.seed)
+    records = clt_check(model, _positive_list(args.n_list, int), args.paths,
+                        args.seed)
     return Outcome(records, _within_clt_gate(records[-1]), _DKW_NOTE)
 
 
@@ -252,7 +249,7 @@ def cmd_nonlattice(args, model):
     if not len(K):
         raise UsageError("the k grid has no nonzero point")
     rho_hat, worst = nonlattice_scan(model, K)
-    return Outcome(passed=rho_hat < 1.0 - 1e-8,
+    return Outcome(passed=rho_hat < NONLATTICE_RHO_MAX,
                    extras={"rho_hat": rho_hat, "worst_zeta": worst})
 
 

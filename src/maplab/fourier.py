@@ -16,17 +16,11 @@ import numpy as np
 
 from .chain_core import l2_operator_norm
 from .errors import BranchCollision, NonFiniteOperator, SingularResolvent
-from .map_model import CtMapSpec, branch_derivatives
+from .map_model import CtMapSpec, _expm, branch_derivatives
 
 SEPARATION_MIN = 1e-6
+NONLATTICE_RHO_MAX = 1.0 - 1e-8     # nonlattice: scanned radius below this
 BOUND_CHUNK = 16     # nonlattice_scan takes |M| this many points at a time
-
-
-def _expm(A):
-    """scipy.linalg.expm, imported on first use and looked up at each call
-    (so a patched scipy.linalg.expm sees every call)."""
-    import scipy.linalg
-    return scipy.linalg.expm(A)
 
 
 @dataclass(frozen=True)
@@ -243,7 +237,8 @@ def evaluate_expansion(spec, zeta, n: int, f=None) -> ExpansionEvaluation:
 def nonlattice_scan(spec, K) -> tuple:
     """Max spectral radius of S_1(zeta) over a grid excluding 0.
 
-    Returns (rho_hat, worst_zeta); nonlattice verdict is rho_hat < 1 - 1e-8.
+    Returns (rho_hat, worst_zeta); the nonlattice verdict is rho_hat <
+    NONLATTICE_RHO_MAX.
     The radius is at most the row-sum bound b = max_x sum_y |S_1(zeta)_xy|,
     so eigvals runs only where b (1 + 1e-9) + 1e-9 reaches the radius at
     the largest b; every other point cannot be the maximum and reads -inf.
@@ -264,11 +259,6 @@ def nonlattice_scan(spec, K) -> tuple:
     rho[live] = np.max(np.abs(np.linalg.eigvals(M[live])), axis=1)
     worst = int(np.argmax(rho))
     return float(rho[worst]), float(K[worst])
-
-
-def is_nonlattice_spectral(spec, K) -> bool:
-    rho_hat, _ = nonlattice_scan(spec, K)
-    return rho_hat < 1.0 - 1e-8
 
 
 def contour_crosscheck(spec, zeta, n: int, nodes: int = 256,

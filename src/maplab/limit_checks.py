@@ -13,7 +13,7 @@ import numpy as np
 
 from .chain_core import spectral_gap_report
 from .errors import DegenerateVariance, LatticeSpec, NotCentered
-from .fourier import nonlattice_scan
+from .fourier import NONLATTICE_RHO_MAX, nonlattice_scan
 from .map_model import (CtMapSpec, MapSpec, branch_derivatives,
                         ct_sample_skeleton, detect_lattice,
                         third_cumulant_rate, variance_series)
@@ -84,27 +84,32 @@ def _sigma_for(spec) -> float:
     return float(np.sqrt(sig2))
 
 
-def _terminal_Y(spec: MapSpec, n_list, paths: int, seed: int, mu=None):
-    """{n: Y_n} for every n in n_list, from one chain per path run to the
-    largest n and read at each distinct n on the way."""
-    horizons = sorted({int(n) for n in n_list})
-    batches = simulate_discrete(spec, horizons[-1], paths, seed, mu=mu,
-                                at=horizons)
-    return {b.horizon: b.terminal_Y[:, 0] for b in batches}
+def _terminal_Y(spec, n_list, paths: int, seed: int, mu=None):
+    """[(n, Y_n)] along n_list, from one chain per path run to the largest n
+    and read at each distinct n on the way. A continuous-time spec is read
+    at real times, and n is a float there."""
+    ct = isinstance(spec, CtMapSpec)
+    cast = float if ct else int
+    horizons = sorted({cast(n) for n in n_list})
+    batches = (simulate_ct if ct else simulate_discrete)(
+        spec, horizons[-1], paths, seed, mu=mu, at=horizons)
+    Y = {b.horizon: b.terminal_Y[:, 0] for b in batches}
+    return [(cast(n), Y[cast(n)]) for n in n_list]
 
 
-def clt_check(spec: MapSpec, n_list, paths: int, seed: int):
-    """Kolmogorov distance of Y_n/(sigma sqrt n) to N(0,1) along n_list."""
+def _clt_record(n, y, sigma: float, paths: int) -> GaussianComparison:
+    kol = kolmogorov_distance(y / (sigma * np.sqrt(n)))
+    return GaussianComparison(
+        n=n, n_samples=paths, sigma_used=sigma, kolmogorov=kol,
+        be_constant=float(np.sqrt(n) * kol), se=ecdf_se(paths))
+
+
+def clt_check(spec, n_list, paths: int, seed: int):
+    """Kolmogorov distance of Y_n/(sigma sqrt n) to N(0,1) along n_list, for
+    a discrete or a continuous-time spec."""
     sigma = _sigma_for(spec)
-    Y = _terminal_Y(spec, n_list, paths, seed)
-    records = []
-    for n in n_list:
-        z = Y[int(n)] / (sigma * np.sqrt(n))
-        kol = kolmogorov_distance(z)
-        records.append(GaussianComparison(
-            n=n, n_samples=paths, sigma_used=sigma, kolmogorov=kol,
-            be_constant=float(np.sqrt(n) * kol), se=ecdf_se(paths)))
-    return records
+    return [_clt_record(n, y, sigma, paths)
+            for n, y in _terminal_Y(spec, n_list, paths, seed)]
 
 
 def berry_esseen_check(spec: MapSpec, n_list, paths: int, seed: int):
@@ -155,7 +160,7 @@ def _require_nonlattice(spec, allow_lattice):
             f"shift {report.shift:g}")
     K = np.linspace(0.1, 10.0, 200)
     rho_hat, worst = nonlattice_scan(spec, K)
-    if rho_hat >= 1.0 - 1e-8:
+    if rho_hat >= NONLATTICE_RHO_MAX:
         raise LatticeSpec(f"spectral radius {rho_hat:.6f} at zeta={worst:g}")
     return rho_hat
 
@@ -171,10 +176,9 @@ def edgeworth_check(spec: MapSpec, n_list, paths: int, seed: int, mu=None,
     sigma = _sigma_for(spec)
     mu3 = third_cumulant_rate(spec)
     b_mu = 0.0 if mu is None else asymptotic_bias(spec, mu)
-    Y = _terminal_Y(spec, n_list, paths, seed, mu)
     records = []
-    for n in n_list:
-        z = Y[int(n)] / (sigma * np.sqrt(n))
+    for n, y in _terminal_Y(spec, n_list, paths, seed, mu):
+        z = y / (sigma * np.sqrt(n))
         kol = kolmogorov_distance(z)
         if mu3 == 0.0 and b_mu == 0.0:
             resid = kol
@@ -222,10 +226,8 @@ def llt_check(spec: MapSpec, n_list, paths: int, seed: int, bumps=None,
     sigma = _sigma_for(spec)
     if bumps is None:
         bumps = [triangular_bump(0.0, 1.0)]
-    Y = _terminal_Y(spec, n_list, paths, seed)
     records = []
-    for n in n_list:
-        y = Y[int(n)]
+    for n, y in _terminal_Y(spec, n_list, paths, seed):
         scale = sigma * np.sqrt(2.0 * np.pi * n)
         for g in bumps:
             vals = scale * g(y)
@@ -263,14 +265,16 @@ def _test_functionals(panel_col):
 def rho_mixing_check(spec, lags, paths: int, seed: int):
     """Empirical lag correlations of increments against ||P^{t-1} - Pi||_2.
 
-    A continuous-time spec is read at integer times: its panel is that of
-    simulate_ct(record_steps=True), and P the time-1 skeleton kernel.
+    A continuous-time spec is read at integer times: its panel is the diff
+    of Y read at 0, 1, ..., max_lag + 1 on one chain, and P the time-1
+    skeleton kernel.
     """
     max_lag = int(max(lags))
     if isinstance(spec, CtMapSpec):
         kernel = ct_sample_skeleton(spec)
-        panel = simulate_ct(spec, float(max_lag + 1), paths, seed,
-                            record_steps=True).increment_panel
+        reads = _terminal_Y(spec, range(1, max_lag + 2), paths, seed)
+        panel = np.diff(np.column_stack(
+            [np.zeros(paths)] + [y for _, y in reads]), axis=1)
     else:
         kernel = spec.kernel
         panel = increment_panel(spec, max_lag + 1, paths, seed)
@@ -303,27 +307,21 @@ def rho_mixing_check(spec, lags, paths: int, seed: int):
 def ct_limit_check(ct: CtMapSpec, t_list, paths: int, seed: int):
     """CLT/Berry-Esseen records for Y_t/sqrt(t) at real horizons.
 
-    sigma^2 is the exact variance rate; the fractional-part correction
-    (Y_t - Y_floor(t))/sqrt(t) is verified negligible via its sample second
-    moment against the sup_{v<=1} E[Y_v^2] bound.
+    sigma^2 is the exact variance rate. One chain per path runs to max(t)
+    and is read at every t and every floor(t) (Y_0 = 0). The fractional-part
+    correction (Y_t - Y_floor(t))/sqrt(t) is verified negligible via its
+    sample second moment against the sup_{v<=1} E[Y_v^2] bound.
     """
     sigma = _sigma_for(ct)
     # |Y_v| <= max|xi| + max|J| N_1 for v <= 1, N_1 ~< Poisson(q_max)
     xi2, q = np.max(np.abs(ct.reward)) ** 2, np.max(-np.diag(ct.generator))
     J = 0.0 if ct.jump_increments is None else np.max(np.abs(ct.jump_increments))
     sup_Yv2 = float(xi2 if J == 0 else 2 * xi2 + 2 * J ** 2 * (q + q * q))
-    records = []
-    fractional_ok = True
-    for k, t in enumerate(t_list):
-        batch = simulate_ct(ct, float(t), paths, seed + k)
-        y = batch.terminal_Y[:, 0]
-        z = y / (sigma * np.sqrt(t))
-        kol = kolmogorov_distance(z)
-        records.append(GaussianComparison(
-            n=float(t), n_samples=paths, sigma_used=sigma, kolmogorov=kol,
-            be_constant=float(np.sqrt(t) * kol), se=ecdf_se(paths)))
-        if batch.integer_part_Y is not None:
-            frac = (y - batch.integer_part_Y) / np.sqrt(t)
-            if float(np.mean(frac ** 2)) > sup_Yv2 / t + 1e-12:
-                fractional_ok = False
+    t_list = [float(t) for t in t_list]
+    Y = dict(_terminal_Y(ct, t_list + [np.floor(t) for t in t_list], paths,
+                         seed))
+    records = [_clt_record(t, Y[t], sigma, paths) for t in t_list]
+    fractional_ok = not any(
+        np.mean(((Y[t] - Y[np.floor(t)]) / np.sqrt(t)) ** 2)
+        > sup_Yv2 / t + 1e-12 for t in t_list)
     return records, fractional_ok

@@ -17,8 +17,10 @@ means plus one Gaussian with their summed covariance, which
 simulate_discrete draws once per path and segment between horizons, after
 the segment's last step; increment_panel alone draws per-step increments.
 Continuous time steps one jump at a time over compact arrays of the paths
-still running; with record_steps it also marks Y at integer times, which
-gives a continuous-time spec its increment panel.
+still running. One chain per path serves a whole list of times there too:
+it runs to the last one and reads Y inside the dwell that holds each
+earlier time, without a draw. Those reads give the integer part of Y_t and
+the increment panel of a continuous-time spec.
 
 Every inverse CDF (moves, block paths, CT jumps, initial states, mixture
 atoms) is one search, _search over a _cdf_table: a branchless binary
@@ -61,13 +63,9 @@ class TrajectoryBatch:
     seed: int
     terminal_Y: np.ndarray              # (n_paths, d)
     terminal_X: np.ndarray = None
-    increment_panel: np.ndarray = None  # (n_paths, n_steps) when requested
-    integer_part_Y: np.ndarray = None   # Y at floor(t), continuous time only
 
     def __post_init__(self):
-        for name in ("terminal_Y", "terminal_X", "increment_panel",
-                     "integer_part_Y"):
-            arr = getattr(self, name)
+        for arr in (self.terminal_Y, self.terminal_X):
             if arr is not None:
                 arr.setflags(write=False)
 
@@ -100,12 +98,12 @@ def _initial_states(spec, mu, n_paths, rng):
 
 def _horizons(n, at):
     """[n], or at checked to be a strictly increasing list of horizons from
-    0 or more up to n."""
+    0 or more up to n (steps in discrete time, times in continuous time)."""
     if at is None:
         return [n]
-    at = [int(h) for h in at]
-    if (not at or at[0] < 0 or at[-1] != n
-            or any(b <= a for a, b in zip(at, at[1:]))):
+    at = list(at)
+    if not (at and 0 <= at[0] and at[-1] == n
+            and all(a < b for a, b in zip(at, at[1:]))):
         raise ValueError(f"horizons {at} must increase strictly up to n = {n}")
     return at
 
@@ -379,21 +377,27 @@ def simulate_discrete(spec: MapSpec, n: int, n_paths: int, seed: int,
 
 
 def simulate_ct(ct: CtMapSpec, t: float, n_paths: int, seed: int,
-                mu=None, record_steps: bool = False) -> TrajectoryBatch:
+                mu=None, at=None):
     """Exact jump-chain simulation of a continuous-time MAP up to horizon t.
 
     Holding times are exponential with the diagonal rates; Y accumulates
     reward * holding plus any per-transition jump increments. No time
-    discretization error. Y at integer times is recorded when record_steps
-    (the increment panel of the CT mixing check), each mark k inside a
-    dwell from pos as Y + reward * (k - pos). The loop keeps X, Y and the
-    clock of the running paths as compact arrays and writes a path back
-    once, when it stops.
+    discretization error. The loop keeps X, Y and the clock of the running
+    paths as compact arrays and writes a path back once, when it stops.
+
+    With at, a strictly increasing list of times ending at t, one chain per
+    path runs to t and one batch per time is returned, on the stream of the
+    plain call: reading draws nothing. An earlier time T is read in each
+    dwell from pos to new_pos with pos - 1e-12 <= T <= new_pos + 1e-12, as
+    Y + reward * (T - pos), the last such dwell winning; its batch carries
+    no X. Each running path keeps the index and time of its next read, so
+    a dwell that reaches no read costs one comparison. The last time is the
+    terminal value. Without at, the one batch at t is returned.
     """
+    times = _horizons(t, at)
     spec_id = spec_content_hash(ct)
     rng = _philox(f"{spec_id}:{seed}".encode())
     G = ct.generator
-    S = ct.n_states
     diag = np.diag(G)
     rates = np.where(diag < 0, -diag, 0.0)  # +0.0, not -0.0, with no exit
     embed = np.array(G)
@@ -404,15 +408,15 @@ def simulate_ct(ct: CtMapSpec, t: float, n_paths: int, seed: int,
 
     X = _initial_states(ct, mu, n_paths, rng)
     Y = np.zeros(n_paths)
-    n_int = int(np.floor(t))
-    fractional = n_int >= 1 and n_int < t
-    Y_at_int = np.zeros(n_paths) if fractional else None
-    y_marks = (np.zeros((n_paths, n_int + 1)) if record_steps and n_int >= 1
-               else None)
+    reads = np.array(times[:-1], dtype=float)   # the times before t
+    due_at = np.append(reads, np.inf)
+    Y_at = np.zeros((len(reads), n_paths))
 
-    # the running paths: their indices and compact X, Y and clock
+    # the running paths: their indices, compact X, Y and clock, and the
+    # index and time of their next read
     active, x, y, pos = (np.arange(n_paths), X.copy(), np.zeros(n_paths),
                          np.zeros(n_paths))
+    nxt, due = np.zeros(n_paths, dtype=np.intp), np.full(n_paths, due_at[0])
     # at rate 0 (a state with no exit) the hold is inf, or 0/0 = nan at
     # u = 0; fmin and hold < t_left read both as no jump
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -424,22 +428,21 @@ def simulate_ct(ct: CtMapSpec, t: float, n_paths: int, seed: int,
             new_pos = pos + dwell
             rate_val = ct.reward[x]
 
-            if fractional:
-                # value at the last integer mark, interpolated in the dwell
-                cross = (pos < n_int) & (new_pos >= n_int)
-                if cross.any():
-                    Y_at_int[active[cross]] = (
-                        y[cross] + rate_val[cross] * (n_int - pos[cross]))
-            if y_marks is not None:
-                lo = np.ceil(pos - 1e-12).astype(np.int64).clip(1, None)
-                hi = np.floor(new_pos + 1e-12).astype(np.int64).clip(
-                    None, n_int)
-                count = (hi - lo + 1).clip(0, None)
-                idx = np.repeat(np.arange(len(active)), count)
-                mark = lo[idx] + (np.arange(len(idx))
-                                  - np.repeat(np.cumsum(count) - count, count))
-                y_marks[active[idx], mark] = (
-                    y[idx] + rate_val[idx] * (mark - pos[idx]))
+            if len(reads):
+                hit = np.flatnonzero(due <= new_pos + 1e-12)
+                if len(hit):
+                    h, k = hit, nxt[hit]
+                    while len(h):   # one read per path and pass
+                        end = new_pos[h]
+                        Y_at[k, active[h]] = (
+                            y[h] + rate_val[h] * (reads[k] - pos[h]))
+                        # a read within 1e-12 of the dwell's end is read
+                        # again in the next dwell
+                        nxt[h] += reads[k] < end - 1e-12
+                        k = k + 1
+                        more = due_at[k] <= end + 1e-12
+                        h, k = h[more], k[more]
+                    due[hit] = due_at[nxt[hit]]
 
             y += rate_val * dwell
             pos = new_pos
@@ -450,18 +453,20 @@ def simulate_ct(ct: CtMapSpec, t: float, n_paths: int, seed: int,
                 X[active[done]] = x[done]
                 active, x, y, pos = (active[jumped], x[jumped], y[jumped],
                                      pos[jumped])
+                if len(reads):
+                    nxt, due = nxt[jumped], due[jumped]
             if len(active):
-                nxt = _search(cumE, x, rng.random(len(active)))
+                to = _search(cumE, x, rng.random(len(active)))
                 if ct.jump_increments is not None:
-                    y += ct.jump_increments[x, nxt]
-                x = nxt
+                    y += ct.jump_increments[x, to]
+                x = to
 
-    if Y_at_int is None and n_int >= 1:
-        Y_at_int = Y.copy()     # integer horizon: floor(t) = t
-    panel = None if y_marks is None else np.diff(y_marks, axis=1)
-    return TrajectoryBatch(spec_id=spec_id, horizon=float(t), n_paths=n_paths,
-                           seed=seed, terminal_Y=Y[:, None], terminal_X=X,
-                           increment_panel=panel, integer_part_Y=Y_at_int)
+    batches = [TrajectoryBatch(spec_id=spec_id, horizon=float(h),
+                               n_paths=n_paths, seed=seed,
+                               terminal_Y=Yh[:, None],
+                               terminal_X=X if h == t else None)
+               for h, Yh in zip(times, [*Y_at, Y])]
+    return batches if at is not None else batches[0]
 
 
 def increment_panel(spec: MapSpec, n: int, n_paths: int, seed: int) -> np.ndarray:
@@ -469,7 +474,7 @@ def increment_panel(spec: MapSpec, n: int, n_paths: int, seed: int) -> np.ndarra
 
     Each step draws d increment uniforms per path: uniform 0 picks the atom
     within a multi-atom run, and Gaussian atoms add chol @ ndtri(u). The
-    continuous-time panel is simulate_ct(record_steps=True).increment_panel.
+    continuous-time panel is the diff of simulate_ct's reads at 0, 1, ..., n.
     """
     rng = _philox(f"{spec_content_hash(spec)}:{seed}".encode())
     first, cum, mean, cov, gauss = _atom_lookup(spec)

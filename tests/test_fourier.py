@@ -8,10 +8,11 @@ from maplab.chain_core import StochasticKernel, l2_operator_norm
 from maplab.errors import BranchCollision, NonFiniteOperator, SingularResolvent
 from maplab.fixtures import (ct_two_state, gaussian_iid, iid_rademacher,
                              lattice_pm1, skewed_mixture, two_state)
-from maplab.fourier import (_fourier_matrix, build_fourier, check_semigroup,
+from maplab.fourier import (NONLATTICE_RHO_MAX, _fourier_matrix,
+                            build_fourier, check_semigroup,
                             contour_crosscheck, derivatives_at_zero,
-                            evaluate_expansion, is_nonlattice_spectral,
-                            lambda_branch, nonlattice_scan)
+                            evaluate_expansion, lambda_branch,
+                            nonlattice_scan)
 from maplab.increments import deterministic, gaussian, mixture
 from maplab.map_model import (CtMapSpec, MapSpec, detect_lattice, exact_mean,
                               third_cumulant_rate, variance_series)
@@ -278,7 +279,7 @@ class TestNonlattice:
         spec = gaussian_iid()
         rho, _ = nonlattice_scan(spec, np.linspace(0.1, 10.0, 100))
         assert rho < 1.0 - 1e-3
-        assert is_nonlattice_spectral(spec, np.linspace(0.1, 10.0, 100))
+        assert rho < NONLATTICE_RHO_MAX
 
     def test_zero_rejected(self, two_state):
         with pytest.raises(ValueError):

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.special import ndtr, ndtri
 
+from maplab import limit_checks
 from maplab.chain_core import StochasticKernel
 from maplab.errors import DegenerateVariance, LatticeSpec, UnsupportedInitial
 from maplab.fixtures import (ct_two_state, gaussian_iid, iid_rademacher,
@@ -201,3 +204,33 @@ class TestContinuousTime:
                        centered=True)
         _, frac_ok = ct_limit_check(ct, [64.5, 256.5], 2000, 1)
         assert frac_ok
+
+    def test_fraction_below_one_is_checked(self, monkeypatch):
+        # floor(0.5) = 0 and Y_0 = 0 is read, so Y_0.5 is the fractional
+        # part; a Y_0.5 inflated far past the bound fails the check
+        records, frac_ok = ct_limit_check(ct_two_state(), [0.5], 2000, 4)
+        assert frac_ok and records[0].n == 0.5
+        real = limit_checks.simulate_ct
+
+        def inflated(*args, **kwargs):
+            batches = real(*args, **kwargs)
+            return [dataclasses.replace(b, terminal_Y=100.0 * b.terminal_Y)
+                    for b in batches]
+
+        monkeypatch.setattr(limit_checks, "simulate_ct", inflated)
+        _, frac_ok = ct_limit_check(ct_two_state(), [0.5], 2000, 4)
+        assert not frac_ok
+
+    def test_repeated_t_repeats_its_record(self):
+        # one chain read at t = 64: the same record twice, that of t = 64
+        # alone (a restart per entry drew a second chain for the repeat)
+        twice, frac_ok = ct_limit_check(ct_two_state(), [64.0, 64.0], 2000, 4)
+        once, _ = ct_limit_check(ct_two_state(), [64.0], 2000, 4)
+        assert frac_ok and twice == once * 2
+
+    def test_clt_check_takes_ct_spec(self):
+        # verify-clt on a CT spec: the records of ct_limit_check, n a float
+        got = clt_check(ct_two_state(), [16, 64], 2000, 6)
+        want, _ = ct_limit_check(ct_two_state(), [16.0, 64.0], 2000, 6)
+        assert got == want and [r.n for r in got] == [16.0, 64.0]
+        assert all(type(r.n) is float for r in got)

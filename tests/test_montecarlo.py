@@ -492,6 +492,12 @@ class TestPanel:
             assert c <= 0.5 ** (lag - 1) + 4 * se
 
 
+def _read_columns(batches):
+    """Y read at each batch's time as columns, after a column of Y_0 = 0."""
+    return np.column_stack([np.zeros(batches[0].n_paths)]
+                           + [b.terminal_Y[:, 0] for b in batches])
+
+
 class TestContinuous:
     def test_constant_reward_exact(self):
         ct = CtMapSpec(generator=np.array([[-1.0, 1.0], [2.0, -2.0]]),
@@ -509,13 +515,13 @@ class TestContinuous:
         zeros = SimpleNamespace(random=lambda n: np.zeros(n))
         monkeypatch.setattr(montecarlo, "_philox", lambda payload: zeros)
         ct = CtMapSpec(generator=np.array([[0.0]]), reward=np.array([1.0]))
+        times = [1.0, 2.0, 3.0, 4.0, 4.5]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            batch = simulate_ct(ct, 4.5, 3, 0, record_steps=True)
-        assert batch.terminal_Y[:, 0].tolist() == [4.5] * 3
-        assert batch.terminal_X.tolist() == [0] * 3
-        assert batch.integer_part_Y.tolist() == [4.0] * 3
-        assert (batch.increment_panel == 1.0).all()
+            batches = simulate_ct(ct, 4.5, 3, 0, at=times)
+        assert [b.terminal_Y[:, 0].tolist() for b in batches] == [
+            [h] * 3 for h in times]
+        assert batches[-1].terminal_X.tolist() == [0] * 3
 
     def test_mean_rate_oracle(self):
         ct = ct_two_state(centered=False)
@@ -536,16 +542,18 @@ class TestContinuous:
 
     def test_integer_horizon_marks(self):
         ct = ct_two_state()
-        batch = simulate_ct(ct, 8.0, 500, 3, record_steps=True)
-        np.testing.assert_allclose(batch.increment_panel.sum(axis=1),
-                                   batch.terminal_Y[:, 0], atol=1e-9)
+        batches = simulate_ct(ct, 8.0, 500, 3, at=range(1, 9))
+        panel = np.diff(_read_columns(batches), axis=1)
+        np.testing.assert_allclose(panel.sum(axis=1),
+                                   batches[-1].terminal_Y[:, 0], atol=1e-9)
 
     def test_fractional_horizon_integer_part(self):
         ct = ct_two_state()
-        batch = simulate_ct(ct, 8.5, 500, 3)
+        at_8, at_t = simulate_ct(ct, 8.5, 500, 3, at=[8.0, 8.5])
         # |Y_t - Y_8| <= max|xi| * 0.5
-        gap = np.abs(batch.terminal_Y[:, 0] - batch.integer_part_Y)
+        gap = np.abs(at_t.terminal_Y[:, 0] - at_8.terminal_Y[:, 0])
         assert np.max(gap) <= np.max(np.abs(ct.reward)) * 0.5 + 1e-9
+        assert 0 < np.max(gap)
 
 
 def _random_ct(rng, S, jumps):
@@ -573,26 +581,88 @@ class TestCtOracle:
     @example(S=1, jumps=False, t=4.5, record=True, given_mu=False, paths=10,
              seed=0)
     def test_equals_oracle(self, S, jumps, t, record, given_mu, paths, seed):
+        # with record, the chain is read at 1, ..., floor(t) and t: the
+        # oracle's panel is the diff of those reads, its integer part the
+        # read at floor(t)
         rng = np.random.default_rng(seed)
         ct = _random_ct(rng, S, jumps and S > 1)
         mu = rng.dirichlet(np.ones(S)) if given_mu else None
+        n_int = int(t)
+        marks = [float(k) for k in range(1, n_int + 1)]
+        times = sorted({*marks, t})
         got = simulate_ct(ct, t, paths, seed % 1000, mu=mu,
-                          record_steps=record)
-        want = stepwise_ct(ct, t, paths, seed % 1000, mu=mu,
-                           record_steps=record)
-        for a, b in zip((got.terminal_Y, got.terminal_X, got.increment_panel,
-                         got.integer_part_Y), want):
-            assert (a is None) == (b is None)
-            if a is not None:
-                assert a.dtype == b.dtype
-                np.testing.assert_array_equal(a, b)
+                          at=times if record else None)
+        last = got[-1] if record else got
+        Y, X, panel, int_part = stepwise_ct(ct, t, paths, seed % 1000, mu=mu,
+                                            record_steps=record)
+        for a, b in ((last.terminal_Y, Y), (last.terminal_X, X)):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+        if record and n_int >= 1:
+            reads = _read_columns(got)
+            np.testing.assert_array_equal(
+                np.diff(reads[:, :n_int + 1], axis=1), panel)
+            np.testing.assert_array_equal(reads[:, n_int], int_part)
 
     def test_fixture_with_marks(self):
         ct = ct_two_state()
-        got = simulate_ct(ct, 16.0, 2000, 9, record_steps=True)
+        got = simulate_ct(ct, 16.0, 2000, 9, at=range(1, 17))
         want = stepwise_ct(ct, 16.0, 2000, 9, record_steps=True)
-        np.testing.assert_array_equal(got.increment_panel, want[2])
-        np.testing.assert_array_equal(got.terminal_Y, want[0])
+        np.testing.assert_array_equal(np.diff(_read_columns(got), axis=1),
+                                      want[2])
+        np.testing.assert_array_equal(got[-1].terminal_Y, want[0])
+
+
+class TestReadAtTimes:
+    """simulate_ct(..., at=times): one chain read at every time."""
+
+    @pytest.mark.parametrize("ct", [ct_two_state(),
+                                    _random_ct(np.random.default_rng(3), 8,
+                                               True)])
+    def test_reads_draw_nothing(self, ct):
+        # the t = 256 batch is the plain t = 256 call, bit for bit
+        _, last = simulate_ct(ct, 256.0, 2000, 7, at=[64.0, 256.0])
+        plain = simulate_ct(ct, 256.0, 2000, 7)
+        np.testing.assert_array_equal(last.terminal_Y, plain.terminal_Y)
+        np.testing.assert_array_equal(last.terminal_X, plain.terminal_X)
+        assert last.horizon == plain.horizon == 256.0
+
+    def test_verify_ct_draws_one_chain(self, monkeypatch, tmp_path):
+        # a multi-t verify-ct runs one chain to max(t), not one per t
+        drawn = []
+
+        def counting(payload):
+            rng = real(payload)
+            return SimpleNamespace(
+                random=lambda n: drawn.append(n) or rng.random(n))
+
+        real = montecarlo._philox
+        monkeypatch.setattr(montecarlo, "_philox", counting)
+        assert dispatch(["verify-ct", "--fixture", "ct_two_state",
+                         "--t-list", "64,256", "--paths", "2000", "--seed",
+                         "3", "--out", str(tmp_path / "ct.json")]) == 0
+        verify = sum(drawn)
+        drawn.clear()
+        simulate_ct(ct_two_state(), 256.0, 2000, 3)
+        assert verify == sum(drawn)
+
+    def test_bad_times_rejected(self):
+        ct = ct_two_state()
+        for at in ([], [2.0, 1.0, 4.0], [1.0, 1.0, 4.0], [1.0, 3.0],
+                   [-1.0, 4.0], [1.0, float("nan"), 4.0]):
+            with pytest.raises(ValueError):
+                simulate_ct(ct, 4.0, 10, 0, at=at)
+
+    def test_reads_are_the_dwell_values(self):
+        # constant reward 3: Y_T = 3 T at every read; X at t only
+        ct = CtMapSpec(generator=np.array([[-1.0, 1.0], [2.0, -2.0]]),
+                       reward=np.array([3.0, 3.0]))
+        times = [0.0, 0.25, 1.0, 2.5, 7.5]
+        batches = simulate_ct(ct, 7.5, 100, 1, at=times)
+        for h, b in zip(times, batches):
+            assert b.horizon == h
+            np.testing.assert_allclose(b.terminal_Y[:, 0], 3 * h, atol=1e-10)
+            assert (b.terminal_X is None) == (h < 7.5)
 
 
 class TestSkeletonConsistency:
@@ -600,21 +670,22 @@ class TestSkeletonConsistency:
         ct = ct_two_state()
         n, paths = 16, 20000
         a = simulate_ct(ct, float(n), paths, 100)
-        b = simulate_ct(ct, float(n), paths, 200,
-                        record_steps=True).increment_panel
+        b = np.diff(_read_columns(
+            simulate_ct(ct, float(n), paths, 200, at=range(1, n + 1))), axis=1)
         _, p = ks_2samp(a.terminal_Y[:, 0], b.sum(axis=1))
         assert p > 1e-3
 
     def test_skeleton_delegates_to_ct(self, monkeypatch):
-        # the CT mixing check reads the integer-time panel of simulate_ct
+        # the CT mixing check reads the integer-time panel of simulate_ct,
+        # the diff of its reads at 0, 1, ..., max lag + 1,
         # bit for bit: every column it tests is a column of that panel
         seen = []
         real = limit_checks._test_functionals
         monkeypatch.setattr(limit_checks, "_test_functionals",
                             lambda col: seen.append(col) or real(col))
         limit_checks.rho_mixing_check(ct_two_state(), [1, 3], 100, 5)
-        panel = simulate_ct(ct_two_state(), 4.0, 100, 5,
-                            record_steps=True).increment_panel
+        panel = np.diff(_read_columns(
+            simulate_ct(ct_two_state(), 4.0, 100, 5, at=range(1, 5))), axis=1)
         assert [c.tolist() for c in seen] == [panel[:, t].tolist()
                                               for t in (0, 1, 3)]
 
