@@ -57,6 +57,10 @@ class NotScalar(MaplabError, ValueError):
     """The operation is defined for scalar (d = 1) specs only."""
 
 
+class SeedOutOfRange(MaplabError, ValueError):
+    """A seed does not fit the signed 64 bits that key its stream."""
+
+
 class ConditionViolated(MaplabError):
     """A certification condition of an M-estimation problem fails.
 

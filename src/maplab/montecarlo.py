@@ -9,11 +9,14 @@ one move uniform per path draws the next B steps at once, as the inverse
 CDF of the exact B-step path law from the path's state over the S^B paths'
 cumulative probabilities. B depends only on the state count, the path
 count and the extra uniforms per step (B = 1 is single-step stepping), and
-the last draw of a run keeps only the steps left. The kernel yields whole
-blocks of states, so all other work is done once per block. One chain per
-path serves a whole list of horizons: it runs to the largest one and is
-read at each on the way. Given the path, Y_n is the sum of the edge atoms'
-means plus one Gaussian with their summed covariance, which
+the last draw of a run keeps only the steps left. The search returns the
+draw's row x S^B + p of the path table, which fixes its B edges, so the
+kernel decodes no state: it yields whole blocks of rows, and each consumer
+reads what it needs from them (the block's edges for the samples and
+panels, a per-row count table for mestim's edge counts) once per block.
+One chain per path serves a whole list of horizons: it runs to the largest
+one and is read at each on the way. Given the path, Y_n is the sum of the
+edge atoms' means plus one Gaussian with their summed covariance, which
 simulate_discrete draws once per path and segment between horizons, after
 the segment's last step; increment_panel alone draws per-step increments.
 Continuous time steps one jump at a time over compact arrays of the paths
@@ -176,11 +179,11 @@ def _cdf_table(cum):
     return levels, column, start, M, stride
 
 
-def _search(table, row, u):
+def _search(table, row, u, out=None):
     """#{j : cum[row, j] <= u} for u in [0, 1) over a _cdf_table, i.e. (u[:,
     None] >= cum[row]).sum(1): the guide's start for u's bucket (or the row
     base), one branchless binary-search level per flat gather, then the
-    column map.
+    column map (into out, if given).
     """
     levels, column, start, M, stride = table
     if start is None:
@@ -190,7 +193,7 @@ def _search(table, row, u):
     for half, level in levels:
         hit = level.take(pos) <= u
         pos += hit if half == 1 else half * hit
-    return column.take(pos)
+    return column.take(pos, out=out, mode="clip")
 
 
 def _path_length(S, N, k):
@@ -206,24 +209,34 @@ def _path_length(S, N, k):
 
 @functools.lru_cache(maxsize=8)
 def _path_table(P_bytes, S, B):
-    """(table, decode) of the B-step path law of the kernel whose
-    (S, S) float64 bytes are P_bytes, cached across segments and calls.
+    """The _cdf_table of the B-step path law of the kernel whose (S, S)
+    float64 bytes are P_bytes, cached across segments and calls.
 
-    The _cdf_table holds, in row x, the cumulative probabilities of the S^B
-    paths from x in lexicographic order, each the product of its
-    transitions from left to right. decode[j, p] is the state after step
-    j + 1 of path p, or None at B = 1, where p is that state.
+    Row x holds the cumulative probabilities of the S^B paths from x in
+    lexicographic order, each the product of its transitions from left to
+    right. Its column map holds x S^B + p, so a search returns the draw's
+    row index (_row_decode), not the path p alone.
     """
     P = np.frombuffer(P_bytes).reshape(S, S)
     probs = P
     for _ in range(B - 1):
         last = np.arange(probs.shape[1]) % S
         probs = (probs[:, :, None] * P[last]).reshape(S, -1)
-    table = _cdf_table(np.cumsum(probs, axis=1))
-    decode = None if B == 1 else np.indices((S,) * B).reshape(B, -1)
-    if decode is not None:
-        decode.setflags(write=False)        # shared by every cache hit
-    return table, decode
+    levels, column, start, M, stride = _cdf_table(np.cumsum(probs, axis=1))
+    column = column + np.repeat(np.arange(S) * S ** B, stride)
+    column.setflags(write=False)            # shared by every cache hit
+    return levels, column, start, M, stride
+
+
+def _row_decode(S, B):
+    """(edge, last) of the draw rows x S^B + p of B-step paths of an S-state
+    chain, whose base-S digits are the draw's states x, X_1, ..., X_B:
+    edge[j, i] is the flat edge X_j S + X_{j+1} of step j + 1 of row i, and
+    last[i] = X_B. Built per call: cached, these S^(B+1)-wide tables cost
+    more resident memory than building them takes time.
+    """
+    digits = np.indices((S,) * (B + 1)).reshape(B + 1, -1)
+    return digits[:-1] * S + digits[1:], np.tile(np.arange(S), S ** B)
 
 
 def _chain_steps(P, X, n, rng, k=0):
@@ -236,16 +249,19 @@ def _chain_steps(P, X, n, rng, k=0):
     law. A draw's values are N move uniforms, then k extra uniforms per
     path for each step it keeps, step-major. A block of draws is one
     rng.random call of about _BLOCK values (at least one draw), so the
-    stream is that of draw-by-draw calls. Per block it yields the states
-    (m + 1, N), the block's start state first, and the extra uniforms (m,
-    N, k); the next block starts from the last row. At B = 1 a draw is one
-    step and no path is decoded.
+    stream is that of draw-by-draw calls.
+
+    Nothing is decoded: per block it yields (rows, edge, extra, X), where
+    rows (D, N) holds each draw's row index x S^B + p, edge is
+    _row_decode's (B, S^(B+1)) edge table (_draw_edges reads the block's
+    edges from it), extra the block's (m, N, k) extra uniforms and X the
+    states after its last step, where the next block starts.
     """
     N = len(X)
     S = len(P)
     B = _path_length(S, N, k)
-    table, decode = _path_table(
-        np.asarray(P, dtype=float).tobytes(), S, B)
+    table = _path_table(np.asarray(P, dtype=float).tobytes(), S, B)
+    edge, last = _row_decode(S, B)
     block = B * max(1, _BLOCK // max(N * B * (1 + k), 1))     # steps
     draw = N * (1 + B * k)                  # values of a whole draw
     for start in range(0, n, block):
@@ -253,23 +269,31 @@ def _chain_steps(P, X, n, rng, k=0):
         full, r = divmod(m, B)
         u = rng.random(N * (full + (r > 0) + m * k))
         cut = full * draw
-        rows = u[:cut].reshape(full, draw)
-        moves = list(rows[:, :N])
-        extra = rows[:, N:].reshape(full * B, N, k)
+        whole = u[:cut].reshape(full, draw)
+        moves = list(whole[:, :N])
+        extra = whole[:, N:].reshape(full * B, N, k)
         if r:                               # the last draw, cut to r steps
             moves.append(u[cut:cut + N])
             extra = np.concatenate([extra, u[cut + N:].reshape(r, N, k)])
-        states = np.empty((m + 1, N), dtype=X.dtype)
-        states[0] = X
-        for j, row in enumerate(moves):
-            path = _search(table, X, row)
-            if decode is None:
-                states[j + 1] = X = path
-            else:
-                kept = states[j * B + 1:(j + 1) * B + 1]
-                X = decode[:len(kept)].take(path, axis=1, out=kept,
-                                            mode="clip")[-1]
-        yield states, extra
+        rows = np.empty((len(moves), N), dtype=np.intp)
+        for j, move in enumerate(moves):
+            row = _search(table, X, move, out=rows[j])
+            steps = min(m - j * B, B)
+            X = last.take(row) if steps == B else edge[steps - 1].take(row) % S
+        yield rows, edge, extra, X
+
+
+def _draw_edges(rows, edge, m):
+    """(m, N) flat edges X_t S + X_{t+1} of a block's m steps, step-major:
+    the B edges of each draw's row, the last draw's cut to the steps left."""
+    B = len(edge)
+    if B == 1:
+        return rows
+    edges = np.empty((m, rows.shape[1]), dtype=np.intp)
+    for j, row in enumerate(rows):
+        kept = edges[j * B:(j + 1) * B]
+        edge[:len(kept)].take(row, axis=1, out=kept, mode="clip")
+    return edges
 
 
 def _cov_factors(cov):
@@ -319,13 +343,14 @@ def _atom_lookup(spec: MapSpec):
             cov, np.append(tab["gauss"], False))
 
 
-def _edge_atoms(spec, first, cum, states, u):
-    """Atom of each step's edge: the run's first atom, plus the inverse CDF
-    of extra uniform 0 over the run where multi-atom runs exist."""
-    edge = states[:-1] * spec.n_states + states[1:]
-    atom = first.take(edge)
+def _edge_atoms(first, cum, rows, edge, u):
+    """Atom of each step's edge in a block of _chain_steps: the run's first
+    atom, plus the inverse CDF of extra uniform 0 over the run where
+    multi-atom runs exist."""
+    edges = _draw_edges(rows, edge, len(u))
+    atom = first.take(edges)
     if cum is not None:
-        atom += _search(cum, edge, u[..., 0])
+        atom += _search(cum, edges, u[..., 0])
     return atom
 
 
@@ -358,13 +383,12 @@ def simulate_discrete(spec: MapSpec, n: int, n_paths: int, seed: int,
     batches, done = [], 0
     for h in horizons:
         V = np.zeros((n_paths, d, d)) if gauss.any() else None
-        for states, u in _chain_steps(spec.P, X, h - done, rng,
-                                      int(cum is not None)):
-            atom = _edge_atoms(spec, first, cum, states, u)
+        for rows, edge, u, X in _chain_steps(spec.P, X, h - done, rng,
+                                             int(cum is not None)):
+            atom = _edge_atoms(first, cum, rows, edge, u)
             Y += mean.take(atom, axis=0).sum(axis=0)
             if V is not None:
                 V += cov.take(atom, axis=0).sum(axis=0)
-            X = states[-1]
         if V is not None:
             F = np.sqrt(V) if d == 1 else _cov_factors(V)
             Y += np.einsum("pab,pb->pa", F, _ndtri(rng.random((n_paths, d))))
@@ -482,8 +506,8 @@ def increment_panel(spec: MapSpec, n: int, n_paths: int, seed: int) -> np.ndarra
     X = _initial_states(spec, None, n_paths, rng)
     panel = np.empty((n, n_paths))
     k = 0
-    for states, u in _chain_steps(spec.P, X, n, rng, spec.d):
-        atom = _edge_atoms(spec, first, cum, states, u)
+    for rows, edge, u, _ in _chain_steps(spec.P, X, n, rng, spec.d):
+        atom = _edge_atoms(first, cum, rows, edge, u)
         inc = mean[atom, 0]
         g = gauss[atom]
         inc[g] += np.einsum("pab,pb->pa", chol[atom[g]], _ndtri(u[g]))[:, 0]

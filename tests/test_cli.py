@@ -317,6 +317,28 @@ class TestCountsAndLists:
         assert json.loads(capsys.readouterr().err.strip())["error"] == "usage"
 
 
+class TestSeedRange:
+    """mestimate keys its edge-count stream by the seed's 8 signed bytes: a
+    seed outside them exits 2 with a JSON error, the extremes run."""
+
+    ARGV = ["mestimate", "--fixture", "mean_contrast_problem", "--n-list",
+            "8", "--reps", "20", "--seed"]
+
+    @pytest.mark.parametrize("seed", [2 ** 63, -2 ** 63 - 1, 10 ** 30])
+    def test_outside_exits_2(self, seed, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert run([*self.ARGV, str(seed), "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "SeedOutOfRange"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [2 ** 63 - 1, -2 ** 63])
+    def test_extremes_run(self, seed, tmp_path):
+        out = tmp_path / "r.json"
+        assert run([*self.ARGV, str(seed), "--out", str(out)]) in (0, 1)
+        assert json.loads(out.read_text())["config"]["seed"] == seed
+
+
 class TestModelType:
     """A subcommand given a model it cannot use names what it accepts."""
 

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from maplab import mestim, montecarlo
 from maplab.chain_core import StochasticKernel
 from maplab.errors import ConditionViolated
 from maplab.fixtures import (MEAN_CONTRAST_THETAS, mean_contrast_kernel,
@@ -216,6 +219,110 @@ class TestEdgeCountHorizons:
         with pytest.raises(ValueError, match="increase strictly"):
             simulate_edge_counts(problem.kernels[1.0], 40, 10, 0,
                                  at=[17, 5, 40])
+
+
+def decoded_edge_counts(kernel, horizons, reps, seed, mu=None):
+    """(len(horizons), reps, S, S) edge counts of simulate_edge_counts'
+    stream, from the states of every draw of montecarlo._chain_steps: the
+    base-S digits x, X_1, ..., X_B of its row (test oracle for the count
+    tables)."""
+    rng = montecarlo._philox(
+        kernel.P.tobytes() + seed.to_bytes(8, "little", signed=True))
+    S = kernel.n_states
+    B = montecarlo._path_length(S, reps, 0)
+    X = montecarlo._initial_states(kernel, mu, reps, rng)
+    walk = [X]
+    for rows, _, extra, _ in montecarlo._chain_steps(kernel.P, X,
+                                                     horizons[-1], rng):
+        for j, row in enumerate(rows):
+            x, *states = np.unravel_index(row, (S,) * (B + 1))
+            np.testing.assert_array_equal(x, walk[-1])
+            walk.extend(states[:min(B, len(extra) - j * B)])
+    walk = np.array(walk)
+    counts = np.zeros((len(horizons), reps, S, S), dtype=np.int64)
+    paths = np.arange(reps)
+    for c, h in zip(counts, horizons):
+        np.add.at(c, (paths, walk[:h], walk[1:h + 1]), 1)
+    return counts
+
+
+class TestCountTables:
+    """Whole draws add a row of a per-call count table; the counts equal a
+    tally of the decoded states of the same draws bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(S=st.integers(1, 40), reps=st.integers(1, 50),
+           n=st.integers(1, 40), reads=st.lists(st.integers(0, 99),
+                                                max_size=4),
+           grid=st.booleans(), mu=st.booleans(),
+           seed=st.integers(-2 ** 63, 2 ** 63 - 1))
+    @example(S=33, reps=7, n=9, reads=[3], grid=False, mu=False, seed=3)
+    @example(S=3, reps=40000, n=3, reads=[0], grid=True, mu=True, seed=-4)
+    def test_equals_decoded_tally(self, S, reps, n, reads, grid, mu, seed):
+        # horizons at 0, inside draws (reads), on draw boundaries (grid), n
+        # off the grid (a cut last draw); B = 1 in the examples, by the
+        # state count and by the path count
+        rng = np.random.default_rng(abs(seed) % 2 ** 32)
+        kernel = StochasticKernel(states=tuple(range(S)),
+                                  P=random_kernel(rng, S))
+        B = montecarlo._path_length(S, reps, 0)
+        hs = {r % (n + 1) for r in reads} | {n}
+        hs = sorted(hs | set(range(B, n, B)) if grid else hs)
+        mu = rng.dirichlet(np.ones(S)) if mu else None
+        got = simulate_edge_counts(kernel, n, reps, seed, mu=mu, at=hs)
+        np.testing.assert_array_equal(
+            got, decoded_edge_counts(kernel, hs, reps, seed, mu=mu))
+
+    @pytest.mark.parametrize("hs", [[40001], [8, 4095 * 8 + 3, 70001]])
+    def test_int16_flush(self, hs):
+        # a near-absorbing state: a path's (0, 0) count passes 32767, so the
+        # int16 tally must go into int64 every 4095 draws of B = 8 steps
+        kernel = StochasticKernel(states=(0, 1), P=np.array(
+            [[1 - 1e-4, 1e-4], [0.5, 0.5]]))
+        assert montecarlo._path_length(2, 3, 0) == 8
+        got = simulate_edge_counts(kernel, hs[-1], 3, 5, at=hs)
+        assert got[-1, :, 0, 0].max() > 32767
+        np.testing.assert_array_equal(
+            got, decoded_edge_counts(kernel, hs, 3, 5))
+
+    @pytest.mark.parametrize("S", [2, 4, 8])
+    def test_without_table(self, S, monkeypatch):
+        # no kernel gets a table: every draw is decoded, with the same counts
+        kernel = StochasticKernel(states=tuple(range(S)), P=random_kernel(
+            np.random.default_rng(S), S))
+        hs = [5, 16, 77]
+        want = simulate_edge_counts(kernel, 77, 300, S, at=hs)
+        monkeypatch.setattr(mestim, "_TALLY_WIDTH", 0)
+        np.testing.assert_array_equal(
+            simulate_edge_counts(kernel, 77, 300, S, at=hs), want)
+        np.testing.assert_array_equal(
+            want, decoded_edge_counts(kernel, hs, 300, S))
+
+    @pytest.mark.parametrize("S, extra, decoded", [
+        (2, [], 0), (4, [], 0), (2, [3], 1), (4, [3, 4], 1)])
+    def test_decoded_draws(self, S, extra, decoded, monkeypatch):
+        # horizons on draw boundaries decode no whole draw; a horizon inside
+        # a draw decodes that draw, and n off the grid its cut last draw
+        calls = []
+        tally = mestim._tally_steps
+
+        def counting(counts, edges, t, horizons):
+            calls.append((t, len(edges)))
+            return tally(counts, edges, t, horizons)
+
+        monkeypatch.setattr(mestim, "_tally_steps", counting)
+        kernel = StochasticKernel(states=tuple(range(S)), P=random_kernel(
+            np.random.default_rng(S), S))
+        B = montecarlo._path_length(S, 500, 0)
+        assert B > 4
+        on_grid = [B, 3 * B, 8 * B]
+        hs = sorted(on_grid + extra)
+        simulate_edge_counts(kernel, hs[-1], 500, 1, at=hs)
+        assert calls == [(0, B)] * decoded
+        calls.clear()
+        simulate_edge_counts(kernel, 8 * B + 2, 500, 1, at=on_grid[:2] + [
+            8 * B + 2])
+        assert calls == [(8 * B, 2)]
 
 
 class TestBeCheck:

@@ -200,8 +200,8 @@ def _panel_states(spec, n, n_paths, seed, mu=None):
     """X_n of the increment-panel stream: the kernel with d extra uniforms."""
     rng = montecarlo._philox(f"{spec_content_hash(spec)}:{seed}".encode())
     X = montecarlo._initial_states(spec, mu, n_paths, rng)
-    for states, _ in montecarlo._chain_steps(spec.P, X, n, rng, spec.d):
-        X = states[-1]
+    for *_, X in montecarlo._chain_steps(spec.P, X, n, rng, spec.d):
+        pass
     return X
 
 
@@ -312,7 +312,7 @@ class TestSearch:
         smallest = min(np.prod(P[[x, *path[:-1]], path])
                        for x in range(S) for path in paths)
         assert 0 < smallest < 1e-15
-        table, _ = montecarlo._path_table(P.tobytes(), S, B)
+        table = montecarlo._path_table(P.tobytes(), S, B)
         row = np.repeat(np.arange(S), 400)
         u = rng.random(len(row))
         tied = np.array([cums[x][j] for x, j in
@@ -322,7 +322,8 @@ class TestSearch:
         u[::7] = 1.0 - rng.random(len(u[::7])) * 1e-3    # near the end
         u = np.clip(u, 0.0, np.nextafter(1.0, 0.0))
         want = [int((v >= cums[x]).sum()) for x, v in zip(row, u)]
-        np.testing.assert_array_equal(_search(table, row, u), want)
+        np.testing.assert_array_equal(_search(table, row, u),
+                                      row * S ** B + want)
 
     @pytest.mark.parametrize("S", [8, 32, 33])
     def test_bucket_edges(self, S):
@@ -344,14 +345,14 @@ class TestSearch:
         # every path probability a multiple of 1/M: no bucket holds a
         # candidate, so the guided search runs no level at all
         P = np.full((2, 2), 0.5)
-        table, _ = montecarlo._path_table(P.tobytes(), 2, 4)
+        table = montecarlo._path_table(P.tobytes(), 2, 4)
         assert table[2] is not None and _depth(table) == 0
         paths, cums = path_laws(P, 4)
         row = np.repeat(np.arange(2), 64)
         u = np.concatenate([np.arange(64) / 64, np.nextafter(
             np.arange(1, 65) / 64, 0.0)])
         want = [int((v >= cums[x]).sum()) for x, v in zip(row, u)]
-        np.testing.assert_array_equal(_search(table, row, u), want)
+        np.testing.assert_array_equal(_search(table, row, u), row * 16 + want)
 
     def test_values_one_ulp_from_bucket_edges(self):
         # cumulative values one ulp above or below j/32 in every row: a
@@ -389,22 +390,22 @@ class TestSearch:
             nxt = rng.choice(S, successors, replace=False)
             P[x, nxt] = rng.uniform(0.2, 1.0, successors)
         P /= P.sum(axis=1, keepdims=True)
-        table, _ = montecarlo._path_table(P.tobytes(), S, B)
+        table = montecarlo._path_table(P.tobytes(), S, B)
         assert table[2] is not None
         assert _depth(table) < (S ** B - 1).bit_length()
         paths, cums = path_laws(P, B)
         row = np.repeat(np.arange(S), 200)
         u = rng.random(len(row))
         want = [int((v >= cums[x]).sum()) for x, v in zip(row, u)]
-        np.testing.assert_array_equal(_search(table, row, u), want)
+        np.testing.assert_array_equal(_search(table, row, u),
+                                      row * S ** B + want)
 
     def test_path_table_read_only(self):
         # every cache hit shares the table, the level views of flat included
         P = np.random.default_rng(8).dirichlet(np.ones(8), size=8)
-        table, decode = montecarlo._path_table(P.tobytes(), 8, 3)
-        levels, column, start = table[:3]
+        levels, column, start = montecarlo._path_table(P.tobytes(), 8, 3)[:3]
         assert levels and start is not None
-        for arr in [column, start, decode, *(level for _, level in levels)]:
+        for arr in [column, start, *(level for _, level in levels)]:
             assert not arr.flags.writeable
 
 
@@ -895,11 +896,11 @@ class TestZeroMassStates:
     def test_block_paths(self, B):
         P = np.array([self.ROW, self.ROW[[1, 0, 3, 2]], self.ROW[::-1],
                       [0.25] * 4])
-        table, decode = montecarlo._path_table(P.tobytes(), 4, B)
+        table = montecarlo._path_table(P.tobytes(), 4, B)
         x = np.arange(4)
-        path = _search(table, x, np.full(4, self.U))
-        states = path[None] if decode is None else decode[:, path]
-        walk = np.vstack([x, states])
+        row = _search(table, x, np.full(4, self.U))
+        walk = np.vstack(np.unravel_index(row, (4,) * (B + 1)))
+        assert (walk[0] == x).all()
         assert (P[walk[:-1], walk[1:]] > 0).all()
 
     def test_mixture_atoms(self):
