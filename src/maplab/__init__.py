@@ -12,7 +12,7 @@ from .errors import (BranchCollision, ConditionViolated, DegenerateVariance,
 from .fourier import (ExpansionEvaluation, FourierOperator, SpectralSummary,
                       build_fourier, check_semigroup, contour_crosscheck,
                       derivatives_at_zero, evaluate_expansion, lambda_branch,
-                      nonlattice_scan)
+                      nonlattice_certificate, nonlattice_scan)
 from .increments import IncrementLaw, deterministic, gaussian, mixture
 from .limit_checks import (GaussianComparison, LltRecord, RhoMixReport,
                            asymptotic_bias, berry_esseen_check, clt_check,

@@ -27,8 +27,8 @@ import numpy as np
 from . import fixtures as fixture_registry
 from .chain_core import StochasticKernel, spectral_gap_report
 from .errors import MaplabError, NotScalar
-from .fourier import (NONLATTICE_RHO_MAX, derivatives_at_zero,
-                      lambda_branch, nonlattice_scan)
+from .fourier import (NONLATTICE_GRID, derivatives_at_zero, lambda_branch,
+                      nonlattice_certificate)
 from .io import (FormatError, _jsonable, load_problem, load_spec, write_csv,
                  write_report, write_samples)
 from .limit_checks import (berry_esseen_check, clt_check, ct_limit_check,
@@ -248,9 +248,8 @@ def cmd_nonlattice(args, model):
     K = K[K != 0]
     if not len(K):
         raise UsageError("the k grid has no nonzero point")
-    rho_hat, worst = nonlattice_scan(model, K)
-    return Outcome(passed=rho_hat < NONLATTICE_RHO_MAX,
-                   extras={"rho_hat": rho_hat, "worst_zeta": worst})
+    passed, evidence = nonlattice_certificate(model, K)
+    return Outcome(passed=passed, extras=evidence)
 
 
 def cmd_mestimate(args, problem):
@@ -316,6 +315,7 @@ _INIT = ("--init", {"type": _json_vector,
 _LATTICE = ("--allow-lattice", {"action": "store_true"})
 _BRANCH = [("--zeta-max", {"type": _number(float, False), "default": 0.5}),
            ("--grid-points", {"type": _number(int), "default": 41})]
+_K_MIN, _K_MAX, _K_POINTS = NONLATTICE_GRID
 _VERIFY = [*_SOURCE, _OUT, _CSV, _N_LIST, _PATHS, _SEED]
 _MC = ("n_list", "paths", "seed")
 
@@ -354,9 +354,9 @@ COMMANDS = {
         ("lags",), (StochasticKernel, *SPECS)),
     "nonlattice-scan": Command(cmd_nonlattice, "spectral radius off zero", [
         *_SOURCE, _OUT,
-        ("--k-min", {"type": _number(float, False), "default": 0.1}),
-        ("--k-max", {"type": _number(float, False), "default": 10.0}),
-        ("--k-points", {"type": _number(int), "default": 200})],
+        ("--k-min", {"type": _number(float, False), "default": _K_MIN}),
+        ("--k-max", {"type": _number(float, False), "default": _K_MAX}),
+        ("--k-points", {"type": _number(int), "default": _K_POINTS})],
         ("k_min", "k_max", "k_points"), scalar=True),
     "mestimate": Command(cmd_mestimate, "M-estimator Berry-Esseen", [
         _FIXTURE, ("--problem", {"help": "problem description file"}),

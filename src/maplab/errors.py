@@ -61,6 +61,10 @@ class SeedOutOfRange(MaplabError, ValueError):
     """A seed does not fit the signed 64 bits that key its stream."""
 
 
+class TooFewPaths(MaplabError, ValueError):
+    """A standard error over paths needs at least two of them."""
+
+
 class ConditionViolated(MaplabError):
     """A certification condition of an M-estimation problem fails.
 

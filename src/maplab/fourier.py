@@ -5,7 +5,7 @@ time and exp(t A(zeta)) in continuous time. Its dominant eigenvalue branch
 near zeta = 0 carries the asymptotic mean, variance and third cumulant of the
 additive component; the rank-one eigenprojection and the complementary part
 give the exact decomposition S_1(zeta)^n = lambda^n Pi(zeta) + N(zeta)^n.
-The nonlattice scan runs eigvals only where a row-sum norm bound allows.
+nonlattice_certificate fails a lattice spec exactly and scans any other.
 """
 
 from __future__ import annotations
@@ -16,10 +16,11 @@ import numpy as np
 
 from .chain_core import l2_operator_norm
 from .errors import BranchCollision, NonFiniteOperator, SingularResolvent
-from .map_model import CtMapSpec, _expm, branch_derivatives
+from .map_model import CtMapSpec, _expm, branch_derivatives, detect_lattice
 
 SEPARATION_MIN = 1e-6
 NONLATTICE_RHO_MAX = 1.0 - 1e-8     # nonlattice: scanned radius below this
+NONLATTICE_GRID = (0.1, 10.0, 200)  # default scan grid: k_min, k_max, k_points
 BOUND_CHUNK = 16     # nonlattice_scan takes |M| this many points at a time
 
 
@@ -237,11 +238,10 @@ def evaluate_expansion(spec, zeta, n: int, f=None) -> ExpansionEvaluation:
 def nonlattice_scan(spec, K) -> tuple:
     """Max spectral radius of S_1(zeta) over a grid excluding 0.
 
-    Returns (rho_hat, worst_zeta); the nonlattice verdict is rho_hat <
-    NONLATTICE_RHO_MAX.
-    The radius is at most the row-sum bound b = max_x sum_y |S_1(zeta)_xy|,
-    so eigvals runs only where b (1 + 1e-9) + 1e-9 reaches the radius at
-    the largest b; every other point cannot be the maximum and reads -inf.
+    Returns (rho_hat, worst_zeta). The radius is at most the row-sum bound
+    b = max_x sum_y |S_1(zeta)_xy|, so eigvals runs only where b (1 + 1e-9)
+    + 1e-9 reaches the radius at the largest b; every other point cannot be
+    the maximum and reads -inf.
     Ties are kept, so argmax gives the full scan's result unless eigvals
     overshoots a bound by more than the margin, far past rounding.
     """
@@ -259,6 +259,24 @@ def nonlattice_scan(spec, K) -> tuple:
     rho[live] = np.max(np.abs(np.linalg.eigvals(M[live])), axis=1)
     worst = int(np.argmax(rho))
     return float(rho[worst]), float(K[worst])
+
+
+def nonlattice_certificate(spec, K) -> tuple:
+    """(passed, evidence) on the Markov nonlattice condition of the LLT and
+    the Edgeworth expansion; evidence is rho_hat, the radius of S_1 at
+    worst_zeta, and lattice, a lattice spec's span and shift (else None).
+    A lattice spec fails at 2 pi / span, where the radius is 1 (at K[0] if
+    span is 0: the radius is 1 at every zeta). Any other spec, continuous
+    time included, passes iff nonlattice_scan over K stays below
+    NONLATTICE_RHO_MAX."""
+    report = None if isinstance(spec, CtMapSpec) else detect_lattice(spec)
+    lattice = None
+    if report is not None and report.is_lattice:
+        lattice = {"span": report.span, "shift": report.shift}
+        K = [2.0 * np.pi / report.span if report.span > 0 else K[0]]
+    rho_hat, worst = nonlattice_scan(spec, K)
+    return lattice is None and rho_hat < NONLATTICE_RHO_MAX, {
+        "rho_hat": rho_hat, "worst_zeta": worst, "lattice": lattice}
 
 
 def contour_crosscheck(spec, zeta, n: int, nodes: int = 256,

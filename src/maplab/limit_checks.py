@@ -12,11 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain_core import spectral_gap_report
-from .errors import DegenerateVariance, LatticeSpec, NotCentered
-from .fourier import NONLATTICE_RHO_MAX, nonlattice_scan
+from .errors import DegenerateVariance, LatticeSpec, NotCentered, TooFewPaths
+from .fourier import NONLATTICE_GRID, nonlattice_certificate
 from .map_model import (CtMapSpec, MapSpec, branch_derivatives,
-                        ct_sample_skeleton, detect_lattice,
-                        third_cumulant_rate, variance_series)
+                        ct_sample_skeleton, third_cumulant_rate,
+                        variance_series)
 from .montecarlo import (_initial_law, increment_panel, simulate_ct,
                          simulate_discrete)
 
@@ -150,19 +150,10 @@ def asymptotic_bias(spec: MapSpec, mu) -> float:
 
 def _require_nonlattice(spec, allow_lattice):
     if allow_lattice:
-        return None
-    # the structural search is complete for deterministic increments; the
-    # spectral scan on a generic grid would miss the isolated radius-1 points
-    report = detect_lattice(spec)
-    if report.is_lattice:
-        raise LatticeSpec(
-            f"lattice increments with span {report.span:g}, "
-            f"shift {report.shift:g}")
-    K = np.linspace(0.1, 10.0, 200)
-    rho_hat, worst = nonlattice_scan(spec, K)
-    if rho_hat >= NONLATTICE_RHO_MAX:
-        raise LatticeSpec(f"spectral radius {rho_hat:.6f} at zeta={worst:g}")
-    return rho_hat
+        return
+    ok, evidence = nonlattice_certificate(spec, np.linspace(*NONLATTICE_GRID))
+    if not ok:
+        raise LatticeSpec(f"the nonlattice condition fails: {evidence}")
 
 
 def edgeworth_check(spec: MapSpec, n_list, paths: int, seed: int, mu=None,
@@ -222,6 +213,8 @@ def triangular_bump(center: float, width: float):
 def llt_check(spec: MapSpec, n_list, paths: int, seed: int, bumps=None,
               allow_lattice: bool = False):
     """Local-limit ratio estimates for a family of bump test functions."""
+    if paths < 2:       # the standard error divides by paths - 1
+        raise TooFewPaths(f"llt_check needs paths >= 2, got {paths}")
     _require_nonlattice(spec, allow_lattice)
     sigma = _sigma_for(spec)
     if bumps is None:
@@ -269,6 +262,8 @@ def rho_mixing_check(spec, lags, paths: int, seed: int):
     of Y read at 0, 1, ..., max_lag + 1 on one chain, and P the time-1
     skeleton kernel.
     """
+    if paths < 2:       # the correlations divide by paths - 1
+        raise TooFewPaths(f"rho_mixing_check needs paths >= 2, got {paths}")
     max_lag = int(max(lags))
     if isinstance(spec, CtMapSpec):
         kernel = ct_sample_skeleton(spec)

@@ -422,92 +422,75 @@ def third_cumulant_rate(spec) -> float:
 
 @dataclass(frozen=True)
 class LatticeReport:
-    """Outcome of the lattice search for deterministic-increment specs."""
+    """Outcome of detect_lattice: if is_lattice, Y_n + beta(X_n) - beta(X_0) -
+    n shift lies in span Z (is 0 if span is 0); beta is NaN where pi is 0."""
 
     is_lattice: bool
     span: float = 0.0
     shift: float = 0.0
     beta: np.ndarray = None
-    undetermined: bool = False
 
 
 def _real_gcd(values, tol=1e-9):
-    """Approximate gcd of positive reals; None if incommensurable at tol.
-
-    Incommensurable inputs drive the Euclidean remainders below tol without
-    reaching a common divisor, which we report as failure.
+    """Approximate gcd of the values above tol (0.0 if there are none); None
+    if they are incommensurable at tol: the Euclidean remainders fall below
+    tol without a common divisor, or a value is no multiple of the result.
     """
     vals = sorted(v for v in values if v > tol)
-    if not vals:
-        return 0.0
-    g = vals[0]
-    for v in vals[1:]:
-        a, b = max(g, v), min(g, v)
-        while b > tol:
-            a, b = b, a % b
-        g = a
-    if g <= 1000 * tol:
-        return None
-    # confirm every value is an integer multiple of g
+    g = vals[0] if vals else 0.0
     for v in vals:
-        if abs(v / g - round(v / g)) * g > tol:
-            return None
-    return g
+        while v > tol:      # Euclid on (g, v); as g <= v, the first step swaps
+            g, v = v, g % v
+    if g > 1000 * tol and all(abs(x / g - round(x / g)) * g <= tol
+                              for x in vals):
+        return g
+    return None if vals else 0.0
 
 
 def detect_lattice(spec: MapSpec, tol: float = 1e-9) -> LatticeReport:
-    """Search for (shift, span, beta) putting all increments on a lattice.
+    """The Markov lattice condition, decided in one pass over the live atoms:
+    those with probability and pi_i P_ij of their edge (i, j) both positive.
 
-    Complete for scalar point-mass increments: beta is propagated along a
-    spanning tree of the support graph for each candidate shift, and the
-    non-tree edge discrepancies must share a common real gcd. Read from the
-    atom table: any atom with a positive variance makes the spec
-    nonlattice, and a run of several atoms is reported as undetermined.
+    A live atom with positive variance means nonlattice. Otherwise a spanning
+    tree of the live edges gives beta_0 and the signed tree depth h, and with
+    beta = beta_0 + a h an atom's residual v + beta(j) - beta(i) - a is
+    r + a c, with c = h(j) - h(i) - 1. The shift a zeroes the first residual
+    with c != 0 (else a = 0). Any lattice moves to this a with its span
+    divided by |c|, so the spec is lattice iff the |r + a c| have a real gcd,
+    the span (|a| when it is 0).
     """
     if spec.d != 1:
         raise NotScalar("lattice detection requires d = 1")
     tab = spec.edge_table
-    if (tab["cov"][:, 0, 0] > 0).any():
+    live_edge = spec.pi[tab["rows"]] * tab["weight"] > 0
+    live = (tab["prob"] > 0) & live_edge[tab["edge"]]
+    if (tab["cov"][live, 0, 0] > 0).any():
         return LatticeReport(is_lattice=False)
-    if len(tab["prob"]) > len(tab["start"]):    # some run has two atoms
-        return LatticeReport(is_lattice=False, undetermined=True)
-
-    S = spec.n_states
-    vals = dict(zip(zip(tab["rows"].tolist(), tab["cols"].tolist()),
-                    tab["mean"][:, 0].tolist()))
-    adj = [[] for _ in range(S)]
-    for (i, j), v in vals.items():
-        adj[i].append((j, v, +1.0))
-        adj[j].append((i, v, -1.0))     # traverse edges both ways in the tree
-
-    candidates = sorted(set(round(v, 12) for v in vals.values()))
-    for a in candidates:
-        beta = np.full(S, np.nan)
-        beta[0] = 0.0
-        stack = [0]
-        tree_edges = set()
-        while stack:
-            x = stack.pop()
-            for (y, v, sign) in adj[x]:
-                if np.isnan(beta[y]):
-                    # v + beta(y) - beta(x) = a along tree edges
-                    beta[y] = beta[x] + sign * (a - v)
-                    e = (x, y) if sign > 0 else (y, x)
-                    tree_edges.add(e)
-                    stack.append(y)
-        if np.isnan(beta).any():
-            continue  # unreachable states (outside support of pi)
-        discrepancies = [abs(vals[(i, j)] + beta[j] - beta[i] - a)
-                         for (i, j) in vals if (i, j) not in tree_edges]
-        g = _real_gcd(discrepancies, tol=tol)
-        if g is None:
-            continue
-        if g == 0.0:
-            # all residuals vanish: Y_n + beta(X_n) - beta(X_0) = n a exactly
-            span = abs(a) if abs(a) > tol else 0.0
-            return LatticeReport(is_lattice=True, span=span, shift=a, beta=beta)
-        return LatticeReport(is_lattice=True, span=g, shift=a, beta=beta)
-    return LatticeReport(is_lattice=False)
+    rows, cols = (tab[k][tab["edge"][live]] for k in ("rows", "cols"))
+    v = tab["mean"][live, 0]
+    adj = [[] for _ in range(spec.n_states)]
+    for i, j, vk in zip(rows.tolist(), cols.tolist(), v.tolist()):
+        adj[i].append((j, vk, 1))
+        adj[j].append((i, vk, -1))    # traverse edges both ways in the tree
+    beta0, h = [None] * len(adj), [0] * len(adj)
+    stack = [int(rows[0])]
+    beta0[stack[0]] = 0.0
+    while stack:
+        x = stack.pop()
+        for y, vk, sign in adj[x]:
+            if beta0[y] is None:     # the tree edge's residual is 0 at any a
+                beta0[y], h[y] = beta0[x] - sign * vk, h[x] + sign
+                stack.append(y)
+    beta0, h = np.array(beta0, dtype=float), np.array(h)
+    r, c = v + beta0[cols] - beta0[rows], h[cols] - h[rows] - 1
+    first = np.flatnonzero(c)
+    a = float(-r[first[0]] / c[first[0]]) if len(first) else 0.0
+    g = _real_gcd(np.abs(r + a * c).tolist(), tol=tol)
+    if g is None:
+        return LatticeReport(is_lattice=False)
+    span = g if g > 0 else (abs(a) if abs(a) > tol else 0.0)
+    return LatticeReport(is_lattice=True, span=span, shift=a,
+                         beta=beta0 + a * h)
 
 
 def ct_sample_skeleton(ct: CtMapSpec) -> StochasticKernel:

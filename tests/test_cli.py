@@ -339,6 +339,76 @@ class TestSeedRange:
         assert json.loads(out.read_text())["config"]["seed"] == seed
 
 
+class TestLatticeGate:
+    """The one nonlattice certificate decides both gates and the scan: a
+    lattice spec is caught at its lattice frequency whatever the grid."""
+
+    PM1_MIX = {"kernel": {"states": [0], "P": [[1.0]]}, "centered": True,
+               "increments": [{"from": 0, "to": 0, "kind": "mixture",
+                               "atoms": [{"p": 0.5, "value": [1.0]},
+                                         {"p": 0.5, "value": [-1.0]}]}]}
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-edgeworth", "--n-list", "64,256"],
+        ["verify-llt", "--n-list", "256"]])
+    def test_mixture_pm1_gates_exit_2(self, tmp_path, capsys, argv):
+        # the +-1 walk as one mixture law: the edgeworth gate used to pass
+        # (exit 0) and verify-llt to fail its ratio (exit 1)
+        spec = tmp_path / "pm1.json"
+        spec.write_text(json.dumps(self.PM1_MIX))
+        out = tmp_path / "r.json"
+        assert run([*argv, "--spec", str(spec), "--paths", "20000",
+                    "--seed", "1", "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "LatticeSpec"
+        assert not out.exists()
+
+    def test_mixture_pm1_scan_fails_at_span_2(self, tmp_path):
+        spec = tmp_path / "pm1.json"
+        spec.write_text(json.dumps(self.PM1_MIX))
+        out = tmp_path / "r.json"
+        assert run(["nonlattice-scan", "--spec", str(spec),
+                    "--out", str(out)]) == 1
+        doc = json.loads(out.read_text())
+        assert doc["lattice"] == {"span": 2.0, "shift": 1.0}
+        assert doc["worst_zeta"] == np.pi
+        assert doc["rho_hat"] >= 1.0 - 1e-12
+
+    @pytest.mark.parametrize("fixture, verdict", [
+        ("two_state", "fail"), ("lattice_pm1", "fail"),
+        ("gaussian_iid", "pass"), ("ct_two_state", "pass")])
+    def test_default_grid_verdicts(self, tmp_path, fixture, verdict):
+        # two_state and lattice_pm1 used to pass: the default grid misses
+        # their isolated radius-1 points
+        out = tmp_path / "r.json"
+        code = run(["nonlattice-scan", "--fixture", fixture, "--out",
+                    str(out)])
+        doc = json.loads(out.read_text())
+        assert (code, doc["verdict"]) == ({"pass": 0, "fail": 1}[verdict],
+                                          verdict)
+        assert (doc["lattice"] is None) == (verdict == "pass")
+
+
+class TestTooFewPaths:
+    """A standard error over one path is NaN, which no gate may read as a
+    pass: one path exits 2, two paths run."""
+
+    @pytest.mark.parametrize("argv", [
+        ["mixing-bound", "--fixture", "two_state", "--lags", "1,2"],
+        ["mixing-bound", "--fixture", "ct_two_state", "--lags", "1,2"],
+        ["verify-llt", "--fixture", "gaussian_iid", "--n-list", "16"]])
+    def test_one_path_exits_2_two_run(self, argv, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert run([*argv, "--paths", "1", "--seed", "1", "--out",
+                    str(out)]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "TooFewPaths"
+        assert not out.exists()
+        assert run([*argv, "--paths", "2", "--seed", "1", "--out",
+                    str(out)]) in (0, 1)
+        assert json.loads(out.read_text())["config"]["paths"] == 2
+
+
 class TestModelType:
     """A subcommand given a model it cannot use names what it accepts."""
 

@@ -8,11 +8,11 @@ from maplab.chain_core import StochasticKernel, l2_operator_norm
 from maplab.errors import BranchCollision, NonFiniteOperator, SingularResolvent
 from maplab.fixtures import (ct_two_state, gaussian_iid, iid_rademacher,
                              lattice_pm1, skewed_mixture, two_state)
-from maplab.fourier import (NONLATTICE_RHO_MAX, _fourier_matrix,
-                            build_fourier, check_semigroup,
+from maplab.fourier import (NONLATTICE_GRID, NONLATTICE_RHO_MAX,
+                            _fourier_matrix, build_fourier, check_semigroup,
                             contour_crosscheck, derivatives_at_zero,
                             evaluate_expansion, lambda_branch,
-                            nonlattice_scan)
+                            nonlattice_certificate, nonlattice_scan)
 from maplab.increments import deterministic, gaussian, mixture
 from maplab.map_model import (CtMapSpec, MapSpec, detect_lattice, exact_mean,
                               third_cumulant_rate, variance_series)
@@ -286,8 +286,116 @@ class TestNonlattice:
             nonlattice_scan(two_state, np.array([0.0, 1.0]))
 
 
+def _lattice_runs(seed, S, transient):
+    """(kernel, runs, span) of a random lattice spec from (a, beta, span).
+
+    Every live atom is a + beta(i) - beta(j) + k span with k an integer;
+    edge (0, 0)'s run holds k = 0, 1, 3. Dead atoms, which detect_lattice
+    must ignore, are added at generic reals: zero-probability atoms in live
+    runs, laws on P = 0 pairs and, with transient, the laws out of an extra
+    state that nothing enters (pi = 0 there). runs maps (i, j) to a list of
+    (p, value) or to a Gaussian law.
+    """
+    rng = np.random.default_rng(seed)
+    P = random_kernel(rng, S)
+    keep = np.eye(S, dtype=bool) | np.roll(np.eye(S, dtype=bool), 1, 1)
+    P = np.where(keep | (rng.random((S, S)) < 0.5), P, 0.0)
+    P = P / P.sum(axis=1, keepdims=True)
+    if transient:
+        P = np.block([[P, np.zeros((S, 1))], [random_kernel(rng, S + 1)[-1:]]])
+    n = len(P)
+    a, beta, span = rng.normal(), rng.normal(size=n), rng.uniform(0.2, 3.0)
+    runs = {}
+    for i, j in np.ndindex(n, n):
+        if P[i, j] == 0 or i == S:
+            if P[i, j] > 0 or rng.random() < 0.5:
+                runs[(i, j)] = gaussian([rng.normal()], [[1.0]])
+            continue
+        ks = [0, 1, 3] if i == j == 0 else rng.integers(-3, 4, size=int(
+            rng.integers(1, 4)))
+        p = rng.dirichlet(np.ones(len(ks)))
+        runs[(i, j)] = [(q, a + beta[i] - beta[j] + k * span)
+                        for q, k in zip(p, ks)]
+        if rng.random() < 0.3:
+            runs[(i, j)].insert(int(rng.integers(len(ks) + 1)),
+                                (0.0, rng.normal()))
+    return StochasticKernel(states=tuple(range(n)), P=P), runs, span
+
+
+def _runs_spec(kernel, runs):
+    def law(run):
+        if not isinstance(run, list):
+            return run
+        if len(run) == 1:
+            return deterministic([run[0][1]])
+        return mixture([(p, [v]) for p, v in run])
+    return MapSpec(kernel=kernel, increments={e: law(r)
+                                              for e, r in runs.items()})
+
+
+class TestNonlatticeCertificate:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(1, 5), st.booleans())
+    def test_lattice_certificate_property(self, seed, S, transient):
+        kernel, runs, span = _lattice_runs(seed, S, transient)
+        spec = _runs_spec(kernel, runs)
+        report = detect_lattice(spec)
+        assert report.is_lattice and report.span > 0
+        # the generating span is a multiple of the reported one
+        assert abs(span / report.span - round(span / report.span)) < 1e-6
+        pi = spec.pi
+        for (i, j), run in runs.items():
+            if not isinstance(run, list) or pi[i] * spec.P[i, j] == 0:
+                continue
+            for p, v in run:
+                if p > 0:
+                    resid = v + report.beta[j] - report.beta[i] - report.shift
+                    k = resid / report.span
+                    assert abs(k - round(k)) * report.span < 1e-8
+        passed, evidence = nonlattice_certificate(spec, DEFAULT_GRID)
+        assert not passed
+        assert evidence["lattice"] == {"span": report.span,
+                                       "shift": report.shift}
+        assert evidence["worst_zeta"] == 2.0 * np.pi / report.span
+        assert evidence["rho_hat"] >= 1.0 - 1e-9
+        # one live atom moved off the lattice makes the spec nonlattice: its
+        # gap to a second atom of the run is no rational multiple of the
+        # third's
+        run = runs[(0, 0)]
+        m = next(k for k, (p, _) in enumerate(run) if p > 0)
+        run[m] = (run[m][0], run[m][1] + span * np.sqrt(2.0) / 7.0)
+        moved = _runs_spec(kernel, runs)
+        assert not detect_lattice(moved).is_lattice
+        assert nonlattice_certificate(moved, DEFAULT_GRID)[1]["lattice"] is None
+
+    def test_span_zero_reports_first_grid_point(self):
+        # Y_n - n a = X_0 - X_n stays bounded (a = 1, then a = 0): the
+        # radius is 1 at every zeta
+        kernel = StochasticKernel(states=(0, 1), P=np.full((2, 2), 0.5))
+        spec = MapSpec(kernel=kernel, increments={
+            (i, j): deterministic([1.0 + i - j]) for i in range(2)
+            for j in range(2)})
+        passed, evidence = nonlattice_certificate(spec, DEFAULT_GRID)
+        assert not passed and evidence["lattice"]["span"] == 1.0
+        spec = MapSpec(kernel=kernel, increments={
+            (i, j): deterministic([0.5 * (i - j)]) for i in range(2)
+            for j in range(2)})
+        passed, evidence = nonlattice_certificate(spec, DEFAULT_GRID)
+        assert not passed
+        assert evidence["lattice"] == {"span": 0.0, "shift": 0.0}
+        assert evidence["worst_zeta"] == DEFAULT_GRID[0]
+        assert abs(evidence["rho_hat"] - 1.0) < 1e-12
+
+    def test_nonlattice_specs_use_the_scan(self):
+        for spec in (gaussian_iid(), skewed_mixture(), ct_two_state()):
+            passed, evidence = nonlattice_certificate(spec, DEFAULT_GRID)
+            assert passed and evidence["lattice"] is None
+            assert (evidence["rho_hat"], evidence["worst_zeta"]) == (
+                nonlattice_scan(spec, DEFAULT_GRID))
+
+
 LAW_KINDS = ("int", "real", "gauss", "mix")    # "int" makes a lattice spec
-DEFAULT_GRID = np.linspace(0.1, 10.0, 200)     # nonlattice-scan's default
+DEFAULT_GRID = np.linspace(*NONLATTICE_GRID)     # nonlattice-scan's default
 SPEC_FIXTURES = [name for name in fixtures.REGISTRY
                  if name != "mean_contrast_problem"]
 

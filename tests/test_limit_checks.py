@@ -6,16 +6,18 @@ from scipy.special import ndtr, ndtri
 
 from maplab import limit_checks
 from maplab.chain_core import StochasticKernel
-from maplab.errors import DegenerateVariance, LatticeSpec, UnsupportedInitial
-from maplab.fixtures import (ct_two_state, gaussian_iid, iid_rademacher,
-                             lattice_pm1, skewed_mixture, two_state)
-from maplab.increments import deterministic
+from maplab.errors import (DegenerateVariance, LatticeSpec, TooFewPaths,
+                           UnsupportedInitial)
+from maplab.fixtures import (birth_death_5, ct_two_state, gaussian_iid,
+                             iid_rademacher, lattice_pm1, skewed_mixture,
+                             two_state)
+from maplab.increments import deterministic, gaussian
 from maplab.limit_checks import (asymptotic_bias, berry_esseen_check,
                                  clt_check, ct_limit_check, ecdf_se,
                                  edgeworth_cdf, edgeworth_check,
                                  kolmogorov_distance, llt_check,
                                  rho_mixing_check, triangular_bump)
-from maplab.map_model import CtMapSpec, MapSpec
+from maplab.map_model import CtMapSpec, MapSpec, detect_lattice
 
 
 class TestKolmogorov:
@@ -147,6 +149,26 @@ class TestLlt:
                             allow_lattice=True)
         ratios = [r.ratio for r in records]
         assert any(not 0.5 <= rho <= 1.5 for rho in ratios)
+
+    def test_law_on_p_zero_pair_ignored(self):
+        # a Gaussian law on (0, 4), where P = 0, never occurs on a path: the
+        # gate used to read it as a density and pass the lattice spec
+        spec = birth_death_5()
+        incs = {**spec.increments, (0, 4): gaussian([0.0], [[1.0]])}
+        spec = MapSpec(kernel=spec.kernel, increments=incs)
+        assert detect_lattice(spec).span == pytest.approx(0.25)
+        with pytest.raises(LatticeSpec):
+            llt_check(spec, [256], 1000, 1)
+
+    @pytest.mark.parametrize("check", [
+        lambda paths: llt_check(gaussian_iid(), [16], paths, 1),
+        lambda paths: rho_mixing_check(two_state(), [1, 2], paths, 1)])
+    def test_one_path_rejected(self, check):
+        # one path makes every standard error NaN
+        with pytest.raises(TooFewPaths):
+            check(1)
+        assert all(np.isfinite(dataclasses.astuple(r)).all()
+                   for r in check(2))
 
     def test_bump_integral(self):
         g = triangular_bump(0.5, 2.0)

@@ -186,12 +186,15 @@ class TestLatticeDetection:
         assert report.is_lattice
         assert report.span == pytest.approx(detect_lattice(spec).span)
 
-    def test_mixture_undetermined(self):
+    def test_mixture_run_lattice(self):
+        # a run of several atoms is searched like any other: {0, 1} is the
+        # integer lattice
         kernel = StochasticKernel(states=(0,), P=np.array([[1.0]]))
         spec = MapSpec(kernel=kernel, increments={
             (0, 0): mixture([(0.5, [0.0]), (0.5, [1.0])])})
         report = detect_lattice(spec)
-        assert report.undetermined and not report.is_lattice
+        assert report.is_lattice
+        assert report.span == pytest.approx(1.0)
 
     def test_two_atoms_always_lattice(self):
         # any two-valued increment is lattice with span the atom gap
