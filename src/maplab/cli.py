@@ -26,13 +26,14 @@ import numpy as np
 
 from . import fixtures as fixture_registry
 from .chain_core import StochasticKernel, spectral_gap_report
-from .errors import MaplabError, NotScalar
+from .errors import MaplabError, NotScalar, TooFewPaths
 from .fourier import (NONLATTICE_GRID, derivatives_at_zero, lambda_branch,
                       nonlattice_certificate)
 from .io import (FormatError, _jsonable, load_problem, load_spec, write_csv,
                  write_report, write_samples)
 from .limit_checks import (berry_esseen_check, clt_check, ct_limit_check,
-                           edgeworth_check, llt_check, rho_mixing_check)
+                           ecdf_se, edgeworth_check, llt_check,
+                           rho_mixing_check)
 from .map_model import CtMapSpec, MapSpec
 from .mestim import MEstimationProblem, estimator_be_check
 from .montecarlo import simulate_ct, simulate_discrete, spec_content_hash
@@ -188,14 +189,22 @@ def cmd_simulate(args, model):
         "n_paths": batch.n_paths, "d": batch.terminal_Y.shape[1]})
 
 
-def _within_clt_gate(record) -> bool:
-    return record.kolmogorov <= 0.03 + 2.0 * record.se
+def _clt_threshold(paths: int) -> float:
+    """The CLT gate's bound on the Kolmogorov distance at paths: 0.03 plus
+    twice the DKW slack. A distance never exceeds 1, so where the bound
+    reaches 1 the gate cannot fail: TooFewPaths, before any draw."""
+    threshold = 0.03 + 2.0 * ecdf_se(paths)
+    if threshold >= 1.0:
+        raise TooFewPaths(f"the CLT gate cannot fail at {paths} paths: its "
+                          f"threshold {threshold:.4g} is >= 1")
+    return threshold
 
 
 def cmd_verify_clt(args, model):
+    threshold = _clt_threshold(args.paths)
     records = clt_check(model, _positive_list(args.n_list, int), args.paths,
                         args.seed)
-    return Outcome(records, _within_clt_gate(records[-1]), _DKW_NOTE)
+    return Outcome(records, records[-1].kolmogorov <= threshold, _DKW_NOTE)
 
 
 def cmd_verify_be(args, model):
@@ -221,9 +230,11 @@ def cmd_verify_llt(args, model):
 
 
 def cmd_verify_ct(args, model):
+    threshold = _clt_threshold(args.paths)
     records, fractional_ok = ct_limit_check(
         model, _positive_list(args.t_list, float), args.paths, args.seed)
-    return Outcome(records, fractional_ok and _within_clt_gate(records[-1]),
+    return Outcome(records,
+                   fractional_ok and records[-1].kolmogorov <= threshold,
                    {"fractional_part_negligible": fractional_ok})
 
 

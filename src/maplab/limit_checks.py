@@ -276,17 +276,14 @@ def rho_mixing_check(spec, lags, paths: int, seed: int):
     report = spectral_gap_report(kernel, max_lag + 1)
     se = 1.0 / np.sqrt(paths)
     out = []
-    base = panel[:, 0]
-    fs = _test_functionals(base)
+    fs = [(f, f.std(ddof=1)) for f in _test_functionals(panel[:, 0])]
     for t in lags:
         t = int(t)
-        target = panel[:, t]
-        hs = _test_functionals(target)
+        hs = [(h, h.std(ddof=1)) for h in _test_functionals(panel[:, t])]
         best = 0.0
         degenerate = 0
-        for f in fs:
-            for h in hs:
-                sf, sh = f.std(ddof=1), h.std(ddof=1)
+        for f, sf in fs:
+            for h, sh in hs:
                 if sf < 1e-12 or sh < 1e-12:
                     degenerate += 1
                     continue

@@ -431,10 +431,11 @@ class LatticeReport:
     beta: np.ndarray = None
 
 
-def _real_gcd(values, tol=1e-9):
-    """Approximate gcd of the values above tol (0.0 if there are none); None
-    if they are incommensurable at tol: the Euclidean remainders fall below
-    tol without a common divisor, or a value is no multiple of the result.
+def _real_gcd(values, tol):
+    """Approximate gcd of the values above the absolute tol (0.0 if there
+    are none); None if they are incommensurable at tol: the Euclidean
+    remainders fall below tol without a common divisor, or a value is no
+    multiple of the result.
     """
     vals = sorted(v for v in values if v > tol)
     g = vals[0] if vals else 0.0
@@ -458,6 +459,11 @@ def detect_lattice(spec: MapSpec, tol: float = 1e-9) -> LatticeReport:
     with c != 0 (else a = 0). Any lattice moves to this a with its span
     divided by |c|, so the spec is lattice iff the |r + a c| have a real gcd,
     the span (|a| when it is 0).
+
+    tol is relative to the largest |increment| of a live atom, whose
+    rounding the residuals carry, so scaling the increments by s keeps the
+    verdict and scales the span by s. (The residuals themselves can be all
+    rounding, where each is 0 in exact arithmetic.)
     """
     if spec.d != 1:
         raise NotScalar("lattice detection requires d = 1")
@@ -468,6 +474,7 @@ def detect_lattice(spec: MapSpec, tol: float = 1e-9) -> LatticeReport:
         return LatticeReport(is_lattice=False)
     rows, cols = (tab[k][tab["edge"][live]] for k in ("rows", "cols"))
     v = tab["mean"][live, 0]
+    tol *= float(np.abs(v).max())
     adj = [[] for _ in range(spec.n_states)]
     for i, j, vk in zip(rows.tolist(), cols.tolist(), v.tolist()):
         adj[i].append((j, vk, 1))

@@ -12,13 +12,15 @@ count and the extra uniforms per step (B = 1 is single-step stepping), and
 the last draw of a run keeps only the steps left. The search returns the
 draw's row x S^B + p of the path table, which fixes its B edges, so the
 kernel decodes no state: it yields whole blocks of rows, and each consumer
-reads what it needs from them (the block's edges for the samples and
-panels, a per-row count table for mestim's edge counts) once per block.
-One chain per path serves a whole list of horizons: it runs to the largest
-one and is read at each on the way. Given the path, Y_n is the sum of the
-edge atoms' means plus one Gaussian with their summed covariance, which
-simulate_discrete draws once per path and segment between horizons, after
-the segment's last step; increment_panel alone draws per-step increments.
+reads what it needs from them once per block: per-row tables of summed
+atom means and covariances for the samples of specs without a multi-atom
+run, the block's edges for mixture atoms and panels, a per-row count table
+for mestim's edge counts. One chain per path serves a whole list of
+horizons: it runs to the largest one and is read at each on the way. Given
+the path, Y_n is the sum of the edge atoms' means plus one Gaussian with
+their summed covariance, which simulate_discrete draws once per path and
+segment between horizons, after the segment's last step; increment_panel
+alone draws per-step increments.
 Continuous time steps one jump at a time over compact arrays of the paths
 still running. One chain per path serves a whole list of times there too:
 it runs to the last one and reads Y inside the dwell that holds each
@@ -317,9 +319,10 @@ def _cov_factors(cov):
 def _atom_lookup(spec: MapSpec):
     """(first, cum, mean, cov, gauss) for spec.edge_table's atom runs.
 
-    first and cum are indexed by flat edge X*S + X': the run's first atom (a
-    trailing zero atom for edges without a law) and its cumulative
-    probabilities as a _cdf_table (None when no run has two atoms). The
+    first is indexed by flat edge X*S + X': the run's first atom (a trailing
+    zero atom for edges without a law). cum is the _cdf_table of each run's
+    cumulative probabilities by flat edge (None when no run has two atoms);
+    its column map holds first[edge] + j, so a search returns the atom. The
     rest are per atom; cov is regularized so that its Cholesky factor exists
     wherever the covariance is regular.
     """
@@ -336,22 +339,34 @@ def _atom_lookup(spec: MapSpec):
         run = np.cumsum(tab["prob"][a:a + m])
         cum[edges[k]] = run[-1]         # no rise past the run's last atom
         cum[edges[k], :m] = run
+    table = None
+    if length.max() > 1:
+        levels, column, start, M, stride = _cdf_table(cum)
+        column = column + np.repeat(first, stride)
+        column.setflags(write=False)
+        table = levels, column, start, M, stride
     cov = np.vstack([tab["cov"], np.zeros((1, d, d))]) + 1e-300 * np.eye(d)
     cov += 1e-18 * np.trace(cov, axis1=1, axis2=2)[:, None, None] * np.eye(d)
-    return (first, _cdf_table(cum) if length.max() > 1 else None,
-            np.vstack([tab["mean"], np.zeros((1, d))]),
+    return (first, table, np.vstack([tab["mean"], np.zeros((1, d))]),
             cov, np.append(tab["gauss"], False))
 
 
 def _edge_atoms(first, cum, rows, edge, u):
     """Atom of each step's edge in a block of _chain_steps: the run's first
-    atom, plus the inverse CDF of extra uniform 0 over the run where
+    atom, or the inverse CDF of extra uniform 0 over the run where
     multi-atom runs exist."""
     edges = _draw_edges(rows, edge, len(u))
-    atom = first.take(edges)
-    if cum is not None:
-        atom += _search(cum, edges, u[..., 0])
-    return atom
+    if cum is None:
+        return first.take(edges)
+    return _search(cum, edges, u[..., 0])
+
+
+def _add_atoms(Y, V, atom, mean, cov):
+    """Y += the summed means of atom's leading axis, V += their covariances
+    (V None: no Gaussian atom)."""
+    Y += mean.take(atom, axis=0).sum(axis=0)
+    if V is not None:
+        V += cov.take(atom, axis=0).sum(axis=0)
 
 
 def simulate_discrete(spec: MapSpec, n: int, n_paths: int, seed: int,
@@ -366,6 +381,13 @@ def simulate_discrete(spec: MapSpec, n: int, n_paths: int, seed: int,
     sqrt(V) for d = 1 and _cov_factors(V) otherwise, drawn only when a
     Gaussian atom exists.
 
+    With no multi-atom run, a draw's row fixes its B edges and so their
+    atoms: one table per call, built from _row_decode's edge table, holds
+    each row's summed atom means (and covariances where a Gaussian atom
+    exists), and a whole draw adds its row's entries, one gather per draw.
+    Only the cut last draw of a segment is decoded, into its first r edges.
+    With a multi-atom run, every step's atom is drawn (_edge_atoms).
+
     With at, a strictly increasing list of horizons ending at n, one chain
     per path runs to n and one batch per horizon is returned. Each segment
     between horizons draws its own Gaussian from its own summed covariance
@@ -378,17 +400,27 @@ def simulate_discrete(spec: MapSpec, n: int, n_paths: int, seed: int,
     rng = _philox(f"{spec_id}:{seed}".encode())
     d = spec.d
     first, cum, mean, cov, gauss = _atom_lookup(spec)
+    k = int(cum is not None)
     X = _initial_states(spec, mu, n_paths, rng)
     Y = np.zeros((n_paths, d))
-    batches, done = [], 0
+    batches, done, row_mean = [], 0, None
     for h in horizons:
         V = np.zeros((n_paths, d, d)) if gauss.any() else None
-        for rows, edge, u, X in _chain_steps(spec.P, X, h - done, rng,
-                                             int(cum is not None)):
-            atom = _edge_atoms(first, cum, rows, edge, u)
-            Y += mean.take(atom, axis=0).sum(axis=0)
-            if V is not None:
-                V += cov.take(atom, axis=0).sum(axis=0)
+        for rows, edge, u, X in _chain_steps(spec.P, X, h - done, rng, k):
+            if k:
+                _add_atoms(Y, V, _edge_atoms(first, cum, rows, edge, u),
+                           mean, cov)
+                continue
+            if row_mean is None:            # B, and so edge, is the call's
+                atom = first.take(edge)
+                row_mean = mean.take(atom, axis=0).sum(axis=0)
+                row_cov = (None if V is None
+                           else cov.take(atom, axis=0).sum(axis=0))
+            full, r = divmod(len(u), len(edge))
+            _add_atoms(Y, V, rows[:full], row_mean, row_cov)
+            if r:                           # the cut last draw
+                _add_atoms(Y, V, first.take(edge[:r].take(rows[-1], axis=1)),
+                           mean, cov)
         if V is not None:
             F = np.sqrt(V) if d == 1 else _cov_factors(V)
             Y += np.einsum("pab,pb->pa", F, _ndtri(rng.random((n_paths, d))))

@@ -409,6 +409,28 @@ class TestTooFewPaths:
         assert json.loads(out.read_text())["config"]["paths"] == 2
 
 
+class TestCltGatePaths:
+    """The CLT gate, kolmogorov <= 0.03 + 2 se, cannot fail where its
+    threshold reaches 1 (16 paths or fewer): those exit 2 before any draw,
+    and 17 paths run a gate below 1."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-clt", "--fixture", "two_state", "--n-list", "16"],
+        ["verify-ct", "--fixture", "ct_two_state", "--t-list", "16"]])
+    def test_threshold_below_one(self, argv, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert run([*argv, "--paths", "16", "--seed", "1", "--out",
+                    str(out)]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "TooFewPaths"
+        assert not out.exists()
+        assert run([*argv, "--paths", "17", "--seed", "1", "--out",
+                    str(out)]) in (0, 1)
+        record = json.loads(out.read_text())["records"][-1]
+        assert record["n_samples"] == 17
+        assert 0.03 + 2.0 * record["se"] < 1.0
+
+
 class TestModelType:
     """A subcommand given a model it cannot use names what it accepts."""
 

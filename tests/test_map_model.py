@@ -235,6 +235,29 @@ class TestLatticeDetection:
         assert r1.span == pytest.approx(r2.span)
         assert r2.shift - r1.shift == pytest.approx(0.5)
 
+    SCALES = (1e-3, 1.0, 1e3, 1e6, 1e8)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), kmax=st.integers(1, 5))
+    def test_scale_invariant(self, seed, kmax):
+        # increments a + beta(i) - beta(j) + 0.7 k (k integer) are lattice
+        # at every scale s, with span s times the span at s = 1; generic
+        # reals stay nonlattice at every scale
+        rng = np.random.default_rng(seed)
+        P = random_kernel(rng, 3)
+        beta = rng.normal(size=3)
+        k = rng.integers(-kmax, kmax + 1, size=(3, 3))
+        lattice = 0.3 + beta[:, None] - beta[None, :] + 0.7 * k
+        generic = rng.normal(size=(3, 3))
+        unit = detect_lattice(_make_spec(P, lattice))
+        assert unit.is_lattice
+        for s in self.SCALES:
+            report = detect_lattice(_make_spec(P, s * lattice))
+            assert report.is_lattice
+            assert report.span == pytest.approx(s * unit.span, rel=1e-6,
+                                                abs=1e-9 * s)
+            assert not detect_lattice(_make_spec(P, s * generic)).is_lattice
+
 
 class TestContinuousTime:
     def test_pi_oracle(self):

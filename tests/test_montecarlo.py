@@ -2,6 +2,7 @@ import hashlib
 import json
 import warnings
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -237,6 +238,103 @@ class TestSufficientOracle:
             monkeypatch.setattr(montecarlo, "_BLOCK", block)
             for mu in _mu_list(spec.n_states):
                 _assert_sufficient_oracle(spec, 23, 400, 6, mu)
+
+
+def _point_gauss_spec(rng, S, d, integer):
+    """A spec with no multi-atom run: each edge has a deterministic law, a
+    one-atom mixture or (unless integer) a Gaussian, and an edge of P 0 may
+    have none; a cycle keeps the kernel irreducible. integer: integer point
+    atoms only, so every sum of increments is exact."""
+    P = rng.uniform(size=(S, S)) * (rng.uniform(size=(S, S)) < 0.6)
+    P[np.arange(S), (np.arange(S) + 1) % S] += 0.5
+    P /= P.sum(axis=1, keepdims=True)
+    value = ((lambda: rng.integers(-3, 4, size=d).astype(float)) if integer
+             else (lambda: rng.normal(size=d)))
+    kinds = ["point", "atom"] if integer else ["point", "atom", "gauss"]
+    incs = {}
+    for i in range(S):
+        for j in range(S):
+            kind = rng.choice(kinds + ["none"] * bool(P[i, j] == 0))
+            if kind == "point":
+                incs[(i, j)] = deterministic(value())
+            elif kind == "atom":
+                incs[(i, j)] = mixture([(1.0, value())])
+            elif kind == "gauss":
+                A = rng.normal(size=(d, d))
+                incs[(i, j)] = gaussian(value(), A @ A.T)
+    kernel = StochasticKernel(states=tuple(range(S)), P=P)
+    return MapSpec(kernel=kernel, increments=incs, d=d)
+
+
+class TestRowSums:
+    """Without a multi-atom run, a whole draw adds its row's summed atom
+    means and covariances: against the per-step loop, X exactly and Y to
+    summation order, bit for bit where every sum is exact."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(S=st.integers(1, 40), d=st.sampled_from([1, 2]),
+           integer=st.booleans(), given_mu=st.booleans(),
+           paths=st.integers(1, 12), block=st.sampled_from([1, 7, 1 << 16]),
+           segments=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 8)),
+                             min_size=1, max_size=3),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_equals_stepwise_oracle(self, S, d, integer, given_mu, paths,
+                                    block, segments, seed):
+        rng = np.random.default_rng(seed)
+        spec = _point_gauss_spec(rng, S, d, integer)
+        mu = rng.dirichlet(np.ones(S)) if given_mu else None
+        B = montecarlo._path_length(S, paths, 0)
+        # segments of a whole draws plus r steps: ends on a draw boundary
+        # (r = 0) or inside a draw
+        lengths = [max(a * B + r % B, 1) for a, r in segments]
+        hs = np.cumsum(lengths).tolist()
+        with mock.patch.object(montecarlo, "_BLOCK", block):
+            batches = simulate_discrete(spec, hs[-1], paths, seed, mu=mu,
+                                        keep_states=True, at=hs)
+        oracle = stepwise_sufficient_simulate(spec, hs, paths, seed, mu=mu)
+        for batch, (Y, X) in zip(batches, oracle):
+            assert np.array_equal(batch.terminal_X, X)
+            if integer:
+                assert np.array_equal(batch.terminal_Y, Y)
+            else:
+                assert np.all(np.abs(batch.terminal_Y - Y)
+                              <= 1e-12 * (1.0 + np.abs(Y)))
+
+    def test_mixed_runs_column_map(self):
+        """Multi-atom runs beside one-atom runs and law-less edges: the
+        mixture table's search returns the atom itself, first[edge] + j."""
+        kernel = StochasticKernel(states=(0, 1, 2), P=np.array(
+            [[0.2, 0.0, 0.8], [0.4, 0.0, 0.6], [0.3, 0.3, 0.4]]))
+        spec = MapSpec(kernel=kernel, increments={
+            (0, 0): deterministic([1.0]),
+            (2, 0): deterministic([0.5]),
+            (0, 2): mixture([(0.5, [2.0]), (0.25, [3.0]), (0.25, [4.0])]),
+            (1, 0): gaussian([0.5], [[2.0]]),
+            (1, 2): mixture([(1.0, [-1.0])]),
+            (2, 1): mixture([(0.7, [5.0]), (0.3, [6.0])]),
+            (2, 2): deterministic([-2.0])})
+        first, cum, mean, *_ = montecarlo._atom_lookup(spec)
+        u = np.linspace(0.0, 1.0, 41)[:-1]
+        for edge in range(9):
+            law = spec.increments.get(divmod(edge, 3))
+            atoms = (law.atoms if law is not None and law.kind == "mixture"
+                     else [(1.0, None)])
+            cdf = np.cumsum([p for p, _ in atoms])
+            got = _search(cum, np.full(len(u), edge), u)
+            want = first[edge] + (u[:, None] >= cdf[:-1]).sum(axis=1)
+            assert np.array_equal(got, want)
+            if law is None:
+                assert (mean[got] == 0.0).all()
+        for mu in _mu_list(3):
+            _assert_sufficient_oracle(spec, 23, 400, 6, mu)
+            for hs in ([1, 5, 12], [4, 8, 23]):
+                batches = simulate_discrete(spec, hs[-1], 50, 3, mu=mu,
+                                            keep_states=True, at=hs)
+                oracle = stepwise_sufficient_simulate(spec, hs, 50, 3, mu=mu)
+                for batch, (Y, X) in zip(batches, oracle):
+                    assert np.array_equal(batch.terminal_X, X)
+                    assert np.all(np.abs(batch.terminal_Y - Y)
+                                  <= 1e-12 * (1.0 + np.abs(Y)))
 
 
 def _comparison_sum(cum, row, u):
