@@ -7,7 +7,9 @@ centered kernel.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -120,6 +122,11 @@ class StochasticKernel:
 
     def support(self) -> np.ndarray:
         return np.flatnonzero(self.pi > 0)
+
+    @cached_property
+    def content_hash(self) -> str:
+        """sha256 of the kernel's matrix rounded by ndarray.round(15)."""
+        return hashlib.sha256(self.P.round(15).tobytes()).hexdigest()
 
 
 def l2_operator_norm(A: np.ndarray, pi: np.ndarray) -> float:

@@ -36,7 +36,7 @@ from .limit_checks import (berry_esseen_check, clt_check, ct_limit_check,
                            rho_mixing_check)
 from .map_model import CtMapSpec, MapSpec
 from .mestim import MEstimationProblem, estimator_be_check
-from .montecarlo import simulate_ct, simulate_discrete, spec_content_hash
+from .montecarlo import simulate_ct, simulate_discrete
 
 
 class UsageError(Exception):
@@ -123,13 +123,6 @@ def _load_model(args, accepts):
             t.__name__ for t in accepts) + f", got {type(model).__name__}")
     return model, ({"problem": doc} if kind == "problem" else
                    {"fixture": args.fixture, "spec": args.spec})
-
-
-def _model_hash(model) -> str:
-    if isinstance(model, StochasticKernel):
-        import hashlib
-        return hashlib.sha256(model.P.round(15).tobytes()).hexdigest()
-    return spec_content_hash(model)
 
 
 _DKW_NOTE = {"note": ("statistical falsification test with DKW slack, "
@@ -414,7 +407,7 @@ def _run(args) -> int:
         **outcome.extras.get("config", {})}}
     if "spec_hash" not in report and not isinstance(model,
                                                     MEstimationProblem):
-        report["spec_hash"] = _model_hash(model)
+        report["spec_hash"] = model.content_hash
     if outcome.passed is not None:
         report["verdict"] = "pass" if outcome.passed else "fail"
     command.write(args, report, outcome)

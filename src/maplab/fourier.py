@@ -178,19 +178,17 @@ def lambda_branch(spec, grid) -> SpectralSummary:
                            kappa_hat=kappa_hat, separation=float(separation))
 
 
-def derivatives_at_zero(spec, order: int = 3):
+def derivatives_at_zero(spec):
     """(grad, hess, third): first three derivatives of the branch at 0.
 
     The branch is lambda(zeta), the dominant eigenvalue of S_1(zeta) (time 1
     in continuous time), not its logarithm. The values are exact: with l_k
     the derivatives in t = i zeta from map_model.branch_derivatives (Kato's
     series through the group inverse), grad = i l1, hess = -l2 and
-    third = -i l3. Scalar specs only (MomentUndefined otherwise); third =
-    None when order < 3.
+    third = -i l3. Scalar specs only (MomentUndefined otherwise).
     """
     l1, l2, l3 = branch_derivatives(spec)
-    third = -1j * l3 if order >= 3 else None
-    return np.array([1j * l1]), np.array([[complex(-l2)]]), third
+    return np.array([1j * l1]), np.array([[complex(-l2)]]), -1j * l3
 
 
 @dataclass(frozen=True)

@@ -4,16 +4,15 @@ Three kinds are supported: deterministic point masses, Gaussians and finite
 mixtures of point masses. Every law is one run of Gaussian atoms (prob,
 mean, cov): a Gaussian is one atom, a point mass one atom with cov = 0, a
 mixture one zero-cov atom per point. A MapSpec holds the runs of all its
-edges in one flat atom table (MapSpec.edge_table), and check_atoms validates
-such runs in whole-array operations, for a spec's table and for a single
-IncrementLaw alike. An IncrementLaw gives the characteristic function and
-the moments of one law as one formula over its run.
+edges in one flat atom table (MapSpec.edge_table); an IncrementLaw is one
+run, with its characteristic function and moments as one formula over it.
+check_atoms validates runs in whole-array operations, for a spec's table
+and for a single law alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -47,77 +46,40 @@ def check_atoms(kind, edge, prob, mean, cov):
         raise ValueError("mixture probabilities must be nonnegative and sum to 1")
 
 
-def _normal_moment(m, s2, k: int):
-    """E[N(m, s2)^k] for k = 1..4."""
-    if k == 1:
-        return m
-    if k == 2:
-        return m * m + s2
-    if k == 3:
-        return m ** 3 + 3 * m * s2
-    return m ** 4 + 6 * m * m * s2 + 3 * s2 * s2
+def atom_moments(mean, cov) -> np.ndarray:
+    """(n, 4) table of E[N(m, s2)^k], k = 1..4, for n scalar atoms, mean
+    (n, 1) and cov (n, 1, 1); m ** 3 and m ** 4 are taken on Python floats."""
+    m, s2 = mean[:, 0], cov[:, 0, 0]
+    cube, fourth = (np.array([v ** k for v in m.tolist()]) for k in (3, 4))
+    return np.stack([m, m * m + s2, cube + 3 * m * s2,
+                     fourth + 6 * m * m * s2 + 3 * s2 * s2], axis=1)
 
 
 @dataclass(frozen=True)
 class IncrementLaw:
     """Distribution of the additive increment attached to one edge.
 
-    kind is one of "deterministic", "gaussian", "mixture". Fields are
-    interpreted per kind; d is the dimension of the additive component.
+    kind is one of KINDS; prob (m,), mean (m, d) and cov (m, d, d) are its
+    read-only run of atoms, d is the dimension of the additive component.
+    Built, and checked, by deterministic, gaussian and mixture, or a view of
+    a spec's atom table (MapSpec.increments).
     """
 
     kind: str
-    d: int = 1
-    value: np.ndarray = None            # deterministic
-    mean_vec: np.ndarray = None         # gaussian
-    cov: np.ndarray = None              # gaussian
-    atoms: tuple = None                 # mixture: ((prob, vector), ...)
+    prob: np.ndarray
+    mean: np.ndarray
+    cov: np.ndarray
 
-    def __post_init__(self):
-        def freeze(name, arr):
-            a = np.array(arr, dtype=float)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
-
-        if self.kind == "deterministic":
-            freeze("value", np.atleast_1d(self.value))
-        elif self.kind == "gaussian":
-            freeze("mean_vec", np.atleast_1d(self.mean_vec))
-            freeze("cov", np.atleast_2d(self.cov))
-        elif self.kind == "mixture":
-            atoms = tuple((float(p), np.atleast_1d(np.array(v, dtype=float)))
-                          for p, v in self.atoms)
-            for _, v in atoms:
-                v.setflags(write=False)
-            object.__setattr__(self, "atoms", atoms)
-        else:
-            raise ValueError(f"unknown increment kind {self.kind!r}")
-        run = self.gaussian_atoms
-        prob, mean, cov = (np.array([a[k] for a in run]) for k in range(3))
-        if mean.shape[1:] != (self.d,) or cov.shape[1:] != (self.d,) * 2:
-            raise ValueError("mean/covariance dimension mismatch")
-        check_atoms([KINDS.index(self.kind)], np.zeros(len(run), dtype=int),
-                    prob, mean, cov)
-
-    @cached_property
-    def gaussian_atoms(self) -> tuple:
-        """The law as a run of Gaussian atoms ((prob, mean, cov), ...)."""
-        if self.kind == "gaussian":
-            return ((1.0, self.mean_vec, self.cov),)
-        zero = np.zeros((self.d, self.d))
-        zero.setflags(write=False)
-        if self.kind == "deterministic":
-            return ((1.0, self.value, zero),)
-        return tuple((p, v, zero) for p, v in self.atoms)
+    @property
+    def d(self) -> int:
+        return self.mean.shape[1]
 
     def cf(self, zeta) -> complex:
         """E[exp(i <zeta, Z>)] = sum_a p_a exp(i zeta.m_a - zeta.C_a.zeta/2)."""
         zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
         return complex(sum(p * np.exp(1j * zeta @ m - 0.5 * zeta @ c @ zeta)
-                           for p, m, c in self.gaussian_atoms))
-
-    def mean(self) -> np.ndarray:
-        return sum(p * m for p, m, _ in self.gaussian_atoms)
+                           for p, m, c in zip(self.prob.tolist(), self.mean,
+                                              self.cov)))
 
     def moment(self, k: int) -> float:
         """Raw moment E[Z^k] = sum_a p_a E[N(m_a, c_a)^k], k <= 4, d = 1."""
@@ -125,23 +87,34 @@ class IncrementLaw:
             raise MomentUndefined("scalar moments require d = 1")
         if k == 0:
             return 1.0
-        if k > 4:
+        if not 0 < k <= 4:
             raise MomentUndefined(f"moment order {k} not supported")
-        return float(sum(p * _normal_moment(m.item(0), c.item(0), k)
-                         for p, m, c in self.gaussian_atoms))
+        column = atom_moments(self.mean, self.cov)[:, k - 1].tolist()
+        return float(sum(p * a for p, a in zip(self.prob.tolist(), column)))
+
+
+def _run(kind, prob, mean, cov=None) -> IncrementLaw:
+    """The checked, read-only law of one run; cov is 0 when not given."""
+    prob, mean = np.array(prob, dtype=float), np.array(mean, dtype=float)
+    cov = (np.zeros(mean.shape + mean.shape[1:]) if cov is None
+           else np.array(cov, dtype=float))
+    if mean.ndim != 2 or cov.shape != mean.shape + mean.shape[1:]:
+        raise ValueError("mean/covariance dimension mismatch")
+    check_atoms([KINDS.index(kind)], np.zeros(len(prob), dtype=int), prob,
+                mean, cov)
+    for a in (prob, mean, cov):
+        a.setflags(write=False)
+    return IncrementLaw(kind, prob, mean, cov)
 
 
 def deterministic(value) -> IncrementLaw:
-    v = np.atleast_1d(np.asarray(value, dtype=float))
-    return IncrementLaw("deterministic", d=len(v), value=v)
+    return _run("deterministic", [1.0], [np.atleast_1d(value)])
 
 
 def gaussian(mean, cov) -> IncrementLaw:
-    m = np.atleast_1d(np.asarray(mean, dtype=float))
-    c = np.atleast_2d(np.asarray(cov, dtype=float))
-    return IncrementLaw("gaussian", d=len(m), mean_vec=m, cov=c)
+    return _run("gaussian", [1.0], [np.atleast_1d(mean)], [np.atleast_2d(cov)])
 
 
 def mixture(atoms) -> IncrementLaw:
-    atoms = tuple((p, np.atleast_1d(np.asarray(v, dtype=float))) for p, v in atoms)
-    return IncrementLaw("mixture", d=len(atoms[0][1]), atoms=atoms)
+    prob, values = zip(*atoms)
+    return _run("mixture", prob, [np.atleast_1d(v) for v in values])

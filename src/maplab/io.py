@@ -101,13 +101,13 @@ def _centered(doc: dict) -> bool:
 def _law_to_dict(i, j, law) -> dict:
     base = {"from": int(i), "to": int(j), "kind": law.kind}
     if law.kind == "deterministic":
-        base["value"] = law.value.tolist()
+        base["value"] = law.mean[0].tolist()
     elif law.kind == "gaussian":
-        base["mean"] = law.mean_vec.tolist()
-        base["cov"] = law.cov.tolist()
+        base["mean"] = law.mean[0].tolist()
+        base["cov"] = law.cov[0].tolist()
     else:
-        base["atoms"] = [{"p": float(p), "value": v.tolist()}
-                         for p, v in law.atoms]
+        base["atoms"] = [{"p": p, "value": v}
+                         for p, v in zip(law.prob.tolist(), law.mean.tolist())]
     return base
 
 

@@ -24,7 +24,7 @@ from .chain_core import StochasticKernel, l2_operator_norm, solve_stationary
 from .errors import (GapAbsent, MomentUndefined, NotCentered, NotScalar,
                      NotStochastic)
 from .increments import (DETERMINISTIC, GAUSSIAN, KINDS, IncrementLaw,
-                         check_atoms, deterministic, gaussian, mixture)
+                         atom_moments, check_atoms)
 
 CENTER_TOL = 1e-12
 _TABLE_FIELDS = ("rows", "cols", "kind", "start", "prob", "mean", "cov")
@@ -85,19 +85,18 @@ def _content_hash(spec) -> str:
 
 
 def _laws_table(increments, d) -> dict:
-    """Atom table of a {(i, j): IncrementLaw} mapping, in its order."""
+    """Atom table of a {(i, j): IncrementLaw} mapping, in its order: the
+    laws' runs, one after another."""
     laws = list(increments.values())
     if any(law.d != d for law in laws):
         raise ValueError("increment dimension mismatch")
-    atoms = [a for law in laws for a in law.gaussian_atoms]
     edges = np.array(list(increments), dtype=int).reshape(-1, 2)
     return {"rows": edges[:, 0], "cols": edges[:, 1],
             "kind": [KINDS.index(law.kind) for law in laws],
-            "start": np.cumsum([0] + [len(law.gaussian_atoms)
-                                      for law in laws])[:-1],
-            "prob": [a[0] for a in atoms],
-            "mean": np.reshape([a[1] for a in atoms], (-1, d)),
-            "cov": np.reshape([a[2] for a in atoms], (-1, d, d))}
+            "start": np.cumsum([0] + [len(law.prob) for law in laws])[:-1],
+            "prob": np.concatenate([law.prob for law in laws]),
+            "mean": np.concatenate([law.mean for law in laws]),
+            "cov": np.concatenate([law.cov for law in laws])}
 
 
 def _check_support(P, rows, cols):
@@ -182,17 +181,13 @@ class MapSpec:
 
     @cached_property
     def increments(self) -> dict:
-        """{(i, j): IncrementLaw} view of the table, in its edge order (for
-        the file writer and tests; no computation reads it)."""
+        """{(i, j): IncrementLaw} view of the table, in its edge order: each
+        law's run is a read-only slice of the table's columns (for the file
+        writer and tests; no computation reads it)."""
         tab = self.edge_table
-        mean, cov, prob = tab["mean"], tab["cov"], tab["prob"].tolist()
-        law = (lambda a, b: deterministic(mean[a]),
-               lambda a, b: gaussian(mean[a], cov[a]),
-               lambda a, b: mixture(zip(prob[a:b], mean[a:b])))
-        return {(i, j): law[kind](a, b) for i, j, kind, a, b in _runs(tab)}
-
-    def law(self, i: int, j: int) -> IncrementLaw:
-        return self.increments[(i, j)]
+        return {(i, j): IncrementLaw(KINDS[kind], tab["prob"][a:b],
+                                     tab["mean"][a:b], tab["cov"][a:b])
+                for i, j, kind, a, b in _runs(tab)}
 
     content_hash = cached_property(_content_hash)
 
@@ -200,20 +195,16 @@ class MapSpec:
     def moment_matrices(self) -> np.ndarray:
         """D_k = P o E[Z^k] for k = 0..4, shape (5, S, S); scalar specs only.
 
-        Each edge's E[Z^k] is IncrementLaw.moment's sum over its atoms, with
-        m ** 3 and m ** 4 taken on Python floats as there.
+        Each edge's E[Z^k] is the sum of atom_moments over its atoms, as
+        in IncrementLaw.moment.
         """
         if self.d != 1:
             raise MomentUndefined("scalar moments require d = 1")
         tab = self.edge_table
-        m, s2 = tab["mean"][:, 0], tab["cov"][:, 0, 0]
-        cube, fourth = (np.array([v ** k for v in m.tolist()]) for k in (3, 4))
-        atom = np.stack([m, m * m + s2, cube + 3 * m * s2,
-                         fourth + 6 * m * m * s2 + 3 * s2 * s2], axis=1)
         D = np.zeros((5,) + self.P.shape)
         D[0] = self.P
-        D[1:, tab["rows"], tab["cols"]] = (tab["weight"][:, None]
-                                           * _run_sums(tab, atom)).T
+        D[1:, tab["rows"], tab["cols"]] = (tab["weight"][:, None] * _run_sums(
+            tab, atom_moments(tab["mean"], tab["cov"]))).T
         D.setflags(write=False)     # cached: every caller shares this array
         return D
 
@@ -326,19 +317,19 @@ def exact_moments(spec: MapSpec, n: int, k: int) -> float:
     return float(spec.pi @ Tn[:S, k * S:].sum(axis=1))
 
 
-def _contraction_horizon(spec: MapSpec, t_max: int = 64):
-    """Smallest tau with kappa = ||P^tau - Pi||_2 < 1, or GapAbsent."""
+def _contraction_horizon(spec: MapSpec):
+    """Smallest tau <= 64 with kappa = ||P^tau - Pi||_2 < 1, or GapAbsent."""
     Pi = spec.kernel.projector
     power = np.array(spec.P)
-    for tau in range(1, t_max + 1):
+    for tau in range(1, 65):
         kappa = l2_operator_norm(power - Pi, spec.pi)
         if kappa < 1.0 - 1e-12:
             return tau, kappa
         power = power @ spec.P
-    raise GapAbsent("no L2 contraction found up to horizon %d" % t_max)
+    raise GapAbsent("no L2 contraction found up to horizon 64")
 
 
-def variance_series(spec: MapSpec, tol: float = 1e-12):
+def variance_series(spec: MapSpec):
     """Asymptotic covariance Sigma = lim E[Y_n Y_n*]/n of a centered spec.
 
     Computed as pi(second edge moment) plus twice the geometric correlation

@@ -241,21 +241,23 @@ def _row_decode(S, B):
     return digits[:-1] * S + digits[1:], np.tile(np.arange(S), S ** B)
 
 
-def _chain_steps(P, X, n, rng, k=0):
+def _chain_steps(P, X, n, rng, k=0, at=None):
     """The one discrete-time stepping loop: n steps of the chain from X.
 
     Block-path stepping: one move uniform per path draws the next B =
     _path_length(S, N, k) steps at once, as the inverse CDF (_search) of
     the B-step path law from the path's state over its S^B paths. The last
-    draw keeps only its first r = n mod B steps, whose law is the r-step
-    law. A draw's values are N move uniforms, then k extra uniforms per
-    path for each step it keeps, step-major. A block of draws is one
-    rng.random call of about _BLOCK values (at least one draw), so the
-    stream is that of draw-by-draw calls.
+    draw before a horizon (of _horizons(n, at)) keeps only the r < B steps
+    left, whose law is the r-step law. A draw's values are N move uniforms,
+    then k extra uniforms per path for each step it keeps, step-major. A
+    block of draws is one rng.random call of about _BLOCK values (at least
+    one draw), so the stream is that of draw-by-draw calls. Blocks end at
+    the horizons and are drawn when asked for, so a caller can draw its own
+    values at a horizon.
 
     Nothing is decoded: per block it yields (rows, edge, extra, X), where
-    rows (D, N) holds each draw's row index x S^B + p, edge is
-    _row_decode's (B, S^(B+1)) edge table (_draw_edges reads the block's
+    rows (D, N) holds each draw's row index x S^B + p, edge is the call's
+    _row_decode (B, S^(B+1)) edge table (_draw_edges reads the block's
     edges from it), extra the block's (m, N, k) extra uniforms and X the
     states after its last step, where the next block starts.
     """
@@ -266,8 +268,10 @@ def _chain_steps(P, X, n, rng, k=0):
     edge, last = _row_decode(S, B)
     block = B * max(1, _BLOCK // max(N * B * (1 + k), 1))     # steps
     draw = N * (1 + B * k)                  # values of a whole draw
-    for start in range(0, n, block):
-        m = min(block, n - start)
+    ends = _horizons(n, at)
+    for start, end in [(s, h) for h0, h in zip([0] + ends, ends)
+                       for s in range(h0, h, block)]:
+        m = min(block, end - start)
         full, r = divmod(m, B)
         u = rng.random(N * (full + (r > 0) + m * k))
         cut = full * draw
@@ -403,10 +407,13 @@ def simulate_discrete(spec: MapSpec, n: int, n_paths: int, seed: int,
     k = int(cum is not None)
     X = _initial_states(spec, mu, n_paths, rng)
     Y = np.zeros((n_paths, d))
-    batches, done, row_mean = [], 0, None
+    blocks = _chain_steps(spec.P, X, n, rng, k, horizons)
+    batches, t, row_mean = [], 0, None
     for h in horizons:
         V = np.zeros((n_paths, d, d)) if gauss.any() else None
-        for rows, edge, u, X in _chain_steps(spec.P, X, h - done, rng, k):
+        while t < h:                # the blocks of the segment up to h
+            rows, edge, u, X = next(blocks)
+            t += len(u)
             if k:
                 _add_atoms(Y, V, _edge_atoms(first, cum, rows, edge, u),
                            mean, cov)
@@ -428,7 +435,6 @@ def simulate_discrete(spec: MapSpec, n: int, n_paths: int, seed: int,
             spec_id=spec_id, horizon=h, n_paths=n_paths, seed=seed,
             terminal_Y=Y.copy() if h < n else Y,
             terminal_X=X if keep_states else None))
-        done = h
     return batches if at is not None else batches[0]
 
 

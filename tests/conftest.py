@@ -1,4 +1,3 @@
-import copy
 import dataclasses
 import hashlib
 import itertools
@@ -129,34 +128,38 @@ def full_nonlattice_scan(spec, K) -> tuple:
     return float(rho[worst]), float(K[worst])
 
 
+def _points(law):
+    """A law's atoms as (probability, mean vector) pairs."""
+    return zip(law.prob.tolist(), law.mean)
+
+
 def per_kind_cf(law, zeta) -> complex:
     """IncrementLaw.cf as one branch per law kind (test oracle for the
     formula over the law's Gaussian atoms)."""
     zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
     if law.kind == "deterministic":
-        return complex(np.exp(1j * zeta @ law.value))
+        return complex(np.exp(1j * zeta @ law.mean[0]))
     if law.kind == "gaussian":
-        return complex(np.exp(1j * zeta @ law.mean_vec
-                              - 0.5 * zeta @ law.cov @ zeta))
-    return complex(sum(p * np.exp(1j * zeta @ v) for p, v in law.atoms))
+        return complex(np.exp(1j * zeta @ law.mean[0]
+                              - 0.5 * zeta @ law.cov[0] @ zeta))
+    return complex(sum(p * np.exp(1j * zeta @ v) for p, v in _points(law)))
 
 
 def per_kind_mean(law) -> np.ndarray:
-    """IncrementLaw.mean as one branch per law kind (test oracle)."""
-    if law.kind == "deterministic":
-        return law.value.copy()
-    if law.kind == "gaussian":
-        return law.mean_vec.copy()
-    return sum(p * v for p, v in law.atoms)
+    """A law's mean, by law kind (test oracle): a mixture's sum over its
+    atoms, the one atom's mean otherwise."""
+    if law.kind == "mixture":
+        return sum(p * v for p, v in _points(law))
+    return law.mean[0].copy()
 
 
 def per_kind_moment(law, k) -> float:
     """IncrementLaw.moment(k), k = 1..4, d = 1, as one branch per law kind
     (test oracle). Point masses square by pow(v, 2), as this code did."""
     if law.kind == "deterministic":
-        return float(law.value[0] ** k)
+        return float(law.mean[0, 0] ** k)
     if law.kind == "gaussian":
-        m, s2 = float(law.mean_vec[0]), float(law.cov[0, 0])
+        m, s2 = float(law.mean[0, 0]), float(law.cov[0, 0, 0])
         if k == 1:
             return m
         if k == 2:
@@ -164,7 +167,7 @@ def per_kind_moment(law, k) -> float:
         if k == 3:
             return m ** 3 + 3 * m * s2
         return m ** 4 + 6 * m * m * s2 + 3 * s2 * s2
-    return float(sum(p * v[0] ** k for p, v in law.atoms))
+    return float(sum(p * v[0] ** k for p, v in _points(law)))
 
 
 def per_kind_variance_series(spec):
@@ -179,11 +182,11 @@ def per_kind_variance_series(spec):
         else:
             mu = per_kind_mean(law)
             if law.kind == "gaussian":
-                second = law.cov + np.outer(mu, mu)
+                second = law.cov[0] + np.outer(mu, mu)
             elif law.kind == "deterministic":
                 second = np.outer(mu, mu)
             else:
-                second = sum(p * np.outer(v, v) for p, v in law.atoms)
+                second = sum(p * np.outer(v, v) for p, v in _points(law))
             s2[i] += P[i, j] * second
     base = np.einsum("x,xab->ab", pi, s2)
     EM = spec.edge_mean_matrix()
@@ -285,7 +288,7 @@ def _walk(paths, cums, x, u, r):
 def _atom_cdf(law):
     """A mixture's cumulative atom probabilities, pinned to 1 from its last
     positive atom on."""
-    probs = [p for p, _ in law.atoms]
+    probs = law.prob.tolist()
     cum = np.cumsum(probs)
     cum[max(i for i, p in enumerate(probs) if p > 0):] = 1.0
     return cum
@@ -310,7 +313,7 @@ def per_kind_simulate(spec, n, n_paths, seed, mu=None, B=None):
     chol = {}
     for e, law in spec.increments.items():
         if law.kind == "gaussian":
-            cov = law.cov + 1e-300 * np.eye(d)
+            cov = law.cov[0] + 1e-300 * np.eye(d)
             chol[e] = np.linalg.cholesky(cov + 1e-18 * np.trace(cov) * np.eye(d))
     X = _initial_states(spec.pi, mu, n_paths, rng)
     Y = np.zeros((n_paths, d))
@@ -326,12 +329,12 @@ def per_kind_simulate(spec, n, n_paths, seed, mu=None, B=None):
                 if law is None:
                     inc = np.zeros(d)
                 elif law.kind == "deterministic":
-                    inc = law.value
+                    inc = law.mean[0]
                 elif law.kind == "gaussian":
-                    inc = law.mean_vec + chol[e] @ ndtri(u_inc[s, p])
+                    inc = law.mean[0] + chol[e] @ ndtri(u_inc[s, p])
                 else:
                     a = int((u_inc[s, p, 0] >= _atom_cdf(law)).sum())
-                    inc = law.atoms[a][1]
+                    inc = law.mean[a]
                 Y[p] += inc
                 panel[p, t + s] = inc[0]
             X[p] = walk[-1]
@@ -369,7 +372,7 @@ def stepwise_sufficient_simulate(spec, n, n_paths, seed, mu=None, B=None):
     rng = _philox(f"{spec_content_hash(spec)}:{seed}".encode())
     S, d = spec.n_states, spec.d
     laws = spec.increments
-    extra = int(any(law.kind == "mixture" and len(law.atoms) > 1
+    extra = int(any(law.kind == "mixture" and len(law.prob) > 1
                     for law in laws.values()))
     B = path_length(S, n_paths, extra) if B is None else B
     paths, cums = path_laws(spec.P, B)
@@ -390,14 +393,14 @@ def stepwise_sufficient_simulate(spec, n, n_paths, seed, mu=None, B=None):
                     if law is None:
                         continue
                     if law.kind == "gaussian":
-                        Y[p] += law.mean_vec
-                        V[p] += law.cov
+                        Y[p] += law.mean[0]
+                        V[p] += law.cov[0]
                     elif law.kind == "deterministic":
-                        Y[p] += law.value
+                        Y[p] += law.mean[0]
                     else:
                         a = (int((u_atom[s, p] >= _atom_cdf(law)).sum())
-                             if len(law.atoms) > 1 else 0)
-                        Y[p] += law.atoms[a][1]
+                             if len(law.prob) > 1 else 0)
+                        Y[p] += law.mean[a]
                 X[p] = walk[-1]
         if has_gauss:
             z = ndtri(rng.random((n_paths, d)))
@@ -426,11 +429,11 @@ def projected_spec(spec, w):
     incs = {}
     for e, law in spec.increments.items():
         if law.kind == "gaussian":
-            incs[e] = gaussian([law.mean_vec @ w], [[w @ law.cov @ w]])
+            incs[e] = gaussian([law.mean[0] @ w], [[w @ law.cov[0] @ w]])
         elif law.kind == "mixture":
-            incs[e] = mixture([(p, [v @ w]) for p, v in law.atoms])
+            incs[e] = mixture([(p, [v @ w]) for p, v in _points(law)])
         else:
-            incs[e] = deterministic([law.value @ w])
+            incs[e] = deterministic([law.mean[0] @ w])
     return MapSpec(kernel=spec.kernel, increments=incs, d=1)
 
 
@@ -563,23 +566,23 @@ def per_kind_simulate_b1(spec, n, n_paths, seed, mu=None):
     det_val = np.zeros((S, S, d))
     g_mean = np.zeros((S, S, d))
     g_chol = np.zeros((S, S, d, d))
-    max_atoms = max([1] + [len(law.atoms) for law in spec.increments.values()
+    max_atoms = max([1] + [len(law.prob) for law in spec.increments.values()
                            if law.kind == "mixture"])
     mix_cum = np.ones((S, S, max_atoms))
     mix_val = np.zeros((S, S, max_atoms, d))
     for (i, j), law in spec.increments.items():
         if law.kind == "deterministic":
-            det_val[i, j] = law.value
+            det_val[i, j] = law.mean[0]
         elif law.kind == "gaussian":
             kinds[i, j] = 1
-            g_mean[i, j] = law.mean_vec
-            cov = law.cov + 1e-300 * np.eye(d)
+            g_mean[i, j] = law.mean[0]
+            cov = law.cov[0] + 1e-300 * np.eye(d)
             g_chol[i, j] = np.linalg.cholesky(cov + 1e-18 * np.trace(cov) * np.eye(d))
         elif law.kind == "mixture":
             kinds[i, j] = 2
-            cum = np.cumsum([p for p, _ in law.atoms])
+            cum = np.cumsum(law.prob)
             mix_cum[i, j, :len(cum)] = cum
-            for a, (_, v) in enumerate(law.atoms):
+            for a, v in enumerate(law.mean):
                 mix_val[i, j, a] = v
     cumP = np.cumsum(spec.P, axis=1)
     cumP[:, -1] = 1.0
@@ -625,19 +628,18 @@ def stepwise_sufficient_simulate_b1(spec, n, n_paths, seed, mu=None):
     rng = _philox(f"{spec_content_hash(spec)}:{seed}".encode())
     S, d = spec.n_states, spec.d
     laws = spec.increments
-    extra = int(any(law.kind == "mixture" and len(law.atoms) > 1
+    extra = int(any(law.kind == "mixture" and len(law.prob) > 1
                     for law in laws.values()))
     mean = np.zeros((S, S, d))
     cov = np.zeros((S, S, d, d))
     atoms = {}
     for (i, j), law in laws.items():
         if law.kind == "mixture":
-            atoms[i, j] = (np.cumsum([p for p, _ in law.atoms])[:-1],
-                           [v for _, v in law.atoms])
+            atoms[i, j] = (np.cumsum(law.prob)[:-1], list(law.mean))
         elif law.kind == "gaussian":
-            mean[i, j], cov[i, j] = law.mean_vec, law.cov
+            mean[i, j], cov[i, j] = law.mean[0], law.cov[0]
         else:
-            mean[i, j] = law.value
+            mean[i, j] = law.mean[0]
     cumP = np.cumsum(spec.P, axis=1)
     cumP[:, -1] = 1.0
     has_gauss = any(law.kind == "gaussian" for law in laws.values())
@@ -695,9 +697,9 @@ def stepwise_edge_counts_b1(kernel, n, reps, seed, mu=None):
 
 # -- The per-law spec lifecycle as it was before the flat atom table (test
 # oracle for io.map_spec_from_dict and MapSpec's table readers). The bodies
-# are the earlier code verbatim (of the content hash, its discrete branch);
-# only the names changed, and the shift, once IncrementLaw.shifted, is now a
-# function of the law.
+# are the earlier code (of the content hash, its discrete branch), with each
+# law's fields read from its run of atoms; the shift, once
+# IncrementLaw.shifted, is now a function of the law.
 
 ORACLE_CENTER_TOL = 1e-12
 
@@ -751,32 +753,26 @@ def oracle_spec_from_dict(doc: dict) -> "OracleSpec":
                       centered=bool(doc.get("centered", False)))
 
 
-def oracle_shifted(self, delta: np.ndarray):
-    """Law of Z + delta (used for centering).
+def oracle_shifted(law, delta: np.ndarray):
+    """Law of Z + delta (used for centering): every atom mean moves by delta.
 
-    A shift keeps the covariance and the atom probabilities, so the copy
-    skips the validation in __post_init__.
+    A shift keeps the covariance and the atom probabilities, so the new run
+    skips the validation of the law constructors.
     """
-    delta = np.atleast_1d(np.asarray(delta, dtype=float))
-    law = copy.copy(self)
-    law.__dict__.pop("gaussian_atoms", None)
-    if self.kind == "mixture":
-        atoms = tuple((p, v + delta) for p, v in self.atoms)
-        for _, v in atoms:
-            v.setflags(write=False)
-        object.__setattr__(law, "atoms", atoms)
-    else:
-        name = "value" if self.kind == "deterministic" else "mean_vec"
-        moved = getattr(self, name) + delta
-        moved.setflags(write=False)
-        object.__setattr__(law, name, moved)
-    return law
+    moved = law.mean + np.atleast_1d(np.asarray(delta, dtype=float))
+    moved.setflags(write=False)
+    return dataclasses.replace(law, mean=moved)
+
+
+def oracle_mean(law) -> np.ndarray:
+    """IncrementLaw.mean as it was: sum_a p_a m_a over the run, from 0."""
+    return sum(p * m for p, m in _points(law))
 
 
 def oracle_stationary_step_mean(kernel, increments, d) -> np.ndarray:
     m = np.zeros(d)
     for (i, j), law in increments.items():
-        m += kernel.pi[i] * kernel.P[i, j] * law.mean()
+        m += kernel.pi[i] * kernel.P[i, j] * oracle_mean(law)
     return m
 
 
@@ -788,13 +784,13 @@ def oracle_content_hash(spec) -> str:
     laws = {}
     for (i, j), law in sorted(spec.increments.items()):
         if law.kind == "deterministic":
-            desc = ["det", law.value.round(15).tolist()]
+            desc = ["det", law.mean[0].round(15).tolist()]
         elif law.kind == "gaussian":
-            desc = ["gauss", law.mean_vec.round(15).tolist(),
-                    law.cov.round(15).tolist()]
+            desc = ["gauss", law.mean[0].round(15).tolist(),
+                    law.cov[0].round(15).tolist()]
         else:
             desc = ["mix", [[round(p, 15), v.round(15).tolist()]
-                            for p, v in law.atoms]]
+                            for p, v in _points(law)]]
         laws[f"{i},{j}"] = desc
     payload = {
         "kind": "discrete",
@@ -845,7 +841,7 @@ class OracleSpec:
         S = self.kernel.n_states
         M = np.zeros((S, S, self.d))
         for (i, j), law in self.increments.items():
-            M[i, j] = law.mean()
+            M[i, j] = oracle_mean(law)
         return M
 
     content_hash = cached_property(oracle_content_hash)
@@ -864,23 +860,20 @@ class OracleSpec:
     def edge_table(self) -> dict:
         """Edges compiled once into flat arrays for the stacked Fourier matrix.
 
-        Each edge's law is its run of Gaussian atoms (prob, mean, cov), see
-        IncrementLaw.gaussian_atoms. start[e] is the first atom of edge e
-        and gauss[a] marks the atoms of Gaussian laws.
+        Each edge's law is its run of Gaussian atoms (prob, mean, cov), the
+        runs one after another. start[e] is the first atom of edge e and
+        gauss[a] marks the atoms of Gaussian laws.
         """
         laws = self.increments.values()
-        atoms = [(p, m, c, law.kind == "gaussian")
-                 for law in laws for p, m, c in law.gaussian_atoms]
         edges = np.array(list(self.increments), dtype=int).reshape(-1, 2)
         rows, cols = edges.T
         return {"rows": rows, "cols": cols, "weight": self.P[rows, cols],
-                "start": np.cumsum([0] + [len(law.gaussian_atoms)
-                                          for law in laws])[:-1],
-                "prob": np.array([a[0] for a in atoms]),
-                "mean": np.array([a[1] for a in atoms]).reshape(-1, self.d),
-                "cov": np.array([a[2] for a in atoms]).reshape(-1, self.d,
-                                                               self.d),
-                "gauss": np.array([a[3] for a in atoms], dtype=bool)}
+                "start": np.cumsum([0] + [len(law.prob) for law in laws])[:-1],
+                **{k: np.concatenate([getattr(law, k) for law in laws])
+                   for k in ("prob", "mean", "cov")},
+                "gauss": np.concatenate([np.full(len(law.prob),
+                                                 law.kind == "gaussian")
+                                         for law in laws])}
 
 
 def random_spec_document(seed, S, d, centered) -> dict:

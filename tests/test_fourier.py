@@ -261,7 +261,7 @@ class TestExpansion:
                 for x2 in states:
                     for x3 in states:
                         w = two_state.pi[x0] * P[x0, x1] * P[x1, x2] * P[x2, x3]
-                        y = sum(two_state.law(a, b).value[0]
+                        y = sum(two_state.increments[(a, b)].mean[0, 0]
                                 for a, b in [(x0, x1), (x1, x2), (x2, x3)])
                         total += w * np.exp(1j * z * y)
         ev = evaluate_expansion(two_state, z, n)

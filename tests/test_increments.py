@@ -70,12 +70,17 @@ class TestMoments:
             assert law.moment(2) == v * v
 
 
+def _one_edge(law, centered=False):
+    """The 1-state spec whose one edge has law."""
+    kernel = StochasticKernel(states=(0,), P=np.array([[1.0]]))
+    return MapSpec(kernel=kernel, increments={(0, 0): law}, d=law.d,
+                   centered=centered)
+
+
 def _centered(law):
     """law shifted by minus its mean: the one law of a centered 1-state
     spec, read back from the spec's atom table."""
-    kernel = StochasticKernel(states=(0,), P=np.array([[1.0]]))
-    return MapSpec(kernel=kernel, increments={(0, 0): law}, d=law.d,
-                   centered=True).law(0, 0)
+    return _one_edge(law, centered=True).increments[(0, 0)]
 
 
 def _vectors(d):
@@ -83,9 +88,8 @@ def _vectors(d):
 
 
 @st.composite
-def random_laws(draw):
-    """A law of any kind in d = 1 or 2, possibly shifted."""
-    d = draw(st.integers(1, 2))
+def constructed_laws(draw, d):
+    """A law of any kind in dimension d, from its constructor."""
     kind = draw(st.sampled_from(["deterministic", "gaussian", "mixture"]))
     if kind == "deterministic":
         law = deterministic(draw(_vectors(d)))
@@ -99,6 +103,14 @@ def random_laws(draw):
         w = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n,
                                    max_size=n)))
         law = mixture([(p, draw(_vectors(d))) for p in w / w.sum()])
+    return law
+
+
+@st.composite
+def random_laws(draw):
+    """A law of any kind in d = 1 or 2, possibly shifted."""
+    d = draw(st.integers(1, 2))
+    law = draw(constructed_laws(d))
     if draw(st.booleans()):
         law = _centered(law)    # a law of a spec's table view
     return law, draw(_vectors(d))
@@ -112,14 +124,14 @@ def _same(a, b):
 def _pow_squares(law):
     """Whether a point mass of law squares differently by pow(v, 2)."""
     return law.kind != "gaussian" and any(
-        v[0] ** 2 != v[0] * v[0] for _, v, _ in law.gaussian_atoms)
+        v[0] ** 2 != v[0] * v[0] for v in law.mean)
 
 
 class TestAtomFormulas:
-    """cf, mean, moment and the variance_series second moments, each one
-    formula over the laws' Gaussian atoms, equal the per-kind code bit for
-    bit. The one exception is the square of a point mass: the atom formula
-    squares by multiplication, which is correctly rounded, where the
+    """cf, moment, the edge mean and the variance_series second moments,
+    each one formula over the laws' Gaussian atoms, equal the per-kind code
+    bit for bit. The one exception is the square of a point mass: the atom
+    formula squares by multiplication, which is correctly rounded, where the
     per-kind code used pow(v, 2). There the two agree to a few ulps."""
 
     @settings(max_examples=300, deadline=None)
@@ -129,7 +141,8 @@ class TestAtomFormulas:
         assert _same(law.cf(zeta), per_kind_cf(law, zeta))
         assert _same(law.cf(np.negative(zeta)),
                      per_kind_cf(law, np.negative(zeta)))
-        assert _same(law.mean(), per_kind_mean(law))
+        assert _same(_one_edge(law).edge_mean_matrix()[0, 0],
+                     per_kind_mean(law))
         if law.d == 1:
             for k in (1, 2, 3, 4):
                 if k == 2 and _pow_squares(law):
@@ -151,12 +164,44 @@ class TestAtomFormulas:
             assert _same(got, want)
 
 
+class TestTableView:
+    """spec.increments gives back the laws a spec was built from, each a
+    read-only run of slices of the spec's atom table, with the cf and the
+    moments of the per-kind code."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.integers(1, 3), st.integers(1, 2))
+    def test_laws_put_in(self, data, S, d):
+        kernel = StochasticKernel(states=tuple(range(S)),
+                                  P=np.full((S, S), 1.0 / S))
+        laws = {(i, j): data.draw(constructed_laws(d))
+                for i in range(S) for j in range(S)}
+        spec = MapSpec(kernel=kernel, increments=laws, d=d)
+        zeta = data.draw(_vectors(d))
+        assert list(spec.increments) == list(laws)
+        for e, law in laws.items():
+            got = spec.increments[e]
+            assert got.kind == law.kind and got.d == d
+            for name in ("prob", "mean", "cov"):
+                run = getattr(got, name)
+                assert np.array_equal(run, getattr(law, name))
+                assert not run.flags.writeable
+                assert np.shares_memory(run, spec.edge_table[name])
+            assert _same(got.cf(zeta), per_kind_cf(law, zeta))
+            for k in (1, 2, 3, 4) if d == 1 else ():
+                if k == 2 and _pow_squares(law):
+                    assert got.moment(2) == pytest.approx(
+                        per_kind_moment(law, 2), rel=1e-15, abs=0)
+                else:
+                    assert _same(got.moment(k), per_kind_moment(law, k))
+
+
 class TestStructure:
     def test_density_component(self):
         # a law has a density component when one of its atoms has a
         # positive covariance; a zero-cov Gaussian is a point mass
         def density(law):
-            return any(c[0, 0] > 0 for _, _, c in law.gaussian_atoms)
+            return (law.cov[:, 0, 0] > 0).any()
         assert density(gaussian([0.0], [[1.0]]))
         assert not density(gaussian([0.0], [[0.0]]))
         assert not density(deterministic([1.0]))
@@ -164,12 +209,16 @@ class TestStructure:
 
     def test_gaussian_atoms(self):
         g = gaussian([1.0, 2.0], [[2.0, 0.5], [0.5, 1.0]])
-        ((p, m, c),) = g.gaussian_atoms
-        assert p == 1.0 and m is g.mean_vec and c is g.cov
-        ((p, m, c),) = deterministic([3.0]).gaussian_atoms
-        assert p == 1.0 and m[0] == 3.0 and not c.any()
-        run = mixture([(0.25, [0.0]), (0.75, [2.0])]).gaussian_atoms
-        assert [(p, m[0], c[0, 0]) for p, m, c in run] == [
+        assert g.d == 2 and g.prob.tolist() == [1.0]
+        assert g.mean.tolist() == [[1.0, 2.0]]
+        assert g.cov.tolist() == [[[2.0, 0.5], [0.5, 1.0]]]
+        assert not any(a.flags.writeable for a in (g.prob, g.mean, g.cov))
+        p = deterministic([3.0])
+        assert p.prob.tolist() == [1.0] and p.mean.tolist() == [[3.0]]
+        assert p.cov.shape == (1, 1, 1) and not p.cov.any()
+        run = mixture([(0.25, [0.0]), (0.75, [2.0])])
+        assert [(p, m[0], c[0, 0]) for p, m, c
+                in zip(run.prob, run.mean, run.cov)] == [
             (0.25, 0.0, 0.0), (0.75, 2.0, 0.0)]
 
     def test_shifted_mean(self):
@@ -177,11 +226,12 @@ class TestStructure:
         for law in (deterministic([1.0]), gaussian([1.0], [[2.0]]),
                     mixture([(0.5, [0.0]), (0.5, [2.0])])):
             shifted = _centered(law)
-            assert shifted.mean()[0] == pytest.approx(law.mean()[0] - 1.0)
+            assert per_kind_mean(shifted)[0] == pytest.approx(
+                per_kind_mean(law)[0] - 1.0)
 
     def test_shifted_cf_identity(self):
         law = mixture([(0.3, [1.0]), (0.7, [-0.5])])
-        z, m = 0.9, law.mean()[0]
+        z, m = 0.9, per_kind_mean(law)[0]
         assert _centered(law).cf(z) == pytest.approx(
             law.cf(z) * np.exp(-1j * z * m))
 
@@ -190,11 +240,11 @@ class TestStructure:
         z = 0.6
         for law in (deterministic([1.0]), gaussian([1.0], [[2.0]]),
                     mixture([(0.3, [1.0]), (0.7, [-0.5])])):
-            base, m = law.cf(z), law.mean()[0]
+            base, m = law.cf(z), per_kind_mean(law)[0]
             shifted = _centered(law)
             assert shifted.kind == law.kind
             assert shifted.cf(z) == pytest.approx(base * np.exp(-1j * z * m))
-            assert shifted.mean()[0] == pytest.approx(0.0, abs=1e-15)
+            assert per_kind_mean(shifted)[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_mixture_bad_probs(self):
         with pytest.raises(ValueError):

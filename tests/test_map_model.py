@@ -39,8 +39,8 @@ class TestSpecConstruction:
     def test_centering_preserves_occupation_structure(self):
         # centered occupation increments are 1{j=1} - pi(1) = 1{j=1} - 0.6
         spec = two_state()
-        assert spec.law(0, 1).value[0] == pytest.approx(0.4)
-        assert spec.law(0, 0).value[0] == pytest.approx(-0.6)
+        assert spec.increments[(0, 1)].mean[0, 0] == pytest.approx(0.4)
+        assert spec.increments[(0, 0)].mean[0, 0] == pytest.approx(-0.6)
 
 
 class TestExactMoments:
@@ -180,7 +180,7 @@ class TestLatticeDetection:
 
     def test_one_atom_mixture_is_a_point_mass(self):
         spec = _make_spec([[0.5, 0.5], [0.5, 0.5]], [[1.0, 3.0], [1.0, 3.0]])
-        incs = {e: mixture([(1.0, law.value)])
+        incs = {e: mixture([(1.0, law.mean[0])])
                 for e, law in spec.increments.items()}
         report = detect_lattice(MapSpec(kernel=spec.kernel, increments=incs))
         assert report.is_lattice
@@ -219,7 +219,7 @@ class TestLatticeDetection:
         report = detect_lattice(spec)
         assert report.is_lattice
         for (i, j), law in spec.increments.items():
-            resid = (law.value[0] + report.beta[j] - report.beta[i]
+            resid = (law.mean[0, 0] + report.beta[j] - report.beta[i]
                      - report.shift)
             if report.span > 0:
                 k = resid / report.span

@@ -18,6 +18,7 @@ from maplab.increments import deterministic, gaussian, mixture
 from maplab.limit_checks import ecdf_se, kolmogorov_distance
 from maplab.map_model import CtMapSpec, MapSpec, exact_moments
 from maplab.cli import dispatch
+from maplab.io import kernel_to_dict
 from maplab.mestim import simulate_edge_counts
 from maplab.montecarlo import (_cdf_table, _cov_factors, _search,
                                increment_panel, simulate_ct,
@@ -166,6 +167,21 @@ class TestContentHash:
             "ct_two_state"]
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "71287681ff9a9892559f6a9a37f3824ca9a0d81ad9b5778efb8fc7d8e5e80516")
+
+    def test_kernel_hash(self, tmp_path):
+        # a kernel's hash is the sha256 of its rounded matrix, computed
+        # once, and the spec_hash of its reports
+        kernel = two_state().kernel
+        want = ("4d1c8c32ac08be40d997b8be04645541"
+                "432b74901bcae56e698a5e4659e51359")
+        assert kernel.content_hash == want == hashlib.sha256(
+            kernel.P.round(15).tobytes()).hexdigest()
+        assert kernel.content_hash is kernel.content_hash
+        spec, out = tmp_path / "kernel.json", tmp_path / "mix.json"
+        spec.write_text(json.dumps(kernel_to_dict(kernel)))
+        assert dispatch(["mixing-bound", "--spec", str(spec), "--lags", "1,2",
+                         "--seed", "1", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["spec_hash"] == want
 
     def test_second_call_does_no_work(self, monkeypatch):
         calls = []
@@ -317,9 +333,7 @@ class TestRowSums:
         u = np.linspace(0.0, 1.0, 41)[:-1]
         for edge in range(9):
             law = spec.increments.get(divmod(edge, 3))
-            atoms = (law.atoms if law is not None and law.kind == "mixture"
-                     else [(1.0, None)])
-            cdf = np.cumsum([p for p, _ in atoms])
+            cdf = np.cumsum([1.0] if law is None else law.prob)
             got = _search(cum, np.full(len(u), edge), u)
             want = first[edge] + (u[:, None] >= cdf[:-1]).sum(axis=1)
             assert np.array_equal(got, want)
@@ -863,6 +877,30 @@ class TestHorizons:
             assert not b.terminal_Y.flags.writeable
         assert not np.array_equal(batches[0].terminal_Y,
                                   batches[-1].terminal_Y)
+
+    def test_one_edge_decode_per_call(self, monkeypatch):
+        # the segments of a call share its _row_decode edge table
+        calls = []
+        real = montecarlo._row_decode
+        monkeypatch.setattr(montecarlo, "_row_decode",
+                            lambda S, B: calls.append(B) or real(S, B))
+        for spec in (two_state(), fixtures.skewed_mixture(),
+                     random_mixed_spec(3, 1)):
+            calls.clear()
+            simulate_discrete(spec, 1024, 100, 3, at=[64, 256, 1024])
+            assert len(calls) == 1
+
+    def test_zero_step_segment(self):
+        # a segment of no steps still draws its (zero-variance) Gaussian
+        spec = fixtures.skewed_mixture()
+        batches = simulate_discrete(spec, 12, 200, 6, keep_states=True,
+                                    at=[0, 5, 12])
+        oracle = stepwise_sufficient_simulate(spec, [0, 5, 12], 200, 6)
+        assert not batches[0].terminal_Y.any()
+        for batch, (Y, X) in zip(batches, oracle):
+            assert np.array_equal(batch.terminal_X, X)
+            assert np.all(np.abs(batch.terminal_Y - Y)
+                          <= 1e-12 * (1.0 + np.abs(Y)))
 
     @pytest.mark.parametrize("at", [[8, 3, 12], [3, 3, 12], [3, 8], [],
                                     [-1, 12], [3, 8, 13]])

@@ -46,3 +46,18 @@ def test_counted_names_resolve():
     from maplab import io, map_model
     assert isinstance(map_model.CtMapSpec.__dict__["pi"], property)
     assert callable(io._atomic_write_bytes)
+
+
+def test_sim_tags(spans):
+    # the law-kind and state-count tags of a traced simulate_discrete span
+    from maplab import fixtures
+    from maplab.increments import mixture
+    from maplab.map_model import MapSpec
+    kernel = fixtures.two_state().kernel
+    mix = MapSpec(kernel=kernel, increments={
+        (i, j): mixture([(0.5, [0.0]), (0.5, [1.0])])
+        for i in range(2) for j in range(2)})
+    assert spans._sim_tags((fixtures.two_state(),), {}) == ["det", "S2"]
+    assert spans._sim_tags((fixtures.birth_death_5(),), {}) == ["det"]
+    assert spans._sim_tags((fixtures.skewed_mixture(),), {}) == ["gauss", "S2"]
+    assert spans._sim_tags((mix,), {}) == ["mixture", "S2"]
