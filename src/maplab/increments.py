@@ -55,14 +55,15 @@ def atom_moments(mean, cov) -> np.ndarray:
                      fourth + 6 * m * m * s2 + 3 * s2 * s2], axis=1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IncrementLaw:
     """Distribution of the additive increment attached to one edge.
 
     kind is one of KINDS; prob (m,), mean (m, d) and cov (m, d, d) are its
     read-only run of atoms, d is the dimension of the additive component.
     Built, and checked, by deterministic, gaussian and mixture, or a view of
-    a spec's atom table (MapSpec.increments).
+    a spec's atom table (MapSpec.increments). Laws compare and hash by
+    identity (their fields are arrays).
     """
 
     kind: str

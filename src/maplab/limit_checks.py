@@ -19,9 +19,11 @@ from .map_model import (CtMapSpec, MapSpec, branch_derivatives,
                         variance_series)
 from .montecarlo import (_initial_law, increment_panel, simulate_ct,
                          simulate_discrete)
+from .normal import ndtr
 
 DKW_DELTA = 1e-3
 A_GRID = np.linspace(-5.0, 5.0, 2001)
+PHI_GRID = ndtr(A_GRID)     # Phi on A_GRID, once per process
 
 
 def ecdf_se(n_samples: int, delta: float = DKW_DELTA) -> float:
@@ -29,31 +31,29 @@ def ecdf_se(n_samples: int, delta: float = DKW_DELTA) -> float:
     return float(np.sqrt(np.log(2.0 / delta) / (2.0 * n_samples)))
 
 
-def _phi(a):
-    """Standard normal CDF (scipy.special.ndtr, imported on first use)."""
-    from scipy.special import ndtr
-    return ndtr(a)
-
-
 def _eta(a):
     return np.exp(-0.5 * a * a) / np.sqrt(2.0 * np.pi)
 
 
-def kolmogorov_distance(sample: np.ndarray, cdf=_phi) -> float:
-    """Exact sup distance between the ECDF and a reference CDF.
+def _sup_distance(y, F, Fg) -> float:
+    """Sup distance between the ECDF of the sorted sample y and a CDF whose
+    values are F at y and Fg on A_GRID."""
+    N = len(y)
+    upper = np.max(np.arange(1, N + 1) / N - F)
+    lower = np.max(F - np.arange(0, N) / N)
+    idx = np.searchsorted(y, A_GRID, side="right")
+    grid_dev = float(np.max(np.abs(idx / N - Fg)))
+    return float(max(upper, lower, grid_dev))
+
+
+def kolmogorov_distance(sample: np.ndarray, cdf=ndtr) -> float:
+    """Exact sup distance between the ECDF and a reference CDF (Phi).
 
     Evaluated at the ECDF jumps (where the sup is attained) plus the fixed
     a-grid for robustness against heavy standardization errors.
     """
     y = np.sort(np.asarray(sample, dtype=float))
-    N = len(y)
-    F = cdf(y)
-    upper = np.max(np.arange(1, N + 1) / N - F)
-    lower = np.max(F - np.arange(0, N) / N)
-    Fg = cdf(A_GRID)
-    idx = np.searchsorted(y, A_GRID, side="right")
-    grid_dev = float(np.max(np.abs(idx / N - Fg)))
-    return float(max(upper, lower, grid_dev))
+    return _sup_distance(y, cdf(y), PHI_GRID if cdf is ndtr else cdf(A_GRID))
 
 
 @dataclass(frozen=True)
@@ -125,12 +125,14 @@ def berry_esseen_check(spec: MapSpec, n_list, paths: int, seed: int):
     return B_hat, records, bool(flat)
 
 
-def edgeworth_cdf(a, sigma: float, mu3: float, n: float, b_mu: float = 0.0):
-    """First-order corrected CDF (with optional non-stationary bias term)."""
+def edgeworth_cdf(a, sigma: float, mu3: float, n: float, b_mu: float = 0.0,
+                  phi=None):
+    """First-order corrected CDF (with optional non-stationary bias term);
+    phi is Phi(a), when it is at hand."""
     a = np.asarray(a, dtype=float)
     corr = mu3 / (6.0 * sigma ** 3 * np.sqrt(n)) * (1.0 - a * a) * _eta(a)
     bias = -b_mu * _eta(a) / (sigma * np.sqrt(n))
-    return _phi(a) + corr + bias
+    return (ndtr(a) if phi is None else phi) + corr + bias
 
 
 def asymptotic_bias(spec: MapSpec, mu) -> float:
@@ -169,15 +171,17 @@ def edgeworth_check(spec: MapSpec, n_list, paths: int, seed: int, mu=None,
     b_mu = 0.0 if mu is None else asymptotic_bias(spec, mu)
     records = []
     for n, y in _terminal_Y(spec, n_list, paths, seed, mu):
-        z = y / (sigma * np.sqrt(n))
-        kol = kolmogorov_distance(z)
+        z = np.sort(y / (sigma * np.sqrt(n)))
+        F = ndtr(z)
+        kol = _sup_distance(z, F, PHI_GRID)
         if mu3 == 0.0 and b_mu == 0.0:
             resid = kol
         else:
             # the same sup distance against the (possibly non-monotone)
-            # corrected curve
-            resid = kolmogorov_distance(
-                z, lambda a: edgeworth_cdf(a, sigma, mu3, n, b_mu))
+            # corrected curve, on the Phi values already at hand
+            resid = _sup_distance(
+                z, edgeworth_cdf(z, sigma, mu3, n, b_mu, F),
+                edgeworth_cdf(A_GRID, sigma, mu3, n, b_mu, PHI_GRID))
         records.append(GaussianComparison(
             n=n, n_samples=paths, sigma_used=sigma, kolmogorov=kol,
             be_constant=float(np.sqrt(n) * kol), edgeworth_residual=resid,

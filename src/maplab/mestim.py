@@ -32,7 +32,8 @@ class ContrastFamily:
 
     F, F1, F2 take (alpha, i, j) with alpha numpy-broadcastable and i, j
     state indices, or arrays of them that broadcast against alpha; W(i) is
-    the Lipschitz witness for the second derivative.
+    the Lipschitz witness for the second derivative, at a state or at an
+    array of states.
     """
 
     name: str
@@ -45,28 +46,40 @@ class ContrastFamily:
     def check_derivative_consistency(self, kernels, rng):
         """Finite-difference agreement of F1 with F at 64 random points."""
         lo, hi = self.alpha_domain
-        for _ in range(64):
-            a = rng.uniform(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo))
-            S = next(iter(kernels.values())).n_states
-            i, j = rng.integers(0, S, size=2)
-            h = 1e-6 * max(1.0, abs(a))
-            fd = (self.F(a + h, i, j) - self.F(a - h, i, j)) / (2 * h)
-            if abs(fd - self.F1(a, i, j)) > 1e-6 * max(1.0, abs(fd)):
-                raise ConditionViolated("F-derivative", detail=(
-                    f"F1 disagrees with finite difference at alpha={a:.4f}"))
+        pad = 0.05 * (hi - lo)
+        S = next(iter(kernels.values())).n_states
+        a, i, j = _draw_points(rng, 64, 1, lo + pad, hi - pad, S)
+        h = 1e-6 * np.maximum(1.0, np.abs(a))
+        fd = (self.F(a + h, i, j) - self.F(a - h, i, j)) / (2 * h)
+        bad = np.abs(fd - self.F1(a, i, j)) > 1e-6 * np.maximum(1.0, np.abs(fd))
+        if bad.any():
+            raise ConditionViolated("F-derivative", detail=(
+                "F1 disagrees with finite difference at "
+                f"alpha={a[np.argmax(bad)]:.4f}"))
 
     def check_lipschitz_witness(self, n_states, rng):
         """Sampled verification of the second-derivative Lipschitz bound."""
         lo, hi = self.alpha_domain
         pad = 0.05 * (hi - lo)
-        for _ in range(256):
-            a, b = rng.uniform(lo + pad, hi - pad, size=2)
-            i, j = rng.integers(0, n_states, size=2)
-            lhs = abs(self.F2(a, i, j) - self.F2(b, i, j))
-            rhs = abs(a - b) * (self.W(i) + self.W(j)) + 1e-12
-            if lhs > rhs:
-                raise ConditionViolated("V5", detail=(
-                    f"Lipschitz witness violated at ({a:.4f}, {b:.4f})"))
+        a, b, i, j = _draw_points(rng, 256, 2, lo + pad, hi - pad, n_states)
+        lhs = np.abs(self.F2(a, i, j) - self.F2(b, i, j))
+        rhs = np.abs(a - b) * (self.W(i) + self.W(j)) + 1e-12
+        bad = lhs > rhs
+        if bad.any():
+            k = np.argmax(bad)
+            raise ConditionViolated("V5", detail=(
+                f"Lipschitz witness violated at ({a[k]:.4f}, {b[k]:.4f})"))
+
+
+def _draw_points(rng, count, n_alpha, lo, hi, n_states):
+    """Columns (alpha_1, ..., alpha_n_alpha, i, j) of count points drawn one
+    by one, each as n_alpha uniforms on [lo, hi] and then two states, so
+    that the certificates test whole arrays (and report the first failing
+    point in draw order) on the stream of a point-by-point loop."""
+    pts = np.array([(*rng.uniform(lo, hi, size=n_alpha),
+                     *rng.integers(0, n_states, size=2))
+                    for _ in range(count)])
+    return (*pts[:, :n_alpha].T, *pts[:, n_alpha:].T.astype(int))
 
 
 def mean_contrast_family(xi_table: np.ndarray) -> ContrastFamily:

@@ -45,12 +45,7 @@ import numpy as np
 
 from .errors import UnsupportedInitial
 from .map_model import CtMapSpec, MapSpec
-
-
-def _ndtri(u):
-    """Standard normal quantile (scipy.special.ndtri, imported on first use)."""
-    from scipy.special import ndtri
-    return ndtri(u)
+from .normal import ndtri
 
 
 def spec_content_hash(spec) -> str:
@@ -430,7 +425,7 @@ def simulate_discrete(spec: MapSpec, n: int, n_paths: int, seed: int,
                            mean, cov)
         if V is not None:
             F = np.sqrt(V) if d == 1 else _cov_factors(V)
-            Y += np.einsum("pab,pb->pa", F, _ndtri(rng.random((n_paths, d))))
+            Y += np.einsum("pab,pb->pa", F, ndtri(rng.random((n_paths, d))))
         batches.append(TrajectoryBatch(
             spec_id=spec_id, horizon=h, n_paths=n_paths, seed=seed,
             terminal_Y=Y.copy() if h < n else Y,
@@ -548,7 +543,7 @@ def increment_panel(spec: MapSpec, n: int, n_paths: int, seed: int) -> np.ndarra
         atom = _edge_atoms(first, cum, rows, edge, u)
         inc = mean[atom, 0]
         g = gauss[atom]
-        inc[g] += np.einsum("pab,pb->pa", chol[atom[g]], _ndtri(u[g]))[:, 0]
+        inc[g] += np.einsum("pab,pb->pa", chol[atom[g]], ndtri(u[g]))[:, 0]
         panel[k:k + len(inc)] = inc
         k += len(inc)
     return panel.T

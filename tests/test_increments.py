@@ -246,6 +246,17 @@ class TestStructure:
             assert shifted.cf(z) == pytest.approx(base * np.exp(-1j * z * m))
             assert per_kind_mean(shifted)[0] == pytest.approx(0.0, abs=1e-15)
 
+    @pytest.mark.parametrize("make", [
+        lambda: mixture([(0.5, [0.0]), (0.5, [1.0])]),
+        lambda: gaussian([0.0, 1.0], np.eye(2)),
+        lambda: deterministic([1.0])])
+    def test_identity_equality(self, make):
+        # laws hold arrays, so they compare and hash by identity
+        law, twin = make(), make()
+        assert law == law and law != twin
+        assert len({law, twin, law}) == 2
+        assert hash(law) == hash(law)
+
     def test_mixture_bad_probs(self):
         with pytest.raises(ValueError):
             mixture([(0.5, [0.0]), (0.6, [1.0])])

@@ -107,6 +107,85 @@ class TestEdgeExpectation:
                     [_edge_expectation(kernel, func, a) for a in grid])
 
 
+def loop_derivative_check(family, S, rng):
+    """The point-by-point finite-difference certificate (the oracle)."""
+    lo, hi = family.alpha_domain
+    for _ in range(64):
+        a = rng.uniform(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo))
+        i, j = rng.integers(0, S, size=2)
+        h = 1e-6 * max(1.0, abs(a))
+        fd = (family.F(a + h, i, j) - family.F(a - h, i, j)) / (2 * h)
+        if abs(fd - family.F1(a, i, j)) > 1e-6 * max(1.0, abs(fd)):
+            return f"F1 disagrees with finite difference at alpha={a:.4f}"
+
+
+def loop_lipschitz_check(family, S, rng):
+    """The point-by-point Lipschitz-witness certificate (the oracle)."""
+    lo, hi = family.alpha_domain
+    pad = 0.05 * (hi - lo)
+    for _ in range(256):
+        a, b = rng.uniform(lo + pad, hi - pad, size=2)
+        i, j = rng.integers(0, S, size=2)
+        lhs = abs(family.F2(a, i, j) - family.F2(b, i, j))
+        rhs = abs(a - b) * (family.W(i) + family.W(j)) + 1e-12
+        if lhs > rhs:
+            return f"Lipschitz witness violated at ({a:.4f}, {b:.4f})"
+
+
+class TestCertificates:
+    """The certificates test stacked arrays on the stream of the loop and
+    report its first failing point."""
+
+    XI = np.arange(9.0).reshape(3, 3) / 8.0
+
+    def family(self, bad_state=None):
+        xi = self.XI
+        off = (lambda i: np.asarray(i) == bad_state)
+        return ContrastFamily(
+            name="probe", alpha_domain=(-2.0, 3.0),
+            F=lambda a, i, j: (xi[i, j] - a) ** 2,
+            # F1 is off by 1 where j is the bad state
+            F1=lambda a, i, j: -2.0 * (xi[i, j] - a) + off(j),
+            # F2 has slope 6 where i is the bad state, with witness 0
+            F2=lambda a, i, j: 2.0 + 6.0 * np.asarray(a) * off(i),
+            W=lambda i: 0.0 * np.asarray(i))
+
+    def kernels(self):
+        return {1.0: StochasticKernel(states=(0, 1, 2), P=np.full((3, 3), 1 / 3))}
+
+    @pytest.mark.parametrize("bad_state", [None, 0, 1, 2])
+    def test_derivative_against_loop(self, bad_state):
+        fam = self.family(bad_state)
+        want = loop_derivative_check(fam, 3, np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        if want is None:
+            fam.check_derivative_consistency(self.kernels(), rng)
+            ref = np.random.default_rng(0)
+            loop_derivative_check(fam, 3, ref)
+            assert rng.random() == ref.random()     # the same draws
+        else:
+            with pytest.raises(ConditionViolated) as err:
+                fam.check_derivative_consistency(self.kernels(), rng)
+            assert err.value.condition == "F-derivative"
+            assert want in str(err.value)
+
+    @pytest.mark.parametrize("bad_state", [None, 0, 1, 2])
+    def test_lipschitz_against_loop(self, bad_state):
+        fam = self.family(bad_state)
+        want = loop_lipschitz_check(fam, 3, np.random.default_rng(1))
+        rng = np.random.default_rng(1)
+        if want is None:
+            fam.check_lipschitz_witness(3, rng)
+            ref = np.random.default_rng(1)
+            loop_lipschitz_check(fam, 3, ref)
+            assert rng.random() == ref.random()
+        else:
+            with pytest.raises(ConditionViolated) as err:
+                fam.check_lipschitz_witness(3, rng)
+            assert err.value.condition == "V5"
+            assert want in str(err.value)
+
+
 class TestEstimate:
     def test_exact_sample_mean_identity(self, problem):
         # quadratic contrast: alpha_hat is exactly the occupation frequency
