@@ -139,11 +139,15 @@ def cmd_fixtures(args):
 
 
 def _branch(model, args):
-    """lambda_branch on the symmetric --zeta-max grid, with 0 added if absent."""
+    """lambda_branch on the --zeta-max grid, with 0 added if absent, made
+    exactly symmetric: each negative entry whose mirror entry is positive
+    becomes its negation, so lambda_branch decomposes each |zeta| once."""
     grid = np.linspace(-args.zeta_max, args.zeta_max, args.grid_points)
     if 0.0 not in grid:
         grid = np.sort(np.append(grid, 0.0))
-    return lambda_branch(model, grid)
+    mirror = grid[::-1]
+    return lambda_branch(model, np.where((grid < 0) & (mirror > 0), -mirror,
+                                         grid))
 
 
 def cmd_analyze(args, model):

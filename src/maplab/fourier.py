@@ -5,6 +5,8 @@ time and exp(t A(zeta)) in continuous time. Its dominant eigenvalue branch
 near zeta = 0 carries the asymptotic mean, variance and third cumulant of the
 additive component; the rank-one eigenprojection and the complementary part
 give the exact decomposition S_1(zeta)^n = lambda^n Pi(zeta) + N(zeta)^n.
+Y is real, so S_1(-zeta), lambda(-zeta) and Pi(-zeta) are the conjugates of
+their values at zeta; lambda_branch decomposes each |zeta| once.
 nonlattice_certificate fails a lattice spec exactly and scans any other.
 """
 
@@ -110,7 +112,8 @@ def _dominant_decomposition(w, V, Vinv, prev_vec=None, prev_lam=None):
 
 @dataclass(frozen=True)
 class SpectralSummary:
-    """Dominant-eigenvalue branch over a zeta grid."""
+    """Dominant-eigenvalue branch over a zeta grid; at zeta < 0, lam and
+    projections are the conjugates of their values at |zeta|."""
 
     grid: np.ndarray
     lam: np.ndarray
@@ -119,61 +122,42 @@ class SpectralSummary:
     separation: float
 
 
-def _ordered_path(grid: np.ndarray):
-    """Indices walking the grid outward from 0 (d = 1), with predecessors."""
-    order = np.argsort(np.abs(grid), kind="stable")
-    prev = {}
-    last_pos = last_neg = zero = None
-    for k in order:
-        z = grid[k]
-        if z == 0:
-            zero = k
-            prev[k] = None
-        elif z > 0:
-            prev[k] = last_pos if last_pos is not None else zero
-            last_pos = k
-        else:
-            prev[k] = last_neg if last_neg is not None else zero
-            last_neg = k
-    if zero is None:
-        raise ValueError("grid must contain zeta = 0")
-    return order, prev
-
-
 def lambda_branch(spec, grid) -> SpectralSummary:
     """Continuous dominant-eigenvalue branch along a scalar grid containing 0.
 
-    Fails with BranchCollision when the spectral separation |lambda| - kappa
-    drops below 1e-6 anywhere on the grid.
+    The branch is decomposed and walked once, outward from 0, over the
+    distinct |zeta|, which also give kappa_hat and the separation; each
+    zeta < 0 reads the conjugates of lambda and Pi at |zeta|. Fails with
+    BranchCollision, naming the first grid point at that |zeta|, when the
+    separation |lambda| - kappa drops below 1e-6.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1:
         raise ValueError("lambda_branch expects a scalar zeta grid")
-    order, prev = _ordered_path(grid)
-    S = spec.n_states
-    w, V = np.linalg.eig(_fourier_matrix(spec, grid))
+    moduli, at = np.unique(np.abs(grid), return_inverse=True)
+    if not len(moduli) or moduli[0] != 0:
+        raise ValueError("grid must contain zeta = 0")
+    w, V = np.linalg.eig(_fourier_matrix(spec, moduli))
     try:
         Vinv = np.linalg.inv(V)
     except np.linalg.LinAlgError:
         raise BranchCollision("defective Fourier matrix on the grid")
-    lam = np.empty(len(grid), dtype=complex)
-    projections = np.empty((len(grid), S, S), dtype=complex)
-    vecs = {}
-    kappa_hat = 0.0
-    separation = np.inf
-    for k in order:
-        p = prev[k]
-        lam_k, u, proj, kappa = _dominant_decomposition(
-            w[k], V[k], Vinv[k], vecs.get(p), None if p is None else lam[p])
-        sep = abs(lam_k) - kappa
+    lam = np.empty(len(moduli), dtype=complex)
+    projections = np.empty((len(moduli),) + V.shape[1:], dtype=complex)
+    u, kappa_hat, separation = None, 0.0, np.inf
+    for k in range(len(moduli)):
+        lam[k], u, projections[k], kappa = _dominant_decomposition(
+            w[k], V[k], Vinv[k], u, lam[k - 1] if k else None)
+        sep = abs(lam[k]) - kappa
         if sep < SEPARATION_MIN:
-            raise BranchCollision(
-                f"separation {sep:.2e} at zeta={grid[k]:g} below {SEPARATION_MIN:g}")
-        lam[k] = lam_k
-        vecs[k] = u
-        projections[k] = proj
+            raise BranchCollision(f"separation {sep:.2e} at zeta="
+                                  f"{grid[np.argmax(at == k)]:g} below "
+                                  f"{SEPARATION_MIN:g}")
         kappa_hat = max(kappa_hat, kappa)
         separation = min(separation, sep)
+    neg = grid < 0
+    lam, projections = lam[at], projections[at]
+    lam[neg], projections[neg] = lam[neg].conj(), projections[neg].conj()
     return SpectralSummary(grid=grid, lam=lam, projections=projections,
                            kappa_hat=kappa_hat, separation=float(separation))
 
@@ -216,11 +200,8 @@ def evaluate_expansion(spec, zeta, n: int, f=None) -> ExpansionEvaluation:
         f = np.ones(S)
     f = np.asarray(f, dtype=complex)
     zeta = float(np.atleast_1d(zeta)[0])
-    summary = lambda_branch(spec, np.array([0.0, zeta]) if zeta != 0
-                            else np.array([0.0]))
-    k = 1 if zeta != 0 else 0
-    lam = summary.lam[k]
-    proj = summary.projections[k]
+    summary = lambda_branch(spec, [0.0, zeta])
+    lam, proj = summary.lam[1], summary.projections[1]
     M = _fourier_matrix(spec, zeta)[0]
     lhs = complex(pi @ (np.linalg.matrix_power(M, n) @ f))
     rhs_main = complex(lam ** n * (pi @ (proj @ f)))
@@ -288,10 +269,8 @@ def contour_crosscheck(spec, zeta, n: int, nodes: int = 256,
     """
     zeta = float(np.atleast_1d(zeta)[0])
     M = _fourier_matrix(spec, zeta)[0]
-    grid = np.array([0.0, zeta]) if zeta != 0 else np.array([0.0])
-    summary = lambda_branch(spec, grid)
-    k = len(grid) - 1
-    lam, proj = summary.lam[k], summary.projections[k]
+    summary = lambda_branch(spec, [0.0, zeta])
+    lam, proj = summary.lam[1], summary.projections[1]
     eigs = np.linalg.eigvals(M)
     others = np.array([e for e in eigs if abs(e - lam) > 1e-10])
     kappa_hat = float(np.max(np.abs(others))) if len(others) else 0.0

@@ -259,6 +259,15 @@ def _test_functionals(panel_col):
     return funcs
 
 
+def _standardised(panel_col):
+    """(Z, n): the n test functionals of panel_col, less those with std below
+    1e-12, centred and scaled to unit norm as the rows of Z."""
+    F = np.array(_test_functionals(panel_col))
+    Z = F[F.std(axis=1, ddof=1) >= 1e-12]
+    Z = Z - Z.mean(axis=1, keepdims=True)
+    return Z / np.linalg.norm(Z, axis=1, keepdims=True), len(F)
+
+
 def rho_mixing_check(spec, lags, paths: int, seed: int):
     """Empirical lag correlations of increments against ||P^{t-1} - Pi||_2.
 
@@ -280,19 +289,14 @@ def rho_mixing_check(spec, lags, paths: int, seed: int):
     report = spectral_gap_report(kernel, max_lag + 1)
     se = 1.0 / np.sqrt(paths)
     out = []
-    fs = [(f, f.std(ddof=1)) for f in _test_functionals(panel[:, 0])]
+    zf, nf = _standardised(panel[:, 0])
     for t in lags:
         t = int(t)
-        hs = [(h, h.std(ddof=1)) for h in _test_functionals(panel[:, t])]
-        best = 0.0
-        degenerate = 0
-        for f, sf in fs:
-            for h, sh in hs:
-                if sf < 1e-12 or sh < 1e-12:
-                    degenerate += 1
-                    continue
-                c = float(np.corrcoef(f, h)[0, 1])
-                best = max(best, abs(c))
+        zh, nh = _standardised(panel[:, t])
+        # one product: the correlation of every pair of non-degenerate ones
+        corr = np.clip(zf @ zh.T, -1.0, 1.0)
+        best = float(np.abs(corr).max(initial=0.0))
+        degenerate = nf * nh - corr.size
         bound = report.bound(t)     # ||P^{t-1} - Pi||_2 >= rho(t)
         out.append(RhoMixReport(lag=t, empirical_max=best, bound=float(bound),
                                 se=se, degenerate_pairs=degenerate,

@@ -24,6 +24,44 @@ def run(argv):
     return dispatch(argv)
 
 
+def _linspace_grid(zeta_max, points):
+    """The branch grid before its negative half mirrors the positive one."""
+    grid = np.linspace(-zeta_max, zeta_max, points)
+    return grid if 0.0 in grid else np.sort(np.append(grid, 0.0))
+
+
+class TestBranchGrid:
+    @pytest.mark.parametrize("fixture", ["two_state", "ct_two_state"])
+    @pytest.mark.parametrize("cmd", ["analyze", "scan-lambda"])
+    @pytest.mark.parametrize("points, stack", [(None, 21), (81, 41)])
+    def test_one_eig_per_modulus(self, tmp_path, monkeypatch, fixture, cmd,
+                                 points, stack):
+        shapes = []
+        eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig",
+                            lambda a: shapes.append(np.shape(a)) or eig(a))
+        argv = [] if points is None else ["--grid-points", str(points)]
+        assert run([cmd, "--fixture", fixture, *argv,
+                    "--out", str(tmp_path / "out")]) == 0
+        assert [s for s in shapes if len(s) == 3] == [(stack, 2, 2)]
+
+    @pytest.mark.parametrize("points", [1, 2, 5, 40, 41])
+    @pytest.mark.parametrize("zeta_max", [0.5, 0.25, 0.0, -1.0])
+    def test_report_grid_is_symmetric(self, tmp_path, zeta_max, points):
+        out = tmp_path / "report.json"
+        assert run(["analyze", "--fixture", "two_state",
+                    f"--zeta-max={zeta_max!r}", "--grid-points", str(points),
+                    "--out", str(out)]) == 0
+        grid = np.array(json.loads(out.read_text())["grid"])
+        old = _linspace_grid(zeta_max, points)
+        assert np.array_equal(np.sign(grid), np.sign(old))
+        assert np.array_equal(grid[old >= 0], old[old >= 0])
+        assert np.all(np.abs(grid - old) <= np.spacing(abs(zeta_max)))
+        # one point: linspace gives -zeta_max alone, and 0 is added to it
+        one_sided = points == 1 and zeta_max != 0
+        assert np.array_equal(grid, -grid[::-1]) != one_sided
+
+
 class TestDispatch:
     def test_fixtures_list(self, capsys):
         assert run(["fixtures", "list"]) == 0

@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 from maplab import fixtures
 from maplab.chain_core import StochasticKernel, l2_operator_norm
 from maplab.errors import BranchCollision, NonFiniteOperator, SingularResolvent
-from maplab.fixtures import (ct_two_state, gaussian_iid, iid_rademacher,
-                             lattice_pm1, skewed_mixture, two_state)
+from maplab.fixtures import (birth_death_5, ct_two_state, gaussian_iid,
+                             iid_rademacher, lattice_pm1, skewed_mixture,
+                             two_state)
 from maplab.fourier import (NONLATTICE_GRID, NONLATTICE_RHO_MAX,
                             _fourier_matrix, build_fourier, check_semigroup,
                             contour_crosscheck, derivatives_at_zero,
@@ -21,6 +22,11 @@ from conftest import (edge_loop_fourier, full_nonlattice_scan, random_kernel,
                       random_mixed_spec, step_moments)
 
 ALL_DISCRETE = [two_state, iid_rademacher, skewed_mixture, gaussian_iid]
+BRANCH_SPECS = ALL_DISCRETE + [birth_death_5, lattice_pm1, ct_two_state]
+# the CLI's default grid, its negative half the exact negation of the other
+SYMMETRIC_GRID = np.linspace(-0.5, 0.5, 41)
+SYMMETRIC_GRID = np.where(SYMMETRIC_GRID < 0, -SYMMETRIC_GRID[::-1],
+                          SYMMETRIC_GRID)
 
 
 def _random_spec(seed, n_states=3):
@@ -184,6 +190,56 @@ class TestLambdaBranch:
     def test_grid_must_contain_zero(self, two_state):
         with pytest.raises(ValueError):
             lambda_branch(two_state, np.array([0.1, 0.2]))
+
+    @pytest.mark.parametrize("make", BRANCH_SPECS)
+    def test_mirrored_half_against_direct_eig(self, make):
+        # lambda and Pi at zeta < 0 are read as conjugates; a direct eig of
+        # S_1(zeta) at that zeta is the independent oracle
+        spec = make()
+        summary = lambda_branch(spec, SYMMETRIC_GRID)
+        for k in np.flatnonzero(SYMMETRIC_GRID < 0):
+            w, V = np.linalg.eig(_fourier_matrix(spec, [SYMMETRIC_GRID[k]])[0])
+            i = int(np.argmin(np.abs(w - summary.lam[k])))
+            assert abs(w[i] - summary.lam[k]) < 1e-10
+            direct = np.outer(V[:, i], np.linalg.inv(V)[i])
+            assert np.max(np.abs(direct - summary.projections[k])) < 1e-9
+
+    @pytest.mark.parametrize("make", BRANCH_SPECS)
+    def test_nonnegative_half_is_its_own_walk(self, make):
+        keep = SYMMETRIC_GRID >= 0
+        summary = lambda_branch(make(), SYMMETRIC_GRID)
+        half = lambda_branch(make(), SYMMETRIC_GRID[keep])
+        assert np.array_equal(summary.lam[keep], half.lam)
+        assert np.array_equal(summary.projections[keep], half.projections)
+        assert summary.kappa_hat == half.kappa_hat
+        assert summary.separation == half.separation
+
+    def test_asymmetric_grid_reads_the_one_walk(self, two_state):
+        # -0.3 has no mirror on the grid: it is the conjugate of the walk
+        # continued to |zeta| = 0.3
+        summary = lambda_branch(two_state, np.array([-0.3, 0.0, 0.1, 0.2]))
+        walk = lambda_branch(two_state, np.array([0.0, 0.1, 0.2, 0.3]))
+        assert np.array_equal(summary.lam, np.append(np.conj(walk.lam[3]),
+                                                     walk.lam[:3]))
+        assert np.array_equal(summary.projections[0],
+                              np.conj(walk.projections[3]))
+        assert np.array_equal(summary.projections[1:], walk.projections[:3])
+        assert (summary.kappa_hat, summary.separation) == (walk.kappa_hat,
+                                                           walk.separation)
+
+    @pytest.mark.parametrize("grid", [np.arange(-60, 61) / 10,
+                                      np.arange(60, -61, -1) / 10,
+                                      np.arange(-20, 61) / 10])
+    def test_collision_names_first_grid_point(self, grid):
+        # gaussian_iid: |lambda| = exp(-zeta^2 / 2) falls below 1e-6 near
+        # 5.3; the message names the first grid point at the failing |zeta|
+        spec = gaussian_iid()
+        with pytest.raises(BranchCollision) as half:
+            lambda_branch(spec, grid[grid >= 0])
+        m = float(str(half.value).split("zeta=")[1].split()[0])
+        at = grid[np.flatnonzero(np.abs(grid) == m)[0]]
+        with pytest.raises(BranchCollision, match=f"at zeta={at:g} below"):
+            lambda_branch(spec, grid)
 
 
 class TestDerivatives:

@@ -18,6 +18,7 @@ from maplab.limit_checks import (asymptotic_bias, berry_esseen_check,
                                  kolmogorov_distance, llt_check,
                                  rho_mixing_check, triangular_bump)
 from maplab.map_model import CtMapSpec, MapSpec, detect_lattice
+from maplab.montecarlo import increment_panel
 
 
 class TestKolmogorov:
@@ -200,6 +201,24 @@ class TestRhoMixing:
         reports = rho_mixing_check(spec, [2], 1000, 0)
         assert reports[0].degenerate_pairs > 0
         assert reports[0].empirical_max == 0.0
+
+    @pytest.mark.parametrize("make, lags", [
+        (two_state, [1, 2, 3]), (skewed_mixture, [1, 4]),
+        (iid_rademacher, [2]), (birth_death_5, [1, 3])])
+    def test_matches_per_pair_corrcoef(self, make, lags):
+        # oracle: np.corrcoef on each pair of non-degenerate functionals
+        spec = make()
+        reports = rho_mixing_check(spec, lags, 2000, 3)
+        panel = increment_panel(spec, max(lags) + 1, 2000, 3)
+        fs = limit_checks._test_functionals(panel[:, 0])
+        for r in reports:
+            hs = limit_checks._test_functionals(panel[:, r.lag])
+            live = [(f, h) for f in fs for h in hs
+                    if min(f.std(ddof=1), h.std(ddof=1)) >= 1e-12]
+            best = max((abs(np.corrcoef(f, h)[0, 1]) for f, h in live),
+                       default=0.0)
+            assert abs(r.empirical_max - best) < 1e-12
+            assert r.degenerate_pairs == len(fs) * len(hs) - len(live)
 
 
 class TestContinuousTime:

@@ -158,7 +158,7 @@ class TestContentHash:
 
     def test_skeleton_keeps_ct_hash(self, tmp_path):
         # the CT mixing report: its stream and spec_hash are the CT spec's,
-        # and its bytes are pinned
+        # and its bytes are pinned (empirical_max as one product per lag)
         out = tmp_path / "mix.json"
         assert dispatch(["mixing-bound", "--fixture", "ct_two_state",
                          "--lags", "1,5", "--paths", "3000", "--seed", "11",
@@ -166,7 +166,7 @@ class TestContentHash:
         assert json.loads(out.read_text())["spec_hash"] == self.PINNED[
             "ct_two_state"]
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "71287681ff9a9892559f6a9a37f3824ca9a0d81ad9b5778efb8fc7d8e5e80516")
+            "9eb50dcce3a93d0caa07d61e980bdfec21cfc72d0cd995634b942769220047fd")
 
     def test_kernel_hash(self, tmp_path):
         # a kernel's hash is the sha256 of its rounded matrix, computed
