@@ -1,17 +1,14 @@
 """Spectral analysis and limit-theorem verification for Markov additive
 processes with finite driving chains."""
 
-from .chain_core import (MixingBoundTable, StochasticKernel, check_reversible,
-                         interpolation_bound, l2_operator_norm,
+from .chain_core import (MixingBoundTable, StochasticKernel, l2_operator_norm,
                          solve_stationary, spectral_gap_report)
 from .errors import (BranchCollision, ConditionViolated, DegenerateVariance,
                      GapAbsent, LatticeSpec, MaplabError, MomentUndefined,
                      NoInteriorRoot, NonFiniteOperator, NonIrreducible,
-                     NotCentered, NotScalar, NotStochastic, SingularResolvent,
-                     UnsupportedInitial, ZeroMassState)
-from .fourier import (ExpansionEvaluation, FourierOperator, SpectralSummary,
-                      build_fourier, check_semigroup, contour_crosscheck,
-                      derivatives_at_zero, evaluate_expansion, lambda_branch,
+                     NotCentered, NotScalar, NotStochastic, UnsupportedInitial,
+                     ZeroMassState)
+from .fourier import (SpectralSummary, derivatives_at_zero, lambda_branch,
                       nonlattice_certificate, nonlattice_scan)
 from .increments import IncrementLaw, deterministic, gaussian, mixture
 from .limit_checks import (GaussianComparison, LltRecord, RhoMixReport,

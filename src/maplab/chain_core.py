@@ -120,8 +120,12 @@ class StochasticKernel:
         """Rank-one projection onto constants: every row equals pi."""
         return np.tile(self.pi, (self.n_states, 1))
 
-    def support(self) -> np.ndarray:
-        return np.flatnonzero(self.pi > 0)
+    @cached_property
+    def fundamental(self) -> np.ndarray:
+        """Read-only fundamental matrix Z = (I - P + Pi)^{-1}."""
+        Z = np.linalg.inv(np.eye(self.n_states) - self.P + self.projector)
+        Z.setflags(write=False)
+        return Z
 
     @cached_property
     def content_hash(self) -> str:
@@ -148,26 +152,6 @@ def l2_operator_norm(A: np.ndarray, pi: np.ndarray) -> float:
     w = np.sqrt(pi)
     weighted = (w[:, None] * A) / w[None, :]
     return float(np.linalg.svd(weighted, compute_uv=False)[0])
-
-
-def check_reversible(kernel: StochasticKernel, tol: float = 1e-12) -> bool:
-    """True iff diag(pi) P is symmetric (detailed balance)."""
-    flux = kernel.pi[:, None] * kernel.P
-    return bool(np.max(np.abs(flux - flux.T)) <= tol)
-
-
-def interpolation_bound(norm_p1: float, norm_p2: float, alpha: float) -> float:
-    """Interpolated norm bound from two endpoint operator norms.
-
-    Returns min(a^alpha * b^(1-alpha), 2 min(a^alpha, b^(1-alpha))).
-    """
-    if norm_p1 < 0 or norm_p2 < 0:
-        raise ValueError("norms must be nonnegative")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must be in [0, 1]")
-    a = norm_p1 ** alpha
-    b = norm_p2 ** (1.0 - alpha)
-    return min(a * b, 2.0 * min(a, b))
 
 
 @dataclass(frozen=True)

@@ -140,9 +140,12 @@ def cmd_fixtures(args):
 
 def _branch(model, args):
     """lambda_branch on the --zeta-max grid, with 0 added if absent, made
-    exactly symmetric: each negative entry whose mirror entry is positive
-    becomes its negation, so lambda_branch decomposes each |zeta| once."""
+    exactly symmetric: an odd grid's middle entry is 0, and each negative
+    entry whose mirror entry is positive becomes its negation, so
+    lambda_branch decomposes each |zeta| once."""
     grid = np.linspace(-args.zeta_max, args.zeta_max, args.grid_points)
+    if args.grid_points % 2 and args.grid_points > 1:
+        grid[args.grid_points // 2] = 0.0   # linspace may leave 2e-16 there
     if 0.0 not in grid:
         grid = np.sort(np.append(grid, 0.0))
     mirror = grid[::-1]

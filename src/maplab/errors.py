@@ -33,10 +33,6 @@ class NonFiniteOperator(MaplabError):
     """A Fourier operator has a non-finite entry (the frequency overflows it)."""
 
 
-class SingularResolvent(MaplabError):
-    """An eigenvalue lies too close to an integration contour."""
-
-
 class DegenerateVariance(MaplabError):
     """Asymptotic variance is (numerically) zero; Gaussian comparison undefined."""
 

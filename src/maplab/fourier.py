@@ -1,14 +1,15 @@
 """Fourier operators of a MAP and the dominant-eigenvalue branch.
 
-S_1(zeta) is the S x S complex matrix P(x, x') phi_{x,x'}(zeta) in discrete
-time and exp(t A(zeta)) in continuous time. Its dominant eigenvalue branch
-near zeta = 0 carries the asymptotic mean, variance and third cumulant of the
-additive component; the rank-one eigenprojection and the complementary part
-give the exact decomposition S_1(zeta)^n = lambda^n Pi(zeta) + N(zeta)^n.
-Y is real, so S_1(-zeta), lambda(-zeta) and Pi(-zeta) are the conjugates of
-their values at zeta; lambda_branch decomposes each |zeta| once.
-nonlattice_certificate fails a lattice spec exactly and scans any other.
-"""
+_fourier_matrix stacks S_1(zeta): the S x S complex matrix
+P(x, x') phi_{x,x'}(zeta) in discrete time and exp(A(zeta)) in continuous
+time. Its dominant eigenvalue branch near zeta = 0 carries the asymptotic
+mean, variance and third cumulant of the additive component; lambda_branch
+returns the branch and its rank-one eigenprojection Pi, which give the exact
+decomposition S_1(zeta)^n = lambda^n Pi(zeta) + N(zeta)^n with
+N = S_1 - lambda Pi. Y is real, so S_1(-zeta), lambda(-zeta) and Pi(-zeta)
+are the conjugates of their values at zeta; lambda_branch decomposes each
+|zeta| once. nonlattice_certificate fails a lattice spec exactly and scans
+any other."""
 
 from __future__ import annotations
 
@@ -16,23 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain_core import l2_operator_norm
-from .errors import BranchCollision, NonFiniteOperator, SingularResolvent
+from .errors import BranchCollision, NonFiniteOperator
 from .map_model import CtMapSpec, _expm, branch_derivatives, detect_lattice
 
 SEPARATION_MIN = 1e-6
 NONLATTICE_RHO_MAX = 1.0 - 1e-8     # nonlattice: scanned radius below this
 NONLATTICE_GRID = (0.1, 10.0, 200)  # default scan grid: k_min, k_max, k_points
 BOUND_CHUNK = 16     # nonlattice_scan takes |M| this many points at a time
-
-
-@dataclass(frozen=True)
-class FourierOperator:
-    """Fourier operator matrix at one frequency point."""
-
-    zeta: np.ndarray
-    t: float
-    M: np.ndarray
 
 
 def _fourier_matrix(spec, zeta) -> np.ndarray:
@@ -60,27 +51,6 @@ def _fourier_matrix(spec, zeta) -> np.ndarray:
         raise NonFiniteOperator("S_1(zeta) is not finite at zeta = "
                                 f"{np.squeeze(Z[~finite][0]).tolist()}")
     return M
-
-
-def build_fourier(spec, zeta, t=1) -> FourierOperator:
-    """Fourier operator S_t(zeta) of a discrete or continuous-time spec."""
-    zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
-    if isinstance(spec, CtMapSpec):
-        z = float(zeta[0])
-        M = _expm(float(t) * spec.fourier_generator(z))
-        return FourierOperator(zeta=zeta, t=float(t), M=M)
-    if int(t) != t or t < 0:
-        raise ValueError("discrete time must be a nonnegative integer")
-    M = np.linalg.matrix_power(_fourier_matrix(spec, zeta)[0], int(t))
-    return FourierOperator(zeta=zeta, t=int(t), M=M)
-
-
-def check_semigroup(spec, zeta, s, t) -> float:
-    """||S_{t+s}(zeta) - S_t(zeta) S_s(zeta)||_2; contract <= 1e-9."""
-    A = build_fourier(spec, zeta, s).M
-    B = build_fourier(spec, zeta, t).M
-    C = build_fourier(spec, zeta, s + t).M
-    return l2_operator_norm(C - B @ A, spec.pi)
 
 
 def _dominant_decomposition(w, V, Vinv, prev_vec=None, prev_lam=None):
@@ -175,45 +145,6 @@ def derivatives_at_zero(spec):
     return np.array([1j * l1]), np.array([[complex(-l2)]]), -1j * l3
 
 
-@dataclass(frozen=True)
-class ExpansionEvaluation:
-    """Characteristic-function expansion lhs = lambda^n L + R_n at one point."""
-
-    zeta: float
-    n: int
-    lhs: complex
-    rhs_main: complex
-    rhs_rem: complex
-    kappa_hat: float
-    conditioning: float
-
-    @property
-    def identity_residual(self) -> float:
-        return abs(self.lhs - (self.rhs_main + self.rhs_rem))
-
-
-def evaluate_expansion(spec, zeta, n: int, f=None) -> ExpansionEvaluation:
-    """Evaluate E[e^{i zeta Y_n} f(X_n)] against its spectral decomposition."""
-    pi = spec.pi
-    S = len(pi)
-    if f is None:
-        f = np.ones(S)
-    f = np.asarray(f, dtype=complex)
-    zeta = float(np.atleast_1d(zeta)[0])
-    summary = lambda_branch(spec, [0.0, zeta])
-    lam, proj = summary.lam[1], summary.projections[1]
-    M = _fourier_matrix(spec, zeta)[0]
-    lhs = complex(pi @ (np.linalg.matrix_power(M, n) @ f))
-    rhs_main = complex(lam ** n * (pi @ (proj @ f)))
-    N = M - lam * proj
-    rhs_rem = complex(pi @ (np.linalg.matrix_power(N, n) @ f))
-    cond = float(np.linalg.norm(proj, 2))
-    kappa = max(abs(x) for x in np.linalg.eigvals(N))
-    return ExpansionEvaluation(zeta=zeta, n=n, lhs=lhs, rhs_main=rhs_main,
-                               rhs_rem=rhs_rem, kappa_hat=float(kappa),
-                               conditioning=cond)
-
-
 def nonlattice_scan(spec, K) -> tuple:
     """Max spectral radius of S_1(zeta) over a grid excluding 0.
 
@@ -257,45 +188,3 @@ def nonlattice_certificate(spec, K) -> tuple:
     return lattice is None and rho_hat < NONLATTICE_RHO_MAX, {
         "rho_hat": rho_hat, "worst_zeta": worst, "lattice": lattice}
 
-
-def contour_crosscheck(spec, zeta, n: int, nodes: int = 256,
-                       kappa: float = None) -> float:
-    """Resolvent-contour realization of the eigenprojection and remainder.
-
-    Pi(zeta) is recovered by trapezoidal quadrature of the resolvent around
-    the dominant eigenvalue; N(zeta)^n around the origin at radius kappa
-    (default midpoint between kappa_hat and |lambda|). Returns the max of the
-    two matrix residuals against the eigendecomposition realization.
-    """
-    zeta = float(np.atleast_1d(zeta)[0])
-    M = _fourier_matrix(spec, zeta)[0]
-    summary = lambda_branch(spec, [0.0, zeta])
-    lam, proj = summary.lam[1], summary.projections[1]
-    eigs = np.linalg.eigvals(M)
-    others = np.array([e for e in eigs if abs(e - lam) > 1e-10])
-    kappa_hat = float(np.max(np.abs(others))) if len(others) else 0.0
-    if kappa is None:
-        kappa = 0.5 * (kappa_hat + abs(lam))
-
-    def contour_integral(center, radius, weight):
-        if np.min(np.abs(np.abs(eigs - center) - radius)) < 1e-8:
-            raise SingularResolvent("eigenvalue within 1e-8 of the contour")
-        theta = 2 * np.pi * np.arange(nodes) / nodes
-        z = center + radius * np.exp(1j * theta)
-        dz = radius * 1j * np.exp(1j * theta) * (2 * np.pi / nodes)
-        acc = np.zeros_like(M)
-        I = np.eye(M.shape[0])
-        for zk, dzk in zip(z, dz):
-            acc = acc + weight(zk) * np.linalg.solve(zk * I - M, I) * dzk
-        return acc / (2j * np.pi)
-
-    # circle around the dominant eigenvalue separating it from the rest
-    r1 = 0.5 * (abs(lam) - kappa_hat)
-    proj_contour = contour_integral(lam, r1, lambda z: 1.0)
-    res_proj = float(np.linalg.norm(proj_contour - proj, 2))
-
-    Nmat = M - lam * proj
-    Nn = np.linalg.matrix_power(Nmat, n)
-    Nn_contour = contour_integral(0.0, kappa, lambda z: z ** n)
-    res_N = float(np.linalg.norm(Nn_contour - Nn, 2))
-    return max(res_proj, res_N)

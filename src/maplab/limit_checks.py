@@ -146,8 +146,7 @@ def asymptotic_bias(spec: MapSpec, mu) -> float:
     a = np.einsum("ij,ij->i", P, spec.edge_mean_matrix()[:, :, 0])
     if abs(pi @ a) > 1e-10:
         raise NotCentered("asymptotic bias requires a centered spec")
-    Z = np.linalg.inv(np.eye(len(pi)) - P + spec.kernel.projector)
-    return float(mu @ Z @ a)
+    return float(mu @ spec.kernel.fundamental @ a)
 
 
 def _require_nonlattice(spec, allow_lattice):

@@ -357,8 +357,7 @@ def variance_series(spec: MapSpec):
 
     _contraction_horizon(spec)      # certify summability (GapAbsent otherwise)
     # sum_{l>=1} P^{l-1} a = Z a exactly, Z = (I - P + Pi)^{-1}, since pi a = 0
-    Z = np.linalg.inv(np.eye(S) - P + spec.kernel.projector)
-    Za = Z @ a
+    Za = spec.kernel.fundamental @ a
     cross_half = np.einsum("ja,jb->ab", w, Za)
     cross = cross_half + cross_half.T
     Sigma = base + cross
@@ -388,7 +387,7 @@ def branch_derivatives(spec) -> tuple:
         if spec.d != 1:
             raise MomentUndefined("branch derivatives require d = 1")
         _, A1, A2, A3, _ = spec.moment_matrices
-        Q = np.linalg.inv(np.eye(S) - spec.P + Pi) - Pi
+        Q = spec.kernel.fundamental - Pi
     one = np.ones(S)
     a1 = A1 @ one
     l1, r1 = pi @ a1, Q @ a1

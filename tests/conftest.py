@@ -11,11 +11,11 @@ from scipy.special import ndtr, ndtri
 from scipy.stats import binom
 
 from maplab import fixtures
-from maplab.chain_core import StochasticKernel
-from maplab.fourier import _fourier_matrix
+from maplab.chain_core import StochasticKernel, l2_operator_norm
+from maplab.fourier import _fourier_matrix, lambda_branch
 from maplab.increments import deterministic, gaussian, mixture
 from maplab.io import FormatError, kernel_from_dict
-from maplab.map_model import MapSpec
+from maplab.map_model import CtMapSpec, MapSpec, _expm
 from maplab.montecarlo import spec_content_hash
 
 
@@ -110,6 +110,80 @@ def edge_loop_fourier(spec, zeta):
     for (i, j), law in spec.increments.items():
         M[i, j] = spec.P[i, j] * law.cf(zeta)
     return M
+
+
+def fourier_power(spec, zeta, t):
+    """S_t(zeta) from the one-step operator: S_1(zeta)^t from _fourier_matrix
+    in discrete time (integer t), exp(t A(zeta)) in continuous time."""
+    if isinstance(spec, CtMapSpec):
+        return _expm(float(t) * spec.fourier_generator(float(zeta)))
+    return np.linalg.matrix_power(_fourier_matrix(spec, zeta)[0], int(t))
+
+
+def semigroup_residual(spec, zeta, s, t) -> float:
+    """||S_{s+t}(zeta) - S_t(zeta) S_s(zeta)|| on L2(pi)."""
+    A, B, C = (fourier_power(spec, zeta, u) for u in (s, t, s + t))
+    return l2_operator_norm(C - B @ A, spec.pi)
+
+
+def spectral_expansion(spec, zeta, n) -> tuple:
+    """(lhs, main, rem, kappa) of pi S_1^n 1 = lambda^n pi Pi 1 + pi N^n 1.
+
+    lambda and Pi at zeta come from lambda_branch(spec, [0, zeta]) and S_1
+    from _fourier_matrix; N = S_1 - lambda Pi, and kappa = max |eig N| is
+    the rate of the remainder.
+    """
+    pi = spec.pi
+    f = np.ones(len(pi), dtype=complex)
+    summary = lambda_branch(spec, [0.0, zeta])
+    lam, proj = summary.lam[1], summary.projections[1]
+    M = _fourier_matrix(spec, zeta)[0]
+    N = M - lam * proj
+    return (complex(pi @ (np.linalg.matrix_power(M, n) @ f)),
+            complex(lam ** n * (pi @ (proj @ f))),
+            complex(pi @ (np.linalg.matrix_power(N, n) @ f)),
+            float(max(abs(x) for x in np.linalg.eigvals(N))))
+
+
+def contour_crosscheck(spec, zeta, n: int, nodes: int = 256,
+                       kappa: float = None) -> float:
+    """Resolvent-contour realization of the eigenprojection and remainder.
+
+    Test oracle for lambda_branch: Pi(zeta) is recovered by trapezoidal
+    quadrature of the resolvent around the dominant eigenvalue; N(zeta)^n
+    around the origin at radius kappa (default midpoint between kappa_hat
+    and |lambda|). Returns the max of the two matrix residuals against the
+    eigendecomposition. An eigenvalue within 1e-8 of a contour raises
+    ValueError.
+    """
+    M = _fourier_matrix(spec, zeta)[0]
+    summary = lambda_branch(spec, [0.0, zeta])
+    lam, proj = summary.lam[1], summary.projections[1]
+    eigs = np.linalg.eigvals(M)
+    others = np.array([e for e in eigs if abs(e - lam) > 1e-10])
+    kappa_hat = float(np.max(np.abs(others))) if len(others) else 0.0
+    if kappa is None:
+        kappa = 0.5 * (kappa_hat + abs(lam))
+
+    def contour_integral(center, radius, weight):
+        if np.min(np.abs(np.abs(eigs - center) - radius)) < 1e-8:
+            raise ValueError("eigenvalue within 1e-8 of the contour")
+        theta = 2 * np.pi * np.arange(nodes) / nodes
+        z = center + radius * np.exp(1j * theta)
+        dz = radius * 1j * np.exp(1j * theta) * (2 * np.pi / nodes)
+        acc = np.zeros_like(M)
+        I = np.eye(M.shape[0])
+        for zk, dzk in zip(z, dz):
+            acc = acc + weight(zk) * np.linalg.solve(zk * I - M, I) * dzk
+        return acc / (2j * np.pi)
+
+    # circle around the dominant eigenvalue separating it from the rest
+    proj_contour = contour_integral(lam, 0.5 * (abs(lam) - kappa_hat),
+                                    lambda z: 1.0)
+    res_proj = float(np.linalg.norm(proj_contour - proj, 2))
+    Nn = np.linalg.matrix_power(M - lam * proj, n)
+    Nn_contour = contour_integral(0.0, kappa, lambda z: z ** n)
+    return max(res_proj, float(np.linalg.norm(Nn_contour - Nn, 2)))
 
 
 def full_nonlattice_scan(spec, K) -> tuple:

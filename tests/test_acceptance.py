@@ -19,8 +19,7 @@ from scipy.special import ndtr
 
 from maplab import fixtures
 from maplab.chain_core import StochasticKernel, l2_operator_norm, spectral_gap_report
-from maplab.fourier import (check_semigroup, derivatives_at_zero,
-                            evaluate_expansion, lambda_branch, nonlattice_scan)
+from maplab.fourier import derivatives_at_zero, lambda_branch, nonlattice_scan
 from maplab.increments import deterministic, gaussian
 from maplab.limit_checks import (A_GRID, asymptotic_bias, berry_esseen_check,
                                  clt_check, ct_limit_check, ecdf_se,
@@ -31,7 +30,8 @@ from maplab.map_model import (CtMapSpec, MapSpec, exact_mean, exact_moments,
 from maplab.mestim import _f_map_spec, estimator_be_check
 from maplab.montecarlo import simulate_discrete
 
-from conftest import skewed_mixture_exact_cdf, step_moments
+from conftest import (semigroup_residual, skewed_mixture_exact_cdf,
+                      spectral_expansion, step_moments)
 
 PATHS = 100_000
 
@@ -95,13 +95,14 @@ def test_criterion_02_semigroup_property():
         spec = _random_discrete_spec(rng, int(rng.integers(2, 5)))
         zeta = float(rng.uniform(-3.0, 3.0))
         s, t = int(rng.integers(1, 6)), int(rng.integers(1, 6))
-        worst = max(worst, check_semigroup(spec, zeta, s, t))
+        worst = max(worst, semigroup_residual(spec, zeta, s, t))
     for _ in range(399):
         ct = _random_ct_spec(rng, int(rng.integers(2, 4)))
         zeta = float(rng.uniform(-3.0, 3.0))
         s, t = float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.1, 3.0))
-        worst = max(worst, check_semigroup(ct, zeta, s, t))
-    worst = max(worst, check_semigroup(fixtures.ct_two_state(), 0.8, 1.3, 2.7))
+        worst = max(worst, semigroup_residual(ct, zeta, s, t))
+    worst = max(worst, semigroup_residual(fixtures.ct_two_state(), 0.8, 1.3,
+                                          2.7))
     ok = worst <= 1e-9
     _verdict(2, "semigroup property, 1000 randomized cases", ok,
              f"worst residual={worst:.2e}")
@@ -114,17 +115,17 @@ def test_criterion_03_spectral_expansion_identity():
         spec = fixtures.get_fixture(name)
         for zeta in zetas:
             for n in (1, 5, 20, 50):
-                ev = evaluate_expansion(spec, float(zeta), n)
-                worst_identity = max(worst_identity, ev.identity_residual)
+                lhs, main, rem, _ = spectral_expansion(spec, float(zeta), n)
+                worst_identity = max(worst_identity, abs(lhs - (main + rem)))
     worst_zero_rem = max(
-        abs(evaluate_expansion(fixtures.get_fixture(name), 0.0, n).rhs_rem)
+        abs(spectral_expansion(fixtures.get_fixture(name), 0.0, n)[2])
         for name in DISCRETE_FIXTURES for n in (1, 10, 50))
     # remainder decays geometrically at the measured subdominant radius
     spec = fixtures.two_state()
     ns = np.arange(2, 15)
-    rems = np.array([abs(evaluate_expansion(spec, 0.7, int(n)).rhs_rem)
+    rems = np.array([abs(spectral_expansion(spec, 0.7, int(n))[2])
                      for n in ns])
-    kappa = evaluate_expansion(spec, 0.7, 2).kappa_hat
+    kappa = spectral_expansion(spec, 0.7, 2)[3]
     slope = float(np.polyfit(ns, np.log(rems), 1)[0])
     slope_err = abs(slope - np.log(kappa))
     ok = (worst_identity <= 1e-9 and worst_zero_rem <= 1e-12

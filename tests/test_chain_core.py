@@ -4,11 +4,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maplab.chain_core import (StochasticKernel, _closed_classes,
-                               check_reversible,
-                               interpolation_bound, l2_operator_norm,
-                               solve_stationary, spectral_gap_report)
+                               l2_operator_norm, solve_stationary,
+                               spectral_gap_report)
 from maplab.errors import NonIrreducible, NotStochastic, ZeroMassState
-from maplab.fixtures import TWO_STATE_P
+from maplab.fixtures import TWO_STATE_P, get_fixture
 
 from conftest import closed_classes_dfs, random_kernel
 
@@ -112,6 +111,19 @@ class TestKernel:
         with pytest.raises(ValueError):
             two_state.kernel.P[0, 0] = 0.0
 
+    @pytest.mark.parametrize("name", ["two_state", "iid_rademacher",
+                                      "lattice_pm1", "skewed_mixture",
+                                      "gaussian_iid", "birth_death_5"])
+    def test_fundamental_is_read_only_inverse(self, name):
+        kernel = get_fixture(name).kernel
+        S = kernel.n_states
+        Z = kernel.fundamental
+        assert Z is kernel.fundamental
+        assert np.array_equal(Z, np.linalg.inv(np.eye(S) - kernel.P
+                                               + kernel.projector))
+        with pytest.raises(ValueError):
+            Z[0, 0] = 0.0
+
 
 class TestL2Norm:
     def test_identity_minus_projector(self):
@@ -158,50 +170,15 @@ class TestL2Norm:
 
 
 class TestReversibility:
-    def test_two_state_reversible(self, two_state):
-        # every 2-state chain satisfies detailed balance
-        assert check_reversible(two_state.kernel)
-
-    def test_three_state_cycle_not_reversible(self):
-        P = np.array([[0.0, 0.9, 0.1],
-                      [0.1, 0.0, 0.9],
-                      [0.9, 0.1, 0.0]])
-        assert not check_reversible(StochasticKernel(states=(0, 1, 2), P=P))
-
     def test_reversible_second_eigenvalue_equals_gap_norm(self):
         # reversible: ||P - Pi||_2 equals the second-largest |eigenvalue|
         from maplab.fixtures import birth_death_5
         kernel = birth_death_5().kernel
-        assert check_reversible(kernel)
+        flux = kernel.pi[:, None] * kernel.P     # detailed balance
+        assert np.max(np.abs(flux - flux.T)) <= 1e-12
         eigs = np.sort(np.abs(np.linalg.eigvals(kernel.P)))[::-1]
         norm = l2_operator_norm(kernel.P - kernel.projector, kernel.pi)
         assert abs(norm - eigs[1]) < 1e-10
-
-
-class TestInterpolationBound:
-    def test_endpoints(self):
-        assert interpolation_bound(0.3, 0.7, 1.0) == pytest.approx(0.3)
-        assert interpolation_bound(0.3, 0.7, 0.0) == pytest.approx(0.7)
-
-    def test_invalid_alpha(self):
-        with pytest.raises(ValueError):
-            interpolation_bound(0.5, 0.5, 1.5)
-
-    def test_negative_norm(self):
-        with pytest.raises(ValueError):
-            interpolation_bound(-0.1, 0.5, 0.5)
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.floats(1e-6, 10.0), st.floats(1e-6, 10.0), st.floats(0.0, 1.0))
-    def test_dominated_by_geometric_mean(self, a, b, alpha):
-        val = interpolation_bound(a, b, alpha)
-        assert val <= a ** alpha * b ** (1 - alpha) + 1e-12
-        assert val >= 0
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.floats(1e-3, 0.99), st.floats(0.0, 1.0))
-    def test_contractive_inputs_stay_contractive(self, r, alpha):
-        assert interpolation_bound(r, r, alpha) <= r ** min(alpha, 1 - alpha) * 2
 
 
 class TestSpectralGapReport:

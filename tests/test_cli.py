@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import os
@@ -60,6 +61,23 @@ class TestBranchGrid:
         # one point: linspace gives -zeta_max alone, and 0 is added to it
         one_sided = points == 1 and zeta_max != 0
         assert np.array_equal(grid, -grid[::-1]) != one_sided
+
+    def test_odd_grid_has_exact_zero(self, monkeypatch):
+        # linspace's middle entry can miss 0 by 2e-16 (zeta_max 1.7, 41
+        # points); an odd grid then still has its own point count
+        stacks = []
+        eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig",
+                            lambda a: stacks.append(len(a)) or eig(a))
+        spec = two_state()
+        for zeta_max in [1.7, *np.linspace(0.01, 10, 300)]:
+            for points in (2, 3, 5, 21, 40, 41, 79):
+                args = argparse.Namespace(zeta_max=zeta_max,
+                                          grid_points=points)
+                grid = cli._branch(spec, args).grid
+                assert len(grid) == points + 1 - points % 2
+                assert np.array_equal(grid, -grid[::-1])
+                assert stacks.pop() == len(grid) // 2 + 1
 
 
 class TestDispatch:

@@ -5,21 +5,21 @@ from hypothesis import strategies as st
 
 from maplab import fixtures
 from maplab.chain_core import StochasticKernel, l2_operator_norm
-from maplab.errors import BranchCollision, NonFiniteOperator, SingularResolvent
+from maplab.errors import BranchCollision, NonFiniteOperator
 from maplab.fixtures import (birth_death_5, ct_two_state, gaussian_iid,
                              iid_rademacher, lattice_pm1, skewed_mixture,
                              two_state)
 from maplab.fourier import (NONLATTICE_GRID, NONLATTICE_RHO_MAX,
-                            _fourier_matrix, build_fourier, check_semigroup,
-                            contour_crosscheck, derivatives_at_zero,
-                            evaluate_expansion, lambda_branch,
-                            nonlattice_certificate, nonlattice_scan)
+                            _fourier_matrix, derivatives_at_zero,
+                            lambda_branch, nonlattice_certificate,
+                            nonlattice_scan)
 from maplab.increments import deterministic, gaussian, mixture
 from maplab.map_model import (CtMapSpec, MapSpec, detect_lattice, exact_mean,
                               third_cumulant_rate, variance_series)
 
-from conftest import (edge_loop_fourier, full_nonlattice_scan, random_kernel,
-                      random_mixed_spec, step_moments)
+from conftest import (contour_crosscheck, edge_loop_fourier, fourier_power,
+                      full_nonlattice_scan, random_kernel, random_mixed_spec,
+                      semigroup_residual, spectral_expansion, step_moments)
 
 ALL_DISCRETE = [two_state, iid_rademacher, skewed_mixture, gaussian_iid]
 BRANCH_SPECS = ALL_DISCRETE + [birth_death_5, lattice_pm1, ct_two_state]
@@ -41,24 +41,18 @@ def _random_spec(seed, n_states=3):
 
 class TestFourierOperator:
     def test_zeta_zero_is_kernel(self, two_state):
-        M = build_fourier(two_state, 0.0).M
+        M = _fourier_matrix(two_state, 0.0)[0]
         np.testing.assert_allclose(M, two_state.P, atol=1e-15)
 
     def test_entries_are_weighted_cfs(self, two_state):
         z = 0.8
-        M = build_fourier(two_state, z).M
+        M = _fourier_matrix(two_state, z)[0]
         for (i, j), law in two_state.increments.items():
             assert M[i, j] == pytest.approx(two_state.P[i, j] * law.cf(z))
 
-    def test_power_matches_repeated_product(self, two_state):
-        z = 0.4
-        M1 = build_fourier(two_state, z, 1).M
-        M3 = build_fourier(two_state, z, 3).M
-        np.testing.assert_allclose(M3, M1 @ M1 @ M1, atol=1e-14)
-
     def test_ct_at_zero_is_skeleton_kernel(self, ct_two_state):
         import scipy.linalg
-        M = build_fourier(ct_two_state, 0.0, t=1.0).M
+        M = _fourier_matrix(ct_two_state, 0.0)[0]
         np.testing.assert_allclose(M, scipy.linalg.expm(ct_two_state.generator),
                                    atol=1e-12)
 
@@ -67,7 +61,7 @@ class TestFourierOperator:
         from maplab.map_model import exact_moments
         z = 0.05
         n = 8
-        M = build_fourier(two_state, z, n).M
+        M = np.linalg.matrix_power(_fourier_matrix(two_state, z)[0], n)
         cf = complex(two_state.pi @ M @ np.ones(2))
         m2 = exact_moments(two_state, n, 2)
         # second-order Taylor of the cf at small zeta; the z^4 E[Y_n^4]/24
@@ -131,19 +125,19 @@ class TestSemigroup:
            st.integers(0, 5), st.integers(0, 5))
     def test_discrete_random(self, seed, zeta, s, t):
         spec = _random_spec(seed)
-        assert check_semigroup(spec, zeta, s, t) <= 1e-9
+        assert semigroup_residual(spec, zeta, s, t) <= 1e-9
 
     @settings(max_examples=100, deadline=None)
     @given(st.floats(-3, 3), st.floats(0.0, 4.0), st.floats(0.0, 4.0))
     def test_continuous_random(self, zeta, s, t):
         ct = ct_two_state()
-        assert check_semigroup(ct, zeta, s, t) <= 1e-9
+        assert semigroup_residual(ct, zeta, s, t) <= 1e-9
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 10 ** 6), st.floats(-5, 5))
     def test_contraction(self, seed, zeta):
         spec = _random_spec(seed)
-        norm = l2_operator_norm(build_fourier(spec, zeta).M, spec.pi)
+        norm = l2_operator_norm(fourier_power(spec, zeta, 1), spec.pi)
         assert norm <= 1.0 + 1e-10
 
 
@@ -287,24 +281,23 @@ class TestExpansion:
         spec = make()
         for z in np.linspace(-1.0, 1.0, 9):
             for n in (1, 5, 20, 50):
-                ev = evaluate_expansion(spec, z, n)
-                assert ev.identity_residual <= 1e-9
+                lhs, main, rem, _ = spectral_expansion(spec, z, n)
+                assert abs(lhs - (main + rem)) <= 1e-9
 
     def test_remainder_vanishes_at_zero(self, two_state):
-        ev = evaluate_expansion(two_state, 0.0, 10)
-        assert abs(ev.rhs_rem) <= 1e-12
+        _, _, rem, _ = spectral_expansion(two_state, 0.0, 10)
+        assert abs(rem) <= 1e-12
 
     def test_remainder_geometric_decay(self, two_state):
         z = 0.5
         ns = np.array([5, 10, 20, 40])
         rems = []
         for n in ns:
-            ev = evaluate_expansion(two_state, z, int(n))
-            rems.append(abs(ev.rhs_rem))
-        ev = evaluate_expansion(two_state, z, 5)
+            rems.append(abs(spectral_expansion(two_state, z, int(n))[2]))
+        kappa = spectral_expansion(two_state, z, 5)[3]
         mask = np.array(rems) > 1e-300
         slope = np.polyfit(ns[mask], np.log(np.array(rems)[mask]), 1)[0]
-        assert abs(slope - np.log(ev.kappa_hat)) < 0.05
+        assert abs(slope - np.log(kappa)) < 0.05
 
     def test_lhs_is_characteristic_function(self, two_state):
         # cross-check against brute-force n-fold convolution over paths
@@ -320,8 +313,8 @@ class TestExpansion:
                         y = sum(two_state.increments[(a, b)].mean[0, 0]
                                 for a, b in [(x0, x1), (x1, x2), (x2, x3)])
                         total += w * np.exp(1j * z * y)
-        ev = evaluate_expansion(two_state, z, n)
-        assert ev.lhs == pytest.approx(total, abs=1e-12)
+        lhs = spectral_expansion(two_state, z, n)[0]
+        assert lhs == pytest.approx(total, abs=1e-12)
 
 
 class TestNonlattice:
@@ -619,5 +612,5 @@ class TestContour:
     def test_singular_contour(self, two_state):
         summary = lambda_branch(two_state, np.array([0.0, 0.2]))
         lam = abs(summary.lam[1])
-        with pytest.raises(SingularResolvent):
+        with pytest.raises(ValueError, match="contour"):
             contour_crosscheck(two_state, 0.2, 5, kappa=lam)
