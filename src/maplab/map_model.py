@@ -7,7 +7,9 @@ the additive component come from a power of the block-triangular moment
 transfer matrix; the asymptotic variance from the geometric correlation
 series; the derivatives of the dominant eigenvalue at 0 from Kato's
 perturbation series, whose reduced resolvent is the group inverse of I - P
-(discrete time) or -G (continuous time).
+(discrete time) or -G (continuous time). The matrix exponential of
+continuous time, exp(G) for the skeleton and exp(A(zeta)) over a whole
+Fourier stack, is _expm, on numpy alone.
 """
 
 from __future__ import annotations
@@ -30,11 +32,44 @@ CENTER_TOL = 1e-12
 _TABLE_FIELDS = ("rows", "cols", "kind", "start", "prob", "mean", "cov")
 
 
+# the coefficients b_0..b_13 of the Pade-13 approximant r_13, and theta_13,
+# the 1-norm up to which r_13 meets double-precision unit roundoff (Higham
+# 2005)
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
 def _expm(A):
-    """scipy.linalg.expm, imported on first use and looked up at each call
-    (so a patched scipy.linalg.expm sees every call)."""
-    import scipy.linalg
-    return scipy.linalg.expm(A)
+    """exp(A) of an (S, S) matrix or a (K, S, S) stack, real or complex.
+
+    Scaling and squaring with the Pade-13 approximant r_13 (Higham, SIAM J.
+    Matrix Anal. Appl. 26, 2005), in numpy alone. Member k is scaled exactly
+    by 2^-s_k, s_k = max(0, ceil(log2(||A_k||_1 / theta_13))); one stacked
+    solve gives r_13 of every member, and squaring i touches the members
+    with s_k > i only.
+    """
+    A = np.asarray(A)
+    X = A.reshape((-1,) + A.shape[-2:])
+    # ceil(log2(x)) exactly, from x = m 2^e with m in [0.5, 1)
+    m, e = np.frexp(np.abs(X).sum(axis=1).max(axis=1) / _THETA13)
+    s = np.maximum(e - (m == 0.5), 0)
+    X = X * np.ldexp(1.0, -s)[:, None, None]
+    b, eye = _PADE13, np.eye(X.shape[-1])
+    X2 = X @ X
+    X4 = X2 @ X2
+    X6 = X4 @ X2
+    U = X @ (X6 @ (b[13] * X6 + b[11] * X4 + b[9] * X2) + b[7] * X6
+             + b[5] * X4 + b[3] * X2 + b[1] * eye)
+    V = (X6 @ (b[12] * X6 + b[10] * X4 + b[8] * X2) + b[6] * X6
+         + b[4] * X4 + b[2] * X2 + b[0] * eye)
+    R = np.linalg.solve(V - U, V + U)
+    for i in range(int(s.max(initial=0))):
+        k = s > i
+        R[k] = R[k] @ R[k]
+    return R.reshape(A.shape)
 
 
 def _runs(tab):
@@ -214,7 +249,8 @@ class CtMapSpec:
     """Continuous-time MAP: generator, state reward, optional jump increments.
 
     Y_t accumulates reward[x] per unit holding time in x plus, when given,
-    jump_increments[x, x'] at each transition.
+    jump_increments[x, x'] at each transition. fundamental is the read-only
+    (Pi - G)^-1, formed here; a generator without one is NotStochastic.
     """
 
     generator: np.ndarray
@@ -240,6 +276,19 @@ class CtMapSpec:
         pi = solve_stationary(U)
         pi.setflags(write=False)
         object.__setattr__(self, "_pi", pi)
+        # (Pi - G) 1 = 1, so its inverse maps 1 to 1. At rates far from 1
+        # (1e200, or 1e13 on a 3-state G), Pi is lost beside G: the sum is
+        # singular in floating point, or its inverse, finite or not, has
+        # not one correct digit left (NaN fails the comparison too)
+        try:
+            Z = np.linalg.inv(np.tile(pi, (len(pi), 1)) - G)
+        except np.linalg.LinAlgError:
+            Z = np.full(G.shape, np.nan)
+        if not np.abs(Z.sum(axis=1) - 1.0).max() <= 1e-3:
+            raise NotStochastic("Pi - G has no inverse in floating point "
+                                "(rates too large or too small)")
+        Z.setflags(write=False)
+        object.__setattr__(self, "fundamental", Z)
         jump_flux = 0.0
         if self.jump_increments is not None:
             J = np.array(self.jump_increments, dtype=float)
@@ -382,7 +431,7 @@ def branch_derivatives(spec) -> tuple:
         off = G - np.diag(np.diag(G))
         J = 0.0 if spec.jump_increments is None else spec.jump_increments
         A1, A2, A3 = np.diag(spec.reward) + off * J, off * J ** 2, off * J ** 3
-        Q = np.linalg.inv(Pi - G) - Pi
+        Q = spec.fundamental - Pi
     else:
         if spec.d != 1:
             raise MomentUndefined("branch derivatives require d = 1")

@@ -322,6 +322,36 @@ class TestSpecDefects:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "NonFiniteOperator"
 
+    @pytest.mark.parametrize("G", [
+        [[-1e300, 1e300], [1e300, -1e300]],
+        (1e200 * np.array([[-3.0, 1.0, 2.0], [1.0, -1.5, 0.5],
+                           [0.25, 2.0, -2.25]])).tolist()],
+        ids=["two_state_1e300", "three_state_1e200"])
+    @pytest.mark.parametrize("argv", [
+        ["analyze"], ["nonlattice-scan"],
+        ["mixing-bound", "--lags", "1,2", "--paths", "200", "--seed", "0"],
+        ["verify-ct", "--t-list", "4", "--paths", "100", "--seed", "0"],
+        ["simulate", "--t", "4", "--paths", "10", "--seed", "0"]],
+        ids=lambda argv: argv[0])
+    def test_ct_huge_rates(self, tmp_path, G, argv):
+        # Pi - G has no inverse in floating point: the spec is rejected at
+        # load, with one error line; simulate used to run without end, and
+        # verify-ct to end in a LinAlgError traceback
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({**ct_spec_to_dict(ct_two_state()),
+                                    "generator": G, "reward": [0.0] * len(G)}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "maplab.cli", *argv, "--spec", str(spec),
+             "--out", str(tmp_path / "out")], cwd=tmp_path,
+            capture_output=True, timeout=60, env={
+                **os.environ, "PYTHONPATH": os.path.dirname(
+                    os.path.dirname(cli.__file__))})
+        assert proc.returncode == 2
+        lines = proc.stderr.decode().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "NotStochastic"
+        assert not (tmp_path / "out").exists()
+
 
 class TestCountsAndLists:
     """Non-positive counts and list entries exit 2 before any work is done."""

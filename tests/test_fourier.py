@@ -101,17 +101,17 @@ class TestStackedFourier:
                                        rtol=0, atol=1e-13)
 
     def test_ct_looks_up_expm_at_call_time(self, ct_two_state, monkeypatch):
-        # a patched scipy.linalg.expm must see every CT call (the tracer
-        # counts expm calls this way)
-        import scipy.linalg
+        # one stacked exponential per call, looked up at call time (so a
+        # patched fourier._expm sees every CT call)
+        import maplab.fourier
         calls = []
 
         def counting(A):
             calls.append(np.shape(A))
             return expm(A)
 
-        expm = scipy.linalg.expm
-        monkeypatch.setattr(scipy.linalg, "expm", counting)
+        expm = maplab.fourier._expm
+        monkeypatch.setattr(maplab.fourier, "_expm", counting)
         zetas = np.array([0.0, 0.5, 1.0])
         stack = _fourier_matrix(ct_two_state, zetas)
         assert calls == [(3, 2, 2)]

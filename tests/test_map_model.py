@@ -10,8 +10,9 @@ from maplab.fixtures import (CT_TWO_STATE_G, birth_death_5, ct_two_state,
                              gaussian_iid, iid_rademacher, lattice_pm1,
                              skewed_mixture, two_state)
 from maplab.increments import deterministic, gaussian, mixture
-from maplab.map_model import (CtMapSpec, MapSpec, branch_derivatives,
-                              ct_sample_skeleton, detect_lattice, exact_mean,
+from maplab.map_model import (_THETA13, CtMapSpec, MapSpec, _expm,
+                              branch_derivatives, ct_sample_skeleton,
+                              detect_lattice, exact_mean,
                               exact_moments, third_cumulant_rate,
                               variance_series)
 
@@ -324,6 +325,31 @@ class TestContinuousTime:
         assert abs(branch_derivatives(ct)[0]) <= 1e-12
         np.testing.assert_allclose(ct.reward, [-2 / 3, 1 / 3], atol=1e-12)
 
+    def test_fundamental_is_read_only_inverse(self):
+        # (Pi - G)^-1, bit for bit as branch_derivatives formed it inline
+        for ct in (ct_two_state(), _random_ct(0, 5)):
+            Pi = np.tile(ct.pi, (ct.n_states, 1))
+            np.testing.assert_array_equal(ct.fundamental,
+                                          np.linalg.inv(Pi - ct.generator))
+            assert not ct.fundamental.flags.writeable
+
+    @pytest.mark.parametrize("G", [
+        [[-1e300, 1e300], [1e300, -1e300]],
+        (1e200 * np.array([[-3.0, 1.0, 2.0], [1.0, -1.5, 0.5],
+                           [0.25, 2.0, -2.25]])).tolist()],
+        ids=["two_state_1e300", "three_state_1e200"])
+    def test_huge_rates_rejected(self, G):
+        # Pi is lost beside G: Pi - G is singular in floating point, or its
+        # inverse no longer maps 1 to 1
+        with pytest.raises(NotStochastic, match="Pi - G"):
+            CtMapSpec(generator=np.array(G), reward=np.zeros(len(G)))
+
+    def test_stiff_generator_loads(self):
+        ct = CtMapSpec(generator=np.array([[-1e8, 1e8], [1e-8, -1e-8]]),
+                       reward=np.array([0.0, 1.0]))
+        np.testing.assert_allclose(ct.fundamental @ np.ones(2), 1.0,
+                                   rtol=0, atol=1e-12)
+
     def test_variance_rate_matches_skeleton_route(self):
         # the perturbation series against Var Y_61 - Var Y_60, exact by Van
         # Loan's exponential at the skeleton's integer times
@@ -358,3 +384,72 @@ def test_ct_rates_match_van_loan(ct):
     rates = van_loan_cumulants(ct, 61.0) - van_loan_cumulants(ct, 60.0)
     exact = [l1, l2 - l1 * l1, third_cumulant_rate(ct)]
     np.testing.assert_allclose(rates, exact, rtol=0, atol=1e-9)
+
+
+def _rel(X, Y):
+    """max |X - Y| over max |Y|: the difference relative to the result."""
+    return np.abs(X - Y).max() / np.abs(Y).max()
+
+
+def _generator(rng, S, scale):
+    G = scale * rng.exponential(size=(S, S)) * (rng.random((S, S)) < 0.5)
+    np.fill_diagonal(G, 0.0)
+    np.fill_diagonal(G, -G.sum(axis=1))
+    return G
+
+
+class TestExpm:
+    """map_model._expm against scipy.linalg.expm, the oracle here."""
+
+    @pytest.mark.parametrize("S", range(1, 33))
+    def test_random_generators(self, S):
+        # t G over two decades of norms, and A(zeta) = G + i zeta diag(xi)
+        # with jump phases off the diagonal, as fourier_generator builds it
+        rng = np.random.default_rng(S)
+        for scale in (0.05, 1.0, 30.0):
+            G = _generator(rng, S, scale)
+            assert _rel(_expm(G), scipy.linalg.expm(G)) <= 1e-12
+            phase = np.exp(1j * rng.uniform(-5, 5) * rng.normal(size=(S, S)))
+            np.fill_diagonal(phase, 1.0)
+            A = G * phase + 1j * rng.uniform(-5, 5) * np.diag(
+                rng.normal(size=S))
+            assert _rel(_expm(A), scipy.linalg.expm(A)) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_fourier_stack_mixed_scalings(self, seed):
+        rng = np.random.default_rng(seed)
+        S = int(rng.integers(2, 9))
+        ct = CtMapSpec(generator=_generator(rng, S, 1.0),
+                       reward=rng.normal(size=S))
+        A = ct.fourier_generator(np.linspace(0.0, 200.0, 41))
+        norms = np.abs(A).sum(axis=1).max(axis=1)
+        assert len(np.unique(np.ceil(np.log2(norms / _THETA13)).clip(0))) > 3
+        X, Y = _expm(A), scipy.linalg.expm(A)
+        assert X.shape == A.shape
+        for k in range(len(A)):
+            assert _rel(X[k], Y[k]) <= 1e-12
+
+    def test_stack_equals_members(self):
+        rng = np.random.default_rng(7)
+        A = np.array([_generator(rng, 4, scale) + 1j * np.diag(
+            rng.normal(size=4)) * scale for scale in (0.0, 0.1, 3.0, 50.0)])
+        X = _expm(A)
+        for k in range(len(A)):
+            assert _rel(X[k], _expm(A[k])) <= 1e-12
+
+    @pytest.mark.parametrize("A", [
+        np.zeros((3, 3)),
+        np.diag([-40.0, 0.0, 2.5]),
+        np.diag([-3.0 + 7.0j, 1j, 0.0]),
+        np.triu(np.arange(1.0, 17.0).reshape(4, 4)) - 30.0 * np.eye(4),
+        np.tril(np.arange(1.0, 17.0).reshape(4, 4)) * (1 - 2j),
+        np.array([[2.5]]),
+        np.array([[-700.0]]),
+        np.array([[3.0j]])],
+        ids=["zero", "diagonal", "complex_diagonal", "upper", "lower",
+             "1x1", "1x1_tiny", "1x1_complex"])
+    def test_special_forms(self, A):
+        # the forms scipy computes by its own formulas, not by Pade
+        X = _expm(A)
+        assert X.shape == A.shape and X.dtype == np.result_type(A, float)
+        assert _rel(X, scipy.linalg.expm(A)) <= 1e-12

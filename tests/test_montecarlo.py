@@ -158,7 +158,8 @@ class TestContentHash:
 
     def test_skeleton_keeps_ct_hash(self, tmp_path):
         # the CT mixing report: its stream and spec_hash are the CT spec's,
-        # and its bytes are pinned (empirical_max as one product per lag)
+        # and its bytes are pinned (empirical_max as one product per lag,
+        # the bounds from map_model._expm's skeleton exp(G))
         out = tmp_path / "mix.json"
         assert dispatch(["mixing-bound", "--fixture", "ct_two_state",
                          "--lags", "1,5", "--paths", "3000", "--seed", "11",
@@ -166,7 +167,7 @@ class TestContentHash:
         assert json.loads(out.read_text())["spec_hash"] == self.PINNED[
             "ct_two_state"]
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "9eb50dcce3a93d0caa07d61e980bdfec21cfc72d0cd995634b942769220047fd")
+            "27837a787740334754965a0f080ebe2f8992ed05c7094653e2f6bd335077c19e")
 
     def test_kernel_hash(self, tmp_path):
         # a kernel's hash is the sha256 of its rounded matrix, computed

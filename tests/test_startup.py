@@ -1,9 +1,9 @@
-"""Cold start: scipy submodules load only on the paths that call them.
+"""Cold start: no command loads scipy.
 
 Each check runs in a fresh interpreter, because the test process itself has
-long since imported all of scipy. The normal CDF and quantile are maplab's
-own (maplab.normal), so scipy.special is never loaded; scipy.linalg is
-left, for the matrix exponential of a continuous-time spec.
+long since imported all of scipy. The normal CDF and quantile
+(maplab.normal) and the matrix exponential of a continuous-time spec
+(map_model._expm) are maplab's own, on numpy alone.
 """
 
 import ast
@@ -15,7 +15,8 @@ import sys
 
 import pytest
 
-HEAVY = ("scipy.optimize", "scipy.sparse", "scipy.special", "scipy.linalg")
+HEAVY = ("scipy", "scipy.optimize", "scipy.sparse", "scipy.special",
+         "scipy.linalg")
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                    "src")
 
@@ -53,10 +54,17 @@ def test_discrete_paths_load_no_heavy_scipy(argv, tmp_path):
     assert loaded_after(argv) == []
 
 
-def test_ct_analyze_loads_linalg_only(tmp_path):
-    argv = ["analyze", "--fixture", "ct_two_state",
-            "--out", str(tmp_path / "report.json")]
-    assert loaded_after(argv) == ["scipy.linalg"]
+@pytest.mark.parametrize("argv", [
+    ["analyze"],
+    ["scan-lambda"],
+    ["nonlattice-scan"],
+    ["mixing-bound", "--lags", "1,2", "--paths", "200", "--seed", "1"],
+], ids=lambda argv: argv[0])
+def test_ct_paths_load_no_scipy(argv, tmp_path):
+    # exp(A(zeta)), and exp(G) for the skeleton of mixing-bound
+    argv = argv + ["--fixture", "ct_two_state",
+                   "--out", str(tmp_path / "out")]
+    assert loaded_after(argv) == []
 
 
 def test_mestimate_loads_no_heavy_scipy(tmp_path):
@@ -95,11 +103,11 @@ def _imports(tree):
             yield from (f"{node.module}.{a.name}" for a in node.names)
 
 
-def test_no_module_imports_scipy_special():
+def test_no_module_imports_scipy():
     files = glob.glob(os.path.join(SRC, "maplab", "*.py"))
     assert len(files) > 10
     for path in files:
         with open(path, encoding="utf-8") as fh:
             names = set(_imports(ast.parse(fh.read(), path)))
-        assert not any(n == "scipy.special" or n.startswith("scipy.special.")
+        assert not any(n == "scipy" or n.startswith("scipy.")
                        for n in names), path
