@@ -42,8 +42,10 @@ def _fourier_matrix(spec, zeta) -> np.ndarray:
         S, tab = spec.n_states, spec.edge_table
         M = np.zeros((len(Z), S, S), dtype=complex)
         if len(tab["rows"]):
-            quad = np.einsum("ka,nab,kb->kn", Z, tab["cov"], Z)
-            atoms = tab["prob"] * np.exp(1j * (Z @ tab["mean"].T) - 0.5 * quad)
+            with np.errstate(over="ignore", invalid="ignore"):
+                quad = np.einsum("ka,nab,kb->kn", Z, tab["cov"], Z)
+                atoms = tab["prob"] * np.exp(1j * (Z @ tab["mean"].T)
+                                             - 0.5 * quad)
             M[:, tab["rows"], tab["cols"]] = tab["weight"] * np.add.reduceat(
                 atoms, tab["start"], axis=1)
     finite = np.isfinite(M).all(axis=(1, 2))

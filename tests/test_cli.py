@@ -322,6 +322,26 @@ class TestSpecDefects:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "NonFiniteOperator"
 
+    @pytest.mark.parametrize("argv", [_OVERFLOW[0], _OVERFLOW[2]],
+                             ids=lambda argv: argv[0])
+    def test_discrete_fourier_overflow_stderr(self, tmp_path, argv):
+        # the discrete twin: the atoms' exp overflows past |zeta m| ~ 1e308,
+        # and a fresh process prints the one error line, no numpy warning
+        (tmp_path / "spec.json").write_text(json.dumps({
+            "kernel": {"states": [0], "P": [[1.0]]},
+            "increments": [{"from": 0, "to": 0, "kind": "gaussian",
+                            "mean": [1e10], "cov": [[1.0]]}]}))
+        argv = [a.replace("200", "300") for a in argv]
+        proc = subprocess.run(
+            [sys.executable, "-m", "maplab.cli", argv[0], "--spec",
+             "spec.json", *argv[1:]], cwd=tmp_path, capture_output=True,
+            env={**os.environ, "PYTHONPATH": os.path.dirname(
+                os.path.dirname(cli.__file__))})
+        assert proc.returncode == 2
+        lines = proc.stderr.decode().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "NonFiniteOperator"
+
     @pytest.mark.parametrize("G", [
         [[-1e300, 1e300], [1e300, -1e300]],
         (1e200 * np.array([[-3.0, 1.0, 2.0], [1.0, -1.5, 0.5],
