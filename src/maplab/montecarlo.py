@@ -4,35 +4,37 @@ Every call draws from one counter-based Philox stream keyed by a sha256
 payload (spec hash and seed; mestim's edge counts use kernel bytes and seed)
 in a fixed order, so batches are a pure function of (spec, horizons,
 n_paths, seed). Discrete time has one stepping kernel, shared with
-mestim.simulate_edge_counts and increment_panel. It steps by block paths:
-one move uniform per path draws the next B steps at once, as the inverse
-CDF of the exact B-step path law from the path's state over the S^B paths'
-cumulative probabilities. B depends only on the state count, the path
-count and the extra uniforms per step (B = 1 is single-step stepping), and
-the last draw of a run keeps only the steps left. The search returns the
-draw's row x S^B + p of the path table, which fixes its B edges, so the
-kernel decodes no state: it yields whole blocks of rows, and each consumer
-reads what it needs from them once per block: per-row tables of summed
-atom means and covariances for the samples of specs without a multi-atom
-run, the block's edges for mixture atoms and panels, a per-row count table
-for mestim's edge counts. One chain per path serves a whole list of
-horizons: it runs to the largest one and is read at each on the way. Given
-the path, Y_n is the sum of the edge atoms' means plus one Gaussian with
-their summed covariance, which simulate_discrete draws once per path and
-segment between horizons, after the segment's last step; increment_panel
-alone draws per-step increments.
+mestim.simulate_edge_counts and increment_panel. A step picks a column of
+a step matrix: a (successor, atom) pair of probability P_ij p_a for the
+samples, so a mixture atom is one more outcome of the step (P itself for
+mestim). It steps by block paths: one move uniform per path draws the next
+B steps at once, as the inverse CDF of the exact B-step path law from the
+path's state over its C^B column paths (C columns per step). B depends
+only on C, the path count and the extra uniforms per step (B = 1 is
+single-step stepping), and the last draw of a run keeps only the steps
+left. The search returns the draw's row x C^B + p of the path table, which
+fixes its B edges and atoms, so the kernel decodes no state: it yields
+whole blocks of rows, and each consumer reads what it needs from them once
+per block: per-row tables of summed atom means and covariances for the
+samples, the block's edges for panels, a per-row count table for mestim's
+edge counts. One chain per path serves a whole list of horizons: it runs
+to the largest one and is read at each on the way. Given the path, Y_n is
+the sum of the atoms' means plus one Gaussian with their summed
+covariance, which simulate_discrete draws once per path and segment
+between horizons, after the segment's last step; increment_panel alone
+draws per-step increments.
 Continuous time steps one jump at a time over compact arrays of the paths
 still running. One chain per path serves a whole list of times there too:
 it runs to the last one and reads Y inside the dwell that holds each
 earlier time, without a draw. Those reads give the integer part of Y_t and
 the increment panel of a continuous-time spec.
 
-Every inverse CDF (moves, block paths, CT jumps, initial states, mixture
-atoms) is one search, _search over a _cdf_table: a branchless binary
-search over each row's positive-probability columns, started from a guide
-table of equal buckets of [0, 1) where that saves levels (Chen & Asau,
-1974). It returns the same index as the comparison sum #{j : cum_j <= u},
-so the streams do not depend on how the search is done.
+Every inverse CDF (block paths, CT jumps, initial states) is one search,
+_search over a _cdf_table: a branchless binary search over each row's
+positive-probability columns, started from a guide table of equal buckets
+of [0, 1) where that saves levels (Chen & Asau, 1974). It returns the same
+index as the comparison sum #{j : cum_j <= u}, so the streams do not
+depend on how the search is done.
 """
 
 from __future__ import annotations
@@ -193,74 +195,86 @@ def _search(table, row, u, out=None):
     return column.take(pos, out=out, mode="clip")
 
 
-def _path_length(S, N, k):
-    """B, the steps one move uniform draws: the largest B <= 8 with S^B <=
-    _PATHS and N B (1 + k) <= _DRAW, and at least 1. It depends on the
-    states S, the paths N and the extra uniforms per step k alone."""
+def _path_length(C, N, k):
+    """B, the steps one move uniform draws: the largest B <= 8 with C^B <=
+    _PATHS and N B (1 + k) <= _DRAW, and at least 1, for C columns per
+    step, N paths and k extra uniforms per step."""
     B = 1
-    while (B < 8 and S ** (B + 1) <= _PATHS
+    while (B < 8 and C ** (B + 1) <= _PATHS
            and N * (B + 1) * (1 + k) <= _DRAW):
         B += 1
     return B
 
 
 @functools.lru_cache(maxsize=8)
-def _path_table(P_bytes, S, B):
-    """The _cdf_table of the B-step path law of the kernel whose (S, S)
-    float64 bytes are P_bytes, cached across segments and calls.
+def _path_table(Q_bytes, S, B):
+    """The _cdf_table of the B-step path law of the (S, C) float64 step
+    matrix (_chain_steps) whose bytes are Q_bytes, cached across segments
+    and calls.
 
-    Row x holds the cumulative probabilities of the S^B paths from x in
-    lexicographic order, each the product of its transitions from left to
-    right. Its column map holds x S^B + p, so a search returns the draw's
+    Row x holds the cumulative probabilities of the C^B column paths from x
+    in lexicographic order, each the product of its steps from left to
+    right. Its column map holds x C^B + p, so a search returns the draw's
     row index (_row_decode), not the path p alone.
     """
-    P = np.frombuffer(P_bytes).reshape(S, S)
-    probs = P
+    Q = np.frombuffer(Q_bytes).reshape(S, -1)
+    C = Q.shape[1]
+    probs = Q
     for _ in range(B - 1):
-        last = np.arange(probs.shape[1]) % S
-        probs = (probs[:, :, None] * P[last]).reshape(S, -1)
+        state = np.arange(probs.shape[1]) % C // (C // S)
+        probs = (probs[:, :, None] * Q[state]).reshape(S, -1)
     levels, column, start, M, stride = _cdf_table(np.cumsum(probs, axis=1))
-    column = column + np.repeat(np.arange(S) * S ** B, stride)
+    column = column + np.repeat(np.arange(S) * C ** B, stride)
     column.setflags(write=False)            # shared by every cache hit
     return levels, column, start, M, stride
 
 
-def _row_decode(S, B):
-    """(edge, last) of the draw rows x S^B + p of B-step paths of an S-state
-    chain, whose base-S digits are the draw's states x, X_1, ..., X_B:
-    edge[j, i] is the flat edge X_j S + X_{j+1} of step j + 1 of row i, and
-    last[i] = X_B. Built per call: cached, these S^(B+1)-wide tables cost
-    more resident memory than building them takes time.
+def _row_decode(S, C, B):
+    """The (B, S C^B) edge table of the draw rows x C^B + p of B-step
+    column paths from S states, C = S A columns per step. A row's base-C
+    digits after x are its columns c_1, ..., c_B, and column c moves to
+    state X = c // A: edge[j, i] = X_j C + c_{j+1} is the flat (state,
+    column) edge of step j + 1 of row i, with X_0 = x. Built per call:
+    cached, it costs more resident memory than building it takes time.
     """
-    digits = np.indices((S,) * (B + 1)).reshape(B + 1, -1)
-    return digits[:-1] * S + digits[1:], np.tile(np.arange(S), S ** B)
+    digits = np.indices((S,) + (C,) * B).reshape(B + 1, -1)
+    state = digits[:-1] // (C // S)
+    state[0] = digits[0]
+    return state * C + digits[1:]
 
 
-def _chain_steps(P, X, n, rng, k=0, at=None):
+def _chain_steps(Q, X, n, rng, k=0, at=None):
     """The one discrete-time stepping loop: n steps of the chain from X.
 
+    A step from state x picks column c of the (S, C) step matrix Q with
+    probability Q[x, c] and moves to state c // A, A = C / S: Q is the
+    kernel P for mestim, _atom_lookup's (successor, atom) columns for the
+    samples.
+
     Block-path stepping: one move uniform per path draws the next B =
-    _path_length(S, N, k) steps at once, as the inverse CDF (_search) of
-    the B-step path law from the path's state over its S^B paths. The last
-    draw before a horizon (of _horizons(n, at)) keeps only the r < B steps
-    left, whose law is the r-step law. A draw's values are N move uniforms,
-    then k extra uniforms per path for each step it keeps, step-major. A
-    block of draws is one rng.random call of about _BLOCK values (at least
-    one draw), so the stream is that of draw-by-draw calls. Blocks end at
-    the horizons and are drawn when asked for, so a caller can draw its own
-    values at a horizon.
+    _path_length(C, N, k) steps at once, as the inverse CDF (_search) of
+    the B-step path law from the path's state over its C^B column paths.
+    The last draw before a horizon (of _horizons(n, at)) keeps only the r <
+    B steps left, whose law is the r-step law. A draw's values are N move
+    uniforms, then k extra uniforms per path for each step it keeps,
+    step-major (increment_panel's Gaussian uniforms). A block of draws is
+    one rng.random call of about _BLOCK values (at least one draw), so the
+    stream is that of draw-by-draw calls. Blocks end at the horizons and
+    are drawn when asked for, so a caller can draw its own values at a
+    horizon.
 
     Nothing is decoded: per block it yields (rows, edge, extra, X), where
-    rows (D, N) holds each draw's row index x S^B + p, edge is the call's
-    _row_decode (B, S^(B+1)) edge table (_draw_edges reads the block's
-    edges from it), extra the block's (m, N, k) extra uniforms and X the
-    states after its last step, where the next block starts.
+    rows (D, N) holds each draw's row index x C^B + p, edge is the call's
+    _row_decode (B, S C^B) edge table (_draw_edges reads the block's edges
+    from it), extra the block's (m, N, k) extra uniforms and X the states
+    after its last step, where the next block starts.
     """
     N = len(X)
-    S = len(P)
-    B = _path_length(S, N, k)
-    table = _path_table(np.asarray(P, dtype=float).tobytes(), S, B)
-    edge, last = _row_decode(S, B)
+    S, C = np.shape(Q)
+    B = _path_length(C, N, k)
+    table = _path_table(np.asarray(Q, dtype=float).tobytes(), S, B)
+    edge = _row_decode(S, C, B)
+    last = edge[-1] % C // (C // S)
     block = B * max(1, _BLOCK // max(N * B * (1 + k), 1))     # steps
     draw = N * (1 + B * k)                  # values of a whole draw
     ends = _horizons(n, at)
@@ -280,12 +294,13 @@ def _chain_steps(P, X, n, rng, k=0, at=None):
         for j, move in enumerate(moves):
             row = _search(table, X, move, out=rows[j])
             steps = min(m - j * B, B)
-            X = last.take(row) if steps == B else edge[steps - 1].take(row) % S
+            X = (last.take(row) if steps == B
+                 else edge[steps - 1].take(row) % C // (C // S))
         yield rows, edge, extra, X
 
 
 def _draw_edges(rows, edge, m):
-    """(m, N) flat edges X_t S + X_{t+1} of a block's m steps, step-major:
+    """(m, N) flat (state, column) edges of a block's m steps, step-major:
     the B edges of each draw's row, the last draw's cut to the steps left."""
     B = len(edge)
     if B == 1:
@@ -316,48 +331,32 @@ def _cov_factors(cov):
 
 
 def _atom_lookup(spec: MapSpec):
-    """(first, cum, mean, cov, gauss) for spec.edge_table's atom runs.
+    """(Q, atom, mean, cov, gauss) for spec.edge_table's atom runs.
 
-    first is indexed by flat edge X*S + X': the run's first atom (a trailing
-    zero atom for edges without a law). cum is the _cdf_table of each run's
-    cumulative probabilities by flat edge (None when no run has two atoms);
-    its column map holds first[edge] + j, so a search returns the atom. The
-    rest are per atom; cov is regularized so that its Cholesky factor exists
-    wherever the covariance is regular.
+    Q is _chain_steps' (S, S A) step matrix over (successor, atom) columns,
+    A the longest run: Q[i, j A + a] = P_ij p_a for atom a of the run on
+    edge (i, j), 0 elsewhere; where no run has two atoms, Q is P. atom is
+    indexed by flat (state, column) edge i S A + j A + a: the run's atom a,
+    or a trailing zero atom. The rest are per atom; cov is regularized so
+    that its Cholesky factor exists wherever the covariance is regular.
     """
     tab = spec.edge_table
     S, d = spec.n_states, spec.d
-    n_atoms = len(tab["prob"])
-    length = np.diff(np.append(tab["start"], n_atoms))
-    edges = tab["rows"] * S + tab["cols"]
-    first = np.full(S * S, n_atoms)
-    first[edges] = tab["start"]
-    cum = np.ones((S * S, length.max()))
-    for k in np.flatnonzero(length > 1):
-        a, m = tab["start"][k], length[k]
-        run = np.cumsum(tab["prob"][a:a + m])
-        cum[edges[k]] = run[-1]         # no rise past the run's last atom
-        cum[edges[k], :m] = run
-    table = None
-    if length.max() > 1:
-        levels, column, start, M, stride = _cdf_table(cum)
-        column = column + np.repeat(first, stride)
-        column.setflags(write=False)
-        table = levels, column, start, M, stride
+    n_atoms, run = len(tab["prob"]), tab["edge"]
+    a = np.arange(n_atoms) - tab["start"][run]      # each atom's place
+    A = int(a.max(initial=0)) + 1
+    at = (tab["rows"][run] * S + tab["cols"][run]) * A + a
+    atom = np.full(S * S * A, n_atoms)
+    atom[at] = np.arange(n_atoms)
+    Q = np.zeros((S, S, A))
+    Q[..., 0] = spec.P
+    if A > 1:
+        Q.reshape(-1)[at] = tab["weight"][run] * tab["prob"]
     cov = np.vstack([tab["cov"], np.zeros((1, d, d))]) + 1e-300 * np.eye(d)
     cov += 1e-18 * np.trace(cov, axis1=1, axis2=2)[:, None, None] * np.eye(d)
-    return (first, table, np.vstack([tab["mean"], np.zeros((1, d))]),
-            cov, np.append(tab["gauss"], False))
-
-
-def _edge_atoms(first, cum, rows, edge, u):
-    """Atom of each step's edge in a block of _chain_steps: the run's first
-    atom, or the inverse CDF of extra uniform 0 over the run where
-    multi-atom runs exist."""
-    edges = _draw_edges(rows, edge, len(u))
-    if cum is None:
-        return first.take(edges)
-    return _search(cum, edges, u[..., 0])
+    return (Q.reshape(S, S * A), atom,
+            np.vstack([tab["mean"], np.zeros((1, d))]), cov,
+            np.append(tab["gauss"], False))
 
 
 def _add_atoms(Y, V, atom, mean, cov):
@@ -372,20 +371,19 @@ def simulate_discrete(spec: MapSpec, n: int, n_paths: int, seed: int,
                       mu=None, keep_states: bool = False, at=None):
     """Simulate Y_n of the MAP for n_paths paths from sufficient statistics.
 
-    X_0 ~ pi (or mu) and the chain moves through _chain_steps, with one
-    extra uniform per step only where a multi-atom mixture run exists. Given
-    the path, the increments are independent with laws fixed by their edges,
-    so Y_n is the sum of the atom means plus one Gaussian with the summed
-    atom covariance V: after the last step, Y += F(V) ndtri(u) with F(V) =
-    sqrt(V) for d = 1 and _cov_factors(V) otherwise, drawn only when a
-    Gaussian atom exists.
+    X_0 ~ pi (or mu) and the chain moves through _chain_steps over
+    _atom_lookup's (successor, atom) columns, with no extra uniform: a
+    step's column fixes its atom, a mixture's too. Given the path, the
+    atoms' increments are independent, so Y_n is the sum of the atom means
+    plus one Gaussian with the summed atom covariance V: after the last
+    step, Y += F(V) ndtri(u) with F(V) = sqrt(V) for d = 1 and
+    _cov_factors(V) otherwise, drawn only when a Gaussian atom exists.
 
-    With no multi-atom run, a draw's row fixes its B edges and so their
-    atoms: one table per call, built from _row_decode's edge table, holds
-    each row's summed atom means (and covariances where a Gaussian atom
-    exists), and a whole draw adds its row's entries, one gather per draw.
-    Only the cut last draw of a segment is decoded, into its first r edges.
-    With a multi-atom run, every step's atom is drawn (_edge_atoms).
+    A draw's row fixes its B edges and so their atoms: one table per call,
+    built from _row_decode's edge table, holds each row's summed atom means
+    (and covariances where a Gaussian atom exists), and a whole draw adds
+    its row's entries, one gather per draw. Only the cut last draw of a
+    segment is decoded, into its first r edges.
 
     With at, a strictly increasing list of horizons ending at n, one chain
     per path runs to n and one batch per horizon is returned. Each segment
@@ -398,30 +396,25 @@ def simulate_discrete(spec: MapSpec, n: int, n_paths: int, seed: int,
     spec_id = spec_content_hash(spec)
     rng = _philox(f"{spec_id}:{seed}".encode())
     d = spec.d
-    first, cum, mean, cov, gauss = _atom_lookup(spec)
-    k = int(cum is not None)
+    Q, atom, mean, cov, gauss = _atom_lookup(spec)
     X = _initial_states(spec, mu, n_paths, rng)
     Y = np.zeros((n_paths, d))
-    blocks = _chain_steps(spec.P, X, n, rng, k, horizons)
+    blocks = _chain_steps(Q, X, n, rng, 0, horizons)
     batches, t, row_mean = [], 0, None
     for h in horizons:
         V = np.zeros((n_paths, d, d)) if gauss.any() else None
         while t < h:                # the blocks of the segment up to h
             rows, edge, u, X = next(blocks)
             t += len(u)
-            if k:
-                _add_atoms(Y, V, _edge_atoms(first, cum, rows, edge, u),
-                           mean, cov)
-                continue
             if row_mean is None:            # B, and so edge, is the call's
-                atom = first.take(edge)
-                row_mean = mean.take(atom, axis=0).sum(axis=0)
+                atoms = atom.take(edge)
+                row_mean = mean.take(atoms, axis=0).sum(axis=0)
                 row_cov = (None if V is None
-                           else cov.take(atom, axis=0).sum(axis=0))
+                           else cov.take(atoms, axis=0).sum(axis=0))
             full, r = divmod(len(u), len(edge))
             _add_atoms(Y, V, rows[:full], row_mean, row_cov)
             if r:                           # the cut last draw
-                _add_atoms(Y, V, first.take(edge[:r].take(rows[-1], axis=1)),
+                _add_atoms(Y, V, atom.take(edge[:r].take(rows[-1], axis=1)),
                            mean, cov)
         if V is not None:
             F = np.sqrt(V) if d == 1 else _cov_factors(V)
@@ -529,21 +522,25 @@ def simulate_ct(ct: CtMapSpec, t: float, n_paths: int, seed: int,
 def increment_panel(spec: MapSpec, n: int, n_paths: int, seed: int) -> np.ndarray:
     """Matrix of per-step increments xi_k = Y_k - Y_{k-1}, shape (paths, n).
 
-    Each step draws d increment uniforms per path: uniform 0 picks the atom
-    within a multi-atom run, and Gaussian atoms add chol @ ndtri(u). The
-    continuous-time panel is the diff of simulate_ct's reads at 0, 1, ..., n.
+    Each step's (successor, atom) column fixes its atom. On a spec with a
+    Gaussian law each step draws d increment uniforms per path, and a
+    Gaussian atom adds chol @ ndtri(u). The continuous-time panel is the
+    diff of simulate_ct's reads at 0, 1, ..., n.
     """
     rng = _philox(f"{spec_content_hash(spec)}:{seed}".encode())
-    first, cum, mean, cov, gauss = _atom_lookup(spec)
+    Q, atom, mean, cov, gauss = _atom_lookup(spec)
+    k = spec.d if gauss.any() else 0
     chol = _cov_factors(cov)
     X = _initial_states(spec, None, n_paths, rng)
     panel = np.empty((n, n_paths))
-    k = 0
-    for rows, edge, u, _ in _chain_steps(spec.P, X, n, rng, spec.d):
-        atom = _edge_atoms(first, cum, rows, edge, u)
-        inc = mean[atom, 0]
-        g = gauss[atom]
-        inc[g] += np.einsum("pab,pb->pa", chol[atom[g]], ndtri(u[g]))[:, 0]
-        panel[k:k + len(inc)] = inc
-        k += len(inc)
+    t = 0
+    for rows, edge, u, _ in _chain_steps(Q, X, n, rng, k):
+        atoms = atom.take(_draw_edges(rows, edge, len(u)))
+        inc = mean[atoms, 0]
+        if k:
+            g = gauss[atoms]
+            inc[g] += np.einsum("pab,pb->pa", chol[atoms[g]],
+                                ndtri(u[g]))[:, 0]
+        panel[t:t + len(inc)] = inc
+        t += len(inc)
     return panel.T

@@ -326,27 +326,45 @@ def _initial_states(pi, mu, n_paths, rng):
     return (u[:, None] >= cum).sum(axis=1)
 
 
-def path_length(S, N, k):
+def path_length(C, N, k):
     """B of block-path stepping, from its rule: the largest B <= 8 with
-    S^B <= 1024 and N B (1 + k) <= 2^16, and at least 1."""
+    C^B <= 1024 and N B (1 + k) <= 2^16, and at least 1."""
     return max([1] + [B for B in range(1, 9)
-                      if S ** B <= 1024 and N * B * (1 + k) <= 1 << 16])
+                      if C ** B <= 1024 and N * B * (1 + k) <= 1 << 16])
 
 
-def path_laws(P, B):
-    """(paths, cums): the B-step paths as tuples from itertools.product,
-    and per start state x the cumulative probabilities of the paths from x,
-    each a product of P along the path, pinned to 1 from the last path of
-    positive probability on."""
-    S = len(P)
-    paths = list(itertools.product(range(S), repeat=B))
+def atom_columns(spec):
+    """(A, Q): the longest atom run A and the (S, S A) step matrix over
+    (successor, atom) columns, built edge by edge: Q[i, j A + a] = P_ij p_a
+    for atom a of the law on (i, j), and P_ij at a = 0 for an edge without
+    a law (test oracle for montecarlo._atom_lookup's Q)."""
+    S, P, laws = spec.n_states, spec.P, spec.increments
+    A = max([1] + [len(law.prob) for law in laws.values()])
+    Q = np.zeros((S, S * A))
+    for i in range(S):
+        for j in range(S):
+            law = laws.get((i, j))
+            for a, p in enumerate([1.0] if law is None else law.prob):
+                Q[i, j * A + a] = P[i, j] * p
+    return A, Q
+
+
+def path_laws(Q, B):
+    """(paths, cums): the B-step column paths as tuples from
+    itertools.product, and per start state x the cumulative probabilities
+    of the paths from x, each a product of Q along the path, where column c
+    moves to state c // A (A = C / S; for a kernel P, A = 1 and the columns
+    are the states), pinned to 1 from the last path of positive
+    probability on."""
+    S, C = Q.shape
+    paths = list(itertools.product(range(C), repeat=B))
     cums = []
     for x in range(S):
         probs = []
         for path in paths:
             q, prev = 1.0, x
-            for y in path:
-                q, prev = q * P[prev, y], y
+            for c in path:
+                q, prev = q * Q[prev, c], c // (C // S)
             probs.append(q)
         cum = np.cumsum(probs)
         cum[max(i for i, q in enumerate(probs) if q > 0):] = 1.0
@@ -355,35 +373,31 @@ def path_laws(P, B):
 
 
 def _walk(paths, cums, x, u, r):
-    """x, then the first r states of the path that u draws from x."""
+    """x, then the first r columns of the path that u draws from x."""
     return [x, *paths[int((u >= cums[x]).sum())][:r]]
-
-
-def _atom_cdf(law):
-    """A mixture's cumulative atom probabilities, pinned to 1 from its last
-    positive atom on."""
-    probs = law.prob.tolist()
-    cum = np.cumsum(probs)
-    cum[max(i for i, p in enumerate(probs) if p > 0):] = 1.0
-    return cum
 
 
 def per_kind_simulate(spec, n, n_paths, seed, mu=None, B=None):
     """(terminal_Y, terminal_X, increment_panel) by a per-path loop
     branching per law kind (test oracle for increment_panel).
 
-    The stream: X_0, then per draw of B = path_length(S, n_paths, d) steps
-    (the last one cut to what is left) one move uniform per path and d
-    increment uniforms per path per step, step-major. A path's move uniform
-    picks its next B states among the itertools.product paths by their
-    products of P. Each step's increment is the deterministic value, a
-    Gaussian mean + Cholesky factor @ ndtri(u) or the mixture atom that
-    increment uniform 0 picks.
+    The chain steps over (successor, atom) columns (atom_columns). The
+    stream: X_0, then per draw of B = path_length(S A, n_paths, k) steps
+    (the last one cut to what is left) one move uniform per path and k
+    increment uniforms per path per step, step-major, with k = d when some
+    law is Gaussian and 0 otherwise. A path's move uniform picks its next B
+    columns among the itertools.product paths by their products of Q.
+    Column j A + a steps to state j, and the step's increment is the
+    deterministic value, a Gaussian mean + Cholesky factor @ ndtri(u) or
+    the mixture's atom a.
     """
     rng = _philox(f"{spec_content_hash(spec)}:{seed}".encode())
     S, d = spec.n_states, spec.d
-    B = path_length(S, n_paths, d) if B is None else B
-    paths, cums = path_laws(spec.P, B)
+    A, Q = atom_columns(spec)
+    k = d if any(law.kind == "gaussian"
+                 for law in spec.increments.values()) else 0
+    B = path_length(S * A, n_paths, k) if B is None else B
+    paths, cums = path_laws(Q, B)
     chol = {}
     for e, law in spec.increments.items():
         if law.kind == "gaussian":
@@ -394,24 +408,25 @@ def per_kind_simulate(spec, n, n_paths, seed, mu=None, B=None):
     panel = np.zeros((n_paths, n))
     for t in range(0, n, B):
         r = min(B, n - t)
-        u = rng.random(n_paths * (1 + r * d))
-        u_inc = u[n_paths:].reshape(r, n_paths, d)
+        u = rng.random(n_paths * (1 + r * k))
+        u_inc = u[n_paths:].reshape(r, n_paths, k)
         for p in range(n_paths):
-            walk = _walk(paths, cums, X[p], u[p], r)
-            for s, e in enumerate(zip(walk, walk[1:])):
-                law = spec.increments.get(e)
+            x = X[p]
+            for s, c in enumerate(_walk(paths, cums, x, u[p], r)[1:]):
+                j, a = divmod(c, A)
+                law = spec.increments.get((x, j))
                 if law is None:
                     inc = np.zeros(d)
                 elif law.kind == "deterministic":
                     inc = law.mean[0]
                 elif law.kind == "gaussian":
-                    inc = law.mean[0] + chol[e] @ ndtri(u_inc[s, p])
+                    inc = law.mean[0] + chol[x, j] @ ndtri(u_inc[s, p])
                 else:
-                    a = int((u_inc[s, p, 0] >= _atom_cdf(law)).sum())
                     inc = law.mean[a]
                 Y[p] += inc
                 panel[p, t + s] = inc[0]
-            X[p] = walk[-1]
+                x = j
+            X[p] = x
     return Y, X, panel
 
 
@@ -427,15 +442,15 @@ def _psd_root(V):
 def stepwise_sufficient_simulate(spec, n, n_paths, seed, mu=None, B=None):
     """(terminal_Y, terminal_X) by a plain per-path loop (test oracle).
 
-    Test oracle for montecarlo.simulate_discrete. The stream: X_0, then per
-    draw of B = path_length(S, n_paths, extra) steps one move uniform per
-    path and, with extra = 1 when some mixture law has two or more atoms,
-    one atom uniform per path per step, step-major. A path's move uniform
-    picks its next B states among the itertools.product paths by their
-    products of P. Y adds the mean of each step's edge law (or of its chosen
-    atom) and V the Gaussian covariance; when some law is Gaussian, one draw
-    ndtri(u) per path after the last step adds F(V) ndtri(u), with F the
-    Cholesky factor (the PSD root where that fails).
+    Test oracle for montecarlo.simulate_discrete. The chain steps over
+    (successor, atom) columns (atom_columns). The stream: X_0, then per
+    draw of B = path_length(S A, n_paths, 0) steps one move uniform per
+    path, which picks its next B columns among the itertools.product paths
+    by their products of Q. Column j A + a steps to state j, and Y adds the
+    mean of atom a of the edge's law and V its Gaussian covariance; when
+    some law is Gaussian, one draw ndtri(u) per path after the last step
+    adds F(V) ndtri(u), with F the Cholesky factor (the PSD root where that
+    fails).
 
     With n a list of increasing horizons, one chain runs to the last one and
     a list of (Y, X) comes back, one per horizon. The last draw before each
@@ -446,10 +461,9 @@ def stepwise_sufficient_simulate(spec, n, n_paths, seed, mu=None, B=None):
     rng = _philox(f"{spec_content_hash(spec)}:{seed}".encode())
     S, d = spec.n_states, spec.d
     laws = spec.increments
-    extra = int(any(law.kind == "mixture" and len(law.prob) > 1
-                    for law in laws.values()))
-    B = path_length(S, n_paths, extra) if B is None else B
-    paths, cums = path_laws(spec.P, B)
+    A, Q = atom_columns(spec)
+    B = path_length(S * A, n_paths, 0) if B is None else B
+    paths, cums = path_laws(Q, B)
     has_gauss = any(law.kind == "gaussian" for law in laws.values())
     X = _initial_states(spec.pi, mu, n_paths, rng)
     Y = np.zeros((n_paths, d))
@@ -457,25 +471,17 @@ def stepwise_sufficient_simulate(spec, n, n_paths, seed, mu=None, B=None):
     for h in horizons:
         V = np.zeros((n_paths, d, d))
         for t in range(done, h, B):
-            r = min(B, h - t)
-            u = rng.random(n_paths * (1 + r * extra))
-            u_atom = u[n_paths:].reshape(r * extra, n_paths)
+            u = rng.random(n_paths)
             for p in range(n_paths):
-                walk = _walk(paths, cums, X[p], u[p], r)
-                for s, e in enumerate(zip(walk, walk[1:])):
-                    law = laws.get(e)
-                    if law is None:
-                        continue
-                    if law.kind == "gaussian":
-                        Y[p] += law.mean[0]
-                        V[p] += law.cov[0]
-                    elif law.kind == "deterministic":
-                        Y[p] += law.mean[0]
-                    else:
-                        a = (int((u_atom[s, p] >= _atom_cdf(law)).sum())
-                             if len(law.prob) > 1 else 0)
+                x = X[p]
+                for c in _walk(paths, cums, x, u[p], min(B, h - t))[1:]:
+                    j, a = divmod(c, A)
+                    law = laws.get((x, j))
+                    if law is not None:
                         Y[p] += law.mean[a]
-                X[p] = walk[-1]
+                        V[p] += law.cov[a]
+                    x = j
+                X[p] = x
         if has_gauss:
             z = ndtri(rng.random((n_paths, d)))
             Y += np.stack([_psd_root(v) @ zp for v, zp in zip(V, z)])
@@ -625,72 +631,63 @@ def _initial_states_b1(pi, mu, n_paths, rng):
     return np.searchsorted(np.cumsum(probs), u, side="right").clip(0, len(pi) - 1)
 
 
+def _column_tables(spec):
+    """(A, cumQ, value, cov, kind): per state and (successor, atom) column
+    of atom_columns, the pinned cumulative row of Q, the atom's value and
+    covariance, and its law's kind (0 none or point, 1 Gaussian)."""
+    S, d = spec.n_states, spec.d
+    A, Q = atom_columns(spec)
+    value = np.zeros((S, S * A, d))
+    cov = np.zeros((S, S * A, d, d))
+    kind = np.zeros((S, S * A), dtype=np.int8)
+    for (i, j), law in spec.increments.items():
+        for a in range(len(law.prob)):
+            value[i, j * A + a] = law.mean[a]
+            cov[i, j * A + a] = law.cov[a]
+            kind[i, j * A + a] = law.kind == "gaussian"
+    return A, _pinned_cdf(Q), value, cov, kind
+
+
 def per_kind_simulate_b1(spec, n, n_paths, seed, mu=None):
     """(terminal_Y, terminal_X, increment_panel) by a loop branching per law kind.
 
-    The single-step oracle: per_kind_simulate at B = 1, kept as it was
-    before block-path stepping. Dense
-    per-edge tables for deterministic values, Gaussian Cholesky factors and
-    mixture cumulative probabilities, consumed in the same stream order (X_0,
-    then per step one move uniform and d increment uniforms per path).
+    The single-step oracle: per_kind_simulate at B = 1, by dense tables per
+    state and (successor, atom) column: atom values and Gaussian Cholesky
+    factors, consumed in the same stream order (X_0, then per step one move
+    uniform and, when some law is Gaussian, d increment uniforms per path).
     """
     rng = _philox(f"{spec_content_hash(spec)}:{seed}".encode())
     S, d = spec.n_states, spec.d
-    kinds = np.zeros((S, S), dtype=np.int8)         # 0 det, 1 gauss, 2 mixture
-    det_val = np.zeros((S, S, d))
-    g_mean = np.zeros((S, S, d))
-    g_chol = np.zeros((S, S, d, d))
-    max_atoms = max([1] + [len(law.prob) for law in spec.increments.values()
-                           if law.kind == "mixture"])
-    mix_cum = np.ones((S, S, max_atoms))
-    mix_val = np.zeros((S, S, max_atoms, d))
-    for (i, j), law in spec.increments.items():
-        if law.kind == "deterministic":
-            det_val[i, j] = law.mean[0]
-        elif law.kind == "gaussian":
-            kinds[i, j] = 1
-            g_mean[i, j] = law.mean[0]
-            cov = law.cov[0] + 1e-300 * np.eye(d)
-            g_chol[i, j] = np.linalg.cholesky(cov + 1e-18 * np.trace(cov) * np.eye(d))
-        elif law.kind == "mixture":
-            kinds[i, j] = 2
-            cum = np.cumsum(law.prob)
-            mix_cum[i, j, :len(cum)] = cum
-            for a, v in enumerate(law.mean):
-                mix_val[i, j, a] = v
-    cumP = np.cumsum(spec.P, axis=1)
-    cumP[:, -1] = 1.0
+    A, cumQ, value, cov, kind = _column_tables(spec)
+    chol = np.zeros(cov.shape)
+    for i, c in zip(*np.nonzero(kind)):
+        V = cov[i, c] + 1e-300 * np.eye(d)
+        chol[i, c] = np.linalg.cholesky(V + 1e-18 * np.trace(V) * np.eye(d))
     X = _initial_states_b1(spec.pi, mu, n_paths, rng)
     Y = np.zeros((n_paths, d))
     panel = np.zeros((n_paths, n))
     for k in range(n):
         u_move = rng.random(n_paths)
-        u_inc = rng.random((n_paths, d))
-        Xn = (u_move[:, None] >= cumP[X]).sum(axis=1)
-        inc = det_val[X, Xn].copy()
-        gm = kinds[X, Xn] == 1
-        if gm.any():
-            z = ndtri(u_inc[gm])
-            inc[gm] = g_mean[X[gm], Xn[gm]] + np.einsum(
-                "pab,pb->pa", g_chol[X[gm], Xn[gm]], z)
-        mm = kinds[X, Xn] == 2
-        if mm.any():
-            atom = (u_inc[mm, 0:1] >= mix_cum[X[mm], Xn[mm]]).sum(axis=1)
-            inc[mm] = mix_val[X[mm], Xn[mm], atom.clip(0, max_atoms - 1)]
+        col = (u_move[:, None] >= cumQ[X]).sum(axis=1)
+        inc = value[X, col].copy()
+        if kind.any():
+            u_inc = rng.random((n_paths, d))
+            gm = kind[X, col] == 1
+            inc[gm] += np.einsum("pab,pb->pa", chol[X[gm], col[gm]],
+                                 ndtri(u_inc[gm]))
         Y += inc
         panel[:, k] = inc[:, 0]
-        X = Xn
+        X = col // A
     return Y, X, panel
 
 
 def stepwise_sufficient_simulate_b1(spec, n, n_paths, seed, mu=None):
     """(terminal_Y, terminal_X) by a plain per-step loop (test oracle).
 
-    The single-step oracle: stepwise_sufficient_simulate at B = 1, kept as
-    it was before block-path stepping. X_0, then per step one move
-    uniform per path and, when some mixture law has two or more atoms, one
-    atom uniform per path. Y adds the mean of each step's edge law (or of its
-    chosen atom) and V the Gaussian covariance; when some law is Gaussian, one
+    The single-step oracle: stepwise_sufficient_simulate at B = 1, by dense
+    tables per state and (successor, atom) column. X_0, then per step one
+    move uniform per path, which picks a column of Q. Y adds the column's
+    atom value and V its Gaussian covariance; when some law is Gaussian, one
     draw ndtri(u) per path after the last step adds F(V) ndtri(u), with F the
     Cholesky factor (the PSD root where that fails).
 
@@ -701,39 +698,18 @@ def stepwise_sufficient_simulate_b1(spec, n, n_paths, seed, mu=None):
     horizons = [n] if np.ndim(n) == 0 else list(n)
     rng = _philox(f"{spec_content_hash(spec)}:{seed}".encode())
     S, d = spec.n_states, spec.d
-    laws = spec.increments
-    extra = int(any(law.kind == "mixture" and len(law.prob) > 1
-                    for law in laws.values()))
-    mean = np.zeros((S, S, d))
-    cov = np.zeros((S, S, d, d))
-    atoms = {}
-    for (i, j), law in laws.items():
-        if law.kind == "mixture":
-            atoms[i, j] = (np.cumsum(law.prob)[:-1], list(law.mean))
-        elif law.kind == "gaussian":
-            mean[i, j], cov[i, j] = law.mean[0], law.cov[0]
-        else:
-            mean[i, j] = law.mean[0]
-    cumP = np.cumsum(spec.P, axis=1)
-    cumP[:, -1] = 1.0
-    has_gauss = any(law.kind == "gaussian" for law in laws.values())
+    A, cumQ, value, cov, kind = _column_tables(spec)
     X = _initial_states_b1(spec.pi, mu, n_paths, rng)
     Y = np.zeros((n_paths, d))
     out, done = [], 0
     for h in horizons:
         V = np.zeros((n_paths, d, d))
         for _ in range(h - done):
-            u = rng.random(n_paths * (1 + extra))
-            Xn = (u[:n_paths, None] >= cumP[X]).sum(axis=1)
-            Y += mean[X, Xn]
-            V += cov[X, Xn]
-            for p in range(n_paths):
-                if (X[p], Xn[p]) in atoms:
-                    cum, values = atoms[X[p], Xn[p]]
-                    a = int((u[n_paths + p] >= cum).sum()) if len(cum) else 0
-                    Y[p] += values[a]
-            X = Xn
-        if has_gauss:
+            col = (rng.random(n_paths)[:, None] >= cumQ[X]).sum(axis=1)
+            Y += value[X, col]
+            V += cov[X, col]
+            X = col // A
+        if kind.any():
             z = ndtri(rng.random((n_paths, d)))
             Y += np.stack([_psd_root(v) @ zp for v, zp in zip(V, z)])
         out.append((Y.copy(), X))

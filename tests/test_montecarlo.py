@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 from unittest import mock
@@ -24,8 +25,9 @@ from maplab.montecarlo import (_cdf_table, _cov_factors, _search,
                                increment_panel, simulate_ct,
                                simulate_discrete, spec_content_hash)
 
-from conftest import (path_length, per_kind_simulate, per_kind_simulate_b1,
-                      projected_spec, random_mixed_spec,
+from conftest import (atom_columns, path_length, per_kind_simulate,
+                      per_kind_simulate_b1,
+                      projected_spec, random_kernel, random_mixed_spec,
                       path_laws, skewed_mixture_exact_cdf, stepwise_ct,
                       stepwise_edge_counts, stepwise_edge_counts_b1,
                       stepwise_sufficient_simulate,
@@ -215,16 +217,20 @@ def _mu_list(S):
 
 
 def _panel_states(spec, n, n_paths, seed, mu=None):
-    """X_n of the increment-panel stream: the kernel with d extra uniforms."""
+    """X_n of the increment-panel stream: the kernel over the (successor,
+    atom) columns, with d extra uniforms per step on a spec with a Gaussian
+    law."""
     rng = montecarlo._philox(f"{spec_content_hash(spec)}:{seed}".encode())
+    Q, *_, gauss = montecarlo._atom_lookup(spec)
     X = montecarlo._initial_states(spec, mu, n_paths, rng)
-    for *_, X in montecarlo._chain_steps(spec.P, X, n, rng, spec.d):
+    for *_, X in montecarlo._chain_steps(Q, X, n, rng,
+                                         spec.d * bool(gauss.any())):
         pass
     return X
 
 
 class TestPerKindOracle:
-    """increment_panel and the kernel with d extra uniforms per step equal
+    """increment_panel and the kernel over (successor, atom) columns equal
     the per-law-kind loop bit for bit."""
 
     @pytest.mark.parametrize("spec", _oracle_specs())
@@ -284,9 +290,9 @@ def _point_gauss_spec(rng, S, d, integer):
 
 
 class TestRowSums:
-    """Without a multi-atom run, a whole draw adds its row's summed atom
-    means and covariances: against the per-step loop, X exactly and Y to
-    summation order, bit for bit where every sum is exact."""
+    """A whole draw adds its row's summed atom means and covariances:
+    against the per-step loop, X exactly and Y to summation order, bit for
+    bit where every sum is exact."""
 
     @settings(max_examples=60, deadline=None)
     @given(S=st.integers(1, 40), d=st.sampled_from([1, 2]),
@@ -318,8 +324,8 @@ class TestRowSums:
                               <= 1e-12 * (1.0 + np.abs(Y)))
 
     def test_mixed_runs_column_map(self):
-        """Multi-atom runs beside one-atom runs and law-less edges: the
-        mixture table's search returns the atom itself, first[edge] + j."""
+        """Multi-atom runs beside one-atom runs and law-less edges: each
+        (successor, atom) column carries P_ij p_a and maps to its atom."""
         kernel = StochasticKernel(states=(0, 1, 2), P=np.array(
             [[0.2, 0.0, 0.8], [0.4, 0.0, 0.6], [0.3, 0.3, 0.4]]))
         spec = MapSpec(kernel=kernel, increments={
@@ -330,16 +336,13 @@ class TestRowSums:
             (1, 2): mixture([(1.0, [-1.0])]),
             (2, 1): mixture([(0.7, [5.0]), (0.3, [6.0])]),
             (2, 2): deterministic([-2.0])})
-        first, cum, mean, *_ = montecarlo._atom_lookup(spec)
-        u = np.linspace(0.0, 1.0, 41)[:-1]
-        for edge in range(9):
-            law = spec.increments.get(divmod(edge, 3))
-            cdf = np.cumsum([1.0] if law is None else law.prob)
-            got = _search(cum, np.full(len(u), edge), u)
-            want = first[edge] + (u[:, None] >= cdf[:-1]).sum(axis=1)
-            assert np.array_equal(got, want)
-            if law is None:
-                assert (mean[got] == 0.0).all()
+        Q, atom, mean, *_ = montecarlo._atom_lookup(spec)
+        A, want = atom_columns(spec)
+        assert A == 3 and np.array_equal(Q, want)
+        for i, c in zip(*np.nonzero(Q)):
+            law = spec.increments.get((i, c // A))
+            value = 0.0 if law is None else law.mean[c % A]
+            assert np.array_equal(mean[atom[i * 3 * A + c]], value)
         for mu in _mu_list(3):
             _assert_sufficient_oracle(spec, 23, 400, 6, mu)
             for hs in ([1, 5, 12], [4, 8, 23]):
@@ -884,7 +887,7 @@ class TestHorizons:
         calls = []
         real = montecarlo._row_decode
         monkeypatch.setattr(montecarlo, "_row_decode",
-                            lambda S, B: calls.append(B) or real(S, B))
+                            lambda *a: calls.append(a) or real(*a))
         for spec in (two_state(), fixtures.skewed_mixture(),
                      random_mixed_spec(3, 1)):
             calls.clear()
@@ -940,22 +943,22 @@ def _sparse_kernel(rng, S, zeros=0.5):
 class TestPathLength:
     """B, the steps one move uniform draws, and its rule."""
 
-    @pytest.mark.parametrize("S, N, k, B", [
+    @pytest.mark.parametrize("C, N, k, B", [
         (1, 1, 0, 8), (1, 0, 0, 8), (1, 10 ** 6, 0, 1), (2, 8192, 0, 8),
         (2, 8193, 0, 7), (2, 16384, 1, 2), (2, 16385, 1, 1),
         (2, 60000, 0, 1), (3, 100, 0, 6), (4, 100, 0, 5), (5, 100, 0, 4),
         (8, 100, 0, 3), (10, 100, 0, 3), (11, 100, 0, 2), (32, 1000, 0, 2),
         (32, 700, 2, 2), (33, 1, 0, 1)])
-    def test_values(self, monkeypatch, S, N, k, B):
-        assert montecarlo._path_length(S, N, k) == B
+    def test_values(self, monkeypatch, C, N, k, B):
+        assert montecarlo._path_length(C, N, k) == B
         monkeypatch.setattr(montecarlo, "_BLOCK", 1)
-        assert montecarlo._path_length(S, N, k) == B
+        assert montecarlo._path_length(C, N, k) == B
 
     @settings(max_examples=300, deadline=None)
-    @given(S=st.integers(1, 40), N=st.integers(0, 10 ** 6),
+    @given(C=st.integers(1, 40), N=st.integers(0, 10 ** 6),
            k=st.integers(0, 4))
-    def test_rule(self, S, N, k):
-        assert montecarlo._path_length(S, N, k) == path_length(S, N, k)
+    def test_rule(self, C, N, k):
+        assert montecarlo._path_length(C, N, k) == path_length(C, N, k)
 
 
 class TestSingleStepCase:
@@ -1041,13 +1044,18 @@ class TestZeroMassStates:
         assert (P[walk[:-1], walk[1:]] > 0).all()
 
     def test_mixture_atoms(self):
+        # the atoms are columns of the path table: its last positive path
+        # takes every u up to 1, and each of its steps is on atom 2
         kernel = StochasticKernel(states=(0,), P=np.array([[1.0]]))
         law = mixture([(p, [float(a)]) for a, p in enumerate(self.ROW)])
         spec = MapSpec(kernel=kernel, increments={(0, 0): law})
-        first, cum, *_ = montecarlo._atom_lookup(spec)
-        atom = first[0] + _search(cum, np.zeros(1, dtype=np.intp),
-                                  np.array([self.U]))
-        assert atom.tolist() == [2]
+        Q, atom, *_ = montecarlo._atom_lookup(spec)
+        for B in range(1, 6):
+            table = montecarlo._path_table(Q.tobytes(), 1, B)
+            row = _search(table, np.zeros(1, dtype=np.intp),
+                          np.array([self.U]))
+            edges = montecarlo._row_decode(1, 4, B)[:, row]
+            assert atom[edges].ravel().tolist() == [2] * B
 
 
 class TestBlockPathLaw:
@@ -1107,7 +1115,8 @@ class TestBlockPathLaw:
         S, paths = spec.n_states, 8000
         kernel = _sparse_kernel(np.random.default_rng(seed), S)
         spec = MapSpec(kernel=kernel, increments=spec.increments)
-        B = montecarlo._path_length(S, paths, 1)
+        C = montecarlo._atom_lookup(spec)[0].shape[1]   # (successor, atom)
+        B = montecarlo._path_length(C, paths, 0)
         hs = [1, B + 1, 2 * B + 1]
         for batch in simulate_discrete(spec, hs[-1], paths, 5, at=hs):
             m1, m2, m3, m4 = (exact_moments(spec, batch.horizon, k)
@@ -1117,3 +1126,30 @@ class TestBlockPathLaw:
             y = batch.terminal_Y[:, 0]
             assert abs(y.mean() - m1) <= 5 * np.sqrt(var / paths)
             assert abs(y.var() - var) <= 5 * np.sqrt((mu4 - var ** 2) / paths)
+
+
+class TestLongAtomRun:
+    """A 1000-atom mixture edge on 32 states: the path table's rows stay the
+    S states, so it has S^2 A entries where a chain on (state, atom) pairs
+    would step an (S A)^2 matrix."""
+
+    def test_memory_and_mean(self):
+        rng = np.random.default_rng(0)
+        S = 32
+        kernel = StochasticKernel(states=tuple(range(S)),
+                                  P=random_kernel(rng, S))
+        incs = {(i, j): deterministic(rng.normal(size=1))
+                for i in range(S) for j in range(S)}
+        incs[0, 1] = mixture(list(zip(rng.dirichlet(np.ones(1000)),
+                                      rng.normal(size=(1000, 1)))))
+        spec = MapSpec(kernel=kernel, increments=incs)
+        spec.pi, spec.edge_table            # built before the trace
+        tracemalloc.start()
+        try:
+            Y = simulate_discrete(spec, 64, 1000, 1).terminal_Y[:, 0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 128 << 20
+        m1, m2 = (exact_moments(spec, 64, k) for k in (1, 2))
+        assert abs(Y.mean() - m1) <= 5 * np.sqrt((m2 - m1 ** 2) / 1000)
