@@ -657,7 +657,7 @@ def per_kind_simulate_b1(spec, n, n_paths, seed, mu=None):
     uniform and, when some law is Gaussian, d increment uniforms per path).
     """
     rng = _philox(f"{spec_content_hash(spec)}:{seed}".encode())
-    S, d = spec.n_states, spec.d
+    d = spec.d
     A, cumQ, value, cov, kind = _column_tables(spec)
     chol = np.zeros(cov.shape)
     for i, c in zip(*np.nonzero(kind)):
@@ -697,7 +697,7 @@ def stepwise_sufficient_simulate_b1(spec, n, n_paths, seed, mu=None):
     """
     horizons = [n] if np.ndim(n) == 0 else list(n)
     rng = _philox(f"{spec_content_hash(spec)}:{seed}".encode())
-    S, d = spec.n_states, spec.d
+    d = spec.d
     A, cumQ, value, cov, kind = _column_tables(spec)
     X = _initial_states_b1(spec.pi, mu, n_paths, rng)
     Y = np.zeros((n_paths, d))

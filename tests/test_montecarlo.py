@@ -26,8 +26,8 @@ from maplab.montecarlo import (_cdf_table, _cov_factors, _search,
                                simulate_discrete, spec_content_hash)
 
 from conftest import (atom_columns, path_length, per_kind_simulate,
-                      per_kind_simulate_b1,
-                      projected_spec, random_kernel, random_mixed_spec,
+                      per_kind_simulate_b1, projected_spec, random_kernel,
+                      random_mixed_spec,
                       path_laws, skewed_mixture_exact_cdf, stepwise_ct,
                       stepwise_edge_counts, stepwise_edge_counts_b1,
                       stepwise_sufficient_simulate,
@@ -342,7 +342,7 @@ class TestRowSums:
         for i, c in zip(*np.nonzero(Q)):
             law = spec.increments.get((i, c // A))
             value = 0.0 if law is None else law.mean[c % A]
-            assert np.array_equal(mean[atom[i * 3 * A + c]], value)
+            assert np.array_equal(mean[atom[i * Q.shape[1] + c]], value)
         for mu in _mu_list(3):
             _assert_sufficient_oracle(spec, 23, 400, 6, mu)
             for hs in ([1, 5, 12], [4, 8, 23]):
