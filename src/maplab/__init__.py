@@ -5,8 +5,8 @@ from .chain_core import (MixingBoundTable, StochasticKernel, l2_operator_norm,
                          solve_stationary, spectral_gap_report)
 from .errors import (BranchCollision, ConditionViolated, DegenerateVariance,
                      GapAbsent, LatticeSpec, MaplabError, MomentUndefined,
-                     NoInteriorRoot, NonFiniteOperator, NonIrreducible,
-                     NotCentered, NotScalar, NotStochastic, UnsupportedInitial,
+                     NonFiniteOperator, NonIrreducible, NotCentered,
+                     NotScalar, NotStochastic, UnsupportedInitial,
                      ZeroMassState)
 from .fourier import (SpectralSummary, derivatives_at_zero, lambda_branch,
                       nonlattice_certificate, nonlattice_scan)
@@ -19,9 +19,8 @@ from .limit_checks import (GaussianComparison, LltRecord, RhoMixReport,
 from .map_model import (CtMapSpec, LatticeReport, MapSpec, ct_sample_skeleton,
                         detect_lattice, exact_mean, exact_moments,
                         third_cumulant_rate, variance_series)
-from .mestim import (ContrastFamily, EstimatorRun, MEstimationProblem,
-                     build_problem, estimate, estimator_be_check,
-                     mean_contrast_family)
+from .mestim import (ContrastFamily, MEstimationProblem, build_problem,
+                     estimator_be_check, mean_contrast_family)
 from .montecarlo import (TrajectoryBatch, increment_panel, simulate_ct,
                          simulate_discrete, spec_content_hash)
 

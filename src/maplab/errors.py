@@ -77,7 +77,3 @@ class ConditionViolated(MaplabError):
         if detail:
             msg += f": {detail}"
         super().__init__(msg)
-
-
-class NoInteriorRoot(MaplabError):
-    """The estimating equation has no sign change inside the parameter interval."""

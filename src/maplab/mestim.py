@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain_core import StochasticKernel, l2_operator_norm
-from .errors import (ConditionViolated, DegenerateVariance, NoInteriorRoot,
-                     SeedOutOfRange)
+from .errors import ConditionViolated, SeedOutOfRange
 from .increments import DETERMINISTIC
 from .limit_checks import ecdf_se, kolmogorov_distance
 from .map_model import MapSpec, exact_moments, variance_series
@@ -300,14 +299,13 @@ def simulate_edge_counts(kernel: StochasticKernel, n: int, reps: int,
     tally, table = np.zeros((reps, S * S), dtype=np.int16), None
     X = _initial_states(kernel, mu, reps, rng)
     t = held = 0            # steps done, draws in the tally
-    for rows, edge, extra, _ in _chain_steps(kernel.P, X, n, rng):
+    for rows, edge, m, _ in _chain_steps(kernel.P, X, n, rng):
         B = len(edge)
         if t == 0 and S * S <= _TALLY_WIDTH * B:
             table = _count_table(edge, S)
         if table is None:               # every draw decoded, a block at once
-            _tally_steps(counts, _draw_edges(rows, edge, len(extra)), t,
-                         horizons)
-            t += len(extra)
+            _tally_steps(counts, _draw_edges(rows, edge, m), t, horizons)
+            t += m
             continue
         for row in rows:
             h = bisect.bisect_left(horizons, t + 1)   # slab of step t + 1
@@ -352,45 +350,6 @@ def _newton_on_counts(family, counts, alpha_init, domain, max_iter=60):
     f1 = _edge_value_table(family.F1, alpha, S)
     resid = np.abs(np.einsum("re,re->r", flat, f1) / n)
     return alpha, resid, resid <= FOC_TOL
-
-
-@dataclass(frozen=True)
-class EstimatorRun:
-    """One estimation run: minimizer, first-order residual, standardized value."""
-
-    theta: float
-    n: int
-    alpha_hat: float
-    foc_residual: float
-    standardized: float
-
-
-def estimate(problem: MEstimationProblem, theta, n: int, seed: int) -> EstimatorRun:
-    """Estimate alpha on one fresh path of length n under P_theta."""
-    kernel = problem.kernels[theta]
-    family = problem.family
-    counts = simulate_edge_counts(kernel, n, 1, seed)
-    lo, hi = family.alpha_domain
-    # coarse global scan of M_n to seed Newton at the global minimizer
-    scan = np.linspace(lo + 1e-6, hi - 1e-6, 64)
-    flat = counts.reshape(-1).astype(float)
-    f_tab = _edge_value_table(family.F, scan, kernel.n_states)
-    m_vals = np.einsum("ae,e->a", f_tab, flat) / n
-    f1_lo, f1_hi = np.einsum("ae,e->a", _edge_value_table(
-        family.F1, scan[[0, -1]], kernel.n_states), flat) / n
-    if f1_lo * f1_hi > 0:
-        raise NoInteriorRoot(
-            f"M_n^(1) has no sign change in ({lo:g}, {hi:g})")
-    init = scan[int(np.argmin(m_vals))]
-    alpha, resid, ok = _newton_on_counts(family, counts, init, (lo, hi))
-    if not ok[0]:
-        raise NoInteriorRoot(f"first-order residual {resid[0]:.2e} > {FOC_TOL:g}")
-    tau = problem.tau[theta]
-    if tau <= 0:
-        raise DegenerateVariance("tau = 0; standardized value undefined")
-    std = float(np.sqrt(n) * (alpha[0] - problem.alpha0[theta]) / tau)
-    return EstimatorRun(theta=theta, n=int(n), alpha_hat=float(alpha[0]),
-                        foc_residual=float(resid[0]), standardized=std)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Seeded, reproducible trajectory simulation for discrete and continuous time.
 
 Every call draws from one counter-based Philox stream keyed by a sha256
-payload (spec hash and seed; mestim's edge counts use kernel bytes and seed)
-in a fixed order, so batches are a pure function of (spec, horizons,
+payload (spec hash and seed; mestim's edge counts use kernel bytes and
+seed) in a fixed order, so batches are a pure function of (spec, horizons,
 n_paths, seed). Discrete time has one stepping kernel, shared with
 mestim.simulate_edge_counts and increment_panel. A step picks a column of
 a step matrix: a (successor, atom) pair of probability P_ij p_a for the
@@ -10,19 +10,21 @@ samples, so a mixture atom is one more outcome of the step (P itself for
 mestim). It steps by block paths: one move uniform per path draws the next
 B steps at once, as the inverse CDF of the exact B-step path law from the
 path's state over its C^B column paths (C columns per step). B depends
-only on C, the path count and the extra uniforms per step (B = 1 is
-single-step stepping), and the last draw of a run keeps only the steps
-left. The search returns the draw's row x C^B + p of the path table, which
-fixes its B edges and atoms, so the kernel decodes no state: it yields
-whole blocks of rows, and each consumer reads what it needs from them once
-per block: per-row tables of summed atom means and covariances for the
-samples, the block's edges for panels, a per-row count table for mestim's
-edge counts. One chain per path serves a whole list of horizons: it runs
-to the largest one and is read at each on the way. Given the path, Y_n is
-the sum of the atoms' means plus one Gaussian with their summed
+only on C and the path count (B = 1 is single-step stepping), and the last
+draw of a run keeps only the steps left. The search returns the draw's row
+x C^B + p of the path table, which fixes its B edges and atoms, so the
+kernel decodes no state: it yields whole blocks of rows, and each consumer
+reads what it needs from them once per block: per-row tables of summed
+atom means and covariances for the samples, the block's edges for panels,
+a per-row count table for mestim's edge counts. The kernel draws the moves
+and nothing else, and builds its path table per call, so nothing stays
+resident after a call. One chain per path serves a whole list of horizons:
+it runs to the largest one and is read at each on the way. Given the path,
+Y_n is the sum of the atoms' means plus one Gaussian with their summed
 covariance, which simulate_discrete draws once per path and segment
 between horizons, after the segment's last step; increment_panel alone
-draws per-step increments.
+draws per-step increments, one uniform per step and path after the chain's
+last step.
 Continuous time steps one jump at a time over compact arrays of the paths
 still running. One chain per path serves a whole list of times there too:
 it runs to the last one and reads Y inside the dwell that holds each
@@ -39,7 +41,6 @@ depend on how the search is done.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -112,7 +113,10 @@ def _horizons(n, at):
 
 _BLOCK = 1 << 16        # doubles per block of steps: ~1 MB of temporaries
 _PATHS = 1 << 10        # most B-step paths per row of the path table
-_DRAW = 1 << 16         # most states and extra uniforms per draw of all paths
+# most steps of one draw of all paths, N B: it bounds the edges a block
+# decodes, and it keeps 65 536 paths or more on single-step draws (B = 1),
+# where lifting it moves streams that a seeded gate depends on (ROADMAP)
+_DRAW = 1 << 16
 
 
 def _rises(cum):
@@ -195,37 +199,32 @@ def _search(table, row, u, out=None):
     return column.take(pos, out=out, mode="clip")
 
 
-def _path_length(C, N, k):
+def _path_length(C, N):
     """B, the steps one move uniform draws: the largest B <= 8 with C^B <=
-    _PATHS and N B (1 + k) <= _DRAW, and at least 1, for C columns per
-    step, N paths and k extra uniforms per step."""
+    _PATHS and N B <= _DRAW, and at least 1, for C columns per step and N
+    paths."""
     B = 1
-    while (B < 8 and C ** (B + 1) <= _PATHS
-           and N * (B + 1) * (1 + k) <= _DRAW):
+    while B < 8 and C ** (B + 1) <= _PATHS and N * (B + 1) <= _DRAW:
         B += 1
     return B
 
 
-@functools.lru_cache(maxsize=8)
-def _path_table(Q_bytes, S, B):
-    """The _cdf_table of the B-step path law of the (S, C) float64 step
-    matrix (_chain_steps) whose bytes are Q_bytes, cached across segments
-    and calls.
+def _path_table(Q, B):
+    """The _cdf_table of the B-step path law of the (S, C) step matrix Q
+    (_chain_steps), built once per call of the kernel.
 
     Row x holds the cumulative probabilities of the C^B column paths from x
     in lexicographic order, each the product of its steps from left to
     right. Its column map holds x C^B + p, so a search returns the draw's
     row index (_row_decode), not the path p alone.
     """
-    Q = np.frombuffer(Q_bytes).reshape(S, -1)
-    C = Q.shape[1]
+    S, C = Q.shape
     probs = Q
     for _ in range(B - 1):
         state = np.arange(probs.shape[1]) % C // (C // S)
         probs = (probs[:, :, None] * Q[state]).reshape(S, -1)
     levels, column, start, M, stride = _cdf_table(np.cumsum(probs, axis=1))
     column = column + np.repeat(np.arange(S) * C ** B, stride)
-    column.setflags(write=False)            # shared by every cache hit
     return levels, column, start, M, stride
 
 
@@ -243,7 +242,7 @@ def _row_decode(S, C, B):
     return state * C + digits[1:]
 
 
-def _chain_steps(Q, X, n, rng, k=0, at=None):
+def _chain_steps(Q, X, n, rng, at=None):
     """The one discrete-time stepping loop: n steps of the chain from X.
 
     A step from state x picks column c of the (S, C) step matrix Q with
@@ -252,51 +251,42 @@ def _chain_steps(Q, X, n, rng, k=0, at=None):
     samples.
 
     Block-path stepping: one move uniform per path draws the next B =
-    _path_length(C, N, k) steps at once, as the inverse CDF (_search) of
-    the B-step path law from the path's state over its C^B column paths.
-    The last draw before a horizon (of _horizons(n, at)) keeps only the r <
-    B steps left, whose law is the r-step law. A draw's values are N move
-    uniforms, then k extra uniforms per path for each step it keeps,
-    step-major (increment_panel's Gaussian uniforms). A block of draws is
-    one rng.random call of about _BLOCK values (at least one draw), so the
-    stream is that of draw-by-draw calls. Blocks end at the horizons and
-    are drawn when asked for, so a caller can draw its own values at a
-    horizon.
+    _path_length(C, N) steps at once, as the inverse CDF (_search) of the
+    B-step path law from the path's state over its C^B column paths. The
+    last draw before a horizon (of _horizons(n, at)) keeps only the r < B
+    steps left, whose law is the r-step law. A draw takes N move uniforms
+    and the kernel draws nothing else. A block of draws is one rng.random
+    call of about _BLOCK values (at least one draw), so the stream is that
+    of draw-by-draw calls. Blocks end at the horizons and are drawn when
+    asked for, so a caller can draw its own values at a horizon.
 
-    Nothing is decoded: per block it yields (rows, edge, extra, X), where
-    rows (D, N) holds each draw's row index x C^B + p, edge is the call's
+    Nothing is decoded: per block it yields (rows, edge, m, X), where rows
+    (D, N) holds each draw's row index x C^B + p, edge is the call's
     _row_decode (B, S C^B) edge table (_draw_edges reads the block's edges
-    from it), extra the block's (m, N, k) extra uniforms and X the states
-    after its last step, where the next block starts.
+    from it), m the block's steps and X the states after its last step,
+    where the next block starts. X is a new array per block, never written
+    into.
     """
     N = len(X)
-    S, C = np.shape(Q)
-    B = _path_length(C, N, k)
-    table = _path_table(np.asarray(Q, dtype=float).tobytes(), S, B)
+    S, C = Q.shape
+    B = _path_length(C, N)
+    table = _path_table(Q, B)
     edge = _row_decode(S, C, B)
     last = edge[-1] % C // (C // S)
-    block = B * max(1, _BLOCK // max(N * B * (1 + k), 1))     # steps
-    draw = N * (1 + B * k)                  # values of a whole draw
+    block = B * max(1, _BLOCK // max(N * B, 1))     # steps
     ends = _horizons(n, at)
     for start, end in [(s, h) for h0, h in zip([0] + ends, ends)
                        for s in range(h0, h, block)]:
         m = min(block, end - start)
-        full, r = divmod(m, B)
-        u = rng.random(N * (full + (r > 0) + m * k))
-        cut = full * draw
-        whole = u[:cut].reshape(full, draw)
-        moves = list(whole[:, :N])
-        extra = whole[:, N:].reshape(full * B, N, k)
-        if r:                               # the last draw, cut to r steps
-            moves.append(u[cut:cut + N])
-            extra = np.concatenate([extra, u[cut + N:].reshape(r, N, k)])
-        rows = np.empty((len(moves), N), dtype=np.intp)
+        draws = -(-m // B)
+        moves = rng.random(N * draws).reshape(draws, N)
+        rows = np.empty((draws, N), dtype=np.intp)
         for j, move in enumerate(moves):
             row = _search(table, X, move, out=rows[j])
             steps = min(m - j * B, B)
             X = (last.take(row) if steps == B
                  else edge[steps - 1].take(row) % C // (C // S))
-        yield rows, edge, extra, X
+        yield rows, edge, m, X
 
 
 def _draw_edges(rows, edge, m):
@@ -368,12 +358,12 @@ def _add_atoms(Y, V, atom, mean, cov):
 
 
 def simulate_discrete(spec: MapSpec, n: int, n_paths: int, seed: int,
-                      mu=None, keep_states: bool = False, at=None):
+                      mu=None, at=None):
     """Simulate Y_n of the MAP for n_paths paths from sufficient statistics.
 
     X_0 ~ pi (or mu) and the chain moves through _chain_steps over
-    _atom_lookup's (successor, atom) columns, with no extra uniform: a
-    step's column fixes its atom, a mixture's too. Given the path, the
+    _atom_lookup's (successor, atom) columns: a step's column fixes its
+    atom, a mixture's too. Given the path, the
     atoms' increments are independent, so Y_n is the sum of the atom means
     plus one Gaussian with the summed atom covariance V: after the last
     step, Y += F(V) ndtri(u) with F(V) = sqrt(V) for d = 1 and
@@ -390,7 +380,7 @@ def simulate_discrete(spec: MapSpec, n: int, n_paths: int, seed: int,
     between horizons draws its own Gaussian from its own summed covariance
     after its last step, so Y_h2 - Y_h1 is independent of Y_h1 given the
     path. Without at, the one batch at n is returned: the one-segment case,
-    on the same stream as at=[n].
+    on the same stream as at=[n]. Every batch carries X at its horizon.
     """
     horizons = _horizons(n, at)
     spec_id = spec_content_hash(spec)
@@ -399,19 +389,19 @@ def simulate_discrete(spec: MapSpec, n: int, n_paths: int, seed: int,
     Q, atom, mean, cov, gauss = _atom_lookup(spec)
     X = _initial_states(spec, mu, n_paths, rng)
     Y = np.zeros((n_paths, d))
-    blocks = _chain_steps(Q, X, n, rng, 0, horizons)
+    blocks = _chain_steps(Q, X, n, rng, horizons)
     batches, t, row_mean = [], 0, None
     for h in horizons:
         V = np.zeros((n_paths, d, d)) if gauss.any() else None
         while t < h:                # the blocks of the segment up to h
-            rows, edge, u, X = next(blocks)
-            t += len(u)
+            rows, edge, m, X = next(blocks)
+            t += m
             if row_mean is None:            # B, and so edge, is the call's
                 atoms = atom.take(edge)
                 row_mean = mean.take(atoms, axis=0).sum(axis=0)
                 row_cov = (None if V is None
                            else cov.take(atoms, axis=0).sum(axis=0))
-            full, r = divmod(len(u), len(edge))
+            full, r = divmod(m, len(edge))
             _add_atoms(Y, V, rows[:full], row_mean, row_cov)
             if r:                           # the cut last draw
                 _add_atoms(Y, V, atom.take(edge[:r].take(rows[-1], axis=1)),
@@ -422,7 +412,7 @@ def simulate_discrete(spec: MapSpec, n: int, n_paths: int, seed: int,
         batches.append(TrajectoryBatch(
             spec_id=spec_id, horizon=h, n_paths=n_paths, seed=seed,
             terminal_Y=Y.copy() if h < n else Y,
-            terminal_X=X if keep_states else None))
+            terminal_X=X))
     return batches if at is not None else batches[0]
 
 
@@ -522,25 +512,24 @@ def simulate_ct(ct: CtMapSpec, t: float, n_paths: int, seed: int,
 def increment_panel(spec: MapSpec, n: int, n_paths: int, seed: int) -> np.ndarray:
     """Matrix of per-step increments xi_k = Y_k - Y_{k-1}, shape (paths, n).
 
-    Each step's (successor, atom) column fixes its atom. On a spec with a
-    Gaussian law each step draws d increment uniforms per path, and a
-    Gaussian atom adds chol @ ndtri(u). The continuous-time panel is the
+    The panel is of Y's first coordinate. Each step's (successor, atom)
+    column fixes its atom. On a spec with a Gaussian law, one call after
+    the chain's last step draws a uniform per step and path, step-major,
+    and a Gaussian atom a adds sqrt(cov[a, 0, 0]) ndtri(u): the first
+    coordinate of N(m, C) is N(m_0, C_00). The continuous-time panel is the
     diff of simulate_ct's reads at 0, 1, ..., n.
     """
     rng = _philox(f"{spec_content_hash(spec)}:{seed}".encode())
     Q, atom, mean, cov, gauss = _atom_lookup(spec)
-    k = spec.d if gauss.any() else 0
-    chol = _cov_factors(cov)
     X = _initial_states(spec, None, n_paths, rng)
-    panel = np.empty((n, n_paths))
+    atoms = np.empty((n, n_paths), dtype=np.intp)
     t = 0
-    for rows, edge, u, _ in _chain_steps(Q, X, n, rng, k):
-        atoms = atom.take(_draw_edges(rows, edge, len(u)))
-        inc = mean[atoms, 0]
-        if k:
-            g = gauss[atoms]
-            inc[g] += np.einsum("pab,pb->pa", chol[atoms[g]],
-                                ndtri(u[g]))[:, 0]
-        panel[t:t + len(inc)] = inc
-        t += len(inc)
+    for rows, edge, m, _ in _chain_steps(Q, X, n, rng):
+        atom.take(_draw_edges(rows, edge, m), out=atoms[t:t + m])
+        t += m
+    panel = mean[atoms, 0]
+    if gauss.any():
+        u = rng.random((n, n_paths))
+        g = gauss[atoms]
+        panel[g] += np.sqrt(cov[atoms[g], 0, 0]) * ndtri(u[g])
     return panel.T

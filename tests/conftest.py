@@ -326,11 +326,11 @@ def _initial_states(pi, mu, n_paths, rng):
     return (u[:, None] >= cum).sum(axis=1)
 
 
-def path_length(C, N, k):
+def path_length(C, N):
     """B of block-path stepping, from its rule: the largest B <= 8 with
-    C^B <= 1024 and N B (1 + k) <= 2^16, and at least 1."""
+    C^B <= 1024 and N B <= 2^16, and at least 1."""
     return max([1] + [B for B in range(1, 9)
-                      if C ** B <= 1024 and N * B * (1 + k) <= 1 << 16])
+                      if C ** B <= 1024 and N * B <= 1 << 16])
 
 
 def atom_columns(spec):
@@ -377,56 +377,59 @@ def _walk(paths, cums, x, u, r):
     return [x, *paths[int((u >= cums[x]).sum())][:r]]
 
 
+def _gauss_root(cov):
+    """sqrt of C_00 of the covariance cov, regularized as the sampler does:
+    V = cov + 1e-300 I, then V + 1e-18 tr(V) I."""
+    d = len(cov)
+    V = cov + 1e-300 * np.eye(d)
+    return np.sqrt((V + 1e-18 * np.trace(V) * np.eye(d))[0, 0])
+
+
 def per_kind_simulate(spec, n, n_paths, seed, mu=None, B=None):
-    """(terminal_Y, terminal_X, increment_panel) by a per-path loop
-    branching per law kind (test oracle for increment_panel).
+    """(Y, terminal_X, increment_panel) by a per-path loop branching per law
+    kind (test oracle for increment_panel), Y the sum of each path's panel
+    row: the first coordinate of Y_n.
 
     The chain steps over (successor, atom) columns (atom_columns). The
-    stream: X_0, then per draw of B = path_length(S A, n_paths, k) steps
-    (the last one cut to what is left) one move uniform per path and k
-    increment uniforms per path per step, step-major, with k = d when some
-    law is Gaussian and 0 otherwise. A path's move uniform picks its next B
-    columns among the itertools.product paths by their products of Q.
-    Column j A + a steps to state j, and the step's increment is the
-    deterministic value, a Gaussian mean + Cholesky factor @ ndtri(u) or
-    the mixture's atom a.
+    stream: X_0, then per draw of B = path_length(S A, n_paths) steps (the
+    last one cut to what is left) one move uniform per path, which picks
+    its next B columns among the itertools.product paths by their products
+    of Q; after the last step, when some law is Gaussian, one increment
+    uniform per step and path, step-major. Column j A + a steps to state j,
+    and the step's increment is the deterministic value, the mixture's atom
+    a or a Gaussian's mean + sqrt(C_00) ndtri(u), in the first coordinate.
     """
     rng = _philox(f"{spec_content_hash(spec)}:{seed}".encode())
-    S, d = spec.n_states, spec.d
+    S, laws = spec.n_states, spec.increments
     A, Q = atom_columns(spec)
-    k = d if any(law.kind == "gaussian"
-                 for law in spec.increments.values()) else 0
-    B = path_length(S * A, n_paths, k) if B is None else B
+    B = path_length(S * A, n_paths) if B is None else B
     paths, cums = path_laws(Q, B)
-    chol = {}
-    for e, law in spec.increments.items():
-        if law.kind == "gaussian":
-            cov = law.cov[0] + 1e-300 * np.eye(d)
-            chol[e] = np.linalg.cholesky(cov + 1e-18 * np.trace(cov) * np.eye(d))
     X = _initial_states(spec.pi, mu, n_paths, rng)
-    Y = np.zeros((n_paths, d))
-    panel = np.zeros((n_paths, n))
+    steps = [[] for _ in range(n_paths)]        # (x, j, a) per step
     for t in range(0, n, B):
-        r = min(B, n - t)
-        u = rng.random(n_paths * (1 + r * k))
-        u_inc = u[n_paths:].reshape(r, n_paths, k)
+        u = rng.random(n_paths)
         for p in range(n_paths):
             x = X[p]
-            for s, c in enumerate(_walk(paths, cums, x, u[p], r)[1:]):
+            for c in _walk(paths, cums, x, u[p], min(B, n - t))[1:]:
                 j, a = divmod(c, A)
-                law = spec.increments.get((x, j))
-                if law is None:
-                    inc = np.zeros(d)
-                elif law.kind == "deterministic":
-                    inc = law.mean[0]
-                elif law.kind == "gaussian":
-                    inc = law.mean[0] + chol[x, j] @ ndtri(u_inc[s, p])
-                else:
-                    inc = law.mean[a]
-                Y[p] += inc
-                panel[p, t + s] = inc[0]
+                steps[p].append((x, j, a))
                 x = j
             X[p] = x
+    if any(law.kind == "gaussian" for law in laws.values()):
+        z = ndtri(rng.random((n, n_paths)))
+    Y = np.zeros(n_paths)
+    panel = np.zeros((n_paths, n))
+    for p in range(n_paths):
+        for t, (x, j, a) in enumerate(steps[p]):
+            law = laws.get((x, j))
+            if law is None:
+                inc = 0.0
+            elif law.kind == "gaussian":
+                inc = law.mean[0][0] + _gauss_root(law.cov[0]) * z[t, p]
+            else:
+                inc = law.mean[a][0]
+            Y[p] += inc
+            panel[p, t] = inc
     return Y, X, panel
 
 
@@ -444,7 +447,7 @@ def stepwise_sufficient_simulate(spec, n, n_paths, seed, mu=None, B=None):
 
     Test oracle for montecarlo.simulate_discrete. The chain steps over
     (successor, atom) columns (atom_columns). The stream: X_0, then per
-    draw of B = path_length(S A, n_paths, 0) steps one move uniform per
+    draw of B = path_length(S A, n_paths) steps one move uniform per
     path, which picks its next B columns among the itertools.product paths
     by their products of Q. Column j A + a steps to state j, and Y adds the
     mean of atom a of the edge's law and V its Gaussian covariance; when
@@ -462,7 +465,7 @@ def stepwise_sufficient_simulate(spec, n, n_paths, seed, mu=None, B=None):
     S, d = spec.n_states, spec.d
     laws = spec.increments
     A, Q = atom_columns(spec)
-    B = path_length(S * A, n_paths, 0) if B is None else B
+    B = path_length(S * A, n_paths) if B is None else B
     paths, cums = path_laws(Q, B)
     has_gauss = any(law.kind == "gaussian" for law in laws.values())
     X = _initial_states(spec.pi, mu, n_paths, rng)
@@ -522,7 +525,7 @@ def stepwise_edge_counts(kernel, n, reps, seed, mu=None, B=None):
 
     The stream is keyed by sha256(P bytes + seed) as mestim.simulate_edge_counts
     keys it: X_0, then one move uniform per path per draw of B =
-    path_length(S, reps, 0) steps, which picks the path's next B states
+    path_length(S, reps) steps, which picks the path's next B states
     among the itertools.product paths by their products of P. With n a list
     of increasing horizons, one unbroken chain runs to the last one and the
     counts at every horizon come back, shape (len(n), reps, S, S).
@@ -530,7 +533,7 @@ def stepwise_edge_counts(kernel, n, reps, seed, mu=None, B=None):
     horizons = [n] if np.ndim(n) == 0 else list(n)
     rng = _philox(kernel.P.tobytes() + seed.to_bytes(8, "little", signed=True))
     S = kernel.n_states
-    B = path_length(S, reps, 0) if B is None else B
+    B = path_length(S, reps) if B is None else B
     paths, cums = path_laws(kernel.P, B)
     X = _initial_states(kernel.pi, mu, reps, rng)
     U = rng.random((-(-horizons[-1] // B), reps))
@@ -649,35 +652,36 @@ def _column_tables(spec):
 
 
 def per_kind_simulate_b1(spec, n, n_paths, seed, mu=None):
-    """(terminal_Y, terminal_X, increment_panel) by a loop branching per law kind.
+    """(Y, terminal_X, increment_panel) by a loop branching per law kind.
 
     The single-step oracle: per_kind_simulate at B = 1, by dense tables per
-    state and (successor, atom) column: atom values and Gaussian Cholesky
-    factors, consumed in the same stream order (X_0, then per step one move
-    uniform and, when some law is Gaussian, d increment uniforms per path).
+    state and (successor, atom) column: atom values and Gaussian roots
+    sqrt(C_00), consumed in the same stream order (X_0, then per step one
+    move uniform per path and, after the last step when some law is
+    Gaussian, one increment uniform per step and path).
     """
     rng = _philox(f"{spec_content_hash(spec)}:{seed}".encode())
-    d = spec.d
     A, cumQ, value, cov, kind = _column_tables(spec)
-    chol = np.zeros(cov.shape)
+    root = np.zeros(kind.shape)
     for i, c in zip(*np.nonzero(kind)):
-        V = cov[i, c] + 1e-300 * np.eye(d)
-        chol[i, c] = np.linalg.cholesky(V + 1e-18 * np.trace(V) * np.eye(d))
+        root[i, c] = _gauss_root(cov[i, c])
     X = _initial_states_b1(spec.pi, mu, n_paths, rng)
-    Y = np.zeros((n_paths, d))
-    panel = np.zeros((n_paths, n))
-    for k in range(n):
-        u_move = rng.random(n_paths)
-        col = (u_move[:, None] >= cumQ[X]).sum(axis=1)
-        inc = value[X, col].copy()
-        if kind.any():
-            u_inc = rng.random((n_paths, d))
-            gm = kind[X, col] == 1
-            inc[gm] += np.einsum("pab,pb->pa", chol[X[gm], col[gm]],
-                                 ndtri(u_inc[gm]))
-        Y += inc
-        panel[:, k] = inc[:, 0]
+    states, cols = [], []
+    for _ in range(n):
+        col = (rng.random(n_paths)[:, None] >= cumQ[X]).sum(axis=1)
+        states.append(X)
+        cols.append(col)
         X = col // A
+    z = ndtri(rng.random((n, n_paths))) if kind.any() else None
+    Y = np.zeros(n_paths)
+    panel = np.zeros((n_paths, n))
+    for k, (x, col) in enumerate(zip(states, cols)):
+        inc = value[x, col, 0]
+        if z is not None:
+            gm = kind[x, col] == 1
+            inc[gm] += root[x[gm], col[gm]] * z[k, gm]
+        Y += inc
+        panel[:, k] = inc
     return Y, X, panel
 
 

@@ -20,8 +20,14 @@ def _read(path):
 
 
 def _names(node):
-    """Every identifier the code under node refers to."""
+    """Every identifier the code under node refers to. A field a class body
+    declares (`name: type`) is not a reference to name."""
+    fields = {id(stmt.target) for sub in ast.walk(node)
+              if isinstance(sub, ast.ClassDef) for stmt in sub.body
+              if isinstance(stmt, ast.AnnAssign)}
     for sub in ast.walk(node):
+        if id(sub) in fields:
+            continue
         if isinstance(sub, ast.Name):
             yield sub.id
         elif isinstance(sub, ast.Attribute):

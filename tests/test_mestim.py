@@ -9,8 +9,9 @@ from maplab.errors import ConditionViolated
 from maplab.fixtures import (MEAN_CONTRAST_THETAS, mean_contrast_kernel,
                              mean_contrast_problem, two_state)
 from maplab.map_model import variance_series
-from maplab.mestim import (ContrastFamily, _edge_expectation, build_problem,
-                           estimate, estimator_be_check, mean_contrast_family,
+from maplab.mestim import (ContrastFamily, _edge_expectation,
+                           _newton_on_counts, build_problem,
+                           estimator_be_check, mean_contrast_family,
                            simulate_edge_counts)
 
 from conftest import random_kernel, stepwise_edge_counts
@@ -186,23 +187,34 @@ class TestCertificates:
             assert want in str(err.value)
 
 
+def _alpha_hat(problem, theta, n, seed):
+    """Newton's root of M_n^(1) on one path of length n under P_theta, from
+    alpha0."""
+    counts = simulate_edge_counts(problem.kernels[theta], n, 1, seed)
+    family = problem.family
+    alpha, resid, ok = _newton_on_counts(family, counts,
+                                         problem.alpha0[theta],
+                                         family.alpha_domain)
+    assert ok[0]
+    return alpha[0], resid[0], counts[0]
+
+
 class TestEstimate:
     def test_exact_sample_mean_identity(self, problem):
         # quadratic contrast: alpha_hat is exactly the occupation frequency
-        run = estimate(problem, 1.0, 512, 77)
-        counts = simulate_edge_counts(problem.kernels[1.0], 512, 1, 77)
-        freq = counts[0][:, 1].sum() / 512.0
-        assert abs(run.alpha_hat - freq) < 1e-12
-        assert run.foc_residual <= 1e-10
+        alpha, resid, counts = _alpha_hat(problem, 1.0, 512, 77)
+        freq = counts[:, 1].sum() / 512.0
+        assert abs(alpha - freq) < 1e-12
+        assert resid <= 1e-10
 
     def test_single_observation(self, problem):
-        run = estimate(problem, 1.0, 1, 3)
-        assert run.alpha_hat in (pytest.approx(0.0, abs=1e-12),
-                                 pytest.approx(1.0, abs=1e-12))
+        alpha = _alpha_hat(problem, 1.0, 1, 3)[0]
+        assert alpha in (pytest.approx(0.0, abs=1e-12),
+                         pytest.approx(1.0, abs=1e-12))
 
     def test_scaling_equivariance(self, problem):
-        # multiplying F by c > 0 leaves alpha_hat and the standardized
-        # value unchanged (sigma1 and m both scale by c)
+        # multiplying F by c > 0 leaves alpha_hat and tau unchanged (sigma1
+        # and m both scale by c)
         xi = XI_OCCUPATION
         c = 7.0
         fam_scaled = ContrastFamily(
@@ -213,18 +225,9 @@ class TestEstimate:
             W=lambda i: c)
         kernels = {t: mean_contrast_kernel(t) for t in (1.0,)}
         prob_scaled = build_problem(fam_scaled, kernels)
-        run_scaled = estimate(prob_scaled, 1.0, 256, 13)
-        run_plain = estimate(problem, 1.0, 256, 13)
-        assert run_scaled.alpha_hat == pytest.approx(run_plain.alpha_hat,
-                                                     abs=1e-10)
-        assert run_scaled.standardized == pytest.approx(run_plain.standardized,
-                                                        abs=1e-8)
+        assert _alpha_hat(prob_scaled, 1.0, 256, 13)[0] == pytest.approx(
+            _alpha_hat(problem, 1.0, 256, 13)[0], abs=1e-10)
         assert prob_scaled.tau[1.0] == pytest.approx(problem.tau[1.0], abs=1e-9)
-
-    def test_standardized_value(self, problem):
-        run = estimate(problem, 1.0, 1024, 5)
-        expected = np.sqrt(1024) * (run.alpha_hat - 0.6) / problem.tau[1.0]
-        assert run.standardized == pytest.approx(expected)
 
 
 class TestEdgeCounts:
@@ -308,15 +311,15 @@ def decoded_edge_counts(kernel, horizons, reps, seed, mu=None):
     rng = montecarlo._philox(
         kernel.P.tobytes() + seed.to_bytes(8, "little", signed=True))
     S = kernel.n_states
-    B = montecarlo._path_length(S, reps, 0)
+    B = montecarlo._path_length(S, reps)
     X = montecarlo._initial_states(kernel, mu, reps, rng)
     walk = [X]
-    for rows, _, extra, _ in montecarlo._chain_steps(kernel.P, X,
-                                                     horizons[-1], rng):
+    for rows, _, m, _ in montecarlo._chain_steps(kernel.P, X, horizons[-1],
+                                                 rng):
         for j, row in enumerate(rows):
             x, *states = np.unravel_index(row, (S,) * (B + 1))
             np.testing.assert_array_equal(x, walk[-1])
-            walk.extend(states[:min(B, len(extra) - j * B)])
+            walk.extend(states[:min(B, m - j * B)])
     walk = np.array(walk)
     counts = np.zeros((len(horizons), reps, S, S), dtype=np.int64)
     paths = np.arange(reps)
@@ -344,7 +347,7 @@ class TestCountTables:
         rng = np.random.default_rng(abs(seed) % 2 ** 32)
         kernel = StochasticKernel(states=tuple(range(S)),
                                   P=random_kernel(rng, S))
-        B = montecarlo._path_length(S, reps, 0)
+        B = montecarlo._path_length(S, reps)
         hs = {r % (n + 1) for r in reads} | {n}
         hs = sorted(hs | set(range(B, n, B)) if grid else hs)
         mu = rng.dirichlet(np.ones(S)) if mu else None
@@ -358,7 +361,7 @@ class TestCountTables:
         # int16 tally must go into int64 every 4095 draws of B = 8 steps
         kernel = StochasticKernel(states=(0, 1), P=np.array(
             [[1 - 1e-4, 1e-4], [0.5, 0.5]]))
-        assert montecarlo._path_length(2, 3, 0) == 8
+        assert montecarlo._path_length(2, 3) == 8
         got = simulate_edge_counts(kernel, hs[-1], 3, 5, at=hs)
         assert got[-1, :, 0, 0].max() > 32767
         np.testing.assert_array_equal(
@@ -392,7 +395,7 @@ class TestCountTables:
         monkeypatch.setattr(mestim, "_tally_steps", counting)
         kernel = StochasticKernel(states=tuple(range(S)), P=random_kernel(
             np.random.default_rng(S), S))
-        B = montecarlo._path_length(S, 500, 0)
+        B = montecarlo._path_length(S, 500)
         assert B > 4
         on_grid = [B, 3 * B, 8 * B]
         hs = sorted(on_grid + extra)

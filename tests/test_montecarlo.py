@@ -91,7 +91,7 @@ class TestDiscrete:
 
     def test_stationarity_chi_square(self):
         spec = two_state()
-        batch = simulate_discrete(spec, 17, 20000, 5, keep_states=True)
+        batch = simulate_discrete(spec, 17, 20000, 5)
         counts = np.bincount(batch.terminal_X, minlength=2)
         _, p = chisquare(counts, 20000 * spec.pi)
         assert p > 1e-3
@@ -107,8 +107,7 @@ class TestDiscrete:
 
     def test_initial_distribution_used(self):
         spec = two_state()
-        batch = simulate_discrete(spec, 1, 20000, 3, mu=np.array([1.0, 0.0]),
-                                  keep_states=True)
+        batch = simulate_discrete(spec, 1, 20000, 3, mu=np.array([1.0, 0.0]))
         # from state 0 the chain lands in state 1 with probability 0.3
         frac = batch.terminal_X.mean()
         assert abs(frac - 0.3) < 0.02
@@ -218,13 +217,11 @@ def _mu_list(S):
 
 def _panel_states(spec, n, n_paths, seed, mu=None):
     """X_n of the increment-panel stream: the kernel over the (successor,
-    atom) columns, with d extra uniforms per step on a spec with a Gaussian
-    law."""
+    atom) columns, whose Gaussian uniforms come after the last step."""
     rng = montecarlo._philox(f"{spec_content_hash(spec)}:{seed}".encode())
-    Q, *_, gauss = montecarlo._atom_lookup(spec)
+    Q = montecarlo._atom_lookup(spec)[0]
     X = montecarlo._initial_states(spec, mu, n_paths, rng)
-    for *_, X in montecarlo._chain_steps(Q, X, n, rng,
-                                         spec.d * bool(gauss.any())):
+    for *_, X in montecarlo._chain_steps(Q, X, n, rng):
         pass
     return X
 
@@ -238,14 +235,14 @@ class TestPerKindOracle:
         Y, _, panel = per_kind_simulate(spec, 23, 400, 6)
         got = increment_panel(spec, 23, 400, 6)
         assert np.array_equal(got, panel)
-        assert np.array_equal(np.cumsum(got, axis=1)[:, -1], Y[:, 0])
+        assert np.array_equal(np.cumsum(got, axis=1)[:, -1], Y)
         for mu in _mu_list(spec.n_states):
             _, X, _ = per_kind_simulate(spec, 23, 400, 6, mu=mu)
             assert np.array_equal(_panel_states(spec, 23, 400, 6, mu), X)
 
 
 def _assert_sufficient_oracle(spec, n, n_paths, seed, mu=None):
-    batch = simulate_discrete(spec, n, n_paths, seed, mu=mu, keep_states=True)
+    batch = simulate_discrete(spec, n, n_paths, seed, mu=mu)
     Y, X = stepwise_sufficient_simulate(spec, n, n_paths, seed, mu=mu)
     assert np.array_equal(batch.terminal_X, X)
     assert np.all(np.abs(batch.terminal_Y - Y) <= 1e-12 * (1.0 + np.abs(Y)))
@@ -306,14 +303,14 @@ class TestRowSums:
         rng = np.random.default_rng(seed)
         spec = _point_gauss_spec(rng, S, d, integer)
         mu = rng.dirichlet(np.ones(S)) if given_mu else None
-        B = montecarlo._path_length(S, paths, 0)
+        B = montecarlo._path_length(S, paths)
         # segments of a whole draws plus r steps: ends on a draw boundary
         # (r = 0) or inside a draw
         lengths = [max(a * B + r % B, 1) for a, r in segments]
         hs = np.cumsum(lengths).tolist()
         with mock.patch.object(montecarlo, "_BLOCK", block):
             batches = simulate_discrete(spec, hs[-1], paths, seed, mu=mu,
-                                        keep_states=True, at=hs)
+                                        at=hs)
         oracle = stepwise_sufficient_simulate(spec, hs, paths, seed, mu=mu)
         for batch, (Y, X) in zip(batches, oracle):
             assert np.array_equal(batch.terminal_X, X)
@@ -346,8 +343,7 @@ class TestRowSums:
         for mu in _mu_list(3):
             _assert_sufficient_oracle(spec, 23, 400, 6, mu)
             for hs in ([1, 5, 12], [4, 8, 23]):
-                batches = simulate_discrete(spec, hs[-1], 50, 3, mu=mu,
-                                            keep_states=True, at=hs)
+                batches = simulate_discrete(spec, hs[-1], 50, 3, mu=mu, at=hs)
                 oracle = stepwise_sufficient_simulate(spec, hs, 50, 3, mu=mu)
                 for batch, (Y, X) in zip(batches, oracle):
                     assert np.array_equal(batch.terminal_X, X)
@@ -428,7 +424,7 @@ class TestSearch:
         smallest = min(np.prod(P[[x, *path[:-1]], path])
                        for x in range(S) for path in paths)
         assert 0 < smallest < 1e-15
-        table = montecarlo._path_table(P.tobytes(), S, B)
+        table = montecarlo._path_table(P, B)
         row = np.repeat(np.arange(S), 400)
         u = rng.random(len(row))
         tied = np.array([cums[x][j] for x, j in
@@ -461,7 +457,7 @@ class TestSearch:
         # every path probability a multiple of 1/M: no bucket holds a
         # candidate, so the guided search runs no level at all
         P = np.full((2, 2), 0.5)
-        table = montecarlo._path_table(P.tobytes(), 2, 4)
+        table = montecarlo._path_table(P, 4)
         assert table[2] is not None and _depth(table) == 0
         paths, cums = path_laws(P, 4)
         row = np.repeat(np.arange(2), 64)
@@ -506,7 +502,7 @@ class TestSearch:
             nxt = rng.choice(S, successors, replace=False)
             P[x, nxt] = rng.uniform(0.2, 1.0, successors)
         P /= P.sum(axis=1, keepdims=True)
-        table = montecarlo._path_table(P.tobytes(), S, B)
+        table = montecarlo._path_table(P, B)
         assert table[2] is not None
         assert _depth(table) < (S ** B - 1).bit_length()
         paths, cums = path_laws(P, B)
@@ -517,11 +513,12 @@ class TestSearch:
                                       row * S ** B + want)
 
     def test_path_table_read_only(self):
-        # every cache hit shares the table, the level views of flat included
+        # the search reads the guide and the level views of flat, never
+        # writes them
         P = np.random.default_rng(8).dirichlet(np.ones(8), size=8)
-        levels, column, start = montecarlo._path_table(P.tobytes(), 8, 3)[:3]
+        levels, _, start = montecarlo._path_table(P, 3)[:3]
         assert levels and start is not None
-        for arr in [column, start, *(level for _, level in levels)]:
+        for arr in [start, *(level for _, level in levels)]:
             assert not arr.flags.writeable
 
 
@@ -854,10 +851,10 @@ class TestHorizons:
         spec = random_mixed_spec(seed, d)
         hs = self.HORIZONS
         first = simulate_discrete(spec, hs[-1], 300, 9, at=hs)[0]
-        single = simulate_discrete(spec, hs[0], 300, 9, keep_states=True)
+        single = simulate_discrete(spec, hs[0], 300, 9)
         assert first.horizon == hs[0]
         assert np.array_equal(first.terminal_Y, single.terminal_Y)
-        assert first.terminal_X is None
+        assert np.array_equal(first.terminal_X, single.terminal_X)
 
     @pytest.mark.parametrize("block", [1, 250, 700])
     def test_stepwise_oracle(self, monkeypatch, block):
@@ -865,7 +862,7 @@ class TestHorizons:
         for spec in _oracle_specs()[::3]:
             for mu in _mu_list(spec.n_states):
                 batches = simulate_discrete(spec, 12, 200, 6, mu=mu,
-                                            keep_states=True, at=[1, 5, 12])
+                                            at=[1, 5, 12])
                 oracle = stepwise_sufficient_simulate(spec, [1, 5, 12], 200,
                                                       6, mu=mu)
                 for batch, (Y, X) in zip(batches, oracle):
@@ -897,8 +894,7 @@ class TestHorizons:
     def test_zero_step_segment(self):
         # a segment of no steps still draws its (zero-variance) Gaussian
         spec = fixtures.skewed_mixture()
-        batches = simulate_discrete(spec, 12, 200, 6, keep_states=True,
-                                    at=[0, 5, 12])
+        batches = simulate_discrete(spec, 12, 200, 6, at=[0, 5, 12])
         oracle = stepwise_sufficient_simulate(spec, [0, 5, 12], 200, 6)
         assert not batches[0].terminal_Y.any()
         for batch, (Y, X) in zip(batches, oracle):
@@ -943,22 +939,23 @@ def _sparse_kernel(rng, S, zeros=0.5):
 class TestPathLength:
     """B, the steps one move uniform draws, and its rule."""
 
-    @pytest.mark.parametrize("C, N, k, B", [
-        (1, 1, 0, 8), (1, 0, 0, 8), (1, 10 ** 6, 0, 1), (2, 8192, 0, 8),
-        (2, 8193, 0, 7), (2, 16384, 1, 2), (2, 16385, 1, 1),
-        (2, 60000, 0, 1), (3, 100, 0, 6), (4, 100, 0, 5), (5, 100, 0, 4),
-        (8, 100, 0, 3), (10, 100, 0, 3), (11, 100, 0, 2), (32, 1000, 0, 2),
-        (32, 700, 2, 2), (33, 1, 0, 1)])
-    def test_values(self, monkeypatch, C, N, k, B):
-        assert montecarlo._path_length(C, N, k) == B
+    # each case's id keeps the C-N-0-B form it had when a step could carry
+    # extra uniforms (the 0), so the ids name the same cases as before
+    @pytest.mark.parametrize("C, N, B", [
+        pytest.param(C, N, B, id=f"{C}-{N}-0-{B}") for C, N, B in [
+            (1, 1, 8), (1, 0, 8), (1, 10 ** 6, 1), (2, 8192, 8),
+            (2, 8193, 7), (2, 60000, 1), (3, 100, 6), (4, 100, 5),
+            (5, 100, 4), (8, 100, 3), (10, 100, 3), (11, 100, 2),
+            (32, 1000, 2), (33, 1, 1)]])
+    def test_values(self, monkeypatch, C, N, B):
+        assert montecarlo._path_length(C, N) == B
         monkeypatch.setattr(montecarlo, "_BLOCK", 1)
-        assert montecarlo._path_length(C, N, k) == B
+        assert montecarlo._path_length(C, N) == B
 
     @settings(max_examples=300, deadline=None)
-    @given(C=st.integers(1, 40), N=st.integers(0, 10 ** 6),
-           k=st.integers(0, 4))
-    def test_rule(self, C, N, k):
-        assert montecarlo._path_length(C, N, k) == path_length(C, N, k)
+    @given(C=st.integers(1, 40), N=st.integers(0, 10 ** 6))
+    def test_rule(self, C, N):
+        assert montecarlo._path_length(C, N) == path_length(C, N)
 
 
 class TestSingleStepCase:
@@ -984,15 +981,14 @@ class TestSingleStepCase:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_kernel_is_single_step_at_b1(self, seed):
-        N = 33000       # N B (1 + k) > 2^16 at B = 2 for every k
+        N = 33000       # N B > 2^16 at B = 2
         spec = random_mixed_spec(seed, 1)
         S = spec.n_states
-        assert montecarlo._path_length(S, N, 0) == 1
+        assert montecarlo._path_length(S, N) == 1
         assert np.array_equal(
             simulate_edge_counts(spec.kernel, 5, N, seed, at=[2, 5]),
             stepwise_edge_counts_b1(spec.kernel, [2, 5], N, seed))
-        batches = simulate_discrete(spec, 4, N, 6, keep_states=True,
-                                    at=[1, 4])
+        batches = simulate_discrete(spec, 4, N, 6, at=[1, 4])
         for batch, (Y, X) in zip(batches, stepwise_sufficient_simulate_b1(
                 spec, [1, 4], N, 6)):
             assert np.array_equal(batch.terminal_X, X)
@@ -1004,7 +1000,7 @@ class TestSingleStepCase:
     def test_wide_state_space_is_single_step(self):
         # S = 33: S^2 > 1024, so B = 1 at any path count
         kernel = _sparse_kernel(np.random.default_rng(3), 33, zeros=0.0)
-        assert montecarlo._path_length(33, 10, 0) == 1
+        assert montecarlo._path_length(33, 10) == 1
         assert np.array_equal(
             simulate_edge_counts(kernel, 7, 10, 1, at=[3, 7]),
             stepwise_edge_counts_b1(kernel, [3, 7], 10, 1))
@@ -1036,7 +1032,7 @@ class TestZeroMassStates:
     def test_block_paths(self, B):
         P = np.array([self.ROW, self.ROW[[1, 0, 3, 2]], self.ROW[::-1],
                       [0.25] * 4])
-        table = montecarlo._path_table(P.tobytes(), 4, B)
+        table = montecarlo._path_table(P, B)
         x = np.arange(4)
         row = _search(table, x, np.full(4, self.U))
         walk = np.vstack(np.unravel_index(row, (4,) * (B + 1)))
@@ -1051,7 +1047,7 @@ class TestZeroMassStates:
         spec = MapSpec(kernel=kernel, increments={(0, 0): law})
         Q, atom, *_ = montecarlo._atom_lookup(spec)
         for B in range(1, 6):
-            table = montecarlo._path_table(Q.tobytes(), 1, B)
+            table = montecarlo._path_table(Q, B)
             row = _search(table, np.zeros(1, dtype=np.intp),
                           np.array([self.U]))
             edges = montecarlo._row_decode(1, 4, B)[:, row]
@@ -1066,7 +1062,7 @@ class TestBlockPathLaw:
     def test_mean_counts(self, S):
         rng = np.random.default_rng(S)
         kernel, N = _sparse_kernel(rng, S), 4000
-        P, B = kernel.P, montecarlo._path_length(S, N, 0)
+        P, B = kernel.P, montecarlo._path_length(S, N)
         n = 2 * B + 1
         hs = sorted({1, max(B - 1, 1), B, B + 1, n})
         mu = rng.dirichlet(np.ones(S))
@@ -1086,7 +1082,7 @@ class TestBlockPathLaw:
         # second (B -> B + 1) each have the stationary edge law pi_i P_ij
         rng = np.random.default_rng(10 + S)
         kernel, N = _sparse_kernel(rng, S), 8000
-        B = montecarlo._path_length(S, N, 0)
+        B = montecarlo._path_length(S, N)
         assert B > 1
         counts = simulate_edge_counts(kernel, B + 1, N, S,
                                       at=[B - 1, B, B + 1])
@@ -1116,7 +1112,7 @@ class TestBlockPathLaw:
         kernel = _sparse_kernel(np.random.default_rng(seed), S)
         spec = MapSpec(kernel=kernel, increments=spec.increments)
         C = montecarlo._atom_lookup(spec)[0].shape[1]   # (successor, atom)
-        B = montecarlo._path_length(C, paths, 0)
+        B = montecarlo._path_length(C, paths)
         hs = [1, B + 1, 2 * B + 1]
         for batch in simulate_discrete(spec, hs[-1], paths, 5, at=hs):
             m1, m2, m3, m4 = (exact_moments(spec, batch.horizon, k)
@@ -1133,7 +1129,8 @@ class TestLongAtomRun:
     S states, so it has S^2 A entries where a chain on (state, atom) pairs
     would step an (S A)^2 matrix."""
 
-    def test_memory_and_mean(self):
+    @staticmethod
+    def _spec():
         rng = np.random.default_rng(0)
         S = 32
         kernel = StochasticKernel(states=tuple(range(S)),
@@ -1143,7 +1140,11 @@ class TestLongAtomRun:
         incs[0, 1] = mixture(list(zip(rng.dirichlet(np.ones(1000)),
                                       rng.normal(size=(1000, 1)))))
         spec = MapSpec(kernel=kernel, increments=incs)
-        spec.pi, spec.edge_table            # built before the trace
+        spec.pi, spec.edge_table            # built before any trace
+        return spec
+
+    def test_memory_and_mean(self):
+        spec = self._spec()
         tracemalloc.start()
         try:
             Y = simulate_discrete(spec, 64, 1000, 1).terminal_Y[:, 0]
@@ -1153,3 +1154,15 @@ class TestLongAtomRun:
         assert peak <= 128 << 20
         m1, m2 = (exact_moments(spec, 64, k) for k in (1, 2))
         assert abs(Y.mean() - m1) <= 5 * np.sqrt((m2 - m1 ** 2) / 1000)
+
+    def test_nothing_held_after_call(self):
+        # no table of the call stays resident once its batch is dropped
+        spec = self._spec()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            simulate_discrete(spec, 64, 1000, 1)
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert after - before <= 1 << 20
