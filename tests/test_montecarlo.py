@@ -939,8 +939,8 @@ def _sparse_kernel(rng, S, zeros=0.5):
 class TestPathLength:
     """B, the steps one move uniform draws, and its rule."""
 
-    # each case's id keeps the C-N-0-B form it had when a step could carry
-    # extra uniforms (the 0), so the ids name the same cases as before
+    # ids in the C-N-0-B form (0 extra uniforms per step) that names these
+    # cases across versions
     @pytest.mark.parametrize("C, N, B", [
         pytest.param(C, N, B, id=f"{C}-{N}-0-{B}") for C, N, B in [
             (1, 1, 8), (1, 0, 8), (1, 10 ** 6, 1), (2, 8192, 8),
