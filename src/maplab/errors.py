@@ -53,12 +53,9 @@ class NotScalar(MaplabError, ValueError):
     """The operation is defined for scalar (d = 1) specs only."""
 
 
-class SeedOutOfRange(MaplabError, ValueError):
-    """A seed does not fit the signed 64 bits that key its stream."""
-
-
 class TooFewPaths(MaplabError, ValueError):
-    """A standard error over paths needs at least two of them."""
+    """A statistic over paths has too few of them: a standard error needs
+    two, a distance from a limit law one."""
 
 
 class ConditionViolated(MaplabError):

@@ -17,7 +17,7 @@ from .fourier import NONLATTICE_GRID, nonlattice_certificate
 from .map_model import (CtMapSpec, MapSpec, branch_derivatives,
                         ct_sample_skeleton, third_cumulant_rate,
                         variance_series)
-from .montecarlo import (_initial_law, increment_panel, simulate_ct,
+from .montecarlo import (increment_panel, initial_law, simulate_ct,
                          simulate_discrete)
 from .normal import ndtr
 
@@ -142,7 +142,7 @@ def asymptotic_bias(spec: MapSpec, mu) -> float:
     a the conditional edge-mean vector.
     """
     P, pi = spec.P, spec.pi
-    mu = _initial_law(pi, mu)
+    mu = initial_law(pi, mu)
     a = np.einsum("ij,ij->i", P, spec.edge_mean_matrix()[:, :, 0])
     if abs(pi @ a) > 1e-10:
         raise NotCentered("asymptotic bias requires a centered spec")

@@ -2,25 +2,23 @@
 
 The contrast is an additive functional of consecutive state pairs, so the
 whole estimating equation reduces to per-edge transition counts; Newton steps
-are vectorized across replications through those counts. The chain is
-montecarlo's discrete-time stepping kernel; each of its draws adds one row of
-a count table of the draw's B edges into a per-path tally.
+are vectorized across replications through those counts. The counts come
+from montecarlo.simulate_edge_counts, one chain per path and theta read at
+every n, on the stream of the theta's kernel and the seed.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chain_core import StochasticKernel, l2_operator_norm
-from .errors import ConditionViolated, SeedOutOfRange
+from .chain_core import l2_operator_norm
+from .errors import ConditionViolated, TooFewPaths
 from .increments import DETERMINISTIC
 from .limit_checks import ecdf_se, kolmogorov_distance
 from .map_model import MapSpec, exact_moments, variance_series
-from .montecarlo import (_chain_steps, _draw_edges, _horizons,
-                         _initial_states, _philox)
+from .montecarlo import simulate_edge_counts
 
 FOC_TOL = 1e-10
 
@@ -243,89 +241,6 @@ def build_problem(family: ContrastFamily, kernels: dict) -> MEstimationProblem:
                               gap_kappa=gap_kappa, eq16_max=eq16)
 
 
-# -- path simulation via edge counts --------------------------------------
-
-# the count table serves where its rows hold at most this many entries per
-# step (S^2 <= _TALLY_WIDTH B); wider rows cost more to add than to scatter
-_TALLY_WIDTH = 24
-
-
-def _count_table(edge, S):
-    """(S^(B+1), S^2) int8 table of a _row_decode edge table: entry [row,
-    e] is the number of the B steps of the draw at row on flat edge e."""
-    R = edge.shape[1]
-    flat = (edge + np.arange(R) * (S * S)).ravel()
-    return np.bincount(flat, minlength=R * S * S).astype(np.int8).reshape(
-        R, S * S)
-
-
-def _tally_steps(counts, edges, t, horizons):
-    """Add the decoded steps t + 1, ..., t + s (flat edges (s, reps)) into
-    counts (len(horizons), reps, S^2), each step into the slab of the first
-    horizon at or after it."""
-    _, reps, S2 = counts.shape
-    slab = np.searchsorted(horizons, np.arange(t + 1, t + len(edges) + 1))
-    flat = slab[:, None] * (reps * S2) + np.arange(0, reps * S2, S2)
-    flat += edges
-    np.add.at(counts.reshape(-1), flat.ravel(), 1)
-
-
-def simulate_edge_counts(kernel: StochasticKernel, n: int, reps: int,
-                         seed: int, mu=None, at=None) -> np.ndarray:
-    """Transition-pair counts over n steps for reps paths, shape (reps, S, S).
-
-    The stream is keyed by the kernel's bytes and the seed, which must fit
-    in signed 64 bits (else SeedOutOfRange). With at, a strictly increasing
-    list of horizons ending at n, one chain per path runs to n and the
-    counts at every horizon come back, shape (len(at), reps, S, S). The
-    chain is not broken at the horizons, so the counts at each are those of
-    the call without at to it.
-
-    The chain is montecarlo._chain_steps, whose draws come as rows of its
-    path table; a row fixes its draw's B edges. So a whole draw adds its
-    row of a count table built for the call (_count_table) into a per-path
-    int16 tally, which goes into the int64 counts at each horizon and
-    before it can overflow. The cut last draw and a draw that holds a
-    horizon are decoded to edges and added step by step (_tally_steps), as
-    is every draw where the table's rows would be too wide.
-    """
-    horizons = _horizons(n, at)
-    if not -2 ** 63 <= seed < 2 ** 63:
-        raise SeedOutOfRange(f"seed {seed} does not fit the signed 64 bits "
-                             "that key the edge-count stream")
-    rng = _philox(kernel.P.tobytes() + seed.to_bytes(8, "little", signed=True))
-    S = kernel.n_states
-    counts = np.zeros((len(horizons), reps, S * S), dtype=np.int64)
-    tally, table = np.zeros((reps, S * S), dtype=np.int16), None
-    X = _initial_states(kernel, mu, reps, rng)
-    t = held = 0            # steps done, draws in the tally
-    for rows, edge, m, _ in _chain_steps(kernel.P, X, n, rng):
-        B = len(edge)
-        if t == 0 and S * S <= _TALLY_WIDTH * B:
-            table = _count_table(edge, S)
-        if table is None:               # every draw decoded, a block at once
-            _tally_steps(counts, _draw_edges(rows, edge, m), t, horizons)
-            t += m
-            continue
-        for row in rows:
-            h = bisect.bisect_left(horizons, t + 1)   # slab of step t + 1
-            s = min(B, n - t)
-            if s == B and t + B <= horizons[h]:
-                np.add(tally, table.take(row, axis=0), out=tally)
-                held += 1
-            else:
-                _tally_steps(counts, edge[:s].take(row, axis=1), t, horizons)
-            t += s
-            if held and (t >= horizons[h] or held == 32767 // B):
-                counts[h] += tally
-                tally[:] = 0
-                held = 0
-    for k in range(1, len(horizons)):
-        counts[k] += counts[k - 1]
-    counts = counts.reshape(len(horizons), reps, S, S)
-    return counts if at is not None else counts[0]
-
-
 def _newton_on_counts(family, counts, alpha_init, domain, max_iter=60):
     """Vectorized Newton for M_n^(1)(alpha) = 0 across replications.
 
@@ -378,7 +293,7 @@ def estimator_be_check(problem: MEstimationProblem, n_list, reps: int,
         kernel = problem.kernels[theta]
         a0, tau = problem.alpha0[theta], problem.tau[theta]
         # one chain per path read at every horizon; the stream is keyed by
-        # the kernel's bytes, so each theta has its own
+        # the kernel, so each theta has its own
         record_at = {}
         for n, counts in zip(horizons, simulate_edge_counts(
                 kernel, horizons[-1], reps, seed, at=horizons)):
@@ -386,6 +301,11 @@ def estimator_be_check(problem: MEstimationProblem, n_list, reps: int,
                                                  family.alpha_domain)
             gamma_hat = float(np.mean(np.abs(alpha - a0) >= problem.d_ball))
             keep = ok & (np.abs(alpha - a0) < problem.d_ball)
+            if not keep.any():
+                raise TooFewPaths(
+                    f"no replication at n = {n} (theta = {theta}) has a "
+                    f"converged estimate within d_ball = {problem.d_ball:.4g} "
+                    "of alpha0, so there is no sample to compare with Phi")
             z = np.sqrt(n) * (alpha[keep] - a0) / tau
             kol = kolmogorov_distance(z)
             record_at[n] = EstimatorBeRecord(

@@ -1,30 +1,33 @@
 """Seeded, reproducible trajectory simulation for discrete and continuous time.
 
-Every call draws from one counter-based Philox stream keyed by a sha256
-payload (spec hash and seed; mestim's edge counts use kernel bytes and
-seed) in a fixed order, so batches are a pure function of (spec, horizons,
-n_paths, seed). Discrete time has one stepping kernel, shared with
-mestim.simulate_edge_counts and increment_panel. A step picks a column of
-a step matrix: a (successor, atom) pair of probability P_ij p_a for the
-samples, so a mixture atom is one more outcome of the step (P itself for
-mestim). It steps by block paths: one move uniform per path draws the next
-B steps at once, as the inverse CDF of the exact B-step path law from the
-path's state over its C^B column paths (C columns per step). B depends
-only on C and the path count (B = 1 is single-step stepping), and the last
-draw of a run keeps only the steps left. The search returns the draw's row
-x C^B + p of the path table, which fixes its B edges and atoms, so the
-kernel decodes no state: it yields whole blocks of rows, and each consumer
-reads what it needs from them once per block: per-row tables of summed
-atom means and covariances for the samples, the block's edges for panels,
-a per-row count table for mestim's edge counts. The kernel draws the moves
-and nothing else, and builds its path table per call, so nothing stays
-resident after a call. One chain per path serves a whole list of horizons:
-it runs to the largest one and is read at each on the way. Given the path,
-Y_n is the sum of the atoms' means plus one Gaussian with their summed
-covariance, which simulate_discrete draws once per path and segment
-between horizons, after the segment's last step; increment_panel alone
-draws per-step increments, one uniform per step and path after the chain's
-last step.
+Every sampler (simulate_discrete, simulate_ct, increment_panel and
+simulate_edge_counts) draws from one counter-based Philox stream, keyed by
+_stream from the model's content hash and the seed, in a fixed order, so
+its output is a pure function of (model, horizons, n_paths, seed).
+Discrete time has one stepping kernel, shared by the three discrete
+samplers. A step picks a column of a step matrix: a (successor, atom) pair
+of probability P_ij p_a for the samples, so a mixture atom is one more
+outcome of the step (the kernel P itself for the edge counts). It steps by
+block paths: one move uniform per path draws the next B steps at once, as
+the inverse CDF of the exact B-step path law from the path's state over
+its C^B column paths (C columns per step). B depends only on C and the
+path count (B = 1 is single-step stepping), and the last draw of a run
+keeps only the steps left. The search returns the draw's row x C^B + p of
+the path table, which fixes its B edges and atoms, so the kernel decodes
+no state: it yields whole blocks of rows, and each consumer reads what it
+needs from them once per block: per-row tables of summed atom means and
+covariances for the samples, the block's edges for panels, a per-row count
+table for the edge counts, which only this module decodes. The kernel
+draws the moves and nothing else, and builds its path table per call, so
+nothing stays resident after a call. One chain per path serves a whole
+list of horizons: it runs to the largest one and is read at each on the
+way. The last draw before a horizon keeps only the steps left, so no draw
+straddles one: the first horizon is the call to it alone, and at=[n] is
+the plain call. Given the path, Y_n is the sum of the atoms' means plus
+one Gaussian with their summed covariance, which simulate_discrete draws
+once per path and segment between horizons, after the segment's last step;
+increment_panel alone draws per-step increments, one uniform per step and
+path after the chain's last step.
 Continuous time steps one jump at a time over compact arrays of the paths
 still running. One chain per path serves a whole list of times there too:
 it runs to the last one and reads Y inside the dwell that holds each
@@ -46,6 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .chain_core import StochasticKernel
 from .errors import UnsupportedInitial
 from .map_model import CtMapSpec, MapSpec
 from .normal import ndtri
@@ -74,12 +78,18 @@ class TrajectoryBatch:
 
 
 def _philox(payload: bytes) -> np.random.Generator:
-    """The package's one RNG: Philox keyed by the first 16 bytes of sha256."""
+    """Philox keyed by the first 16 bytes of the sha256 of payload."""
     key = int.from_bytes(hashlib.sha256(payload).digest()[:16], "little")
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _initial_law(pi, mu) -> np.ndarray:
+def _stream(model, seed) -> np.random.Generator:
+    """The package's one RNG key: one Philox stream per model (a spec or a
+    kernel, by its content hash) and seed, any integer."""
+    return _philox(f"{spec_content_hash(model)}:{seed}".encode())
+
+
+def initial_law(pi, mu) -> np.ndarray:
     """mu as a probability vector on the support of pi, else UnsupportedInitial."""
     probs = np.asarray(mu, dtype=float)
     if (probs.shape != pi.shape or not np.isfinite(probs).all()
@@ -93,7 +103,7 @@ def _initial_law(pi, mu) -> np.ndarray:
 def _initial_states(spec, mu, n_paths, rng):
     """X_0 ~ pi (or mu): the inverse CDF of one uniform per path."""
     pi = spec.pi
-    probs = pi if mu is None else _initial_law(pi, mu)
+    probs = pi if mu is None else initial_law(pi, mu)
     u = rng.random(n_paths)
     return _search(_cdf_table(np.cumsum(probs)[None]),
                    np.zeros(n_paths, dtype=np.intp), u)
@@ -247,8 +257,8 @@ def _chain_steps(Q, X, n, rng, at=None):
 
     A step from state x picks column c of the (S, C) step matrix Q with
     probability Q[x, c] and moves to state c // A, A = C / S: Q is the
-    kernel P for mestim, _atom_lookup's (successor, atom) columns for the
-    samples.
+    kernel P for simulate_edge_counts, _atom_lookup's (successor, atom)
+    columns for the samples.
 
     Block-path stepping: one move uniform per path draws the next B =
     _path_length(C, N) steps at once, as the inverse CDF (_search) of the
@@ -383,8 +393,7 @@ def simulate_discrete(spec: MapSpec, n: int, n_paths: int, seed: int,
     on the same stream as at=[n]. Every batch carries X at its horizon.
     """
     horizons = _horizons(n, at)
-    spec_id = spec_content_hash(spec)
-    rng = _philox(f"{spec_id}:{seed}".encode())
+    rng = _stream(spec, seed)
     d = spec.d
     Q, atom, mean, cov, gauss = _atom_lookup(spec)
     X = _initial_states(spec, mu, n_paths, rng)
@@ -410,7 +419,7 @@ def simulate_discrete(spec: MapSpec, n: int, n_paths: int, seed: int,
             F = np.sqrt(V) if d == 1 else _cov_factors(V)
             Y += np.einsum("pab,pb->pa", F, ndtri(rng.random((n_paths, d))))
         batches.append(TrajectoryBatch(
-            spec_id=spec_id, horizon=h, n_paths=n_paths, seed=seed,
+            spec_id=spec.content_hash, horizon=h, n_paths=n_paths, seed=seed,
             terminal_Y=Y.copy() if h < n else Y,
             terminal_X=X))
     return batches if at is not None else batches[0]
@@ -435,8 +444,7 @@ def simulate_ct(ct: CtMapSpec, t: float, n_paths: int, seed: int,
     terminal value. Without at, the one batch at t is returned.
     """
     times = _horizons(t, at)
-    spec_id = spec_content_hash(ct)
-    rng = _philox(f"{spec_id}:{seed}".encode())
+    rng = _stream(ct, seed)
     G = ct.generator
     diag = np.diag(G)
     rates = np.where(diag < 0, -diag, 0.0)  # +0.0, not -0.0, with no exit
@@ -501,7 +509,7 @@ def simulate_ct(ct: CtMapSpec, t: float, n_paths: int, seed: int,
                     y += ct.jump_increments[x, to]
                 x = to
 
-    batches = [TrajectoryBatch(spec_id=spec_id, horizon=float(h),
+    batches = [TrajectoryBatch(spec_id=ct.content_hash, horizon=float(h),
                                n_paths=n_paths, seed=seed,
                                terminal_Y=Yh[:, None],
                                terminal_X=X if h == t else None)
@@ -519,7 +527,7 @@ def increment_panel(spec: MapSpec, n: int, n_paths: int, seed: int) -> np.ndarra
     coordinate of N(m, C) is N(m_0, C_00). The continuous-time panel is the
     diff of simulate_ct's reads at 0, 1, ..., n.
     """
-    rng = _philox(f"{spec_content_hash(spec)}:{seed}".encode())
+    rng = _stream(spec, seed)
     Q, atom, mean, cov, gauss = _atom_lookup(spec)
     X = _initial_states(spec, None, n_paths, rng)
     atoms = np.empty((n, n_paths), dtype=np.intp)
@@ -533,3 +541,82 @@ def increment_panel(spec: MapSpec, n: int, n_paths: int, seed: int) -> np.ndarra
         g = gauss[atoms]
         panel[g] += np.sqrt(cov[atoms[g], 0, 0]) * ndtri(u[g])
     return panel.T
+
+
+# the count table serves where its rows hold at most this many entries per
+# step (S^2 <= _TALLY_WIDTH B); wider rows cost more to add than to scatter
+_TALLY_WIDTH = 24
+
+
+def _count_table(edge, S):
+    """(S^(B+1), S^2) int8 table of a _row_decode edge table: entry [row,
+    e] is the number of the B steps of the draw at row on flat edge e."""
+    R = edge.shape[1]
+    flat = (edge + np.arange(R) * (S * S)).ravel()
+    return np.bincount(flat, minlength=R * S * S).astype(np.int8).reshape(
+        R, S * S)
+
+
+def _add_edges(counts, edges):
+    """Add decoded steps, flat edges (s, reps), into counts (reps, S^2)."""
+    reps, S2 = counts.shape
+    flat = edges + np.arange(0, reps * S2, S2)
+    np.add.at(counts.reshape(-1), flat.ravel(), 1)
+
+
+def simulate_edge_counts(kernel: StochasticKernel, n: int, reps: int,
+                         seed: int, mu=None, at=None) -> np.ndarray:
+    """Transition-pair counts over n steps for reps paths, shape (reps, S, S).
+
+    X_0 ~ pi (or mu) and the chain moves through _chain_steps over the
+    kernel P, on the stream of the kernel and the seed. With at, a strictly
+    increasing list of horizons ending at n, one chain per path runs to n
+    and the counts at every horizon come back, shape (len(at), reps, S, S):
+    the running counts at the end of the horizon's last block. As in
+    simulate_discrete, the last draw before a horizon keeps only the steps
+    left, so the first horizon's counts are those of the call without at to
+    it, and at=[n] is the plain call.
+
+    A draw's row fixes its B edges, so a whole draw adds its row of a count
+    table built for the call (_count_table) into a per-path int16 tally,
+    which goes into the int64 counts at each horizon and before it can
+    overflow. The cut last draw of a segment is decoded to edges and added
+    step by step (_add_edges), as is every draw where the table's rows
+    would be too wide.
+    """
+    horizons = _horizons(n, at)
+    rng = _stream(kernel, seed)
+    S = kernel.n_states
+    counts = np.zeros((len(horizons), reps, S * S), dtype=np.int64)
+    tally, table = np.zeros((reps, S * S), dtype=np.int16), None
+    X = _initial_states(kernel, mu, reps, rng)
+    blocks = _chain_steps(kernel.P, X, n, rng, horizons)
+    t = held = 0            # steps done, draws in the tally
+    for k, h in enumerate(horizons):
+        total = counts[k]
+        if k:
+            total += counts[k - 1]
+        while t < h:                # the blocks of the segment up to h
+            rows, edge, m, _ = next(blocks)
+            B = len(edge)
+            if t == 0 and S * S <= _TALLY_WIDTH * B:
+                table = _count_table(edge, S)
+            t += m
+            if table is None:           # every draw decoded, a block at once
+                _add_edges(total, _draw_edges(rows, edge, m))
+                continue
+            full, r = divmod(m, B)
+            for row in rows[:full]:
+                np.add(tally, table.take(row, axis=0), out=tally)
+                held += 1
+                if held == 32767 // B:
+                    total += tally
+                    tally[:] = 0
+                    held = 0
+            if r:                       # the cut last draw
+                _add_edges(total, edge[:r].take(rows[-1], axis=1))
+        total += tally
+        tally[:] = 0
+        held = 0
+    counts = counts.reshape(len(horizons), reps, S, S)
+    return counts if at is not None else counts[0]

@@ -523,28 +523,33 @@ def projected_spec(spec, w):
 def stepwise_edge_counts(kernel, n, reps, seed, mu=None, B=None):
     """(reps, S, S) transition counts by a plain per-path loop (test oracle).
 
-    The stream is keyed by sha256(P bytes + seed) as mestim.simulate_edge_counts
-    keys it: X_0, then one move uniform per path per draw of B =
-    path_length(S, reps) steps, which picks the path's next B states
-    among the itertools.product paths by their products of P. With n a list
-    of increasing horizons, one unbroken chain runs to the last one and the
-    counts at every horizon come back, shape (len(n), reps, S, S).
+    The stream is keyed by sha256 of "{kernel content hash}:{seed}", as
+    every montecarlo sampler keys it: X_0, then one move uniform per path
+    per draw of B = path_length(S, reps) steps, which picks the path's next
+    B states among the itertools.product paths by their products of P. With
+    n a list of increasing horizons, one chain runs to the last one and the
+    counts at every horizon come back, shape (len(n), reps, S, S). The last
+    draw before each horizon is cut there.
     """
     horizons = [n] if np.ndim(n) == 0 else list(n)
-    rng = _philox(kernel.P.tobytes() + seed.to_bytes(8, "little", signed=True))
+    rng = _philox(f"{spec_content_hash(kernel)}:{seed}".encode())
     S = kernel.n_states
     B = path_length(S, reps) if B is None else B
     paths, cums = path_laws(kernel.P, B)
     X = _initial_states(kernel.pi, mu, reps, rng)
-    U = rng.random((-(-horizons[-1] // B), reps))
     counts = np.zeros((len(horizons), reps, S, S), dtype=np.int64)
-    for p in range(reps):
-        walk = [X[p]]
-        for u in U[:, p]:
-            walk += _walk(paths, cums, walk[-1], u, B)[1:]
-        for k, h in enumerate(horizons):
-            for a, b in zip(walk[:h], walk[1:h + 1]):
-                counts[k, p, a, b] += 1
+    done = 0
+    for k, h in enumerate(horizons):
+        if k:
+            counts[k] = counts[k - 1]
+        for t in range(done, h, B):
+            u = rng.random(reps)
+            for p in range(reps):
+                walk = _walk(paths, cums, X[p], u[p], min(B, h - t))
+                for a, b in zip(walk, walk[1:]):
+                    counts[k, p, a, b] += 1
+                X[p] = walk[-1]
+        done = h
     return counts[0] if np.ndim(n) == 0 else counts
 
 
@@ -724,14 +729,15 @@ def stepwise_sufficient_simulate_b1(spec, n, n_paths, seed, mu=None):
 def stepwise_edge_counts_b1(kernel, n, reps, seed, mu=None):
     """(reps, S, S) transition counts by an explicit step loop (test oracle).
 
-    The single-step oracle: stepwise_edge_counts at B = 1, kept as it was
-    before block-path stepping. The stream is keyed by sha256(P bytes +
-    seed): X_0, then one move uniform per path per step. With n a list of
-    increasing horizons, one chain runs to the last one and the counts at
-    every horizon come back, shape (len(n), reps, S, S).
+    The single-step oracle: stepwise_edge_counts at B = 1, by an explicit
+    step loop over the kernel's cumulative rows. The stream is keyed by
+    sha256 of "{kernel content hash}:{seed}": X_0, then one move uniform
+    per path per step. With n a list of increasing horizons, one chain runs
+    to the last one and the counts at every horizon come back, shape
+    (len(n), reps, S, S).
     """
     horizons = [n] if np.ndim(n) == 0 else list(n)
-    rng = _philox(kernel.P.tobytes() + seed.to_bytes(8, "little", signed=True))
+    rng = _philox(f"{spec_content_hash(kernel)}:{seed}".encode())
     S = kernel.n_states
     cumP = np.cumsum(kernel.P, axis=1)
     cumP[:, -1] = 1.0

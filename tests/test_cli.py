@@ -424,19 +424,20 @@ class TestCountsAndLists:
 
 
 class TestSeedRange:
-    """mestimate keys its edge-count stream by the seed's 8 signed bytes: a
-    seed outside them exits 2 with a JSON error, the extremes run."""
+    """mestimate keys its edge-count stream by the kernel and the seed, as
+    every sampler does: any integer seed runs, and a rerun gives the same
+    bytes, the signed 64-bit extremes and seeds outside them alike."""
 
     ARGV = ["mestimate", "--fixture", "mean_contrast_problem", "--n-list",
             "8", "--reps", "20", "--seed"]
 
     @pytest.mark.parametrize("seed", [2 ** 63, -2 ** 63 - 1, 10 ** 30])
-    def test_outside_exits_2(self, seed, tmp_path, capsys):
-        out = tmp_path / "r.json"
-        assert run([*self.ARGV, str(seed), "--out", str(out)]) == 2
-        err = json.loads(capsys.readouterr().err.strip())
-        assert err["error"] == "SeedOutOfRange"
-        assert not out.exists()
+    def test_outside_64_bits_reruns(self, seed, tmp_path):
+        first, again = tmp_path / "a.json", tmp_path / "b.json"
+        assert run([*self.ARGV, str(seed), "--out", str(first)]) == 0
+        assert run([*self.ARGV, str(seed), "--out", str(again)]) == 0
+        assert first.read_bytes() == again.read_bytes()
+        assert json.loads(first.read_text())["config"]["seed"] == seed
 
     @pytest.mark.parametrize("seed", [2 ** 63 - 1, -2 ** 63])
     def test_extremes_run(self, seed, tmp_path):
@@ -513,6 +514,19 @@ class TestTooFewPaths:
         assert run([*argv, "--paths", "2", "--seed", "1", "--out",
                     str(out)]) in (0, 1)
         assert json.loads(out.read_text())["config"]["paths"] == 2
+
+    def test_mestimate_without_kept_replication(self, tmp_path, capsys):
+        # at n = 1 every estimate is 0 or 1, both outside the d-ball around
+        # alpha0 = 0.6: no sample is left to compare with Phi
+        out = tmp_path / "r.json"
+        assert run(["mestimate", "--fixture", "mean_contrast_problem",
+                    "--n-list", "1", "--reps", "20", "--seed", "1", "--out",
+                    str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "TooFewPaths"
+        assert "n = 1 " in json.loads(err[0])["message"]
+        assert not out.exists()
 
 
 class TestCltGatePaths:

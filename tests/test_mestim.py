@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from maplab import mestim, montecarlo
+from maplab import montecarlo
 from maplab.chain_core import StochasticKernel
 from maplab.errors import ConditionViolated
 from maplab.fixtures import (MEAN_CONTRAST_THETAS, mean_contrast_kernel,
@@ -11,8 +11,8 @@ from maplab.fixtures import (MEAN_CONTRAST_THETAS, mean_contrast_kernel,
 from maplab.map_model import variance_series
 from maplab.mestim import (ContrastFamily, _edge_expectation,
                            _newton_on_counts, build_problem,
-                           estimator_be_check, mean_contrast_family,
-                           simulate_edge_counts)
+                           estimator_be_check, mean_contrast_family)
+from maplab.montecarlo import simulate_edge_counts
 
 from conftest import random_kernel, stepwise_edge_counts
 
@@ -273,7 +273,11 @@ class TestEdgeCountOracle:
 
 
 class TestEdgeCountHorizons:
-    """Edge counts of one chain per path read at a list of horizons."""
+    """Edge counts of one chain per path read at a list of horizons, on the
+    contract of simulate_discrete: at=[n] is the plain call, the first
+    horizon is the call to it alone, and a later horizon's counts are the
+    running counts at the end of its segment (the last draw before each
+    horizon is cut there)."""
 
     HORIZONS = [5, 17, 40]
 
@@ -289,8 +293,10 @@ class TestEdgeCountHorizons:
         assert counts.shape == (len(hs), 200, S, S)
         np.testing.assert_array_equal(
             counts[0], simulate_edge_counts(kernel, hs[0], 200, seed, mu=mu))
-        np.testing.assert_array_equal(
-            counts[-1], simulate_edge_counts(kernel, hs[-1], 200, seed, mu=mu))
+        for n in hs:
+            np.testing.assert_array_equal(
+                simulate_edge_counts(kernel, n, 200, seed, mu=mu, at=[n])[0],
+                simulate_edge_counts(kernel, n, 200, seed, mu=mu))
         np.testing.assert_array_equal(
             counts, stepwise_edge_counts(kernel, hs, 200, seed, mu=mu))
         assert (np.diff(counts, axis=0) >= 0).all()
@@ -305,17 +311,16 @@ class TestEdgeCountHorizons:
 
 def decoded_edge_counts(kernel, horizons, reps, seed, mu=None):
     """(len(horizons), reps, S, S) edge counts of simulate_edge_counts'
-    stream, from the states of every draw of montecarlo._chain_steps: the
-    base-S digits x, X_1, ..., X_B of its row (test oracle for the count
-    tables)."""
-    rng = montecarlo._philox(
-        kernel.P.tobytes() + seed.to_bytes(8, "little", signed=True))
+    stream, from the states of every draw of montecarlo._chain_steps run to
+    the horizons: the base-S digits x, X_1, ..., X_B of its row, cut to the
+    block's steps left (test oracle for the count tables)."""
+    rng = montecarlo._philox(f"{kernel.content_hash}:{seed}".encode())
     S = kernel.n_states
     B = montecarlo._path_length(S, reps)
     X = montecarlo._initial_states(kernel, mu, reps, rng)
     walk = [X]
     for rows, _, m, _ in montecarlo._chain_steps(kernel.P, X, horizons[-1],
-                                                 rng):
+                                                 rng, horizons):
         for j, row in enumerate(rows):
             x, *states = np.unravel_index(row, (S,) * (B + 1))
             np.testing.assert_array_equal(x, walk[-1])
@@ -374,7 +379,7 @@ class TestCountTables:
             np.random.default_rng(S), S))
         hs = [5, 16, 77]
         want = simulate_edge_counts(kernel, 77, 300, S, at=hs)
-        monkeypatch.setattr(mestim, "_TALLY_WIDTH", 0)
+        monkeypatch.setattr(montecarlo, "_TALLY_WIDTH", 0)
         np.testing.assert_array_equal(
             simulate_edge_counts(kernel, 77, 300, S, at=hs), want)
         np.testing.assert_array_equal(
@@ -383,16 +388,17 @@ class TestCountTables:
     @pytest.mark.parametrize("S, extra, decoded", [
         (2, [], 0), (4, [], 0), (2, [3], 1), (4, [3, 4], 1)])
     def test_decoded_draws(self, S, extra, decoded, monkeypatch):
-        # horizons on draw boundaries decode no whole draw; a horizon inside
-        # a draw decodes that draw, and n off the grid its cut last draw
+        # whole draws add table rows; only the cut last draw of a segment
+        # whose length is off the draw grid is decoded, into its steps left,
+        # so horizons on the grid decode nothing
         calls = []
-        tally = mestim._tally_steps
+        add = montecarlo._add_edges
 
-        def counting(counts, edges, t, horizons):
-            calls.append((t, len(edges)))
-            return tally(counts, edges, t, horizons)
+        def counting(counts, edges):
+            calls.append(len(edges))
+            return add(counts, edges)
 
-        monkeypatch.setattr(mestim, "_tally_steps", counting)
+        monkeypatch.setattr(montecarlo, "_add_edges", counting)
         kernel = StochasticKernel(states=tuple(range(S)), P=random_kernel(
             np.random.default_rng(S), S))
         B = montecarlo._path_length(S, 500)
@@ -400,11 +406,13 @@ class TestCountTables:
         on_grid = [B, 3 * B, 8 * B]
         hs = sorted(on_grid + extra)
         simulate_edge_counts(kernel, hs[-1], 500, 1, at=hs)
-        assert calls == [(0, B)] * decoded
+        cuts = [(h - h0) % B for h0, h in zip([0] + hs, hs)]
+        assert calls == [r for r in cuts if r]
+        assert bool(calls) == bool(decoded)
         calls.clear()
         simulate_edge_counts(kernel, 8 * B + 2, 500, 1, at=on_grid[:2] + [
             8 * B + 2])
-        assert calls == [(8 * B, 2)]
+        assert calls == [2]
 
 
 class TestBeCheck:

@@ -20,10 +20,10 @@ from maplab.limit_checks import ecdf_se, kolmogorov_distance
 from maplab.map_model import CtMapSpec, MapSpec, exact_moments
 from maplab.cli import dispatch
 from maplab.io import kernel_to_dict
-from maplab.mestim import simulate_edge_counts
 from maplab.montecarlo import (_cdf_table, _cov_factors, _search,
                                increment_panel, simulate_ct,
-                               simulate_discrete, spec_content_hash)
+                               simulate_discrete, simulate_edge_counts,
+                               spec_content_hash)
 
 from conftest import (atom_columns, path_length, per_kind_simulate,
                       per_kind_simulate_b1, projected_spec, random_kernel,
