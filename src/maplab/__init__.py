@@ -17,8 +17,8 @@ from .limit_checks import (GaussianComparison, LltRecord, RhoMixReport,
                            edgeworth_check, kolmogorov_distance, llt_check,
                            rho_mixing_check, triangular_bump)
 from .map_model import (CtMapSpec, LatticeReport, MapSpec, ct_sample_skeleton,
-                        detect_lattice, exact_mean, exact_moments,
-                        third_cumulant_rate, variance_series)
+                        cumulant_rates, detect_lattice, exact_mean,
+                        exact_moments, third_cumulant_rate, variance_series)
 from .mestim import (ContrastFamily, MEstimationProblem, build_problem,
                      estimator_be_check, mean_contrast_family)
 from .montecarlo import (TrajectoryBatch, increment_panel, simulate_ct,

@@ -27,14 +27,13 @@ import numpy as np
 from . import fixtures as fixture_registry
 from .chain_core import StochasticKernel, spectral_gap_report
 from .errors import MaplabError, NotScalar, TooFewPaths
-from .fourier import (NONLATTICE_GRID, derivatives_at_zero, lambda_branch,
-                      nonlattice_certificate)
+from .fourier import NONLATTICE_GRID, lambda_branch, nonlattice_certificate
 from .io import (FormatError, _jsonable, load_problem, load_spec, write_csv,
                  write_report, write_samples)
 from .limit_checks import (berry_esseen_check, clt_check, ct_limit_check,
                            ecdf_se, edgeworth_check, llt_check,
                            rho_mixing_check)
-from .map_model import CtMapSpec, MapSpec
+from .map_model import CtMapSpec, MapSpec, cumulant_rates
 from .mestim import MEstimationProblem, estimator_be_check
 from .montecarlo import simulate_ct, simulate_discrete
 
@@ -155,16 +154,16 @@ def _branch(model, args):
 
 def cmd_analyze(args, model):
     summary = _branch(model, args)
-    grad, hess, third = derivatives_at_zero(model)
+    mean, sigma2, mu3 = cumulant_rates(model)
     return Outcome(passed=True, extras={
         "grid": summary.grid,
         "lambda_re": np.real(summary.lam),
         "lambda_im": np.imag(summary.lam),
         "kappa_hat": summary.kappa_hat,
         "separation": summary.separation,
-        "mean_rate": np.imag(grad).tolist(),
-        "sigma2": float(np.real(-hess[0, 0])),
-        "mu3": float(np.real(1j * third)),
+        "mean_rate": [mean],
+        "sigma2": sigma2,
+        "mu3": mu3,
     })
 
 

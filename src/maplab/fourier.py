@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BranchCollision, NonFiniteOperator
-from .map_model import CtMapSpec, _expm, branch_derivatives, detect_lattice
+from .map_model import CtMapSpec, _expm, cumulant_rates, detect_lattice
 
 SEPARATION_MIN = 1e-6
 NONLATTICE_RHO_MAX = 1.0 - 1e-8     # nonlattice: scanned radius below this
@@ -138,13 +138,15 @@ def derivatives_at_zero(spec):
     """(grad, hess, third): first three derivatives of the branch at 0.
 
     The branch is lambda(zeta), the dominant eigenvalue of S_1(zeta) (time 1
-    in continuous time), not its logarithm. The values are exact: with l_k
-    the derivatives in t = i zeta from map_model.branch_derivatives (Kato's
-    series through the group inverse), grad = i l1, hess = -l2 and
-    third = -i l3. Scalar specs only (MomentUndefined otherwise).
+    in continuous time), not its logarithm. The values are exact: the
+    cumulant rates k1, k2, k3 of map_model.cumulant_rates (Kato's series)
+    are the derivatives of log lambda in t = i zeta, so lambda's are
+    l1 = k1, l2 = k2 + k1^2 and l3 = k3 + 3 k1 k2 + k1^3, and grad = i l1,
+    hess = -l2, third = -i l3. Scalar specs only (MomentUndefined otherwise).
     """
-    l1, l2, l3 = branch_derivatives(spec)
-    return np.array([1j * l1]), np.array([[complex(-l2)]]), -1j * l3
+    k1, k2, k3 = cumulant_rates(spec)
+    l2, l3 = k2 + k1 * k1, k3 + 3.0 * k1 * k2 + k1 ** 3
+    return np.array([1j * k1]), np.array([[complex(-l2)]]), -1j * l3
 
 
 def nonlattice_scan(spec, K) -> tuple:

@@ -14,9 +14,8 @@ import numpy as np
 from .chain_core import spectral_gap_report
 from .errors import DegenerateVariance, LatticeSpec, NotCentered, TooFewPaths
 from .fourier import NONLATTICE_GRID, nonlattice_certificate
-from .map_model import (CtMapSpec, MapSpec, branch_derivatives,
-                        ct_sample_skeleton, third_cumulant_rate,
-                        variance_series)
+from .map_model import (CtMapSpec, MapSpec, ct_sample_skeleton,
+                        cumulant_rates, third_cumulant_rate, variance_series)
 from .montecarlo import (increment_panel, initial_law, simulate_ct,
                          simulate_discrete)
 from .normal import ndtr
@@ -72,11 +71,10 @@ class GaussianComparison:
 
 def _sigma_for(spec) -> float:
     if isinstance(spec, CtMapSpec):
-        # exact variance rate eta_2 = l2 - l1^2 of a centered CT spec
-        l1, l2, _ = branch_derivatives(spec)
-        if abs(l1) > 1e-8:
+        # exact variance rate of a centered CT spec
+        mean, sig2, _ = cumulant_rates(spec)
+        if abs(mean) > 1e-8:
             raise NotCentered("continuous-time spec must be centered")
-        sig2 = l2 - l1 * l1
     else:
         sig2 = variance_series(spec)
     if sig2 <= 1e-12:

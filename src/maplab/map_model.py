@@ -5,11 +5,11 @@ all held in one flat atom table that the moments, the content hash, the
 Fourier matrix, the sampler and the lattice search read. Exact moments of
 the additive component come from a power of the block-triangular moment
 transfer matrix; the asymptotic variance from the geometric correlation
-series; the derivatives of the dominant eigenvalue at 0 from Kato's
-perturbation series, whose reduced resolvent is the group inverse of I - P
-(discrete time) or -G (continuous time). The matrix exponential of
-continuous time, exp(G) for the skeleton and exp(A(zeta)) over a whole
-Fourier stack, is _expm, on numpy alone.
+series; the cumulant rates from Kato's perturbation series, whose reduced
+resolvent is the group inverse of I - K for a stochastic kernel K: P in
+discrete time, the uniformized I + G/q in continuous time. The matrix
+exponential of continuous time, exp(G) for the skeleton and exp(A(zeta))
+over a whole Fourier stack, is _expm, on numpy alone.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from math import comb
 
 import numpy as np
 
-from .chain_core import StochasticKernel, l2_operator_norm, solve_stationary
+from .chain_core import StochasticKernel, l2_operator_norm
 from .errors import (GapAbsent, MomentUndefined, NotCentered, NotScalar,
                      NotStochastic)
 from .increments import (DETERMINISTIC, GAUSSIAN, KINDS, IncrementLaw,
@@ -249,8 +249,11 @@ class CtMapSpec:
     """Continuous-time MAP: generator, state reward, optional jump increments.
 
     Y_t accumulates reward[x] per unit holding time in x plus, when given,
-    jump_increments[x, x'] at each transition. fundamental is the read-only
-    (Pi - G)^-1, formed here; a generator without one is NotStochastic.
+    jump_increments[x, x'] at each transition. uniformized is the kernel
+    U = I + G/q (Jensen's uniformization), q = uniform_rate the power of two
+    at or above the largest exit rate (1 if no state has one): it shares pi
+    and the communicating classes with G. A generator whose Pi - G has no
+    inverse in floating point is NotStochastic.
     """
 
     generator: np.ndarray
@@ -269,26 +272,28 @@ class CtMapSpec:
             raise ValueError("off-diagonal rates must be nonnegative")
         G.setflags(write=False)
         object.__setattr__(self, "generator", G)
-        # the uniformized kernel I + G/q shares pi and the communicating
-        # classes with G, so solve_stationary also rejects a reducible G
-        U = off / (1.0 + off.sum(axis=1).max())
+        # q = 2^ceil(log2(exit rate)) exactly, so off / q is exact and a
+        # time change by a power of two leaves U as it is
+        m, e = np.frexp(off.sum(axis=1).max())
+        q = float(np.ldexp(1.0, e - (m == 0.5)))
+        U = off / q
         U[np.diag_indices_from(U)] = 1.0 - U.sum(axis=1)
-        pi = solve_stationary(U)
-        pi.setflags(write=False)
-        object.__setattr__(self, "_pi", pi)
+        # solve_stationary rejects a reducible G here
+        U = StochasticKernel(states=tuple(range(len(G))), P=U)
+        object.__setattr__(self, "uniformized", U)
+        object.__setattr__(self, "uniform_rate", q)
         # (Pi - G) 1 = 1, so its inverse maps 1 to 1. At rates far from 1
         # (1e200, or 1e13 on a 3-state G), Pi is lost beside G: the sum is
         # singular in floating point, or its inverse, finite or not, has
-        # not one correct digit left (NaN fails the comparison too)
+        # not one correct digit left (NaN fails the comparison too). The
+        # sampler could never finish such a G
         try:
-            Z = np.linalg.inv(np.tile(pi, (len(pi), 1)) - G)
+            Z = np.linalg.inv(U.projector - G)
         except np.linalg.LinAlgError:
             Z = np.full(G.shape, np.nan)
         if not np.abs(Z.sum(axis=1) - 1.0).max() <= 1e-3:
             raise NotStochastic("Pi - G has no inverse in floating point "
                                 "(rates too large or too small)")
-        Z.setflags(write=False)
-        object.__setattr__(self, "fundamental", Z)
         jump_flux = 0.0
         if self.jump_increments is not None:
             J = np.array(self.jump_increments, dtype=float)
@@ -304,13 +309,13 @@ class CtMapSpec:
             raise ValueError("reward and jump_increments must be finite")
         if self.centered:
             # the mean rate pi(xi + (G_off o J) 1) counts the jumps too
-            xi = xi - pi @ (xi + jump_flux)
+            xi = xi - U.pi @ (xi + jump_flux)
         xi.setflags(write=False)
         object.__setattr__(self, "reward", xi)
 
     @property
     def pi(self) -> np.ndarray:
-        return self._pi
+        return self.uniformized.pi
 
     @property
     def n_states(self) -> int:
@@ -413,50 +418,51 @@ def variance_series(spec: MapSpec):
     return float(Sigma[0, 0]) if d == 1 else Sigma
 
 
-def branch_derivatives(spec) -> tuple:
-    """(l1, l2, l3): derivatives in t = i zeta at 0 of the time-1 branch lambda.
+def cumulant_rates(spec) -> tuple:
+    """(mean rate, sigma^2, mu_3): the first three cumulant rates
+    lim kappa_k(Y_n)/n of a scalar spec (MomentUndefined otherwise).
 
-    Kato's series for the simple eigenvalue of M0 + t A1 + t^2/2 A2 +
-    t^3/6 A3 (left vector pi, right vector 1), whose reduced resolvent is
-    the group inverse Q. Discrete time: M0 = P, A_k = P o E[Z^k],
-    Q = (I - P + Pi)^-1 - Pi. Continuous time: M0 = G, A1 = diag(xi) +
-    G_off o J, A_k = G_off o J^k, Q = (Pi - G)^-1 - Pi; the series gives the
-    generator eigenvalue eta, and lambda = exp(eta). Scalar specs only.
+    Kato's series for the simple eigenvalue 1 of K + t A1 + t^2/2 A2 +
+    t^3/6 A3 (left vector pi, right vector 1) gives its derivatives l_k at
+    t = 0, with the reduced resolvent Q = K.fundamental - Pi, the group
+    inverse of I - K. Discrete time: K = P, A_k = P o E[Z^k], the eigenvalue
+    is lambda(t) and the cumulant rates are the derivatives of log lambda.
+    Continuous time: K = U = I + G/q and A_k = B_k / q, with B1 = diag(xi) +
+    G_off o J and B_k = G_off o J^k; the eigenvalue is 1 + eta(t)/q, eta
+    the generator eigenvalue whose derivatives are the cumulant rates, so
+    they are q l_k.
     """
-    pi = spec.pi
-    S = len(pi)
-    Pi = np.tile(pi, (S, 1))
-    if isinstance(spec, CtMapSpec):
+    ct = isinstance(spec, CtMapSpec)
+    if ct:
+        K, q = spec.uniformized, spec.uniform_rate
         G = spec.generator
         off = G - np.diag(np.diag(G))
         J = 0.0 if spec.jump_increments is None else spec.jump_increments
-        A1, A2, A3 = np.diag(spec.reward) + off * J, off * J ** 2, off * J ** 3
-        Q = spec.fundamental - Pi
+        A1 = (np.diag(spec.reward) + off * J) / q
+        A2, A3 = off * J ** 2 / q, off * J ** 3 / q
     else:
         if spec.d != 1:
-            raise MomentUndefined("branch derivatives require d = 1")
+            raise MomentUndefined("cumulant rates require d = 1")
+        K = spec.kernel
         _, A1, A2, A3, _ = spec.moment_matrices
-        Q = spec.kernel.fundamental - Pi
-    one = np.ones(S)
+    pi, Q = K.pi, K.fundamental - K.projector
+    one = np.ones(len(pi))
     a1 = A1 @ one
     l1, r1 = pi @ a1, Q @ a1
     b2 = 2.0 * A1 @ r1 + A2 @ one
     l2 = pi @ b2
     r2 = Q @ (b2 - 2.0 * l1 * r1)
     l3 = pi @ (3.0 * A1 @ r2 + 3.0 * A2 @ r1 + A3 @ one)
-    if isinstance(spec, CtMapSpec):
-        l1, l2, l3 = l1, l2 + l1 ** 2, l3 + 3.0 * l1 * l2 + l1 ** 3
-    return float(l1), float(l2), float(l3)
+    if ct:
+        return float(q * l1), float(q * l2), float(q * l3)
+    return float(l1), float(l2 - l1 ** 2), float(l3 - 3.0 * l1 * l2
+                                                 + 2.0 * l1 ** 3)
 
 
 def third_cumulant_rate(spec) -> float:
-    """mu_3 = lim E[(Y_n - n m)^3]/n, the third derivative of log lambda(t) at 0.
-
-    Exact from the perturbation series of branch_derivatives; for a centered
-    spec it equals lim E[Y_n^3]/n.
-    """
-    l1, l2, l3 = branch_derivatives(spec)
-    return l3 - 3.0 * l1 * l2 + 2.0 * l1 ** 3
+    """mu_3 = lim E[(Y_n - n m)^3]/n, the third entry of cumulant_rates; for
+    a centered spec it equals lim E[Y_n^3]/n."""
+    return cumulant_rates(spec)[2]
 
 
 @dataclass(frozen=True)

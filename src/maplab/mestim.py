@@ -102,10 +102,8 @@ class MEstimationProblem:
     alpha0: dict
     m: dict
     sigma1: dict
-    sigma2: dict
     tau: dict
     d_ball: float
-    gap_kappa: float
     eq16_max: dict                      # theta -> max_n n |sigma^2 - E[Y_n^2]/n|
 
     @property
@@ -134,13 +132,13 @@ def _edge_expectation(kernel, func, alpha):
     return total if np.ndim(alpha) else total[0]
 
 
-def _f_map_spec(kernel, func, alpha, offset=0.0) -> MapSpec:
-    """The spec whose edge (i, j) has the point mass func(alpha, i, j) -
-    offset, its atom table built from the edge values in one go."""
+def _f_map_spec(kernel, func, alpha) -> MapSpec:
+    """The spec whose edge (i, j) has the point mass func(alpha, i, j), its
+    atom table built from the edge values in one go."""
     S = kernel.n_states
     edges = np.flatnonzero(kernel.P.ravel() > 0)
     n = len(edges)
-    vals = _edge_value_table(func, alpha, S)[0, edges].astype(float) - offset
+    vals = _edge_value_table(func, alpha, S)[0, edges].astype(float)
     return MapSpec(kernel=kernel, d=1, centered=False, table={
         "rows": edges // S, "cols": edges % S,
         "kind": np.full(n, DETERMINISTIC), "start": np.arange(n),
@@ -174,16 +172,13 @@ def build_problem(family: ContrastFamily, kernels: dict) -> MEstimationProblem:
     family.check_lipschitz_witness(next(iter(kernels.values())).n_states, rng)
 
     # uniform spectral gap over the grid
-    kappas = []
     for theta, kernel in kernels.items():
         kappa = l2_operator_norm(kernel.P - kernel.projector, kernel.pi)
         if kappa >= 1.0 - 1e-10:
             raise ConditionViolated("M", theta=theta,
                                     detail=f"||P - Pi||_2 = {kappa:.6f}")
-        kappas.append(kappa)
-    gap_kappa = float(max(kappas))
 
-    alpha0, m, s1, s2, tau, eq16 = {}, {}, {}, {}, {}, {}
+    alpha0, m, s1, tau, eq16 = {}, {}, {}, {}, {}
     for theta, kernel in kernels.items():
         vals = _edge_expectation(kernel, family.F1, grid)   # F1 broadcasts
         signs = np.sign(vals)
@@ -210,11 +205,8 @@ def build_problem(family: ContrastFamily, kernels: dict) -> MEstimationProblem:
         m[theta] = float(m_theta)
 
         spec1 = _f_map_spec(kernel, family.F1, a0)
-        spec2 = _f_map_spec(kernel, family.F2, a0, offset=m_theta)
         v1 = variance_series(spec1)
-        v2 = variance_series(spec2)
         s1[theta] = float(np.sqrt(max(v1, 0.0)))
-        s2[theta] = float(np.sqrt(max(v2, 0.0)))
         tau[theta] = s1[theta] / m_theta
 
         # certify the 1/n convergence-rate bound on the variance
@@ -224,11 +216,8 @@ def build_problem(family: ContrastFamily, kernels: dict) -> MEstimationProblem:
             worst = max(worst, n * abs(v1 - exact_moments(spec1, n, 2) / n))
         eq16[theta] = float(worst)
 
-    if min(s1.values()) <= 0 or min(s2.values()) <= 0:
-        # sigma2 may legitimately vanish for exactly-quadratic contrasts
-        # (F2 constant); only sigma1 is structural for the estimator CLT
-        if min(s1.values()) <= 0:
-            raise ConditionViolated("V4", detail="inf sigma_1 = 0")
+    if min(s1.values()) <= 0:
+        raise ConditionViolated("V4", detail="inf sigma_1 = 0")
 
     mean_W = {theta: float(sum(kernel.pi[i] * family.W(i)
                                for i in range(kernel.n_states)))
@@ -236,9 +225,8 @@ def build_problem(family: ContrastFamily, kernels: dict) -> MEstimationProblem:
     d_ball = min(m.values()) / (4.0 * (max(mean_W.values()) + 1.0))
 
     return MEstimationProblem(family=family, kernels=dict(kernels),
-                              alpha0=alpha0, m=m, sigma1=s1, sigma2=s2,
-                              tau=tau, d_ball=float(d_ball),
-                              gap_kappa=gap_kappa, eq16_max=eq16)
+                              alpha0=alpha0, m=m, sigma1=s1, tau=tau,
+                              d_ball=float(d_ball), eq16_max=eq16)
 
 
 def _newton_on_counts(family, counts, alpha_init, domain, max_iter=60):

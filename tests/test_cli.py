@@ -696,6 +696,33 @@ class TestReports:
         doc = json.loads(out.read_text())
         assert doc["sigma2"] == pytest.approx(0.72, abs=1e-5)
 
+    @pytest.mark.parametrize("doc, rates", [
+        # two_state's P with increments 1{j = 1}: mean rate pi_1 = 0.6,
+        # sigma^2 = 0.72, mu_3 = -0.624
+        ({"kernel": {"states": [0, 1], "P": [[0.7, 0.3], [0.2, 0.8]]},
+          "increments": [{"from": i, "to": j, "kind": "deterministic",
+                          "value": [float(j == 1)]}
+                         for i in range(2) for j in range(2)]},
+         (0.6, 0.72, -0.624)),
+        # ct_two_state: mean rate 1/3, sigma^2 = 4/27, mu_3 = 4/81
+        ({"generator": [[-1.0, 1.0], [2.0, -2.0]], "reward": [0.0, 1.0]},
+         (1.0 / 3.0, 4.0 / 27.0, 4.0 / 81.0))], ids=["discrete", "ct"])
+    def test_analyze_prints_cumulant_rates(self, tmp_path, doc, rates):
+        # the uncentered twin reports the centered one's sigma2 and mu3
+        reports = {}
+        for centered in (False, True):
+            spec, out = tmp_path / f"{centered}.json", tmp_path / "r.json"
+            spec.write_text(json.dumps({**doc, "centered": centered}))
+            assert run(["analyze", "--spec", str(spec), "--out",
+                        str(out)]) == 0
+            reports[centered] = json.loads(out.read_text())
+        raw, cen = reports[False], reports[True]
+        for key, exact in zip(("sigma2", "mu3"), rates[1:]):
+            assert raw[key] == pytest.approx(cen[key], rel=1e-12, abs=0)
+            assert cen[key] == pytest.approx(exact, rel=1e-12, abs=0)
+        assert raw["mean_rate"] == [pytest.approx(rates[0], rel=1e-15)]
+        assert abs(cen["mean_rate"][0]) <= 1e-15
+
     def test_scan_lambda_csv(self, tmp_path):
         out = tmp_path / "scan.csv"
         assert run(["scan-lambda", "--fixture", "two_state",

@@ -11,7 +11,7 @@ from maplab.fixtures import (CT_TWO_STATE_G, birth_death_5, ct_two_state,
                              skewed_mixture, two_state)
 from maplab.increments import deterministic, gaussian, mixture
 from maplab.map_model import (_THETA13, CtMapSpec, MapSpec, _expm,
-                              branch_derivatives, ct_sample_skeleton,
+                              ct_sample_skeleton, cumulant_rates,
                               detect_lattice, exact_mean,
                               exact_moments, third_cumulant_rate,
                               variance_series)
@@ -322,16 +322,8 @@ class TestContinuousTime:
                        jump_increments=J, centered=True)
         off = CT_TWO_STATE_G - np.diag(np.diag(CT_TWO_STATE_G))
         assert abs(ct.pi @ (ct.reward + (off * J).sum(axis=1))) <= 1e-12
-        assert abs(branch_derivatives(ct)[0]) <= 1e-12
+        assert abs(cumulant_rates(ct)[0]) <= 1e-12
         np.testing.assert_allclose(ct.reward, [-2 / 3, 1 / 3], atol=1e-12)
-
-    def test_fundamental_is_read_only_inverse(self):
-        # (Pi - G)^-1, bit for bit as branch_derivatives formed it inline
-        for ct in (ct_two_state(), _random_ct(0, 5)):
-            Pi = np.tile(ct.pi, (ct.n_states, 1))
-            np.testing.assert_array_equal(ct.fundamental,
-                                          np.linalg.inv(Pi - ct.generator))
-            assert not ct.fundamental.flags.writeable
 
     @pytest.mark.parametrize("G", [
         [[-1e300, 1e300], [1e300, -1e300]],
@@ -347,16 +339,15 @@ class TestContinuousTime:
     def test_stiff_generator_loads(self):
         ct = CtMapSpec(generator=np.array([[-1e8, 1e8], [1e-8, -1e-8]]),
                        reward=np.array([0.0, 1.0]))
-        np.testing.assert_allclose(ct.fundamental @ np.ones(2), 1.0,
-                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            ct.uniformized.fundamental @ np.ones(2), 1.0, rtol=0, atol=1e-12)
 
     def test_variance_rate_matches_skeleton_route(self):
         # the perturbation series against Var Y_61 - Var Y_60, exact by Van
         # Loan's exponential at the skeleton's integer times
         ct = ct_two_state()
-        l1, l2, _ = branch_derivatives(ct)
         rate = van_loan_cumulants(ct, 61.0) - van_loan_cumulants(ct, 60.0)
-        assert abs(l2 - l1 * l1 - rate[1]) <= 1e-9
+        assert abs(cumulant_rates(ct)[1] - rate[1]) <= 1e-9
 
 
 def _random_ct(seed, S):
@@ -380,10 +371,39 @@ def test_ct_rates_match_van_loan(ct):
     # mean rate, sigma^2 and mu_3 of the perturbation series against the
     # differences of the exact cumulants of Y_61 and Y_60; the gap makes
     # the remainder exp(-gap t) negligible at t = 60
-    l1, l2, _ = branch_derivatives(ct)
     rates = van_loan_cumulants(ct, 61.0) - van_loan_cumulants(ct, 60.0)
-    exact = [l1, l2 - l1 * l1, third_cumulant_rate(ct)]
-    np.testing.assert_allclose(rates, exact, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(rates, cumulant_rates(ct), rtol=0, atol=1e-9)
+
+
+class TestTimeChange:
+    """Scaling G and the reward by c, jumps unchanged, runs the same MAP c
+    times faster, so every cumulant rate scales by c."""
+
+    G = np.array([[-3.0, 1.0, 2.0], [1.0, -1.5, 0.5], [0.25, 2.0, -2.25]])
+    J = np.array([[0.0, 0.5, -1.0], [0.3, 0.0, 0.2], [-0.4, 0.1, 0.0]])
+    XI = np.array([0.3, 1.0, -2.0])
+
+    def _rates(self, c, centered):
+        return cumulant_rates(CtMapSpec(generator=c * self.G,
+                                        reward=c * self.XI,
+                                        jump_increments=self.J,
+                                        centered=centered))
+
+    @pytest.mark.parametrize("centered", [False, True])
+    @pytest.mark.parametrize("k", [-30, -7, 5, 20, 40])
+    def test_power_of_two_bit_for_bit(self, k, centered):
+        c = 2.0 ** k
+        base = self._rates(1.0, centered)
+        assert self._rates(c, centered) == tuple(c * r for r in base)
+
+    @pytest.mark.parametrize("centered", [False, True])
+    @pytest.mark.parametrize("c", [1e-9, 1e-6, 1e-3, 1e3, 1e6, 1e9, 1e12])
+    def test_any_factor(self, c, centered):
+        # relative to the largest rate: a centered mean rate is rounding
+        base = np.array(self._rates(1.0, centered))
+        np.testing.assert_allclose(np.array(self._rates(c, centered)) / c,
+                                   base, rtol=1e-12,
+                                   atol=1e-12 * np.abs(base).max())
 
 
 def _rel(X, Y):
