@@ -11,9 +11,9 @@ from .errors import (BranchCollision, ConditionViolated, DegenerateVariance,
 from .fourier import (SpectralSummary, derivatives_at_zero, lambda_branch,
                       nonlattice_certificate, nonlattice_scan)
 from .increments import IncrementLaw, deterministic, gaussian, mixture
-from .limit_checks import (GaussianComparison, LltRecord, RhoMixReport,
-                           asymptotic_bias, berry_esseen_check, clt_check,
-                           ct_limit_check, ecdf_se, edgeworth_cdf,
+from .limit_checks import (CheckResult, GaussianComparison, LltRecord,
+                           RhoMixReport, asymptotic_bias, berry_esseen_check,
+                           clt_check, ct_limit_check, ecdf_se, edgeworth_cdf,
                            edgeworth_check, kolmogorov_distance, llt_check,
                            rho_mixing_check, triangular_bump)
 from .map_model import (CtMapSpec, LatticeReport, MapSpec, ct_sample_skeleton,

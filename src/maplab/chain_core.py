@@ -158,8 +158,7 @@ def l2_operator_norm(A: np.ndarray, pi: np.ndarray) -> float:
 class MixingBoundTable:
     """Certified mixing bounds ||P^{t-1} - Pi||_2 with an exponential-rate fit."""
 
-    ts: np.ndarray            # 1..t_max
-    bounds: np.ndarray        # ||P^{t-1} - Pi||_2
+    bounds: np.ndarray        # ||P^{t-1} - Pi||_2, t = 1..t_max
     C: float                  # fitted prefactor, bounds(t) <= C exp(-eps t)
     eps: float                # fitted rate
     gap_present: bool
@@ -196,5 +195,4 @@ def spectral_gap_report(kernel: StochasticKernel, t_max: int) -> MixingBoundTabl
         eps = np.inf
         C = 0.0
     gap_present = bool((bounds < 1.0 - 1e-12).any())
-    return MixingBoundTable(ts=ts, bounds=bounds, C=C, eps=eps,
-                            gap_present=gap_present)
+    return MixingBoundTable(bounds=bounds, C=C, eps=eps, gap_present=gap_present)

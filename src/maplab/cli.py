@@ -7,8 +7,9 @@ Exit codes: 0 pass-verdict, 1 fail-verdict, 2 usage or configuration error.
 
 COMMANDS is the one table of subcommands: each row declares its options, the
 config keys its report echoes, the model types it accepts and its handler. A
-handler only computes and returns an Outcome; _run turns every Outcome into
-the report, its files and the exit code.
+handler only parses its options and calls a check (or a spectral routine);
+every gate lives in its check. _run turns every CheckResult into the report,
+its files and the exit code.
 """
 
 from __future__ import annotations
@@ -25,13 +26,13 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fixtures as fixture_registry
-from .chain_core import StochasticKernel, spectral_gap_report
-from .errors import MaplabError, NotScalar, TooFewPaths
+from .chain_core import StochasticKernel
+from .errors import MaplabError, NotScalar
 from .fourier import NONLATTICE_GRID, lambda_branch, nonlattice_certificate
 from .io import (FormatError, _jsonable, load_problem, load_spec, write_csv,
                  write_report, write_samples)
-from .limit_checks import (berry_esseen_check, clt_check, ct_limit_check,
-                           ecdf_se, edgeworth_check, llt_check,
+from .limit_checks import (CheckResult, berry_esseen_check, clt_check,
+                           ct_limit_check, edgeworth_check, llt_check,
                            rho_mixing_check)
 from .map_model import CtMapSpec, MapSpec, cumulant_rates
 from .mestim import MEstimationProblem, estimator_be_check
@@ -42,19 +43,9 @@ class UsageError(Exception):
     pass
 
 
-class Outcome(NamedTuple):
-    """What a handler computed; _run turns it into the report and exit code."""
-
-    records: object = None  # per-record dataclasses (simulate: the samples)
-    passed: bool = None     # the verdict; None for commands without one
-    extras: dict = {}       # further report keys; "config" adds config keys
-    table: list = None      # CSV rows, where they are not the records
-
-
-# the rows of the scan-lambda and kernel mixing-bound CSV tables
+# the rows of the scan-lambda CSV table
 BranchPoint = dataclasses.make_dataclass("BranchPoint", [
     "zeta", "re_lambda", "im_lambda", "abs_lambda", "kappa_hat", "separation"])
-LagBound = dataclasses.make_dataclass("LagBound", ["lag", "bound"])
 
 
 def _number(kind, positive=True):
@@ -124,10 +115,6 @@ def _load_model(args, accepts):
                    {"fixture": args.fixture, "spec": args.spec})
 
 
-_DKW_NOTE = {"note": ("statistical falsification test with DKW slack, "
-                      "not a proof-grade certificate")}
-
-
 def cmd_fixtures(args):
     if args.action == "list":
         print("\n".join(fixture_registry.fixture_names()))
@@ -137,12 +124,20 @@ def cmd_fixtures(args):
     return 0
 
 
+def _linspace(start, stop, num, options):
+    """np.linspace, or a UsageError naming options if stop - start is inf."""
+    if not math.isfinite(stop - start):
+        raise UsageError(f"{options}: the grid span {stop} - {start} is inf")
+    return np.linspace(start, stop, num)
+
+
 def _branch(model, args):
     """lambda_branch on the --zeta-max grid, with 0 added if absent, made
     exactly symmetric: an odd grid's middle entry is 0, and each negative
     entry whose mirror entry is positive becomes its negation, so
     lambda_branch decomposes each |zeta| once."""
-    grid = np.linspace(-args.zeta_max, args.zeta_max, args.grid_points)
+    grid = _linspace(-args.zeta_max, args.zeta_max, args.grid_points,
+                     "--zeta-max")
     if args.grid_points % 2 and args.grid_points > 1:
         grid[args.grid_points // 2] = 0.0   # linspace may leave 2e-16 there
     if 0.0 not in grid:
@@ -155,7 +150,7 @@ def _branch(model, args):
 def cmd_analyze(args, model):
     summary = _branch(model, args)
     mean, sigma2, mu3 = cumulant_rates(model)
-    return Outcome(passed=True, extras={
+    return CheckResult(passed=True, extras={
         "grid": summary.grid,
         "lambda_re": np.real(summary.lam),
         "lambda_im": np.imag(summary.lam),
@@ -170,9 +165,9 @@ def cmd_analyze(args, model):
 def cmd_scan_lambda(args, model):
     summary = _branch(model, args)
     sep = np.abs(summary.lam) - summary.kappa_hat
-    return Outcome([BranchPoint(float(z), float(l.real), float(l.imag),
-                                float(abs(l)), summary.kappa_hat, float(s))
-                    for z, l, s in zip(summary.grid, summary.lam, sep)])
+    return CheckResult([BranchPoint(float(z), float(l.real), float(l.imag),
+                                    float(abs(l)), summary.kappa_hat, float(s))
+                        for z, l, s in zip(summary.grid, summary.lam, sep)])
 
 
 def cmd_simulate(args, model):
@@ -183,102 +178,54 @@ def cmd_simulate(args, model):
     batch = (simulate_ct(model, args.t, args.paths, args.seed, mu=_init(args))
              if ct else simulate_discrete(model, args.n, args.paths,
                                           args.seed, mu=_init(args)))
-    return Outcome(batch.terminal_Y, extras={
+    return CheckResult(batch.terminal_Y, extras={
         "spec_hash": batch.spec_id, "horizon": batch.horizon,
         "n_paths": batch.n_paths, "d": batch.terminal_Y.shape[1]})
 
 
-def _clt_threshold(paths: int) -> float:
-    """The CLT gate's bound on the Kolmogorov distance at paths: 0.03 plus
-    twice the DKW slack. A distance never exceeds 1, so where the bound
-    reaches 1 the gate cannot fail: TooFewPaths, before any draw."""
-    threshold = 0.03 + 2.0 * ecdf_se(paths)
-    if threshold >= 1.0:
-        raise TooFewPaths(f"the CLT gate cannot fail at {paths} paths: its "
-                          f"threshold {threshold:.4g} is >= 1")
-    return threshold
-
-
 def cmd_verify_clt(args, model):
-    threshold = _clt_threshold(args.paths)
-    records = clt_check(model, _positive_list(args.n_list, int), args.paths,
-                        args.seed)
-    return Outcome(records, records[-1].kolmogorov <= threshold, _DKW_NOTE)
+    return clt_check(model, _positive_list(args.n_list, int), args.paths,
+                     args.seed)
 
 
 def cmd_verify_be(args, model):
-    B_hat, records, flat = berry_esseen_check(
-        model, _positive_list(args.n_list, int), args.paths, args.seed)
-    return Outcome(records, flat, {"B_hat": B_hat, **_DKW_NOTE})
+    return berry_esseen_check(model, _positive_list(args.n_list, int),
+                              args.paths, args.seed)
 
 
 def cmd_verify_edgeworth(args, model):
-    records = edgeworth_check(model, _positive_list(args.n_list, int),
-                              args.paths, args.seed, mu=_init(args),
-                              allow_lattice=args.allow_lattice)
-    improves = all(r.edgeworth_residual <= r.kolmogorov + 1e-15
-                   for r in records)
-    return Outcome(records, improves, {"init": args.init, **_DKW_NOTE})
+    result = edgeworth_check(model, _positive_list(args.n_list, int),
+                             args.paths, args.seed, mu=_init(args),
+                             allow_lattice=args.allow_lattice)
+    return result._replace(extras={**result.extras, "init": args.init})
 
 
 def cmd_verify_llt(args, model):
-    records = llt_check(model, _positive_list(args.n_list, int), args.paths,
-                        args.seed, allow_lattice=args.allow_lattice)
-    return Outcome(records, all(abs(r.ratio - 1.0) <= 4.0 * r.mc_se
-                                for r in records))
+    return llt_check(model, _positive_list(args.n_list, int), args.paths,
+                     args.seed, allow_lattice=args.allow_lattice)
 
 
 def cmd_verify_ct(args, model):
-    threshold = _clt_threshold(args.paths)
-    records, fractional_ok = ct_limit_check(
-        model, _positive_list(args.t_list, float), args.paths, args.seed)
-    return Outcome(records,
-                   fractional_ok and records[-1].kolmogorov <= threshold,
-                   {"fractional_part_negligible": fractional_ok})
+    return ct_limit_check(model, _positive_list(args.t_list, float),
+                          args.paths, args.seed)
 
 
 def cmd_mixing_bound(args, model):
-    lags = _positive_list(args.lags, int)
-    if isinstance(model, StochasticKernel):
-        # the rate fit needs t_max >= 2; it covers 1..max(lags) otherwise
-        table = spectral_gap_report(model, max(lags + [2]))
-        return Outcome(passed=table.gap_present, extras={
-            "bounds": {str(t): table.bound(t) for t in lags},
-            "fitted_C": table.C, "fitted_eps": table.eps,
-            "gap_present": table.gap_present,
-        }, table=[LagBound(t, table.bound(t)) for t in lags])
-    records = rho_mixing_check(model, lags, args.paths, args.seed)
-    return Outcome(records, all(r.vacuous or r.empirical_max <= r.bound
-                                + 4.0 * r.se for r in records),
-                   {"config": {"paths": args.paths, "seed": args.seed}})
+    return rho_mixing_check(model, _positive_list(args.lags, int), args.paths,
+                            args.seed)
 
 
 def cmd_nonlattice(args, model):
-    K = np.linspace(args.k_min, args.k_max, args.k_points)
+    K = _linspace(args.k_min, args.k_max, args.k_points, "--k-min/--k-max")
     K = K[K != 0]
     if not len(K):
         raise UsageError("the k grid has no nonzero point")
-    passed, evidence = nonlattice_certificate(model, K)
-    return Outcome(passed=passed, extras=evidence)
+    return CheckResult(None, *nonlattice_certificate(model, K))
 
 
 def cmd_mestimate(args, problem):
-    n_list = _positive_list(args.n_list, int)
-    records, verdict = estimator_be_check(problem, n_list, args.reps,
-                                          args.seed)
-    gamma = max(r.gamma_hat for r in records if r.n == max(n_list))
-    c_hat = max(r.sqrt_n_kolmogorov / (1.0 + np.sqrt(r.n) * r.gamma_hat)
-                for r in records)
-    return Outcome(records, verdict, {
-        "alpha0": {str(t): problem.alpha0[t] for t in problem.thetas},
-        "tau": {str(t): problem.tau[t] for t in problem.thetas},
-        "d_ball": problem.d_ball,
-        "C_hat_empirical": float(c_hat),
-        "gamma_hat_final": float(gamma),
-        "note": ("C_hat_empirical is the observed max of sqrt(n) * distance "
-                 "/ (1 + sqrt(n) * gamma_hat); it does not bound the "
-                 "theoretical constant"),
-    })
+    return estimator_be_check(problem, _positive_list(args.n_list, int),
+                              args.reps, args.seed)
 
 
 def _csv_table(records):
@@ -287,16 +234,16 @@ def _csv_table(records):
     return fields, [[getattr(r, f) for f in fields] for r in records]
 
 
-def _write_report(args, report, outcome):
+def _write_report(args, report, result):
     """The JSON report to --out or stdout, and the table to --csv if asked."""
-    if outcome.records is not None:
-        report["records"] = [vars(r) for r in outcome.records]
+    if result.records is not None:
+        report["records"] = [vars(r) for r in result.records]
     if args.out:
         write_report(args.out, report)
     else:
         print(json.dumps(_jsonable(report), sort_keys=True, indent=2))
     if getattr(args, "csv", None):
-        write_csv(args.csv, *_csv_table(outcome.table or outcome.records))
+        write_csv(args.csv, *_csv_table(result.table or result.records))
 
 
 SPECS = (MapSpec, CtMapSpec)
@@ -343,8 +290,8 @@ COMMANDS = {
         ("--n", {"type": _number(int), "help": "discrete horizon"}),
         ("--t", {"type": _number(float), "help": "continuous horizon"}),
         _PATHS, _SEED, _INIT], ("n", "t", "paths", "seed", "init"),
-        write=lambda args, report, outcome: write_samples(
-            args.out, outcome.records, report)),
+        write=lambda args, report, result: write_samples(
+            args.out, result.records, report)),
     "verify-clt": Command(cmd_verify_clt, "central limit theorem", _VERIFY,
                           _MC, scalar=True),
     "verify-be": Command(cmd_verify_be, "Berry-Esseen flatness", _VERIFY, _MC,
@@ -404,20 +351,20 @@ def _run(args) -> int:
     if command.scalar and getattr(model, "d", 1) != 1:
         raise NotScalar(f"{args.subcommand} requires a d = 1 spec, "
                         f"got d = {model.d}")
-    outcome = command.handler(args, model)
+    result = command.handler(args, model)
     if command.write is None:
-        write_csv(args.out, *_csv_table(outcome.records))
+        write_csv(args.out, *_csv_table(result.records))
         return 0
-    report = {"subcommand": args.subcommand, **outcome.extras, "config": {
+    report = {"subcommand": args.subcommand, **result.extras, "config": {
         **{key: getattr(args, key) for key in command.config}, **source,
-        **outcome.extras.get("config", {})}}
+        **result.extras.get("config", {})}}
     if "spec_hash" not in report and not isinstance(model,
                                                     MEstimationProblem):
         report["spec_hash"] = model.content_hash
-    if outcome.passed is not None:
-        report["verdict"] = "pass" if outcome.passed else "fail"
-    command.write(args, report, outcome)
-    return 0 if outcome.passed is None or outcome.passed else 1
+    if result.passed is not None:
+        report["verdict"] = "pass" if result.passed else "fail"
+    command.write(args, report, result)
+    return 0 if result.passed is None or result.passed else 1
 
 
 def dispatch(argv=None) -> int:

@@ -1,17 +1,18 @@
 """Statistical verification of the limit theorems against simulation.
 
-Every check is a pure function of (spec, parameters, seed): pass/fail gates
-include DKW-style standard-error slack so verdicts are deterministic given
-seeds yet statistically sound.
+Every check is a pure function of (spec, parameters, seed) that returns one
+CheckResult with its gate inside: gates include DKW-style standard-error
+slack, so verdicts are deterministic given seeds yet statistically sound.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .chain_core import spectral_gap_report
+from .chain_core import StochasticKernel, spectral_gap_report
 from .errors import DegenerateVariance, LatticeSpec, NotCentered, TooFewPaths
 from .fourier import NONLATTICE_GRID, nonlattice_certificate
 from .map_model import (CtMapSpec, MapSpec, ct_sample_skeleton,
@@ -23,11 +24,28 @@ from .normal import ndtr
 DKW_DELTA = 1e-3
 A_GRID = np.linspace(-5.0, 5.0, 2001)
 PHI_GRID = ndtr(A_GRID)     # Phi on A_GRID, once per process
+_DKW_NOTE = {"note": ("statistical falsification test with DKW slack, "
+                      "not a proof-grade certificate")}
+
+
+class CheckResult(NamedTuple):
+    """What a check (or a CLI command) computed: the one result shape."""
+
+    records: object = None  # per-record dataclasses (simulate: the samples)
+    passed: bool = None     # the verdict; None for commands without one
+    extras: dict = {}       # further report keys; "config" adds config keys
+    table: list = None      # CSV rows, where they are not the records
 
 
 def ecdf_se(n_samples: int, delta: float = DKW_DELTA) -> float:
     """DKW sup-norm deviation bound at confidence 1 - delta."""
     return float(np.sqrt(np.log(2.0 / delta) / (2.0 * n_samples)))
+
+
+def be_flat(values, n_max, se: float) -> bool:
+    """Berry-Esseen flatness: sqrt(n)-scaled distances within a factor 2,
+    with the DKW noise floor se inflated by sqrt(n_max) granted as slack."""
+    return bool(max(values) <= 2.0 * min(values) + 2.0 * np.sqrt(n_max) * se)
 
 
 def _eta(a):
@@ -102,25 +120,40 @@ def _clt_record(n, y, sigma: float, paths: int) -> GaussianComparison:
         be_constant=float(np.sqrt(n) * kol), se=ecdf_se(paths))
 
 
-def clt_check(spec, n_list, paths: int, seed: int):
-    """Kolmogorov distance of Y_n/(sigma sqrt n) to N(0,1) along n_list, for
-    a discrete or a continuous-time spec."""
+def _clt_records(spec, n_list, paths: int, seed: int):
     sigma = _sigma_for(spec)
     return [_clt_record(n, y, sigma, paths)
             for n, y in _terminal_Y(spec, n_list, paths, seed)]
 
 
+def _clt_gate(paths: int):
+    """The CLT gate at paths, a test of the records: the Kolmogorov distance
+    at the largest horizon is at most 0.03 plus twice the DKW slack. A
+    distance never exceeds 1, so where that bound reaches 1 the gate cannot
+    fail: TooFewPaths, before any draw."""
+    threshold = 0.03 + 2.0 * ecdf_se(paths)
+    if threshold >= 1.0:
+        raise TooFewPaths(f"the CLT gate cannot fail at {paths} paths: its "
+                          f"threshold {threshold:.4g} is >= 1")
+    return lambda recs: max(recs, key=lambda r: r.n).kolmogorov <= threshold
+
+
+def clt_check(spec, n_list, paths: int, seed: int):
+    """Kolmogorov distance of Y_n/(sigma sqrt n) to N(0,1) along n_list, for
+    a discrete or a continuous-time spec, under the CLT gate."""
+    gate = _clt_gate(paths)
+    records = _clt_records(spec, n_list, paths, seed)
+    return CheckResult(records, gate(records), _DKW_NOTE)
+
+
 def berry_esseen_check(spec: MapSpec, n_list, paths: int, seed: int):
-    """(B_hat, records): flatness of sqrt(n) * Kolmogorov along n_list."""
-    records = clt_check(spec, n_list, paths, seed)
+    """Flatness of sqrt(n) * Kolmogorov along n_list; B_hat is an extra."""
+    records = _clt_records(spec, n_list, paths, seed)
     B_hat = float(max(max(np.sqrt(r.n) * (r.kolmogorov - 2.0 * r.se), 0.0)
                       for r in records))
-    raw = [r.be_constant for r in records]
-    # flat within a factor 2 once the DKW noise floor (inflated by sqrt(n)
-    # at the largest horizon) is granted as slack
-    slack = 2.0 * np.sqrt(max(r.n for r in records)) * records[0].se
-    flat = max(raw) <= 2.0 * min(raw) + slack
-    return B_hat, records, bool(flat)
+    flat = be_flat([r.be_constant for r in records],
+                   max(r.n for r in records), records[0].se)
+    return CheckResult(records, flat, {"B_hat": B_hat, **_DKW_NOTE})
 
 
 def edgeworth_cdf(a, sigma: float, mu3: float, n: float, b_mu: float = 0.0,
@@ -160,7 +193,7 @@ def edgeworth_check(spec: MapSpec, n_list, paths: int, seed: int, mu=None,
     """Edgeworth-corrected residuals along n_list, optional initial law mu.
 
     Each record carries both the plain Kolmogorov distance and the corrected
-    residual; the correction must help wherever mu_3 != 0.
+    residual; it passes where the correction does not hurt at any n.
     """
     _require_nonlattice(spec, allow_lattice)
     sigma = _sigma_for(spec)
@@ -171,19 +204,17 @@ def edgeworth_check(spec: MapSpec, n_list, paths: int, seed: int, mu=None,
         z = np.sort(y / (sigma * np.sqrt(n)))
         F = ndtr(z)
         kol = _sup_distance(z, F, PHI_GRID)
-        if mu3 == 0.0 and b_mu == 0.0:
-            resid = kol
-        else:
-            # the same sup distance against the (possibly non-monotone)
-            # corrected curve, on the Phi values already at hand
-            resid = _sup_distance(
-                z, edgeworth_cdf(z, sigma, mu3, n, b_mu, F),
-                edgeworth_cdf(A_GRID, sigma, mu3, n, b_mu, PHI_GRID))
+        # the same sup distance against the (possibly non-monotone) corrected
+        # curve, on the Phi values at hand: kol itself where mu3 = b_mu = 0
+        resid = _sup_distance(
+            z, edgeworth_cdf(z, sigma, mu3, n, b_mu, F),
+            edgeworth_cdf(A_GRID, sigma, mu3, n, b_mu, PHI_GRID))
         records.append(GaussianComparison(
             n=n, n_samples=paths, sigma_used=sigma, kolmogorov=kol,
             be_constant=float(np.sqrt(n) * kol), edgeworth_residual=resid,
             bias_term_used=mu is not None, se=ecdf_se(paths)))
-    return records
+    return CheckResult(records, all(r.edgeworth_residual <= r.kolmogorov
+                                    + 1e-15 for r in records), _DKW_NOTE)
 
 
 @dataclass(frozen=True)
@@ -213,7 +244,8 @@ def triangular_bump(center: float, width: float):
 
 def llt_check(spec: MapSpec, n_list, paths: int, seed: int, bumps=None,
               allow_lattice: bool = False):
-    """Local-limit ratio estimates for a family of bump test functions."""
+    """Local-limit ratios for a family of bump test functions, each within
+    4 standard errors of 1."""
     if paths < 2:       # the standard error divides by paths - 1
         raise TooFewPaths(f"llt_check needs paths >= 2, got {paths}")
     _require_nonlattice(spec, allow_lattice)
@@ -231,7 +263,8 @@ def llt_check(spec: MapSpec, n_list, paths: int, seed: int, bumps=None,
                 n=int(n), center=g.center, width=g.width, estimate=est,
                 target=g.integral, ratio=est / g.integral,
                 mc_se=se / g.integral))
-    return records
+    return CheckResult(records, all(abs(r.ratio - 1.0) <= 4.0 * r.mc_se
+                                    for r in records))
 
 
 @dataclass(frozen=True)
@@ -265,13 +298,26 @@ def _standardised(panel_col):
     return Z / np.linalg.norm(Z, axis=1, keepdims=True), len(F)
 
 
+LagBound = make_dataclass("LagBound", ["lag", "bound"])  # kernel CSV rows
+
+
 def rho_mixing_check(spec, lags, paths: int, seed: int):
-    """Empirical lag correlations of increments against ||P^{t-1} - Pi||_2.
+    """Empirical lag correlations of increments against ||P^{t-1} - Pi||_2;
+    it passes where each is within 4 standard errors of a non-vacuous bound.
 
     A continuous-time spec is read at integer times: its panel is the diff
     of Y read at 0, 1, ..., max_lag + 1 on one chain, and P the time-1
-    skeleton kernel.
+    skeleton kernel. A bare kernel gets the bounds alone and passes where
+    it has a spectral gap.
     """
+    if isinstance(spec, StochasticKernel):
+        # the rate fit needs t_max >= 2; it covers 1..max(lags) otherwise
+        table = spectral_gap_report(spec, max(list(lags) + [2]))
+        return CheckResult(passed=table.gap_present, extras={
+            "bounds": {str(t): table.bound(t) for t in lags},
+            "fitted_C": table.C, "fitted_eps": table.eps,
+            "gap_present": table.gap_present,
+        }, table=[LagBound(t, table.bound(t)) for t in lags])
     if paths < 2:       # the correlations divide by paths - 1
         raise TooFewPaths(f"rho_mixing_check needs paths >= 2, got {paths}")
     max_lag = int(max(lags))
@@ -298,7 +344,9 @@ def rho_mixing_check(spec, lags, paths: int, seed: int):
         out.append(RhoMixReport(lag=t, empirical_max=best, bound=float(bound),
                                 se=se, degenerate_pairs=degenerate,
                                 vacuous=bound >= 1.0 - 1e-12))
-    return out
+    return CheckResult(out, all(r.vacuous or r.empirical_max <= r.bound
+                                + 4.0 * r.se for r in out),
+                       {"config": {"paths": paths, "seed": seed}})
 
 
 def ct_limit_check(ct: CtMapSpec, t_list, paths: int, seed: int):
@@ -306,9 +354,10 @@ def ct_limit_check(ct: CtMapSpec, t_list, paths: int, seed: int):
 
     sigma^2 is the exact variance rate. One chain per path runs to max(t)
     and is read at every t and every floor(t) (Y_0 = 0). The fractional-part
-    correction (Y_t - Y_floor(t))/sqrt(t) is verified negligible via its
-    sample second moment against the sup_{v<=1} E[Y_v^2] bound.
+    correction (Y_t - Y_floor(t))/sqrt(t), verified negligible via its
+    sample second moment against the sup_{v<=1} E[Y_v^2] bound, gates too.
     """
+    gate = _clt_gate(paths)
     sigma = _sigma_for(ct)
     # |Y_v| <= max|xi| + max|J| N_1 for v <= 1, N_1 ~< Poisson(q_max)
     xi2, q = np.max(np.abs(ct.reward)) ** 2, np.max(-np.diag(ct.generator))
@@ -321,4 +370,5 @@ def ct_limit_check(ct: CtMapSpec, t_list, paths: int, seed: int):
     fractional_ok = not any(
         np.mean(((Y[t] - Y[np.floor(t)]) / np.sqrt(t)) ** 2)
         > sup_Yv2 / t + 1e-12 for t in t_list)
-    return records, fractional_ok
+    return CheckResult(records, fractional_ok and gate(records),
+                       {"fractional_part_negligible": fractional_ok})

@@ -175,7 +175,7 @@ def test_criterion_06_rho_mixing_bounds():
     worst_name, worst_margin = None, -np.inf
     for name in DISCRETE_FIXTURES + ("lattice_pm1", "ct_two_state"):
         spec = fixtures.get_fixture(name)
-        out = rho_mixing_check(spec, range(1, 11), PATHS, 6)
+        out = rho_mixing_check(spec, range(1, 11), PATHS, 6).records
         margin = max(r.empirical_max - (r.bound + 4.0 * r.se) for r in out)
         if margin > worst_margin:
             worst_name, worst_margin = name, margin
@@ -185,9 +185,11 @@ def test_criterion_06_rho_mixing_bounds():
 
 
 def test_criterion_07_clt():
-    kol_d = clt_check(fixtures.two_state(), [4096], PATHS, 1)[0].kolmogorov
-    recs, frac_ok = ct_limit_check(fixtures.ct_two_state(), [4096.0], PATHS, 1)
-    kol_ct = recs[0].kolmogorov
+    kol_d = clt_check(fixtures.two_state(), [4096], PATHS,
+                      1).records[0].kolmogorov
+    ct = ct_limit_check(fixtures.ct_two_state(), [4096.0], PATHS, 1)
+    kol_ct = ct.records[0].kolmogorov
+    frac_ok = ct.extras["fractional_part_negligible"]
     ok = kol_d <= 0.03 and kol_ct <= 0.03 and frac_ok
     _verdict(7, "central limit theorem at horizon 4096", ok,
              f"discrete={kol_d:.4f}, continuous={kol_ct:.4f} (gate 0.03)")
@@ -195,9 +197,10 @@ def test_criterion_07_clt():
 
 def test_criterion_08_berry_esseen_flatness():
     n_list = [256, 1024, 4096]
-    _, _, flat_two = berry_esseen_check(fixtures.two_state(), n_list, PATHS, 2)
-    B_iid, _, flat_iid = berry_esseen_check(fixtures.iid_rademacher(),
-                                            n_list, PATHS, 2)
+    flat_two = berry_esseen_check(fixtures.two_state(), n_list, PATHS,
+                                  2).passed
+    iid = berry_esseen_check(fixtures.iid_rademacher(), n_list, PATHS, 2)
+    B_iid, flat_iid = iid.extras["B_hat"], iid.passed
     ok = flat_two and flat_iid and 0.2 <= B_iid <= 0.7
     _verdict(8, "sqrt(n)-scaled Kolmogorov distance flat", ok,
              f"flat={flat_two and flat_iid}, B_hat(iid)={B_iid:.3f} in [0.2, 0.7]")
@@ -228,11 +231,11 @@ def test_criterion_09_edgeworth_correction():
 
 
 def test_criterion_10_local_limit_theorem():
-    rec = llt_check(fixtures.gaussian_iid(), [4096], PATHS, 3)[0]
+    rec = llt_check(fixtures.gaussian_iid(), [4096], PATHS, 3).records[0]
     gauss_ok = abs(rec.ratio - 1.0) <= 3.0 * rec.mc_se
     bumps = [triangular_bump(0.0, 1.0), triangular_bump(1.0, 1.0)]
     lat = llt_check(fixtures.lattice_pm1(), [4096], PATHS, 3, bumps=bumps,
-                    allow_lattice=True)
+                    allow_lattice=True).records
     outside = [r.ratio for r in lat if not 0.5 <= r.ratio <= 1.5]
     ok = gauss_ok and len(outside) >= 1
     _verdict(10, "local limit ratio and lattice negative control", ok,
@@ -292,8 +295,8 @@ def test_criterion_13_variance_rate_bound():
 @pytest.mark.slow
 def test_criterion_14_estimator_berry_esseen():
     problem = fixtures.mean_contrast_problem()
-    records, verdict = estimator_be_check(problem, [256, 1024, 4096],
-                                          PATHS, 14)
+    result = estimator_be_check(problem, [256, 1024, 4096], PATHS, 14)
+    records, verdict = result.records, result.passed
     gammas = sorted({(r.n, r.theta): r.gamma_hat for r in records}.items())
     worst_gamma = {n: max(g for (m, _), g in gammas if m == n)
                    for n in (256, 1024, 4096)}

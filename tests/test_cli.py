@@ -10,13 +10,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from maplab import cli
+from maplab import cli, fixtures
 from maplab.cli import dispatch
 from maplab.fixtures import (ct_two_state, fixture_names,
                              mean_contrast_kernel, two_state)
-from maplab.io import ct_spec_to_dict, kernel_to_dict, map_spec_to_dict
-from maplab.limit_checks import GaussianComparison, LltRecord, RhoMixReport
-from maplab.mestim import EstimatorBeRecord
+from maplab.io import (_jsonable, ct_spec_to_dict, kernel_to_dict,
+                       map_spec_to_dict)
+from maplab.limit_checks import (GaussianComparison, LltRecord, RhoMixReport,
+                                 berry_esseen_check, clt_check,
+                                 ct_limit_check, edgeworth_check, llt_check,
+                                 rho_mixing_check)
+from maplab.mestim import EstimatorBeRecord, estimator_be_check
 
 from conftest import random_mixed_spec
 
@@ -342,6 +346,39 @@ class TestSpecDefects:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "NonFiniteOperator"
 
+    @pytest.mark.parametrize("argv, option", [
+        (["analyze", "--fixture", "two_state", "--zeta-max", "1e308"],
+         "--zeta-max"),
+        (["scan-lambda", "--fixture", "two_state", "--zeta-max=-1e308",
+          "--out", "x.csv"], "--zeta-max"),
+        (["nonlattice-scan", "--fixture", "gaussian_iid", "--k-min=-1e308",
+          "--k-max=1e308"], "--k-min/--k-max")],
+        ids=["analyze", "scan-lambda", "nonlattice-scan"])
+    def test_overflowing_grid_stderr(self, tmp_path, argv, option):
+        # stop - start overflows: linspace used to print two numpy warnings
+        # and fill the grid with inf and nan, and the command then stopped
+        # with NonFiniteOperator at a frequency never given
+        proc = subprocess.run(
+            [sys.executable, "-m", "maplab.cli", *argv], cwd=tmp_path,
+            capture_output=True, env={**os.environ, "PYTHONPATH":
+                                      os.path.dirname(os.path.dirname(
+                                          cli.__file__))})
+        assert proc.returncode == 2
+        lines = proc.stderr.decode().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "usage" and err["message"].startswith(option)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--fixture", "two_state", "--zeta-max", "8.9e307",
+         "--grid-points", "5"],
+        ["nonlattice-scan", "--fixture", "gaussian_iid", "--k-min=-8.9e307",
+         "--k-max=8.9e307", "--k-points", "5"]], ids=lambda a: a[0])
+    def test_widest_grid_runs(self, tmp_path, argv):
+        # a span just below the largest float still forms its grid
+        assert run([*argv, "--out", str(tmp_path / "r")]) == 0
+
     @pytest.mark.parametrize("G", [
         [[-1e300, 1e300], [1e300, -1e300]],
         (1e200 * np.array([[-3.0, 1.0, 2.0], [1.0, -1.5, 0.5],
@@ -664,6 +701,74 @@ class TestHorizonLists:
         by_key = {key(r): r for r in tidy}
         assert len(messy) == 3 * len(tidy) // 2
         assert all(by_key[key(r)] == r for r in messy)
+
+    @pytest.mark.parametrize("argv, horizons", [
+        # distance 0.098 at n = 16 and 0.017 at n = 1024; the gate is 0.069
+        (["verify-clt", "--fixture", "iid_rademacher", "--paths", "20000",
+          "--seed", "2", "--n-list"], ["16", "1024"]),
+        # distance 0.270 at t = 0.5 and 0.022 at t = 64; the gate is 0.117
+        (["verify-ct", "--fixture", "ct_two_state", "--paths", "2000",
+          "--seed", "4", "--t-list"], ["0.5", "64"])], ids=["clt", "ct"])
+    def test_gate_reads_largest_horizon(self, tmp_path, argv, horizons):
+        # the CLT gate reads the record at the largest horizon, wherever the
+        # list puts it; it once read the last record, so the verdict hung
+        # on the order of the list
+        reports = []
+        for order in (horizons, horizons[::-1]):
+            out = tmp_path / "r.json"
+            assert run([*argv, ",".join(order), "--out", str(out)]) == 0
+            reports.append(json.loads(out.read_text())["records"])
+        assert reports[0] == reports[1][::-1]
+        small = reports[0][0]
+        assert small["kolmogorov"] > 0.03 + 2.0 * small["se"]
+
+
+class TestLibraryVerdict:
+    """Each gate command's verdict is its check's: the CLI parses the
+    options, calls the check and writes what the check returns."""
+
+    @pytest.mark.parametrize("argv, check", [
+        (["verify-clt", "--fixture", "two_state", "--n-list", "64,16",
+          "--paths", "300"],
+         lambda: clt_check(two_state(), [64, 16], 300, 1)),
+        (["verify-clt", "--fixture", "iid_rademacher", "--n-list", "16",
+          "--paths", "8000"],
+         lambda: clt_check(fixtures.iid_rademacher(), [16], 8000, 1)),
+        (["verify-be", "--fixture", "iid_rademacher", "--n-list", "16,64",
+          "--paths", "300"],
+         lambda: berry_esseen_check(fixtures.iid_rademacher(), [16, 64], 300,
+                                    1)),
+        (["verify-edgeworth", "--fixture", "skewed_mixture", "--n-list",
+          "16", "--paths", "300"],
+         lambda: edgeworth_check(fixtures.skewed_mixture(), [16], 300, 1)),
+        (["verify-llt", "--fixture", "gaussian_iid", "--n-list", "16",
+          "--paths", "300"],
+         lambda: llt_check(fixtures.gaussian_iid(), [16], 300, 1)),
+        (["verify-ct", "--fixture", "ct_two_state", "--t-list", "4,8",
+          "--paths", "300"],
+         lambda: ct_limit_check(ct_two_state(), [4.0, 8.0], 300, 1)),
+        (["mixing-bound", "--fixture", "two_state", "--lags", "1,2",
+          "--paths", "300"],
+         lambda: rho_mixing_check(two_state(), [1, 2], 300, 1)),
+        (["mestimate", "--fixture", "mean_contrast_problem", "--n-list",
+          "16,64", "--reps", "300"],
+         lambda: estimator_be_check(fixtures.mean_contrast_problem(),
+                                    [16, 64], 300, 1)),
+    ], ids=["clt", "clt-fail", "be", "edgeworth", "llt", "ct", "mixing",
+            "mestimate"])
+    def test_report_carries_the_check(self, tmp_path, argv, check):
+        result = check()
+        out = tmp_path / "r.json"
+        code = run([*argv, "--seed", "1", "--out", str(out)])
+        report = json.loads(out.read_text())
+        assert code == (0 if result.passed else 1)
+        assert report["verdict"] == ("pass" if result.passed else "fail")
+        extras = json.loads(json.dumps(_jsonable(result.extras)))
+        config = extras.pop("config", {})
+        assert {key: report[key] for key in extras} == extras
+        assert {key: report["config"][key] for key in config} == config
+        assert report["records"] == json.loads(json.dumps(_jsonable(
+            [vars(r) for r in result.records])))
 
 
 class TestReports:

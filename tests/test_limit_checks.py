@@ -47,12 +47,12 @@ class TestKolmogorov:
 
 class TestClt:
     def test_two_state_converges(self):
-        records = clt_check(two_state(), [64, 1024], 20000, 7)
+        records = clt_check(two_state(), [64, 1024], 20000, 7).records
         assert records[-1].kolmogorov < records[0].kolmogorov + 2 * records[0].se
         assert records[-1].kolmogorov < 0.03
 
     def test_sigma_used_is_oracle(self):
-        records = clt_check(two_state(), [16], 100, 0)
+        records = clt_check(two_state(), [16], 100, 0).records
         assert records[0].sigma_used == pytest.approx(np.sqrt(0.72))
 
     def test_degenerate_variance(self):
@@ -61,16 +61,29 @@ class TestClt:
         with pytest.raises(DegenerateVariance):
             clt_check(spec, [8], 100, 0)
 
+    def test_too_few_paths_before_any_draw(self, monkeypatch):
+        # at 16 paths the CLT threshold reaches 1, so clt_check and
+        # ct_limit_check stop before they draw; berry_esseen_check has no
+        # such gate and still runs
+        monkeypatch.setattr(limit_checks, "simulate_discrete", None)
+        monkeypatch.setattr(limit_checks, "simulate_ct", None)
+        with pytest.raises(TooFewPaths):
+            clt_check(two_state(), [16], 16, 1)
+        with pytest.raises(TooFewPaths):
+            ct_limit_check(ct_two_state(), [16.0], 16, 1)
+        monkeypatch.undo()
+        assert len(berry_esseen_check(two_state(), [16, 64], 16,
+                                      1).records) == 2
+
 
 class TestBerryEsseen:
     def test_iid_flat(self):
-        B_hat, records, flat = berry_esseen_check(iid_rademacher(),
-                                                  [256, 1024], 20000, 3)
-        assert flat
-        assert B_hat < 1.0
+        result = berry_esseen_check(iid_rademacher(), [256, 1024], 20000, 3)
+        assert result.passed
+        assert result.extras["B_hat"] < 1.0
 
     def test_records_carry_constants(self):
-        _, records, _ = berry_esseen_check(two_state(), [64], 5000, 1)
+        records = berry_esseen_check(two_state(), [64], 5000, 1).records
         r = records[0]
         assert r.be_constant == pytest.approx(np.sqrt(64) * r.kolmogorov)
 
@@ -83,7 +96,8 @@ class TestEdgeworth:
 
     def test_correction_helps_on_skewed(self):
         # paths chosen so the mu3 signal dominates the ECDF noise floor
-        records = edgeworth_check(skewed_mixture(), [64, 256, 1024], 100000, 5)
+        records = edgeworth_check(skewed_mixture(), [64, 256, 1024], 100000,
+                                  5).records
         for r in records:
             assert r.edgeworth_residual <= r.kolmogorov
 
@@ -93,7 +107,7 @@ class TestEdgeworth:
 
     def test_allow_lattice_escape(self):
         records = edgeworth_check(two_state(), [64], 2000, 0,
-                                  allow_lattice=True)
+                                  allow_lattice=True).records
         assert len(records) == 1
 
 
@@ -131,7 +145,7 @@ class TestAsymptoticBias:
         spec = two_state()
         mu = np.array([1.0, 0.0])
         records = edgeworth_check(spec, [256], 100000, 9, mu=mu,
-                                  allow_lattice=True)
+                                  allow_lattice=True).records
         r = records[0]
         assert r.bias_term_used
         assert r.edgeworth_residual < r.kolmogorov
@@ -139,7 +153,7 @@ class TestAsymptoticBias:
 
 class TestLlt:
     def test_gaussian_ratio(self):
-        records = llt_check(gaussian_iid(), [1024], 100000, 11)
+        records = llt_check(gaussian_iid(), [1024], 100000, 11).records
         r = records[0]
         assert abs(r.ratio - 1.0) <= 3 * r.mc_se
 
@@ -147,7 +161,7 @@ class TestLlt:
         # span-2 lattice: odd-centered bump sees no mass at even n
         bumps = [triangular_bump(0.0, 1.0), triangular_bump(1.0, 1.0)]
         records = llt_check(lattice_pm1(), [1024], 20000, 13, bumps=bumps,
-                            allow_lattice=True)
+                            allow_lattice=True).records
         ratios = [r.ratio for r in records]
         assert any(not 0.5 <= rho <= 1.5 for rho in ratios)
 
@@ -169,7 +183,7 @@ class TestLlt:
         with pytest.raises(TooFewPaths):
             check(1)
         assert all(np.isfinite(dataclasses.astuple(r)).all()
-                   for r in check(2))
+                   for r in check(2).records)
 
     def test_bump_integral(self):
         g = triangular_bump(0.5, 2.0)
@@ -180,16 +194,18 @@ class TestLlt:
 
 class TestRhoMixing:
     def test_two_state_bounds_hold(self):
-        reports = rho_mixing_check(two_state(), [1, 2, 3, 4, 5], 50000, 17)
+        reports = rho_mixing_check(two_state(), [1, 2, 3, 4, 5], 50000,
+                                   17).records
         for r in reports:
             assert r.vacuous or r.empirical_max <= r.bound + 4 * r.se
 
     def test_lag_one_vacuous(self):
-        reports = rho_mixing_check(two_state(), [1], 1000, 0)
+        reports = rho_mixing_check(two_state(), [1], 1000, 0).records
         assert reports[0].vacuous       # ||P^0 - Pi|| = 1 certifies nothing
 
     def test_iid_bound_zero(self):
-        reports = rho_mixing_check(iid_rademacher(), [2, 3], 50000, 19)
+        reports = rho_mixing_check(iid_rademacher(), [2, 3], 50000,
+                                   19).records
         for r in reports:
             assert r.bound == pytest.approx(0.0, abs=1e-12)
             assert r.empirical_max <= 4 * r.se
@@ -198,7 +214,7 @@ class TestRhoMixing:
         kernel = StochasticKernel(states=(0, 1), P=np.full((2, 2), 0.5))
         incs = {(i, j): deterministic([2.0]) for i in range(2) for j in range(2)}
         spec = MapSpec(kernel=kernel, increments=incs)
-        reports = rho_mixing_check(spec, [2], 1000, 0)
+        reports = rho_mixing_check(spec, [2], 1000, 0).records
         assert reports[0].degenerate_pairs > 0
         assert reports[0].empirical_max == 0.0
 
@@ -208,7 +224,7 @@ class TestRhoMixing:
     def test_matches_per_pair_corrcoef(self, make, lags):
         # oracle: np.corrcoef on each pair of non-degenerate functionals
         spec = make()
-        reports = rho_mixing_check(spec, lags, 2000, 3)
+        reports = rho_mixing_check(spec, lags, 2000, 3).records
         panel = increment_panel(spec, max(lags) + 1, 2000, 3)
         fs = limit_checks._test_functionals(panel[:, 0])
         for r in reports:
@@ -223,18 +239,18 @@ class TestRhoMixing:
 
 class TestContinuousTime:
     def test_clt_at_large_t(self):
-        records, frac_ok = ct_limit_check(ct_two_state(), [256.0], 50000, 23)
-        assert records[0].kolmogorov < 0.03
-        assert frac_ok
+        result = ct_limit_check(ct_two_state(), [256.0], 50000, 23)
+        assert result.records[0].kolmogorov < 0.03
+        assert result.extras["fractional_part_negligible"]
 
     def test_uncentered_rejected(self):
         with pytest.raises(ValueError):
             ct_limit_check(ct_two_state(centered=False), [16.0], 100, 0)
 
     def test_fractional_horizon(self):
-        records, frac_ok = ct_limit_check(ct_two_state(), [100.5], 20000, 29)
-        assert frac_ok
-        assert records[0].kolmogorov < 0.05
+        result = ct_limit_check(ct_two_state(), [100.5], 20000, 29)
+        assert result.extras["fractional_part_negligible"]
+        assert result.records[0].kolmogorov < 0.05
 
     def test_fractional_bound_counts_jump_increments(self):
         # each jump moves Y by 3, beyond max|reward| = 1 over the whole
@@ -243,14 +259,15 @@ class TestContinuousTime:
                        reward=np.array([0.0, 1.0]),
                        jump_increments=np.array([[0.0, 3.0], [-3.0, 0.0]]),
                        centered=True)
-        _, frac_ok = ct_limit_check(ct, [64.5, 256.5], 2000, 1)
-        assert frac_ok
+        result = ct_limit_check(ct, [64.5, 256.5], 2000, 1)
+        assert result.extras["fractional_part_negligible"]
 
     def test_fraction_below_one_is_checked(self, monkeypatch):
         # floor(0.5) = 0 and Y_0 = 0 is read, so Y_0.5 is the fractional
         # part; a Y_0.5 inflated far past the bound fails the check
-        records, frac_ok = ct_limit_check(ct_two_state(), [0.5], 2000, 4)
-        assert frac_ok and records[0].n == 0.5
+        result = ct_limit_check(ct_two_state(), [0.5], 2000, 4)
+        assert result.extras["fractional_part_negligible"]
+        assert result.records[0].n == 0.5
         real = limit_checks.simulate_ct
 
         def inflated(*args, **kwargs):
@@ -259,19 +276,20 @@ class TestContinuousTime:
                     for b in batches]
 
         monkeypatch.setattr(limit_checks, "simulate_ct", inflated)
-        _, frac_ok = ct_limit_check(ct_two_state(), [0.5], 2000, 4)
-        assert not frac_ok
+        result = ct_limit_check(ct_two_state(), [0.5], 2000, 4)
+        assert not result.extras["fractional_part_negligible"]
 
     def test_repeated_t_repeats_its_record(self):
         # one chain read at t = 64: the same record twice, that of t = 64
         # alone (a restart per entry drew a second chain for the repeat)
-        twice, frac_ok = ct_limit_check(ct_two_state(), [64.0, 64.0], 2000, 4)
-        once, _ = ct_limit_check(ct_two_state(), [64.0], 2000, 4)
-        assert frac_ok and twice == once * 2
+        twice = ct_limit_check(ct_two_state(), [64.0, 64.0], 2000, 4)
+        once = ct_limit_check(ct_two_state(), [64.0], 2000, 4).records
+        assert twice.extras["fractional_part_negligible"]
+        assert twice.records == once * 2
 
     def test_clt_check_takes_ct_spec(self):
         # verify-clt on a CT spec: the records of ct_limit_check, n a float
-        got = clt_check(ct_two_state(), [16, 64], 2000, 6)
-        want, _ = ct_limit_check(ct_two_state(), [16.0, 64.0], 2000, 6)
+        got = clt_check(ct_two_state(), [16, 64], 2000, 6).records
+        want = ct_limit_check(ct_two_state(), [16.0, 64.0], 2000, 6).records
         assert got == want and [r.n for r in got] == [16.0, 64.0]
         assert all(type(r.n) is float for r in got)

@@ -417,27 +417,29 @@ class TestCountTables:
 
 class TestBeCheck:
     def test_flat_and_gamma_decreasing(self, problem):
-        records, verdict = estimator_be_check(problem, [64, 256], 20000, 31)
-        assert verdict
+        result = estimator_be_check(problem, [64, 256], 20000, 31)
+        records = result.records
+        assert result.passed
         gammas = {}
         for r in records:
             gammas.setdefault(r.n, []).append(r.gamma_hat)
         assert max(gammas[256]) <= max(gammas[64])
 
     def test_all_thetas_covered(self, problem):
-        records, _ = estimator_be_check(problem, [64], 2000, 1)
+        records = estimator_be_check(problem, [64], 2000, 1).records
         assert sorted(set(r.theta for r in records)) == list(MEAN_CONTRAST_THETAS)
 
     def test_first_horizon_matches_single_list(self, problem):
         # the first horizon's counts are those of a run to it alone
-        single, _ = estimator_be_check(problem, [64], 2000, 3)
-        both, _ = estimator_be_check(problem, [64, 256], 2000, 3)
+        single = estimator_be_check(problem, [64], 2000, 3).records
+        both = estimator_be_check(problem, [64, 256], 2000, 3).records
         assert single == [r for r in both if r.n == 64]
 
     def test_unsorted_and_repeated_list(self, problem):
         # records keep the list's order; a repeated n reads the same counts
-        records, _ = estimator_be_check(problem, [256, 64, 256], 2000, 3)
-        by_theta, _ = estimator_be_check(problem, [64, 256], 2000, 3)
+        records = estimator_be_check(problem, [256, 64, 256], 2000,
+                                     3).records
+        by_theta = estimator_be_check(problem, [64, 256], 2000, 3).records
         want = {(r.theta, r.n): r for r in by_theta}
         assert records == [want[theta, n] for theta in problem.thetas
                            for n in (256, 64, 256)]
