@@ -211,6 +211,9 @@ def cmd_verify_ct(args, model):
 
 
 def cmd_mixing_bound(args, model):
+    # a bare kernel draws nothing, so only a spec needs --seed
+    if args.seed is None and not isinstance(model, StochasticKernel):
+        raise UsageError("mixing-bound on a spec requires --seed")
     return rho_mixing_check(model, _positive_list(args.lags, int), args.paths,
                             args.seed)
 
@@ -241,7 +244,15 @@ def _write_report(args, report, result):
     if args.out:
         write_report(args.out, report)
     else:
-        print(json.dumps(_jsonable(report), sort_keys=True, indent=2))
+        try:
+            print(json.dumps(_jsonable(report), sort_keys=True, indent=2),
+                  flush=True)
+        except BrokenPipeError:
+            # the reader has gone: the verdict stands, and the flush at
+            # exit writes what is left to devnull
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     if getattr(args, "csv", None):
         write_csv(args.csv, *_csv_table(result.table or result.records))
 
@@ -307,7 +318,8 @@ COMMANDS = {
         _SEED], ("t_list", "paths", "seed"), (CtMapSpec,)),
     "mixing-bound": Command(cmd_mixing_bound, "rho-mixing bounds", [
         *_SOURCE, _OUT, _CSV, ("--lags", {"default": "1,2,3,4,5,6,7,8,9,10"}),
-        ("--paths", {"type": _number(int), "default": 100000}), _SEED],
+        ("--paths", {"type": _number(int), "default": 100000}),
+        ("--seed", {"type": int})],
         ("lags",), (StochasticKernel, *SPECS)),
     "nonlattice-scan": Command(cmd_nonlattice, "spectral radius off zero", [
         *_SOURCE, _OUT,

@@ -119,17 +119,25 @@ def _edge_value_table(func, alpha, S):
     return np.broadcast_to(func(alpha[:, None], i, j), (len(alpha), S * S))
 
 
-def _edge_expectation(kernel, func, alpha):
-    """E_pi[func(alpha, X_0, X_1)], for a scalar or a vector alpha.
+def _edge_expectation(kernel):
+    """(func, alpha) -> E_pi[func(alpha, X_0, X_1)], for a scalar or a
+    vector alpha, with the kernel's edges P_ij > 0 and their weights
+    pi_i P_ij found once.
 
-    The terms pi_i P_ij func(alpha, i, j) over the edges P_ij > 0 are summed
-    in row-major edge order (cumsum is sequential), as an edge loop would.
+    The terms pi_i P_ij func(alpha, i, j) are summed in row-major edge
+    order (cumsum is sequential), as an edge loop would.
     """
     edges = np.flatnonzero(kernel.P.ravel() > 0)
     w = (kernel.pi[:, None] * kernel.P).ravel()[edges]
-    terms = w * _edge_value_table(func, alpha, kernel.n_states)[:, edges]
-    total = np.cumsum(terms, axis=1)[:, -1]
-    return total if np.ndim(alpha) else total[0]
+    i, j = divmod(edges, kernel.n_states)
+
+    def expectation(func, alpha):
+        a = np.atleast_1d(np.asarray(alpha, dtype=float))
+        terms = w * np.broadcast_to(func(a[:, None], i, j),
+                                    (len(a), len(edges)))
+        total = np.cumsum(terms, axis=1)[:, -1]
+        return total if np.ndim(alpha) else total[0]
+    return expectation
 
 
 def _f_map_spec(kernel, func, alpha) -> MapSpec:
@@ -180,7 +188,8 @@ def build_problem(family: ContrastFamily, kernels: dict) -> MEstimationProblem:
 
     alpha0, m, s1, tau, eq16 = {}, {}, {}, {}, {}
     for theta, kernel in kernels.items():
-        vals = _edge_expectation(kernel, family.F1, grid)   # F1 broadcasts
+        expect = _edge_expectation(kernel)
+        vals = expect(family.F1, grid)      # F1 broadcasts
         signs = np.sign(vals)
         crossings = np.flatnonzero(np.diff(signs) != 0)
         crossings = crossings[np.abs(vals[crossings]) > 0]
@@ -189,17 +198,17 @@ def build_problem(family: ContrastFamily, kernels: dict) -> MEstimationProblem:
         if len(crossings) > 1:
             raise ConditionViolated("V1", theta=theta,
                                     detail=f"{len(crossings)} roots of E[F1]")
-        a0 = _bisect(lambda a: _edge_expectation(kernel, family.F1, a),
+        a0 = _bisect(lambda a: expect(family.F1, a),
                      grid[crossings[0]], grid[crossings[0] + 1])
         for _ in range(3):  # Newton polish
-            f1 = _edge_expectation(kernel, family.F1, a0)
-            f2 = _edge_expectation(kernel, family.F2, a0)
+            f1 = expect(family.F1, a0)
+            f2 = expect(family.F2, a0)
             a0 -= f1 / f2
-        if abs(_edge_expectation(kernel, family.F1, a0)) > 1e-12:
+        if abs(expect(family.F1, a0)) > 1e-12:
             raise ConditionViolated("V1", theta=theta, detail="root polish failed")
         alpha0[theta] = float(a0)
 
-        m_theta = _edge_expectation(kernel, family.F2, a0)
+        m_theta = expect(family.F2, a0)
         if m_theta <= 0:
             raise ConditionViolated("V2", theta=theta, detail=f"m = {m_theta:.4g}")
         m[theta] = float(m_theta)

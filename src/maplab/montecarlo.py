@@ -35,17 +35,21 @@ earlier time, without a draw. Those reads give the integer part of Y_t and
 the increment panel of a continuous-time spec.
 
 Every inverse CDF (block paths, CT jumps, initial states) is one search,
-_search over a _cdf_table: a branchless binary search over each row's
-positive-probability columns, started from a guide table of equal buckets
-of [0, 1) where that saves levels (Chen & Asau, 1974). It returns the same
-index as the comparison sum #{j : cum_j <= u}, so the streams do not
-depend on how the search is done.
+_search over a _cdf_table: a guide table of M equal buckets of [0, 1) per
+row, M sized to a fixed entry budget (Chen & Asau, 1974; Devroye, 1986,
+III.2). A draw reads its answer from its bucket's start; where a bucket
+holds a value, one comparison follows, and a branchless binary search runs
+only on the draws whose bucket holds two or more. A table whose values all
+lie on bucket edges, as a dyadic one does, is a pure lookup. The search
+returns the same index as the comparison sum #{j : cum_j <= u}, so the
+streams do not depend on how it is done.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -127,6 +131,7 @@ _PATHS = 1 << 10        # most B-step paths per row of the path table
 # decodes, and it keeps 65 536 paths or more on single-step draws (B = 1),
 # where lifting it moves streams that a seeded gate depends on (ROADMAP)
 _DRAW = 1 << 16
+_GUIDE = 1 << 14        # guide entries per _cdf_table: rows x buckets
 
 
 def _rises(cum):
@@ -138,24 +143,39 @@ def _rises(cum):
     return rise
 
 
-def _cdf_table(cum):
-    """The table _search reads for the rows of cum. Each row is read
-    clipped to 1 and pinned to 1 from its last positive entry (its last
-    rise) on, so that no u < 1 lands on a state of probability 0; a row
-    with no positive entry draws its last column. A row keeps only the
-    columns it rises at: values c_0 < ... < c_{m-1} = 1, flat at a common
-    row stride and padded with 1s, and a map back to their columns.
+class _CdfTable(NamedTuple):
+    """What _search reads (_cdf_table): M buckets per row, the guide, and
+    the fields of its routes (None where the route is not taken)."""
 
-    The guide splits [0, 1) into M buckets, M = 2^k >= twice the widest
-    row. For row r and bucket b it holds the start #{i : c_i <= b/M}, counted
-    from the integer bucket ceil(c M) of each value; the values that can
-    still be <= u for u in bucket b are those with floor(c M) = b < c M.
-    Both are exact, as M is a power of two. The search runs bit_length(most
-    such values in a bucket) levels from the start. Where that does not
-    save two of the bit_length(m - 1) levels from the row base (narrow rows,
-    as for B = 1 chains and short atom runs), the table keeps no guide. The
-    flat values are stored once per level, as (half, view shifted by half -
-    1), so a level gathers at its position."""
+    M: int
+    guide: np.ndarray       # (n M,): a bucket's start, or its answer
+    flat: np.ndarray        # the values, at a common row stride
+    many: np.ndarray        # (n M,): the bucket holds two or more values
+    levels: list            # (half, view of flat shifted by half - 1)
+    column: np.ndarray      # flat position -> base[row] + column
+
+
+def _cdf_table(cum, base=None):
+    """The guide table (Chen & Asau, 1974; Devroye, 1986, III.2) that
+    _search reads for the rows of cum. Each row is read clipped to 1 and
+    pinned to 1 from its last positive entry (its last rise) on, so that no
+    u < 1 lands on a state of probability 0; a row with no positive entry
+    draws its last column. A row keeps only the columns it rises at: values
+    c_0 < ... < c_{m-1} = 1, flat at a common row stride and padded with 1s,
+    and a map back to their columns, each plus base[row] if base is given.
+
+    The guide splits [0, 1) into M buckets, M the largest power of two with
+    n M <= _GUIDE (n rows). For row r and bucket b it holds the start
+    #{i : c_i <= b/M}, counted from the integer bucket ceil(c M) of each
+    value; the values that can still be <= u for u in bucket b are those
+    strictly inside it, floor(c M) = b < c M. Both are exact, as M is a
+    power of two. Where no bucket holds a value, the guide holds the answer
+    itself (a pure lookup). Otherwise a draw adds one comparison with the
+    value at its start, and where some bucket holds two or more, many
+    marks them and levels, bit_length(most - 1) binary-search levels, go on
+    from there for those draws alone. The flat values are stored once per
+    level, as (half, view shifted by half - 1), so a level gathers at its
+    position."""
     n, S = cum.shape
     last = S - 1 - _rises(cum)[:, ::-1].argmax(axis=1)
     eff = np.where(np.arange(S) < last[:, None], np.minimum(cum, 1.0), 1.0)
@@ -163,49 +183,63 @@ def _cdf_table(cum):
     rows, cols = np.nonzero(keep)
     c = eff[keep]
     m = np.bincount(rows, minlength=n)
-    depth = int(m.max() - 1).bit_length()
-    M = 2 << depth
-    start = None
-    if depth >= 2:
-        cM = c * M
-        low = np.floor(cM)
-        inside = low < cM                   # candidates of bucket floor(c M)
-        span = np.bincount(rows[inside] * M + low[inside].astype(np.intp))
-        guided = int(span.max(initial=0)).bit_length()
-        if guided + 2 <= depth:
-            depth = guided
-            start = np.bincount(rows * (M + 1) + np.ceil(cM).astype(np.intp),
-                                minlength=n * (M + 1))
-            start = start.reshape(n, M + 1).cumsum(axis=1)[:, :M]
+    first = np.cumsum(m) - m                # each row's first value
+    M = 1 << max((_GUIDE // n).bit_length() - 1, 0)
+    cM = c * M
+    low = np.floor(cM)
+    inside = (rows * M + low.astype(np.intp))[low < cM]     # sorted buckets
+    held = inside.searchsorted(inside, "right") - inside.searchsorted(inside)
+    most = int(held.max(initial=0))
+    depth = max(most - 1, 0).bit_length()
     stride = int(m.max()) + (1 << depth)
-    at = rows * stride + np.arange(len(c)) - np.repeat(np.cumsum(m) - m, m)
-    flat = np.ones(n * stride)
-    flat[at] = c
+    at = rows * stride + np.arange(len(c)) - np.repeat(first, m)
     column = np.zeros(n * stride, dtype=np.intp)
-    column[at] = cols
-    if start is not None:
-        start = (start + np.arange(n)[:, None] * stride).ravel()
-    for arr in [column, start, flat]:       # before the level views of flat
+    column[at] = cols if base is None else cols + base[rows]
+    # value i starts the buckets from ceil(c_{i-1} M) to ceil(c_i M) - 1
+    up = np.ceil(cM).astype(np.intp)
+    run = up.copy()
+    run[1:] -= up[:-1]
+    run[first] = up[first]
+    flat = many = None
+    if most == 0:
+        guide = np.repeat(column[at], run)
+    else:
+        guide = np.repeat(at, run)
+        flat = np.ones(n * stride)
+        flat[at] = c
+        if most >= 2:
+            many = np.zeros(n * M, dtype=bool)
+            many[inside[held >= 2]] = True
+    for arr in [guide, flat, many, column]:     # before the views of flat
         if arr is not None:
             arr.setflags(write=False)
     levels = [(1 << k, flat[(1 << k) - 1:]) for k in range(depth - 1, -1, -1)]
-    return levels, column, start, M, stride
+    return _CdfTable(M, guide, flat, many, levels, column)
 
 
 def _search(table, row, u, out=None):
     """#{j : cum[row, j] <= u} for u in [0, 1) over a _cdf_table, i.e. (u[:,
-    None] >= cum[row]).sum(1): the guide's start for u's bucket (or the row
-    base), one branchless binary-search level per flat gather, then the
-    column map (into out, if given).
+    None] >= cum[row]).sum(1) (plus base[row]), into out if given: the
+    guide's entry for u's bucket, then one comparison with the value there
+    and one branchless binary-search level per flat gather on the draws
+    whose bucket holds two or more values, as the table needs, and the
+    column map.
     """
-    levels, column, start, M, stride = table
-    if start is None:
-        pos = row * stride
-    else:
-        pos = start.take(row * M + (u * M).astype(np.intp))
-    for half, level in levels:
-        hit = level.take(pos) <= u
-        pos += hit if half == 1 else half * hit
+    M, guide, flat, many, levels, column = table
+    k = (u * M).astype(np.intp)
+    k += row * M
+    if flat is None:
+        return guide.take(k, out=out, mode="clip")
+    pos = guide.take(k)
+    pos += flat.take(pos) <= u
+    if many is not None:
+        sub = np.flatnonzero(many.take(k))
+        if len(sub):
+            p, v = pos.take(sub), u.take(sub)
+            for half, level in levels:
+                hit = level.take(p) <= v
+                p += hit if half == 1 else half * hit
+            pos[sub] = p
     return column.take(pos, out=out, mode="clip")
 
 
@@ -233,9 +267,7 @@ def _path_table(Q, B):
     for _ in range(B - 1):
         state = np.arange(probs.shape[1]) % C // (C // S)
         probs = (probs[:, :, None] * Q[state]).reshape(S, -1)
-    levels, column, start, M, stride = _cdf_table(np.cumsum(probs, axis=1))
-    column = column + np.repeat(np.arange(S) * C ** B, stride)
-    return levels, column, start, M, stride
+    return _cdf_table(np.cumsum(probs, axis=1), np.arange(S) * C ** B)
 
 
 def _row_decode(S, C, B):
@@ -549,12 +581,14 @@ _TALLY_WIDTH = 24
 
 
 def _count_table(edge, S):
-    """(S^(B+1), S^2) int8 table of a _row_decode edge table: entry [row,
-    e] is the number of the B steps of the draw at row on flat edge e."""
+    """(S^(B+1), ceil(S^2 / 8)) uint64 table of a _row_decode edge table,
+    words of 8-bit counters: byte e of row r (of its uint8 view) is the
+    number of the B steps of the draw at row r on flat edge e."""
     R = edge.shape[1]
-    flat = (edge + np.arange(R) * (S * S)).ravel()
-    return np.bincount(flat, minlength=R * S * S).astype(np.int8).reshape(
-        R, S * S)
+    width = -(-S * S // 8) * 8
+    flat = (edge + np.arange(R) * width).ravel()
+    return np.bincount(flat, minlength=R * width).astype(np.uint8).view(
+        np.uint64).reshape(R, width // 8)
 
 
 def _add_edges(counts, edges):
@@ -578,17 +612,18 @@ def simulate_edge_counts(kernel: StochasticKernel, n: int, reps: int,
     it, and at=[n] is the plain call.
 
     A draw's row fixes its B edges, so a whole draw adds its row of a count
-    table built for the call (_count_table) into a per-path int16 tally,
-    which goes into the int64 counts at each horizon and before it can
-    overflow. The cut last draw of a segment is decoded to edges and added
-    step by step (_add_edges), as is every draw where the table's rows
-    would be too wide.
+    table built for the call (_count_table) into a per-path tally of 8-bit
+    counters packed in uint64 words, one word add per 8 edges. No counter
+    carries into the next: a draw adds at most B to one, and the tally goes
+    into the int64 counts every 255 // B draws and at each horizon. The cut
+    last draw of a segment is decoded to edges and added step by step
+    (_add_edges), as is every draw where the table's rows would be too wide.
     """
     horizons = _horizons(n, at)
     rng = _stream(kernel, seed)
     S = kernel.n_states
     counts = np.zeros((len(horizons), reps, S * S), dtype=np.int64)
-    tally, table = np.zeros((reps, S * S), dtype=np.int16), None
+    table = None
     X = _initial_states(kernel, mu, reps, rng)
     blocks = _chain_steps(kernel.P, X, n, rng, horizons)
     t = held = 0            # steps done, draws in the tally
@@ -601,6 +636,8 @@ def simulate_edge_counts(kernel: StochasticKernel, n: int, reps: int,
             B = len(edge)
             if t == 0 and S * S <= _TALLY_WIDTH * B:
                 table = _count_table(edge, S)
+                tally = np.zeros((reps, table.shape[1]), dtype=np.uint64)
+                counters = tally.view(np.uint8)[:, :S * S]
             t += m
             if table is None:           # every draw decoded, a block at once
                 _add_edges(total, _draw_edges(rows, edge, m))
@@ -609,14 +646,15 @@ def simulate_edge_counts(kernel: StochasticKernel, n: int, reps: int,
             for row in rows[:full]:
                 np.add(tally, table.take(row, axis=0), out=tally)
                 held += 1
-                if held == 32767 // B:
-                    total += tally
+                if held == 255 // B:
+                    total += counters
                     tally[:] = 0
                     held = 0
             if r:                       # the cut last draw
                 _add_edges(total, edge[:r].take(rows[-1], axis=1))
-        total += tally
-        tally[:] = 0
-        held = 0
+        if held:
+            total += counters
+            tally[:] = 0
+            held = 0
     counts = counts.reshape(len(horizons), reps, S, S)
     return counts if at is not None else counts[0]

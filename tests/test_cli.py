@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -1002,6 +1003,78 @@ class TestOptions:
         assert run(["mixing-bound", "--spec", str(spec), "--lags", "1",
                     "--seed", "1", "--out", str(out)]) == 0
         assert list(json.loads(out.read_text())["bounds"]) == ["1"]
+
+    @pytest.mark.parametrize("fixture", ["two_state", "ct_two_state"])
+    def test_mixing_bound_seed_on_specs_only(self, tmp_path, capsys,
+                                             fixture):
+        # a bare kernel draws nothing: its report is the same with --seed
+        # (and --paths) or without; a spec without --seed is a usage error
+        spec = tmp_path / "kernel.json"
+        spec.write_text(json.dumps(kernel_to_dict(two_state().kernel)))
+        reports = []
+        for extra in ([], ["--seed", "5"], ["--seed", "5", "--paths", "3"]):
+            out = tmp_path / f"mix{len(reports)}.json"
+            assert run(["mixing-bound", "--spec", str(spec), "--lags", "1,2",
+                        "--out", str(out)] + extra) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1] == reports[2]
+        capsys.readouterr()
+        out = tmp_path / "spec.json"
+        assert run(["mixing-bound", "--fixture", fixture, "--lags", "1,2",
+                    "--paths", "20", "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "usage" and "--seed" in err["message"]
+        assert not out.exists()
+
+
+class TestBrokenPipe:
+    """A report printed to a stdout whose reader has gone keeps its
+    verdict's exit code and prints no error line."""
+
+    class _Gone(io.TextIOBase):
+        """A stdout whose every write raises, on the file descriptor fd."""
+
+        def __init__(self, fd):
+            self.fd = fd
+
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return self.fd
+
+    # a kernel with a spectral gap passes; a periodic one has none
+    KERNELS = [([[0.9, 0.1], [0.2, 0.8]], 0), ([[0.0, 1.0], [1.0, 0.0]], 1)]
+
+    @pytest.mark.parametrize("P, code", KERNELS, ids=["pass", "fail"])
+    def test_stdout_that_raises(self, tmp_path, monkeypatch, capsys, P,
+                                code):
+        spec = tmp_path / "kernel.json"
+        spec.write_text(json.dumps({"states": [0, 1], "P": P}))
+        with open(tmp_path / "stdout", "w") as fh:
+            monkeypatch.setattr(sys, "stdout", self._Gone(fh.fileno()))
+            assert run(["mixing-bound", "--spec", str(spec), "--lags",
+                        "1,2"]) == code
+            # stdout now points at devnull, so the flush at exit is quiet
+            assert os.path.samestat(os.fstat(fh.fileno()),
+                                    os.stat(os.devnull))
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("P, code", KERNELS, ids=["pass", "fail"])
+    def test_closed_pipe(self, tmp_path, P, code):
+        # a fresh process whose stdout reader closes before it writes
+        (tmp_path / "kernel.json").write_text(json.dumps(
+            {"states": [0, 1], "P": P}))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "maplab.cli", "mixing-bound", "--spec",
+             "kernel.json", "--lags", "1,2"], cwd=tmp_path,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": os.path.dirname(
+                os.path.dirname(cli.__file__))})
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(), err) == (code, b"")
 
 
 # every numeric or list option of every subcommand gets each of these values

@@ -102,10 +102,10 @@ class TestEdgeExpectation:
         grid = np.linspace(-2.0, 3.0, 512)
         for theta in problem.thetas:
             kernel = problem.kernels[theta]
+            expect = _edge_expectation(kernel)
             for func in (problem.family.F1, problem.family.F2):
-                assert np.array_equal(
-                    _edge_expectation(kernel, func, grid),
-                    [_edge_expectation(kernel, func, a) for a in grid])
+                assert np.array_equal(expect(func, grid),
+                                      [expect(func, a) for a in grid])
 
 
 def loop_derivative_check(family, S, rng):
@@ -371,6 +371,34 @@ class TestCountTables:
         assert got[-1, :, 0, 0].max() > 32767
         np.testing.assert_array_equal(
             got, decoded_edge_counts(kernel, hs, 3, 5))
+
+    @pytest.mark.parametrize("S", [1, 2, 4, 8])
+    def test_byte_flush(self, S):
+        # the 8-bit counters go into int64 every 255 // B whole draws:
+        # segments of exactly that many draws, one more, and one more plus
+        # a cut draw, against the per-path oracle
+        kernel = StochasticKernel(states=tuple(range(S)), P=random_kernel(
+            np.random.default_rng(S), S))
+        B = montecarlo._path_length(S, 30)
+        F = 255 // B
+        hs = np.cumsum([F * B, (F + 1) * B, (F + 1) * B + 1]).tolist()
+        np.testing.assert_array_equal(
+            simulate_edge_counts(kernel, hs[-1], 30, S, at=hs),
+            stepwise_edge_counts(kernel, hs, 30, S))
+        for draws in (F, F + 1):
+            np.testing.assert_array_equal(
+                simulate_edge_counts(kernel, draws * B, 30, S),
+                stepwise_edge_counts(kernel, draws * B, 30, S))
+
+    def test_one_edge_past_255(self):
+        # a near-absorbing state: one path stays on edge (0, 0) for more
+        # than 255 steps, past what one 8-bit counter holds
+        kernel = StochasticKernel(states=(0, 1), P=np.array(
+            [[1 - 1e-4, 1e-4], [0.5, 0.5]]))
+        got = simulate_edge_counts(kernel, 700, 3, 5, at=[300, 700])
+        assert got[0, :, 0, 0].max() > 255
+        np.testing.assert_array_equal(
+            got, stepwise_edge_counts(kernel, [300, 700], 3, 5))
 
     @pytest.mark.parametrize("S", [2, 4, 8])
     def test_without_table(self, S, monkeypatch):

@@ -407,7 +407,7 @@ class TestSearch:
                         axis=1)
         cum[:, -1] = 1.0
         table = _cdf_table(cum)
-        assert table[2] is not None             # guided
+        assert _route(table) == "subset"
         row = np.repeat(np.arange(40), 50)
         u = np.random.default_rng(3).random(len(row))
         got = _search(table, row, u)
@@ -444,7 +444,7 @@ class TestSearch:
         cum = np.cumsum(rng.dirichlet(np.full(S, 0.3), size=6), axis=1)
         cum[:, -1] = 1.0
         table = _cdf_table(cum)
-        M = table[3]
+        M = table.M
         edge = np.arange(M) / M
         u = np.concatenate([edge, np.nextafter(edge, 1.0),
                             np.nextafter(edge[1:], 0.0)])
@@ -455,10 +455,10 @@ class TestSearch:
 
     def test_dyadic_table(self):
         # every path probability a multiple of 1/M: no bucket holds a
-        # candidate, so the guided search runs no level at all
+        # value, so the guide holds the answers and no comparison runs
         P = np.full((2, 2), 0.5)
         table = montecarlo._path_table(P, 4)
-        assert table[2] is not None and _depth(table) == 0
+        assert _route(table) == "lookup" and _depth(table) == 0
         paths, cums = path_laws(P, 4)
         row = np.repeat(np.arange(2), 64)
         u = np.concatenate([np.arange(64) / 64, np.nextafter(
@@ -475,12 +475,68 @@ class TestSearch:
                               np.nextafter(edge, 0.0))
         cum = np.tile(np.append(row_values, 1.0), (6, 1))
         table = _cdf_table(cum)
-        assert table[2] is not None             # guided
-        M = table[3]
+        assert _route(table) == "compare"       # one value per bucket
+        M = table.M
         u = np.arange(M) / M
         u = np.concatenate([u, np.nextafter(u, 1.0), np.nextafter(u[1:], 0.0),
                             row_values])
         for r in range(6):
+            row = np.full(len(u), r)
+            np.testing.assert_array_equal(_search(table, row, u),
+                                          _comparison_sum(cum, row, u))
+
+    @settings(max_examples=120, deadline=None)
+    @given(route=st.sampled_from(["lookup", "compare", "subset"]),
+           n=st.integers(1, 6), width=st.integers(1, 1024),
+           zeros=st.floats(0.0, 0.9), seed=st.integers(0, 2 ** 32 - 1))
+    @example(route="subset", n=1, width=3, zeros=0.0, seed=0)
+    @example(route="lookup", n=6, width=1024, zeros=0.0, seed=1)
+    def test_routes_equal_comparison_sum(self, route, n, width, zeros, seed):
+        # rows built bucket by bucket of the guide, so that the table takes
+        # the route asked for: values on bucket edges (a lookup), at most
+        # one value strictly inside a bucket (one comparison), or one bucket
+        # with two or more (a search on the subset of its draws); zero
+        # columns before, between and after the values; u at the bucket
+        # edges around the values and elsewhere, one ulp either side of
+        # them, at each value and just below 1
+        rng = np.random.default_rng(seed)
+        M = _cdf_table(np.ones((n, 1))).M
+        need = {"lookup": 1, "compare": 2, "subset": 3}[route]
+        width = max(width, need)
+        cum = np.empty((n, width))
+        for r in range(n):
+            k = need + int(rng.binomial(width - need, 1.0 - zeros))
+            if route == "lookup":
+                vals = rng.choice(np.arange(1, M), k - 1, replace=False) / M
+            else:
+                crowd = 0 if route == "compare" else int(
+                    rng.integers(2, k))         # values in one bucket
+                b = rng.choice(M, k - 1 - crowd + (crowd > 0), replace=False)
+                f = rng.choice(3, len(b))       # where inside its bucket
+                vals = np.where(f == 0, np.nextafter(b / M, 1.0),
+                                np.where(f == 1,
+                                         np.nextafter((b + 1) / M, 0.0),
+                                         (b + rng.uniform(0.01, 0.99,
+                                                          len(b))) / M))
+                if crowd:
+                    off = np.sort(rng.choice(10 ** 6, crowd, replace=False))
+                    vals = np.append(vals[1:], (b[0] + (off + 1) / (
+                        10 ** 6 + 2)) / M)
+            vals = np.append(np.sort(vals), 1.0)
+            at = np.sort(rng.choice(width, k, replace=False))
+            cum[r] = np.append(0.0, vals)[np.searchsorted(
+                at, np.arange(width), side="right")]
+        table = _cdf_table(cum)
+        assert _route(table) == route
+        for r in range(n):
+            vals = np.unique(cum[r][cum[r] > 0])
+            vals = vals[rng.permutation(len(vals))[:256]]
+            low = np.floor(vals * M)
+            edges = np.concatenate([low, low + 1, rng.integers(M, size=64)])
+            edges = edges[edges < M] / M
+            u = np.concatenate([edges, vals, [0.0, np.nextafter(1.0, 0.0)]])
+            u = np.concatenate([u, np.nextafter(u, 0.0), np.nextafter(u, 1.0)])
+            u = u[(u >= 0.0) & (u < 1.0)]
             row = np.full(len(u), r)
             np.testing.assert_array_equal(_search(table, row, u),
                                           _comparison_sum(cum, row, u))
@@ -503,7 +559,8 @@ class TestSearch:
             P[x, nxt] = rng.uniform(0.2, 1.0, successors)
         P /= P.sum(axis=1, keepdims=True)
         table = montecarlo._path_table(P, B)
-        assert table[2] is not None
+        # 512 paths per row crowd some of 2048 buckets; 16 in 512 do not
+        assert _route(table) == ("subset" if S == 8 else "compare")
         assert _depth(table) < (S ** B - 1).bit_length()
         paths, cums = path_laws(P, B)
         row = np.repeat(np.arange(S), 200)
@@ -513,18 +570,26 @@ class TestSearch:
                                       row * S ** B + want)
 
     def test_path_table_read_only(self):
-        # the search reads the guide and the level views of flat, never
-        # writes them
+        # the search reads the guide, the values, the bucket marks, the
+        # level views of flat and the column map, never writes them
         P = np.random.default_rng(8).dirichlet(np.ones(8), size=8)
-        levels, _, start = montecarlo._path_table(P, 3)[:3]
-        assert levels and start is not None
-        for arr in [start, *(level for _, level in levels)]:
+        table = montecarlo._path_table(P, 3)
+        assert _route(table) == "subset" and table.levels
+        for arr in [table.guide, table.flat, table.many, table.column,
+                    *(level for _, level in table.levels)]:
             assert not arr.flags.writeable
 
 
+def _route(table):
+    """The route a _cdf_table's search takes: the guide's answer alone,
+    one comparison, or one comparison and levels on a subset."""
+    return ("lookup" if table.flat is None else
+            "compare" if table.many is None else "subset")
+
+
 def _depth(table):
-    """Binary-search levels a _cdf_table's search runs."""
-    return len(table[0])
+    """Most comparisons a draw runs in a _cdf_table's search."""
+    return (table.flat is not None) + len(table.levels)
 
 
 class TestBlocks:
