@@ -323,11 +323,12 @@ def _chain_steps(Q, X, n, rng, at=None):
         draws = -(-m // B)
         moves = rng.random(N * draws).reshape(draws, N)
         rows = np.empty((draws, N), dtype=np.intp)
-        for j, move in enumerate(moves):
-            row = _search(table, X, move, out=rows[j])
+        for j in range(draws):
+            row = _search(table, X, moves[j], out=rows[j])
             steps = min(m - j * B, B)
             X = (last.take(row) if steps == B
                  else edge[steps - 1].take(row) % C // (C // S))
+        del moves           # the uniforms go before the caller's work
         yield rows, edge, m, X
 
 
