@@ -328,7 +328,7 @@ def _chain_steps(Q, X, n, rng, at=None):
             steps = min(m - j * B, B)
             X = (last.take(row) if steps == B
                  else edge[steps - 1].take(row) % C // (C // S))
-        del moves           # the uniforms go before the caller's work
+        del moves       # not held while the caller works on the block
         yield rows, edge, m, X
 
 
